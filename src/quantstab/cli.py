@@ -16,20 +16,22 @@ Exit codes: 0 success, 1 failed verification or failed run, 2 bad config.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
-from .loop import run_closed_loop
+from .loop import INIT_MODES, run_closed_loop
 from .oracle import (
     exhaustive_encode_decode,
     grid_optimal_boundaries,
     verify_equalization,
     verify_relaxation_kkt,
 )
-from .plant import UncertainPlant, sample_instance
+from .plant import SAMPLING_MODES, UncertainPlant, sample_instance
 from .quantizer import (
+    FAMILIES,
     SaturationError,
     optimal_boundaries,
     quantizer_for,
@@ -37,6 +39,7 @@ from .quantizer import (
     v_rate,
 )
 from .rates import (
+    CertificateError,
     Schedule,
     comparison_bounds,
     conservative_known_plant_rate,
@@ -136,6 +139,17 @@ class Config:
             raise ConfigError(
                 f"config line {lineno}: '{key}' must be a number, got {val!r}"
             ) from None
+
+    def get_choice(self, section: str, key: str, choices: Sequence[str], default: str) -> str:
+        raw = self._raw(section, key, default)
+        if raw is None:
+            return default
+        val, lineno = raw
+        if val not in choices:
+            raise ConfigError(
+                f"config line {lineno}: '{key}' must be one of {', '.join(choices)}, got {val!r}"
+            )
+        return val
 
     def get_floats(self, section: str, key: str, default=None) -> tuple[float, ...] | None:
         raw = self._raw(section, key, default)
@@ -263,8 +277,14 @@ def _emit(lines: list[str], out: str | None) -> None:
             fh.write(text)
 
 
+def worker_count(jobs: int) -> int:
+    """--jobs clamped to [1, number of CPUs]."""
+    return max(1, min(jobs, os.cpu_count() or 1))
+
+
 def _run_rows(worker, jobs: int, arglist):
-    if jobs <= 1:
+    jobs = worker_count(jobs)
+    if jobs == 1:
         return [worker(a) for a in arglist]
     with ProcessPoolExecutor(max_workers=jobs) as ex:
         return list(ex.map(worker, arglist))
@@ -297,6 +317,9 @@ def cmd_schedule(cfg: Config, opts) -> int:
         rows = _run_rows(_bounds_row, opts.jobs, args)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    except CertificateError as exc:
+        print(f"schedule failed: {exc}", file=sys.stderr)
+        return 1
     _emit([RATES_CSV_HEADER] + [r[0] for r in rows], opts.out)
     for _, note in rows:
         if note:
@@ -340,11 +363,13 @@ def cmd_simulate(cfg: Config, opts) -> int:
         sched = Schedule(sizes)
     except ValueError as exc:
         raise ConfigError(f"bad schedule sizes: {exc}") from None
-    family = cfg.get_str("simulate", "family", "optimal")
+    family = cfg.get_choice("simulate", "family", FAMILIES, "optimal")
     horizon = cfg.get_int("simulate", "horizon", 500)
+    if horizon < 1:
+        raise ConfigError(f"'horizon' must be at least 1, got {horizon}")
     instances = cfg.get_int("simulate", "instances", 1)
-    mode = cfg.get_str("simulate", "instance_mode", "uniform")
-    init_mode = cfg.get_str("simulate", "init_mode", "uniform")
+    mode = cfg.get_choice("simulate", "instance_mode", SAMPLING_MODES, "uniform")
+    init_mode = cfg.get_choice("simulate", "init_mode", INIT_MODES, "uniform")
     seed = opts.seed if opts.seed is not None else cfg.get_int("simulate", "seed", 0)
 
     if instances == 1:

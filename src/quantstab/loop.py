@@ -144,6 +144,10 @@ class _Slot:
     rate_n: float  # exact expansion of coefficient n over this estimate
 
 
+INIT_MODES = ("endpoints", "zero", "uniform")
+"""Initial-output modes that run_closed_loop accepts."""
+
+
 def _init_mode_value(mode: str, bound: float, rng) -> float:
     if mode == "endpoints":
         return bound

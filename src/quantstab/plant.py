@@ -82,6 +82,10 @@ def step(inst: PlantInstance, history: Sequence[float], u: float) -> float:
     return acc
 
 
+SAMPLING_MODES = ("nominal", "vertex", "uniform")
+"""Instance sampling modes that sample_instance accepts."""
+
+
 def sample_instance(
     p: UncertainPlant,
     mode: str = "nominal",

@@ -206,6 +206,10 @@ def v_rate(lambda_abs: float, eps_n: float, N: int) -> float:
     return eps_n / (1.0 - r ** (N // 2))
 
 
+FAMILIES = ("optimal", "uniform")
+"""Quantizer family names that quantizer_for accepts."""
+
+
 def quantizer_for(
     family: str, p: UncertainPlant, N: int
 ) -> QuantizerSpec:

@@ -10,14 +10,21 @@ Three layers:
   worst-case expansion rates, whose spectral radius strictly below one
   certifies the scaling recursion contracts;
 * time-varying alphabets: periodic schedules of quantizer sizes, their
-  average rate, an exact minimum-average-rate search for scalar plants, and
-  the convex relaxation whose optimum reproduces the necessary rate.
+  average rate, the minimum-average-rate search, and the convex relaxation
+  whose optimum reproduces the necessary rate. For scalar plants the search
+  is exact: a knapsack with exactly m items, solved by depth-first branch
+  and bound with the Lagrangian bound of the lower convex hull of the
+  (log rate, log2 size) points, and its winner is certified by an exact
+  rational product of the rates. Higher-order plants get a flagged
+  heuristic.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -334,17 +341,33 @@ def _lower_hull(points: list[tuple[float, float]]) -> list[int]:
     return hull
 
 
+class CertificateError(ArithmeticError):
+    """The exact rate product of a search winner contradicts the float search."""
+
+
 def _search_scalar_exact(
     p: UncertainPlant, m_max: int, N_max: int, family: str, margin: float
 ) -> ScheduleSearchResult | None:
     """Exact minimum-average-rate schedule for n = 1.
 
     The period product of scalar rates commutes, so schedules are multisets
-    of sizes. Enumeration is a size-by-size sweep over nondecreasing
-    multisets with three sound prunings: dominance within equal largest
-    element, unreachable feasibility, and a cost bound seeded from uniform
-    and two-size candidate schedules. Ties prefer fewer slots, then
-    lexicographically smaller sizes.
+    of sizes: pick m <= m_max items (g, c) = (ln w_N, log2 N) minimizing
+    sum(c)/m subject to sum(g) < ln(1 - margin), a knapsack with exactly m
+    items. The search is a depth-first branch and bound over nondecreasing
+    size indices, larger indices first so that feasible incumbents appear
+    early. The incumbent average starts from uniform schedules and from the
+    cheapest feasible mix of each pair of adjacent lower-hull points in
+    (g, c). A child is pruned when a Lagrangian bound shows that no
+    completion reaches the incumbent average: for beta = 0 and for each
+    negative slope beta of the hull, an added item k costs at least
+    min_{k' >= k}(c_k' - beta g_k') + beta g_k, and the added g sum stays
+    below the remaining budget. A small tolerance keeps children that tie
+    the incumbent, so ties still prefer fewer slots, then lexicographically
+    smaller sizes.
+
+    The winner is certified by the exact rational product of its float
+    worst rates against 1 - margin; a disagreement with the log-space
+    search raises CertificateError.
     """
     vals = _scalar_step_rates(p, family, N_max)
     if not vals:
@@ -354,138 +377,96 @@ def _search_scalar_exact(
     gvec = [math.log(w) for _, _, w in vals]
     nvals = len(vals)
     # cheapest future feasibility credit for slots restricted to index >= i
-    suffix_min_g = [0.0] * nvals
-    acc = math.inf
-    for i in range(nvals - 1, -1, -1):
-        acc = min(acc, gvec[i])
-        suffix_min_g[i] = acc
-    if suffix_min_g[0] >= 0.0:
+    gmin = list(itertools.accumulate(reversed(gvec), min))[::-1]
+    if gmin[0] >= 0.0:
         return None  # nothing contracts, so no product ever can
 
-    best_total = [math.inf] * (m_max + 1)  # index by slot count
-
-    def offer(total_c: float, m: int) -> None:
-        if total_c < best_total[m]:
-            best_total[m] = total_c
-
-    # seed: uniform schedules
-    for i in range(nvals):
-        for m in range(1, m_max + 1):
-            if m * gvec[i] < target:
-                offer(m * cvec[i], m)
-    # seed: adjacent lower-hull pairs in (g, c), mixed in all proportions
+    # Seeds only bound the search, so they keep a margin below the target
+    # that no summation order can round away.
+    seed_target = target - 1e-9
+    ub = cvec[-1] + 1.0  # above every average
+    for g, c in zip(gvec, cvec):
+        if m_max * g < seed_target:  # uniform schedule, any feasible period
+            ub = min(ub, c)
     order = sorted(range(nvals), key=lambda i: (gvec[i], cvec[i]))
-    pts = [(gvec[i], cvec[i]) for i in order]
-    hull = _lower_hull(pts)
+    hull = [order[h] for h in _lower_hull([(gvec[i], cvec[i]) for i in order])]
+    betas = [0.0]
     for a, b in zip(hull, hull[1:]):
-        ia, ib = order[a], order[b]
+        ga, gb, ca, cb = gvec[a], gvec[b], cvec[a], cvec[b]
+        if not (ga < gb and ca > cb):
+            continue
+        betas.append((cb - ca) / (gb - ga))
+        # k slots of a and m - k of b: the cheapest feasible k in closed form
         for m in range(2, m_max + 1):
-            for k in range(1, m):
-                if k * gvec[ia] + (m - k) * gvec[ib] < target:
-                    offer(k * cvec[ia] + (m - k) * cvec[ib], m)
+            k = max(1, math.floor((m * gb - seed_target) / (gb - ga)) + 1)
+            if k * ga + (m - k) * gb >= seed_target:
+                k += 1
+            if k < m and k * ga + (m - k) * gb < seed_target:
+                ub = min(ub, (k * ca + (m - k) * cb) / m)
+    # per slope beta <= 0: item prices c_k - beta g_k and their suffix minima
+    prices = [[c - b * g for c, g in zip(cvec, gvec)] for b in betas]
+    floors = [list(itertools.accumulate(reversed(pr), min))[::-1] for pr in prices]
+    tables = list(zip(prices, floors))
 
-    # frontier entries: (c_sum, g_sum, last_index, sizes)
-    frontier: list[tuple[float, float, int, tuple[int, ...]]] = [
-        (cvec[i], gvec[i], i, (vals[i][0],)) for i in range(nvals)
-    ]
+    tol = 1e-9  # keeps children that tie the incumbent
     best: tuple[float, int, tuple[int, ...]] | None = None
-
-    def consider(c_sum: float, j: int, sizes: tuple[int, ...]) -> None:
-        nonlocal best
-        avg = c_sum / j
-        key = (avg, j, sizes)
-        if best is None or key < best:
-            best = key
-        offer(c_sum, j)
-
-    for j in range(1, m_max + 1):
-        # candidates at this size
-        for c_sum, g_sum, _, sizes in frontier:
-            if g_sum < target:
-                consider(c_sum, j, sizes)
+    # nodes: (slots, c_sum, g_sum, last index, sizes); the root has no slot
+    stack: list[tuple[int, float, float, int, tuple[int, ...]]] = [(0, 0.0, 0.0, 0, ())]
+    while stack:
+        j, c_sum, g_sum, last, sizes = stack.pop()
+        if j and g_sum < target:
+            key = (c_sum / j, j, sizes)
+            if best is None or key < best:
+                best = key
+                ub = min(ub, key[0])
         if j == m_max:
-            break
-        # A candidate at j+1 slots is worth keeping if some completion to m
-        # slots both reaches feasibility (using the cheapest remaining
-        # feasibility credit gl) and beats the cost bound best_total[m].
-        # Tabulating running maxima of best_total[m] - extra * c_last over
-        # the number of added slots makes that an O(1) lookup: the extras
-        # that satisfy the feasibility gate form a suffix when gl < 0 and a
-        # prefix when gl > 0.
-        jj = j + 1
-        n_extra = m_max - jj + 1
-        suf_tables: list[list[float]] = []
-        pre_tables: list[list[float]] = []
-        for i in range(nvals):
-            ci = cvec[i]
-            bound = [best_total[jj + e] - e * ci for e in range(n_extra)]
-            suf = bound[:]
-            for e in range(n_extra - 2, -1, -1):
-                if suf[e + 1] > suf[e]:
-                    suf[e] = suf[e + 1]
-            pre = bound
-            for e in range(1, n_extra):
-                if pre[e - 1] > pre[e]:
-                    pre[e] = pre[e - 1]
-            suf_tables.append(suf)
-            pre_tables.append(pre)
-
-        def viable(c2: float, g2: float, last: int) -> bool:
-            gl = suffix_min_g[last]
-            d = target - g2  # feasible completions need extra * gl < d
-            if gl < 0.0:
-                e0 = 0 if d > 0.0 else math.floor(d / gl) + 1
-                if e0 >= n_extra:
-                    return False
-                return suf_tables[last][e0] >= c2 - 1e-12
+            continue
+        j2 = j + 1
+        e_max = m_max - j2
+        # A completion adding e items from index i on, with g sum below the
+        # budget d = target - g_sum - g_i, exceeds ub * (j2 + e) in cost by at
+        # least base + price_i + e * (floor_i - ub) for every beta <= 0, where
+        # base = c_sum - ub * j2 + beta * (target - g_sum).
+        base = [c_sum - ub * j2 + b * (target - g_sum) for b in betas]
+        children = []
+        for i in range(last, nvals):
+            g2 = g_sum + gvec[i]
+            d = target - g2
+            e_min = 0
             if d <= 0.0:
-                return False
-            if gl == 0.0:
-                return suf_tables[last][0] >= c2 - 1e-12
-            e1 = math.ceil(d / gl) - 1
-            if e1 < 0:
-                return False
-            return pre_tables[last][min(e1, n_extra - 1)] >= c2 - 1e-12
-
-        # extend, keeping multisets nondecreasing so each is generated once
-        nxt: dict[int, list[tuple[float, float, tuple[int, ...]]]] = {}
-        for c_sum, g_sum, last, sizes in frontier:
-            for i in range(last, nvals):
-                c2 = c_sum + cvec[i]
-                g2 = g_sum + gvec[i]
-                if not viable(c2, g2, i):
+                if gmin[i] >= 0.0:
                     continue
-                nxt.setdefault(i, []).append((c2, g2, sizes + (vals[i][0],)))
-        frontier = []
-        for i, bucket in nxt.items():
-            # dominance prune; an entry may only displace another at equal
-            # cost if it is also lexicographically no larger, so exact-cost
-            # ties keep the witness the final tie-break will want
-            bucket.sort(key=lambda e: (e[0], e[2], e[1]))
-            kept: list[tuple[float, float, tuple[int, ...]]] = []
-            g_cheaper = math.inf  # best g among entries with strictly smaller c
-            g_equal = math.inf  # best g among equal-c, lex-smaller entries
-            c_prev = None
-            for c2, g2, sizes in bucket:
-                if c_prev is None or c2 != c_prev:
-                    g_cheaper = min(g_cheaper, g_equal)
-                    g_equal = math.inf
-                    c_prev = c2
-                if g2 < g_cheaper and g2 < g_equal:
-                    kept.append((c2, g2, sizes))
-                g_equal = min(g_equal, g2)
-            frontier.extend((c2, g2, i, sizes) for c2, g2, sizes in kept)
-        if not frontier:
-            break
+                e_min = math.floor(d / gmin[i] - 1e-9) + 1  # never above the true count
+                if e_min > e_max:
+                    continue
+            lb = -math.inf
+            for (pr, fl), bb in zip(tables, base):
+                slack = fl[i] - ub
+                if slack >= 0.0 and bb + fl[i] > tol:
+                    lb = math.inf  # floors grow with i: every later i fails too
+                    break
+                lb = bb + pr[i] + (e_min if slack >= 0.0 else e_max) * slack
+                if lb > tol:
+                    break
+            if lb == math.inf:
+                break
+            if lb <= tol:
+                children.append((j2, c_sum + cvec[i], g2, i, sizes + (vals[i][0],)))
+        stack.extend(children)  # largest index first: feasible incumbents early
 
     if best is None:
         return None
     avg, _, sizes = best
-    sched = Schedule(sizes)
-    # cross-check in product space; the log-space search must agree
-    if not periodic_sufficient_test(p, sched, family, margin).stable:
-        return None
-    return ScheduleSearchResult(schedule=sched, avg_rate=avg, exact=True)
+    rate = {N: w for N, _, w in vals}
+    product = Fraction(1)
+    for N in sizes:
+        product *= Fraction(rate[N])
+    if not product < Fraction(1.0 - margin):
+        raise CertificateError(
+            f"schedule {list(sizes)} passes the log-space search but its exact "
+            f"rate product {float(product)!r} is not below 1 - margin = {1.0 - margin!r}"
+        )
+    return ScheduleSearchResult(schedule=Schedule(sizes), avg_rate=avg, exact=True)
 
 
 def _search_heuristic(
@@ -547,7 +528,9 @@ def search_periodic_schedule(
 ) -> ScheduleSearchResult | None:
     """Minimum average-rate periodic schedule within the given caps.
 
-    Exact for first-order plants; a flagged heuristic otherwise.
+    Exact and certified for first-order plants, raising CertificateError if
+    the certificate disagrees with the search; a flagged heuristic otherwise.
+    None when no schedule within the caps is found.
     """
     if m_max < 1 or N_max < 2:
         raise ValueError("need m_max >= 1 and N_max >= 2")

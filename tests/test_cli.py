@@ -1,7 +1,11 @@
 """Config parsing, CSV emission, determinism, and exit codes."""
 
+import math
+import os
+
 import pytest
 
+from quantstab import cli, rates
 from quantstab.cli import (
     Config,
     ConfigError,
@@ -14,6 +18,7 @@ from quantstab.cli import (
     plant_from_config,
     run_verification,
     sweep_from_config,
+    worker_count,
 )
 from quantstab.quantizer import optimal_boundaries
 from quantstab.rates import necessary_rate
@@ -269,6 +274,52 @@ def test_invalid_plant_exits_2(tmp_path, capsys):
     )
     assert main(["bounds", "--config", cfg]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "instances,line,message",
+    [
+        (1, "horizon = 0", "'horizon' must be at least 1, got 0"),
+        (4, "horizon = 0", "'horizon' must be at least 1, got 0"),
+        (1, "family = fancy", "'family' must be one of optimal, uniform, got 'fancy'"),
+        (4, "instance_mode = corner", "'instance_mode' must be one of nominal, vertex, uniform"),
+        (1, "init_mode = random", "'init_mode' must be one of endpoints, zero, uniform"),
+    ],
+)
+def test_simulate_bad_key_exits_2(tmp_path, capsys, instances, line, message):
+    text = SIM_CFG.format(instances=instances).replace("horizon = 120\n", "")
+    cfg = write(tmp_path, "s.cfg", text + line + "\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def test_worker_count_clamped(monkeypatch):
+    cpus = os.cpu_count() or 1
+    assert worker_count(10**6) == cpus
+    assert worker_count(0) == 1
+    assert worker_count(-3) == 1
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert worker_count(3) == 3
+    assert worker_count(64) == 4
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert worker_count(8) == 1
+
+
+def test_schedule_certificate_failure_exits_1(tmp_path, capsys, monkeypatch):
+    # float logs accept (2, 2, 2, 3) although the exact rate product is >= 1
+    monkeypatch.setattr(
+        rates,
+        "_scalar_step_rates",
+        lambda p, family, n_max: [(2, 1.0, 1.29), (3, math.log2(3.0), 0.4658336629106498)],
+    )
+    cfg = write(tmp_path, "b.cfg", BOUNDS_CFG)
+    argv = ["schedule", "--config", cfg, "--m-max", "4", "--n-max", "3"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("schedule failed: schedule [2, 2, 2, 3]")
+    assert "Traceback" not in err
 
 
 def test_unknown_command_rejected(tmp_path):

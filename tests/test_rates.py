@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quantstab import rates
 from quantstab.plant import UncertainPlant
 from quantstab.quantizer import optimal_boundaries, uniform_boundaries, v_rate
 from quantstab.rates import (
     INFEASIBLE,
+    CertificateError,
     Decomposition,
     HMatrix,
     Schedule,
@@ -234,7 +236,7 @@ def test_periodic_power_consistency():
 # schedule search
 
 
-def brute_force_best(lam, eps, m_max, n_max):
+def brute_force_best(lam, eps, m_max, n_max, margin=0.0):
     """Test-local exhaustive multiset search over v-rate products."""
     best = None
     for m in range(1, m_max + 1):
@@ -242,7 +244,7 @@ def brute_force_best(lam, eps, m_max, n_max):
             prod = 1.0
             for n_level in sizes:
                 prod *= v_rate(lam, eps, n_level)
-            if prod < 1.0:
+            if prod < 1.0 - margin:
                 avg = sum(math.log2(v) for v in sizes) / m
                 key = (avg, m, sizes)
                 if best is None or key < best:
@@ -250,11 +252,22 @@ def brute_force_best(lam, eps, m_max, n_max):
     return best
 
 
-@pytest.mark.parametrize("lam,eps", [(2.0, 0.35), (3.0, 0.5), (1.75, 0.35)])
-def test_search_matches_brute_force(lam, eps):
+@pytest.mark.parametrize(
+    "lam,eps,margin",
+    [
+        pytest.param(2.0, 0.35, 0.0, id="2.0-0.35"),
+        pytest.param(3.0, 0.5, 0.0, id="3.0-0.5"),
+        pytest.param(1.75, 0.35, 0.0, id="1.75-0.35"),
+        # the margin moves the optimum away from (4, 4, 4, 5)
+        pytest.param(3.0, 0.5, 0.1, id="3.0-0.5-margin0.1"),
+        # (4,) ties (4, 4), (4, 4, 4), ...: the fewest slots must win
+        pytest.param(3.995, 0.0, 0.0, id="3.995-0.0"),
+    ],
+)
+def test_search_matches_brute_force(lam, eps, margin):
     p = scalar_plant(lam, eps)
-    want = brute_force_best(lam, eps, 4, 8)
-    got = search_periodic_schedule(p, 4, 8, "optimal")
+    want = brute_force_best(lam, eps, 4, 8, margin)
+    got = search_periodic_schedule(p, 4, 8, "optimal", margin)
     assert want is not None and got is not None
     assert got.exact
     assert math.isclose(got.avg_rate, want[0], rel_tol=1e-9)
@@ -284,6 +297,42 @@ def test_search_sandwich_and_monotone_in_m_max():
     assert math.isclose(
         search_periodic_schedule(p, 1, 16, "optimal").avg_rate, static, rel_tol=REL
     )
+
+
+def test_search_long_periods_certified_and_no_worse():
+    p = scalar_plant(2.5, 0.3)
+    short = search_periodic_schedule(p, 32, 64)
+    long = search_periodic_schedule(p, 128, 64)
+    assert short is not None and long is not None and long.exact
+    assert long.avg_rate <= short.avg_rate
+    assert periodic_sufficient_test(p, long.schedule).stable
+
+
+def test_search_deeper_than_recursion_limit():
+    # known plant, lambda = 2: N = 2 has rate exactly 1, so the optimum is
+    # m - 1 slots of 2 closed by one 3, at the longest allowed period
+    m_max = 1500
+    res = search_periodic_schedule(scalar_plant(2.0, 0.0), m_max, 3)
+    assert res is not None and res.exact
+    assert res.schedule.sizes == (2,) * (m_max - 1) + (3,)
+
+
+def fake_step_rates(p, family, N_max):
+    """Rates whose float log sum and exact product disagree on (2, 2, 2, 3).
+
+    1.29**3 * 0.4658336629106498 is at least 1 exactly, but the sum of the
+    four float logarithms is -1.1e-16, so the log-space search accepts it.
+    """
+    return [(2, 1.0, 1.29), (3, math.log2(3.0), 0.4658336629106498)]
+
+
+def test_search_certificate_disagreement_raises(monkeypatch):
+    monkeypatch.setattr(rates, "_scalar_step_rates", fake_step_rates)
+    with pytest.raises(CertificateError, match=r"\[2, 2, 2, 3\]"):
+        search_periodic_schedule(scalar_plant(2.0, 0.35), 4, 3)
+    # one slot fewer, the winner (2, 2, 3) is certified
+    res = search_periodic_schedule(scalar_plant(2.0, 0.35), 3, 3)
+    assert res is not None and res.schedule.sizes == (2, 2, 3)
 
 
 def test_search_not_found_within_caps():
