@@ -290,11 +290,21 @@ def _run_rows(worker, jobs: int, arglist):
         return list(ex.map(worker, arglist))
 
 
+def _n_max_and_margin(cfg: Config, opts, section: str) -> tuple[int, float]:
+    """--n-max and --margin, else [section] n_max and [rates] margin, checked."""
+    n_max = opts.n_max if opts.n_max is not None else cfg.get_int(section, "n_max", 64)
+    if n_max < 2:
+        raise ConfigError(f"'n_max' must be at least 2, got {n_max}")
+    margin = opts.margin if opts.margin is not None else cfg.get_float("rates", "margin", 0.0)
+    if not 0.0 <= margin < 1.0:
+        raise ConfigError(f"'margin' must be in [0, 1), got {margin!r}")
+    return n_max, margin
+
+
 def cmd_bounds(cfg: Config, opts) -> int:
     p = plant_from_config(cfg)
     lams = sweep_from_config(cfg)
-    n_max = opts.n_max or cfg.get_int("rates", "n_max", 64)
-    margin = opts.margin if opts.margin is not None else cfg.get_float("rates", "margin", 0.0)
+    n_max, margin = _n_max_and_margin(cfg, opts, "rates")
     p_fields = (p.n, p.a_star, p.eps, p.init_bounds)
     args = [(p_fields, lam, n_max, margin, False, 1) for lam in lams]
     try:
@@ -308,9 +318,10 @@ def cmd_bounds(cfg: Config, opts) -> int:
 def cmd_schedule(cfg: Config, opts) -> int:
     p = plant_from_config(cfg)
     lams = sweep_from_config(cfg)
-    n_max = opts.n_max or cfg.get_int("schedule", "n_max", 64)
-    m_max = opts.m_max or cfg.get_int("schedule", "m_max", 32)
-    margin = opts.margin if opts.margin is not None else cfg.get_float("rates", "margin", 0.0)
+    n_max, margin = _n_max_and_margin(cfg, opts, "schedule")
+    m_max = opts.m_max if opts.m_max is not None else cfg.get_int("schedule", "m_max", 32)
+    if m_max < 1:
+        raise ConfigError(f"'m_max' must be at least 1, got {m_max}")
     p_fields = (p.n, p.a_star, p.eps, p.init_bounds)
     args = [(p_fields, lam, n_max, margin, True, m_max) for lam in lams]
     try:

@@ -8,7 +8,10 @@ Three layers:
   bounds used for comparison;
 * the stability test itself: the nonnegative companion matrix built from
   worst-case expansion rates, whose spectral radius strictly below one
-  certifies the scaling recursion contracts;
+  certifies the scaling recursion contracts. That radius is the positive
+  root of sum_i w_i z^-i = 1, found by Newton's method from an upper bound;
+  since the sum decreases in z, the verdict radius < 1 - margin is decided
+  directly as sum_i w_i (1 - margin)^-i < 1, with no iteration;
 * time-varying alphabets: periodic schedules of quantizer sizes, their
   average rate, the minimum-average-rate search, and the convex relaxation
   whose optimum reproduces the necessary rate. For scalar plants the search
@@ -16,7 +19,9 @@ Three layers:
   and bound with the Lagrangian bound of the lower convex hull of the
   (log rate, log2 size) points, and its winner is certified by an exact
   rational product of the rates. Higher-order plants get a flagged
-  heuristic.
+  heuristic: a depth-first search over short nondecreasing schedules that
+  builds each size's companion matrix once and extends the period product
+  from parent to child.
 """
 
 from __future__ import annotations
@@ -116,7 +121,7 @@ class HMatrix:
 
 
 def _char_ratio(w_bar: Sequence[float], z: float) -> float:
-    """sum_i w_i z^-i; the positive root of (this == 1) is the spectral radius."""
+    """sum_i w_i z^-i for z > 0: decreasing in z, equal to 1 at the spectral radius."""
     acc = 0.0
     zi = 1.0
     for wi in w_bar:
@@ -125,88 +130,36 @@ def _char_ratio(w_bar: Sequence[float], z: float) -> float:
     return acc
 
 
-def _bisect_root(w_bar: Sequence[float]) -> float:
-    """Positive root of z^n = sum w_i z^{n-i} by bisection; 0 if all rates are 0."""
-    total = sum(w_bar)
-    if total == 0.0:
-        return 0.0
-    lo, hi = 0.0, 1.0 + total
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _char_ratio(w_bar, mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def spectral_radius(H: HMatrix) -> float:
+    """Spectral radius of the companion matrix, 0 when every rate is 0.
 
-
-def _newton_polish(w_bar: Sequence[float], z: float) -> float:
-    for _ in range(60):
-        f = _char_ratio(w_bar, z) - 1.0
-        df = 0.0
-        zi = 1.0
-        for i, wi in enumerate(w_bar, start=1):
-            zi *= z
-            df -= i * wi / (zi * z)
-        if df == 0.0:
-            break
-        znew = z - f / df
-        if not (znew > 0.0) or not math.isfinite(znew):
-            break
-        if abs(znew - z) <= 1e-16 * z:
-            z = znew
-            break
-        z = znew
-    return z
-
-
-def _polished_root(w_bar: Sequence[float]) -> float:
-    return _newton_polish(w_bar, _bisect_root(w_bar))
-
-
-def spectral_radius(H: HMatrix, tol: float = 1e-12, max_iter: int = 10**6) -> float:
-    """Spectral radius of the companion matrix.
-
-    Power iteration with max-norm normalization; it converges whenever the
-    positive-rate index pattern makes the matrix primitive, so the cyclic
-    cases (gcd of positive indices > 1) and any non-converged run fall back
-    to bisection on the characteristic polynomial, whose positive root
-    equals the radius for every nonnegative companion matrix. Convergence
-    needs the iterate itself to settle, not just the normalization factor,
-    and the polished value is accepted only if it solves the characteristic
-    equation; otherwise the bisection answer is returned.
+    For a nonnegative companion matrix the radius is the positive root of
+    sum_i w_i z^-i = 1. Newton's method on the characteristic polynomial
+    z^n (1 - sum_i w_i z^-i) starts at the Cauchy bound max_i (n w_i)^(1/i),
+    where every term is at most 1/n, so the start lies on or above the root.
+    From the root on the polynomial is increasing and convex, so the iterates
+    fall monotonically onto it; they stop once the sum reaches 1 or a step no
+    longer lowers z. At n = 1 the start is the root w_1 itself.
     """
     w = H.w_bar
     n = H.n
-    if all(v == 0.0 for v in w):
+    z = max((n * wi) ** (1.0 / i) for i, wi in enumerate(w, start=1))
+    if z == 0.0:
         return 0.0
-    pos = [i + 1 for i, v in enumerate(w) if v > 0.0]
-    g = pos[0]
-    for i in pos[1:]:
-        g = math.gcd(g, i)
-    if g > 1:
-        return _polished_root(w)
-
-    x = [1.0] * n
-    est_prev = 0.0
-    for _ in range(max_iter):
-        bottom = 0.0
-        for j in range(n):
-            bottom += w[n - 1 - j] * x[j]
-        y = x[1:] + [bottom]
-        m = max(y)
-        if m == 0.0:
-            return _polished_root(w)
-        x_next = [v / m for v in y]
-        settled = max(abs(a - b) for a, b in zip(x_next, x)) <= tol
-        x = x_next
-        if settled and abs(m - est_prev) <= tol * m:
-            z = _newton_polish(w, m)
-            if abs(_char_ratio(w, z) - 1.0) <= 1e-11:
-                return z
-            return _polished_root(w)
-        est_prev = m
-    return _polished_root(w)
+    while True:
+        s = t = 0.0  # sum_i w_i z^-i and sum_i i w_i z^-i
+        zi = 1.0
+        for i, wi in enumerate(w, start=1):
+            zi *= z
+            s += wi / zi
+            t += i * wi / zi
+        if s >= 1.0:
+            return z
+        u = 1.0 - s
+        z_next = z - z * u / (n * u + t)
+        if not z_next < z:
+            return z
+        z = z_next
 
 
 @dataclass(frozen=True)
@@ -220,12 +173,16 @@ def sufficient_test(
 ) -> StabilityTest:
     """Does the quantizer contract the scaling envelope for this plant?
 
-    Builds the companion matrix from worst-case expansion rates and checks
-    its spectral radius is strictly below 1 - margin.
+    Builds the companion matrix from worst-case expansion rates; the test
+    passes when its spectral radius is strictly below z = 1 - margin. Since
+    sum_i w_i z^-i decreases in z and equals 1 at the radius, that is decided
+    directly as sum_i w_i z^-i < 1, with no iteration; rho is a diagnostic.
     """
-    prof = expansion_profile(q, p)
-    rho = spectral_radius(HMatrix(p.n, prof.w_bar))
-    return StabilityTest(rho=rho, stable=rho < 1.0 - margin)
+    if not 0.0 <= margin < 1.0:
+        raise ValueError(f"margin must be in [0, 1), got {margin!r}")
+    h = HMatrix(p.n, expansion_profile(q, p).w_bar)
+    stable = _char_ratio(h.w_bar, 1.0 - margin) < 1.0
+    return StabilityTest(rho=spectral_radius(h), stable=stable)
 
 
 def min_sufficient_N(
@@ -280,6 +237,11 @@ def schedule_quantizers(
     return qs
 
 
+def _product_radius(prod: np.ndarray) -> float:
+    """Spectral radius of a period product of companion matrices."""
+    return float(max(abs(np.linalg.eigvals(prod))))
+
+
 def periodic_sufficient_test(
     p: UncertainPlant,
     sched: Schedule,
@@ -297,7 +259,7 @@ def periodic_sufficient_test(
     prod = np.eye(p.n)
     for m_j in mats:
         prod = m_j @ prod
-    rho = float(max(abs(np.linalg.eigvals(prod))))
+    rho = _product_radius(prod)
     return StabilityTest(rho=rho, stable=rho < 1.0 - margin)
 
 
@@ -472,7 +434,13 @@ def _search_scalar_exact(
 def _search_heuristic(
     p: UncertainPlant, m_max: int, N_max: int, family: str, margin: float
 ) -> ScheduleSearchResult | None:
-    """Best-effort search for higher-order plants: small periods only."""
+    """Best-effort search for higher-order plants: small periods only.
+
+    Depth-first over nondecreasing size sequences. Each size's companion
+    matrix is built once, and a node's period product is its parent's times
+    the new slot's matrix, newest last, the same products and radii that
+    periodic_sufficient_test computes.
+    """
     static = min_sufficient_N(p, family, N_max)
     cap_m = min(m_max, 6)
     cap_n = N_max if static is None else min(N_max, static + 4)
@@ -482,37 +450,36 @@ def _search_heuristic(
             q = quantizer_for(family, p, N)
         except ValueError:
             continue
-        prof = expansion_profile(q, p)
-        h = HMatrix(p.n, prof.w_bar)
-        cands.append((N, math.log2(N), spectral_radius(h)))
+        h = HMatrix(p.n, expansion_profile(q, p).w_bar)
+        cands.append((N, math.log2(N), spectral_radius(h), h.matrix()))
     if not cands:
         return None
-    rho_min = min(r for _, _, r in cands)
+    rho_min = min(r for _, _, r, _ in cands)
     best: tuple[float, int, tuple[int, ...]] | None = None
 
-    def dfs(start: int, sizes: list[int], rho_prod: float) -> None:
+    def dfs(
+        start: int, sizes: list[int], c_sum: float, rho_prod: float, prod: np.ndarray
+    ) -> None:
         nonlocal best
         j = len(sizes)
         if j > 0:
-            test = periodic_sufficient_test(p, Schedule(tuple(sizes)), family, margin)
-            if test.stable:
-                avg = sum(math.log2(N) for N in sizes) / j
-                key = (avg, j, tuple(sizes))
-                if best is None or key < best:
-                    best = key
+            key = (c_sum / j, j, tuple(sizes))
+            # the radius only matters for a node that would beat the incumbent
+            if (best is None or key < best) and _product_radius(prod) < 1.0 - margin:
+                best = key
         if j == cap_m:
             return
         for idx in range(start, len(cands)):
-            N, _, rho = cands[idx]
+            N, c, rho, mat = cands[idx]
             # coarse screen: even finishing every remaining slot at the best
             # per-step radius, the radius product stays expansive
             if rho_prod * rho * rho_min ** (cap_m - j - 1) >= 1.0 - margin:
                 continue
             sizes.append(N)
-            dfs(idx, sizes, rho_prod * rho)
+            dfs(idx, sizes, c_sum + c, rho_prod * rho, mat @ prod)
             sizes.pop()
 
-    dfs(0, [], 1.0)
+    dfs(0, [], 0.0, 1.0, np.eye(p.n))
     if best is None:
         return None
     avg, _, sizes = best
@@ -534,6 +501,8 @@ def search_periodic_schedule(
     """
     if m_max < 1 or N_max < 2:
         raise ValueError("need m_max >= 1 and N_max >= 2")
+    if not 0.0 <= margin < 1.0:
+        raise ValueError(f"margin must be in [0, 1), got {margin!r}")
     if p.n == 1:
         return _search_scalar_exact(p, m_max, N_max, family, margin)
     return _search_heuristic(p, m_max, N_max, family, margin)

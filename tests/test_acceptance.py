@@ -341,6 +341,21 @@ def test_criterion_10_spectral_radius_vs_root_bracketing():
         worst = max(worst, rel)
         if rel > 1e-9:
             problems.append(f"trial {trial}: radius {got!r} vs root {ref!r}")
+    # primitive but nearly cyclic rate patterns, where an iteration on the
+    # matrix itself converges slowly
+    near_cyclic = [(1e-12, 0.0, 0.0, 0.0, 0.0, 0.9), (1e-6, 0.0, 1.0), (1e-9, 1.0)]
+    t0 = time.perf_counter()
+    radii = [spectral_radius(HMatrix(len(w), w)) for w in near_cyclic]
+    elapsed = time.perf_counter() - t0
+    for w, got in zip(near_cyclic, radii):
+        ref = _positive_root(np.array(w))
+        if abs(got - ref) > 1e-12 * ref:
+            problems.append(f"near-cyclic {w}: radius {got!r} vs root {ref!r}")
+    if elapsed >= 0.05:
+        problems.append(f"near-cyclic radii took {elapsed * 1e3:.1f} ms, limit 50 ms")
     _report(
-        10, problems, f"1000 random companions within 1e-9 (worst {worst:.2g})"
+        10,
+        problems,
+        f"1000 random companions within 1e-9 (worst {worst:.2g}), "
+        f"3 near-cyclic within 1e-12 in {elapsed * 1e3:.2f} ms",
     )

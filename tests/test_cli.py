@@ -295,6 +295,27 @@ def test_simulate_bad_key_exits_2(tmp_path, capsys, instances, line, message):
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command,flags,extra,message",
+    [
+        ("schedule", ("--m-max", "0"), "", "'m_max' must be at least 1, got 0"),
+        ("schedule", (), "[schedule]\nm_max = 0\n", "'m_max' must be at least 1, got 0"),
+        ("schedule", ("--n-max", "0"), "", "'n_max' must be at least 2, got 0"),
+        ("bounds", ("--n-max", "1"), "", "'n_max' must be at least 2, got 1"),
+        ("schedule", ("--margin", "-0.5"), "", "'margin' must be in [0, 1), got -0.5"),
+        ("schedule", ("--margin", "1.5"), "", "'margin' must be in [0, 1), got 1.5"),
+        ("bounds", (), "[rates]\nmargin = 1.0\n", "'margin' must be in [0, 1), got 1.0"),
+    ],
+)
+def test_rate_option_out_of_range_exits_2(tmp_path, capsys, command, flags, extra, message):
+    cfg = write(tmp_path, "b.cfg", BOUNDS_CFG + extra)
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", cfg, "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not out.exists()
+
+
 def test_worker_count_clamped(monkeypatch):
     cpus = os.cpu_count() or 1
     assert worker_count(10**6) == cpus

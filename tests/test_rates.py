@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from quantstab import rates
 from quantstab.plant import UncertainPlant
-from quantstab.quantizer import optimal_boundaries, uniform_boundaries, v_rate
+from quantstab.quantizer import optimal_boundaries, quantizer_for, uniform_boundaries, v_rate
 from quantstab.rates import (
     INFEASIBLE,
     CertificateError,
@@ -348,11 +348,77 @@ def test_search_heuristic_n2_is_feasible_and_flagged():
     assert res.avg_rate <= static + 1e-12
 
 
+def reference_heuristic(p, m_max, n_max, margin):
+    """Test-local copy of the higher-order DFS that runs periodic_sufficient_test
+    on every node instead of extending a carried period product."""
+    static = min_sufficient_N(p, "optimal", n_max)
+    cap_m = min(m_max, 6)
+    cap_n = n_max if static is None else min(n_max, static + 4)
+    cands = []
+    for n_level in range(2, cap_n + 1):
+        try:
+            q = quantizer_for("optimal", p, n_level)
+        except ValueError:
+            continue
+        cands.append((n_level, sufficient_test(p, q).rho))
+    rho_min = min(r for _, r in cands)
+    best = None
+
+    def dfs(start, sizes, rho_prod):
+        nonlocal best
+        if sizes and periodic_sufficient_test(p, Schedule(sizes), "optimal", margin).stable:
+            key = (sum(math.log2(v) for v in sizes) / len(sizes), len(sizes), sizes)
+            best = key if best is None else min(best, key)
+        if len(sizes) == cap_m:
+            return
+        for idx in range(start, len(cands)):
+            n_level, rho = cands[idx]
+            if rho_prod * rho * rho_min ** (cap_m - len(sizes) - 1) >= 1.0 - margin:
+                continue
+            dfs(idx, sizes + (n_level,), rho_prod * rho)
+
+    dfs(0, (), 1.0)
+    return best
+
+
+def test_search_heuristic_matches_per_node_reference():
+    rng = np.random.default_rng(3)
+    for k in range(30):
+        n = int(rng.integers(2, 5))
+        lam = float(rng.uniform(1.4, 3.2))
+        eps_n = float(rng.uniform(0.05, 0.35))
+        if k % 3 == 0:  # near-cyclic: zero lower coefficients, tiny eps_1
+            a = (0.0,) * (n - 1) + (lam,)
+            eps = (float(rng.uniform(1e-3, 1e-2)),) + (0.0,) * (n - 2) + (eps_n,)
+        else:
+            a = tuple(rng.uniform(-0.8, 0.8, n - 1)) + (-lam if k % 2 else lam,)
+            eps = tuple(rng.uniform(0.0, 0.1, n - 1)) + (eps_n,)
+        p = UncertainPlant(n, a, eps, (1.0,) * n)
+        margin = 0.02 if k % 4 == 1 else 0.0
+        m_max = int(rng.integers(2, 5))
+        want = reference_heuristic(p, m_max, 12, margin)
+        got = search_periodic_schedule(p, m_max, 12, "optimal", margin)
+        if want is None:
+            assert got is None, k
+        else:
+            assert got is not None and not got.exact, k
+            assert (got.avg_rate, got.schedule.m, got.schedule.sizes) == want, k
+
+
 def test_search_validates_caps():
     with pytest.raises(ValueError):
         search_periodic_schedule(scalar_plant(2.0, 0.1), 0, 8)
     with pytest.raises(ValueError):
         search_periodic_schedule(scalar_plant(2.0, 0.1), 2, 1)
+
+
+@pytest.mark.parametrize("margin", [-0.5, 1.0, 1.5, math.nan])
+def test_margin_outside_unit_interval_rejected(margin):
+    p = scalar_plant(3.0, 0.5)
+    with pytest.raises(ValueError, match="margin"):
+        sufficient_test(p, optimal_boundaries(3.0, 0.5, 8), margin=margin)
+    with pytest.raises(ValueError, match="margin"):
+        search_periodic_schedule(p, 4, 8, "optimal", margin)
 
 
 # ---------------------------------------------------------------------------
