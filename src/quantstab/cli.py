@@ -97,90 +97,64 @@ def parse_config_text(text: str) -> dict[str, dict[str, tuple[str, int]]]:
     return sections
 
 
+_REQUIRED = object()
+"""Default that makes a config key mandatory."""
+
+
 @dataclass
 class Config:
     sections: dict[str, dict[str, tuple[str, int]]]
 
-    def has(self, section: str, key: str) -> bool:
-        return key in self.sections.get(section, {})
+    def _parse(self, section: str, key: str, default, convert, expected: str):
+        """convert(value) of [section] key, or default when the key is absent.
 
-    def _raw(self, section: str, key: str, default):
-        sec = self.sections.get(section)
-        if sec is None or key not in sec:
-            if default is not _REQUIRED:
-                return None
-            raise ConfigError(f"missing required key '{key}' in section [{section}]")
-        return sec[key]
+        A missing key with default _REQUIRED, or a value that convert rejects
+        with ValueError, is a ConfigError naming the key and its config line.
+        """
+        sec = self.sections.get(section, {})
+        if key not in sec:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing required key '{key}' in section [{section}]")
+            return default
+        val, lineno = sec[key]
+        try:
+            return convert(val)
+        except ValueError:
+            raise ConfigError(
+                f"config line {lineno}: '{key}' must be {expected}, got {val!r}"
+            ) from None
 
     def get_str(self, section: str, key: str, default=None) -> str | None:
-        raw = self._raw(section, key, default)
-        return default if raw is None else raw[0]
+        return self._parse(section, key, default, str, "text")
 
     def get_int(self, section: str, key: str, default=None) -> int | None:
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default
-        val, lineno = raw
-        try:
-            return int(val)
-        except ValueError:
-            raise ConfigError(
-                f"config line {lineno}: '{key}' must be an integer, got {val!r}"
-            ) from None
+        return self._parse(section, key, default, int, "an integer")
 
     def get_float(self, section: str, key: str, default=None) -> float | None:
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default
-        val, lineno = raw
-        try:
-            return float(val)
-        except ValueError:
-            raise ConfigError(
-                f"config line {lineno}: '{key}' must be a number, got {val!r}"
-            ) from None
+        return self._parse(section, key, default, float, "a number")
 
     def get_choice(self, section: str, key: str, choices: Sequence[str], default: str) -> str:
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default
-        val, lineno = raw
-        if val not in choices:
-            raise ConfigError(
-                f"config line {lineno}: '{key}' must be one of {', '.join(choices)}, got {val!r}"
-            )
-        return val
+        def pick(val: str) -> str:
+            if val not in choices:
+                raise ValueError(val)
+            return val
+
+        return self._parse(section, key, default, pick, f"one of {', '.join(choices)}")
 
     def get_floats(self, section: str, key: str, default=None) -> tuple[float, ...] | None:
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default
-        val, lineno = raw
-        try:
-            return tuple(float(v.strip()) for v in val.split(",") if v.strip())
-        except ValueError:
-            raise ConfigError(
-                f"config line {lineno}: '{key}' must be comma-separated numbers, got {val!r}"
-            ) from None
+        return self._parse(
+            section, key, default, _comma_list(float), "comma-separated numbers"
+        )
 
     def get_ints(self, section: str, key: str, default=None) -> tuple[int, ...] | None:
-        raw = self._raw(section, key, default)
-        if raw is None:
-            return default
-        val, lineno = raw
-        try:
-            return tuple(int(v.strip()) for v in val.split(",") if v.strip())
-        except ValueError:
-            raise ConfigError(
-                f"config line {lineno}: '{key}' must be comma-separated integers, got {val!r}"
-            ) from None
+        return self._parse(
+            section, key, default, _comma_list(int), "comma-separated integers"
+        )
 
 
-class _Required:
-    pass
-
-
-_REQUIRED = _Required()
+def _comma_list(convert):
+    """Parser of 'a, b, ...' into a tuple of convert(item), empty items dropped."""
+    return lambda val: tuple(convert(v.strip()) for v in val.split(",") if v.strip())
 
 
 def load_config(path: str) -> Config:
@@ -227,7 +201,8 @@ def _with_pole_product(p: UncertainPlant, lam: float) -> UncertainPlant:
 
 
 def _bounds_row(args) -> list[str]:
-    (p_fields, lam, n_max, margin, with_schedule, m_max) = args
+    """CSV row and schedule note at one pole product; m_max None skips the search."""
+    (p_fields, lam, n_max, margin, m_max) = args
     p = _with_pole_product(UncertainPlant(*p_fields), lam)
     eps_n = p.eps[-1]
     r_nec = necessary_rate(lam, eps_n)
@@ -239,13 +214,17 @@ def _bounds_row(args) -> list[str]:
         cb = comparison_bounds(lam, eps_n)
         r_suf = cb.r_suf
         r_suf_prime = cb.r_suf_prime
-    avg_best = m_best = sizes = None
-    if with_schedule:
+    avg_best = m_best = None
+    note = ""
+    if m_max is not None:
         res = search_periodic_schedule(p, m_max, n_max, "optimal", margin)
-        if res is not None:
+        if res is None:
+            note = f"lambda={fmt(lam)} schedule=not-found"
+        else:
             avg_best = res.avg_rate
             m_best = res.schedule.m
-            sizes = (res.exact, res.schedule.sizes)
+            kind = "exact" if res.exact else "heuristic"
+            note = f"lambda={fmt(lam)} schedule={list(res.schedule.sizes)} ({kind})"
     row = [
         fmt(lam),
         fmt(eps_n),
@@ -258,13 +237,6 @@ def _bounds_row(args) -> list[str]:
         fmt(avg_best),
         fmt(m_best),
     ]
-    note = ""
-    if with_schedule and sizes is not None:
-        exact, sz = sizes
-        kind = "exact" if exact else "heuristic"
-        note = f"lambda={fmt(lam)} schedule={list(sz)} ({kind})"
-    elif with_schedule:
-        note = f"lambda={fmt(lam)} schedule=not-found"
     return [",".join(row), note]
 
 
@@ -290,40 +262,25 @@ def _run_rows(worker, jobs: int, arglist):
         return list(ex.map(worker, arglist))
 
 
-def _n_max_and_margin(cfg: Config, opts, section: str) -> tuple[int, float]:
-    """--n-max and --margin, else [section] n_max and [rates] margin, checked."""
+def cmd_sweep(cfg: Config, opts) -> int:
+    """One CSV row per swept pole product; `schedule` adds the schedule search."""
+    with_schedule = opts.command == "schedule"
+    p = plant_from_config(cfg)
+    lams = sweep_from_config(cfg)
+    section = "schedule" if with_schedule else "rates"
     n_max = opts.n_max if opts.n_max is not None else cfg.get_int(section, "n_max", 64)
     if n_max < 2:
         raise ConfigError(f"'n_max' must be at least 2, got {n_max}")
     margin = opts.margin if opts.margin is not None else cfg.get_float("rates", "margin", 0.0)
     if not 0.0 <= margin < 1.0:
         raise ConfigError(f"'margin' must be in [0, 1), got {margin!r}")
-    return n_max, margin
-
-
-def cmd_bounds(cfg: Config, opts) -> int:
-    p = plant_from_config(cfg)
-    lams = sweep_from_config(cfg)
-    n_max, margin = _n_max_and_margin(cfg, opts, "rates")
+    m_max = None
+    if with_schedule:
+        m_max = opts.m_max if opts.m_max is not None else cfg.get_int("schedule", "m_max", 32)
+        if m_max < 1:
+            raise ConfigError(f"'m_max' must be at least 1, got {m_max}")
     p_fields = (p.n, p.a_star, p.eps, p.init_bounds)
-    args = [(p_fields, lam, n_max, margin, False, 1) for lam in lams]
-    try:
-        rows = _run_rows(_bounds_row, opts.jobs, args)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    _emit([RATES_CSV_HEADER] + [r[0] for r in rows], opts.out)
-    return 0
-
-
-def cmd_schedule(cfg: Config, opts) -> int:
-    p = plant_from_config(cfg)
-    lams = sweep_from_config(cfg)
-    n_max, margin = _n_max_and_margin(cfg, opts, "schedule")
-    m_max = opts.m_max if opts.m_max is not None else cfg.get_int("schedule", "m_max", 32)
-    if m_max < 1:
-        raise ConfigError(f"'m_max' must be at least 1, got {m_max}")
-    p_fields = (p.n, p.a_star, p.eps, p.init_bounds)
-    args = [(p_fields, lam, n_max, margin, True, m_max) for lam in lams]
+    args = [(p_fields, lam, n_max, margin, m_max) for lam in lams]
     try:
         rows = _run_rows(_bounds_row, opts.jobs, args)
     except ValueError as exc:
@@ -440,7 +397,7 @@ def cmd_simulate(cfg: Config, opts) -> int:
 def cmd_quantizer(cfg: Config, opts) -> int:
     p = plant_from_config(cfg)
     n_level = cfg.get_int("quantizer", "N", _REQUIRED)
-    family = cfg.get_str("quantizer", "family", "optimal")
+    family = cfg.get_choice("quantizer", "family", FAMILIES, "optimal")
     try:
         q = quantizer_for(family, p, n_level)
     except ValueError as exc:
@@ -570,12 +527,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     opts = ap.parse_args(argv)
     try:
         cfg = load_config(opts.config)
-        if opts.command == "bounds":
-            return cmd_bounds(cfg, opts)
+        if opts.command in ("bounds", "schedule"):
+            return cmd_sweep(cfg, opts)
         if opts.command == "simulate":
             return cmd_simulate(cfg, opts)
-        if opts.command == "schedule":
-            return cmd_schedule(cfg, opts)
         if opts.command == "verify":
             return cmd_verify(cfg, opts)
         if opts.command == "quantizer":

@@ -166,17 +166,13 @@ def run_closed_loop(
     horizon: int = 500,
     init_mode: str = "uniform",
     init_seed: int | None = None,
-    *,
-    check_invariants: bool = True,
-    convergence_ratio: float = CONVERGENCE_RATIO,
-    divergence_ratio: float = DIVERGENCE_RATIO,
 ) -> Trajectory:
     """Simulate the loop from seeded initial outputs until verdict or horizon.
 
     The channel transmits from time 0 on; estimates for earlier times are
     the prior boxes. Verdict "stabilized" once the scaling falls below
-    convergence_ratio times its initial value, "diverged" past
-    divergence_ratio times it, else "horizon_exhausted".
+    CONVERGENCE_RATIO times its initial value, "diverged" past
+    DIVERGENCE_RATIO times it, else "horizon_exhausted".
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -232,7 +228,7 @@ def run_closed_loop(
     s0, slot0 = transmit(0, y_hist[-1], sigma0)
     slot0.env = sigma0
     ring.append(slot0)
-    if check_invariants and not slot0.est.contains(y_hist[-1], REL_GUARD * sigma0):
+    if not slot0.est.contains(y_hist[-1], REL_GUARD * sigma0):
         raise InvariantViolation("initial output escaped its decoded cell")
 
     rows: list[StepRecord] = []
@@ -256,10 +252,10 @@ def run_closed_loop(
             )
         )
         sigma_k = ring[-1].sigma
-        if sigma_k < convergence_ratio * sigma0:
+        if sigma_k < CONVERGENCE_RATIO * sigma0:
             verdict = "stabilized"
             break
-        if sigma_k > divergence_ratio * sigma0:
+        if sigma_k > DIVERGENCE_RATIO * sigma0:
             verdict = "diverged"
             break
         if k == horizon:
@@ -268,43 +264,40 @@ def run_closed_loop(
         y_next = step(inst, history, u)
         s_next, slot = transmit(k + 1, y_next, sigma_next)
 
-        if check_invariants:
-            oldest = ring[-p.n]
-            lower = interval_product(p.parameter_interval(p.n), oldest.est).width
-            guard = REL_GUARD * (sigma_next + abs(u))
-            if not pred.shifted(u).contains(y_next, guard):
-                raise InvariantViolation(
-                    f"step {k + 1}: output escaped the predicted set"
-                )
-            if abs(y_next) > 0.5 * sigma_next * (1.0 + REL_GUARD):
-                raise InvariantViolation(
-                    f"step {k + 1}: output exceeds half the scaling"
-                )
-            if not slot.est.contains(y_next, REL_GUARD * sigma_next):
-                raise InvariantViolation(
-                    f"step {k + 1}: output escaped its decoded cell"
-                )
-            if sigma_next < lower - REL_GUARD * sigma_next:
-                raise InvariantViolation(
-                    f"step {k + 1}: scaling under its lower-bound recursion"
-                )
-            if abs(lower - oldest.rate_n * oldest.sigma) > REL_GUARD * (
-                lower + sigma_next
-            ):
-                raise InvariantViolation(
-                    f"step {k + 1}: scaling lower bound mismatches its rate form"
-                )
-            env_next = 0.0
-            for i in range(1, p.n + 1):
-                donor = ring[-i]
-                env_next += donor.factors[i - 1] * donor.env
-            if sigma_next > env_next * (1.0 + REL_GUARD):
-                raise InvariantViolation(
-                    f"step {k + 1}: scaling escaped the worst-case envelope"
-                )
-            slot.env = env_next
-        else:
-            slot.env = sigma_next
+        oldest = ring[-p.n]
+        lower = interval_product(p.parameter_interval(p.n), oldest.est).width
+        guard = REL_GUARD * (sigma_next + abs(u))
+        if not pred.shifted(u).contains(y_next, guard):
+            raise InvariantViolation(
+                f"step {k + 1}: output escaped the predicted set"
+            )
+        if abs(y_next) > 0.5 * sigma_next * (1.0 + REL_GUARD):
+            raise InvariantViolation(
+                f"step {k + 1}: output exceeds half the scaling"
+            )
+        if not slot.est.contains(y_next, REL_GUARD * sigma_next):
+            raise InvariantViolation(
+                f"step {k + 1}: output escaped its decoded cell"
+            )
+        if sigma_next < lower - REL_GUARD * sigma_next:
+            raise InvariantViolation(
+                f"step {k + 1}: scaling under its lower-bound recursion"
+            )
+        if abs(lower - oldest.rate_n * oldest.sigma) > REL_GUARD * (
+            lower + sigma_next
+        ):
+            raise InvariantViolation(
+                f"step {k + 1}: scaling lower bound mismatches its rate form"
+            )
+        env_next = 0.0
+        for i in range(1, p.n + 1):
+            donor = ring[-i]
+            env_next += donor.factors[i - 1] * donor.env
+        if sigma_next > env_next * (1.0 + REL_GUARD):
+            raise InvariantViolation(
+                f"step {k + 1}: scaling escaped the worst-case envelope"
+            )
+        slot.env = env_next
 
         ring.append(slot)
         if len(ring) > p.n:

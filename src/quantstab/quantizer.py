@@ -108,6 +108,19 @@ def uniform_boundaries(N: int) -> QuantizerSpec:
     return QuantizerSpec(N, h)
 
 
+def r_ratio(lambda_abs: float, eps_n: float) -> float:
+    """Contraction ratio r = (lambda - eps)/(lambda + eps) of the layout recursion.
+
+    The one check of the expanding box: every bound and rate-equalizing
+    layout needs eps_n >= 0 and lambda_abs - eps_n > 1.
+    """
+    if eps_n < 0:
+        raise ValueError("eps_n must be nonnegative")
+    if lambda_abs - eps_n <= 1.0:
+        raise ValueError(f"need lambda_abs - eps_n > 1, got {lambda_abs} - {eps_n}")
+    return (lambda_abs - eps_n) / (lambda_abs + eps_n)
+
+
 def optimal_boundaries(lambda_abs: float, eps_n: float, N: int) -> QuantizerSpec:
     """Rate-equalizing boundaries for a coefficient box |a| in [lam-eps, lam+eps].
 
@@ -116,16 +129,10 @@ def optimal_boundaries(lambda_abs: float, eps_n: float, N: int) -> QuantizerSpec
     layout exists only while t*r^K < 1, which holds throughout the valid
     parameter range; the guard is kept as a construction-time check.
     """
-    if eps_n < 0:
-        raise ValueError("eps_n must be nonnegative")
-    if lambda_abs - eps_n <= 1.0:
-        raise ValueError(
-            f"need lambda_abs - eps_n > 1, got {lambda_abs} - {eps_n}"
-        )
+    r = r_ratio(lambda_abs, eps_n)
     if eps_n == 0.0:
         return uniform_boundaries(N)
     k = (N + 1) // 2
-    r = (lambda_abs - eps_n) / (lambda_abs + eps_n)
     if N % 2 == 0:
         den = 1.0 - r**k
         h = tuple(0.5 * (1.0 - r**l) / den for l in range(k + 1))
@@ -188,15 +195,9 @@ def v_rate(lambda_abs: float, eps_n: float, N: int) -> float:
     """
     if N < 2:
         raise ValueError("a quantizer needs at least 2 levels")
-    if eps_n < 0:
-        raise ValueError("eps_n must be nonnegative")
-    if lambda_abs - eps_n <= 1.0:
-        raise ValueError(
-            f"need lambda_abs - eps_n > 1, got {lambda_abs} - {eps_n}"
-        )
+    r = r_ratio(lambda_abs, eps_n)
     if eps_n == 0.0:
         return lambda_abs / N
-    r = (lambda_abs - eps_n) / (lambda_abs + eps_n)
     if N % 2 == 1:
         t = lambda_abs / (lambda_abs - eps_n)
         den = 1.0 - t * r ** ((N + 1) // 2)
@@ -220,8 +221,3 @@ def quantizer_for(
         lam = abs(p.a_star[-1])
         return optimal_boundaries(lam, p.eps[-1], N)
     raise ValueError(f"unknown quantizer family {family!r}")
-
-
-def csv_rows(q: QuantizerSpec) -> list[tuple[int, float]]:
-    """(l, h_l) rows for export."""
-    return [(l, hv) for l, hv in enumerate(q.h)]

@@ -30,31 +30,22 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .plant import UncertainPlant
 from .quantizer import (
+    FAMILIES,
     QuantizerSpec,
     coefficient_expansion_rates,
     expansion_profile,
     quantizer_for,
-    uniform_boundaries,
-    v_rate,
+    r_ratio,
 )
 
 INFEASIBLE = math.inf
 """Distinguished necessary-rate value: uncertainty too large for any rate."""
-
-
-def r_ratio(lambda_abs: float, eps_n: float) -> float:
-    """Contraction ratio r = (lambda - eps)/(lambda + eps) of the layout recursion."""
-    if lambda_abs - eps_n <= 1.0:
-        raise ValueError(f"need lambda_abs - eps_n > 1, got {lambda_abs} - {eps_n}")
-    if eps_n < 0:
-        raise ValueError("eps_n must be nonnegative")
-    return (lambda_abs - eps_n) / (lambda_abs + eps_n)
 
 
 def necessary_rate(lambda_abs: float, eps_n: float) -> float:
@@ -65,15 +56,11 @@ def necessary_rate(lambda_abs: float, eps_n: float) -> float:
     INFEASIBLE (= +inf) for eps >= 1: past that no bit rate suffices. The
     ratio of logs is base-free.
     """
-    if lambda_abs - eps_n <= 1.0:
-        raise ValueError(f"need lambda_abs - eps_n > 1, got {lambda_abs} - {eps_n}")
-    if eps_n < 0:
-        raise ValueError("eps_n must be nonnegative")
+    r = r_ratio(lambda_abs, eps_n)
     if eps_n >= 1.0:
         return INFEASIBLE
     if eps_n == 0.0:
         return math.log2(lambda_abs)
-    r = (lambda_abs - eps_n) / (lambda_abs + eps_n)
     return math.log2(math.log((1.0 - eps_n) ** 2) / math.log(r))
 
 
@@ -84,8 +71,7 @@ def conservative_known_plant_rate(lambda_abs: float, eps_n: float) -> float:
     plant as if it were known; the necessary rate exceeds it whenever it
     exceeds one bit, which is the cost of not knowing the plant.
     """
-    if lambda_abs - eps_n <= 1.0:
-        raise ValueError(f"need lambda_abs - eps_n > 1, got {lambda_abs} - {eps_n}")
+    r_ratio(lambda_abs, eps_n)  # rejects a box that is not expanding
     return math.log2(lambda_abs + eps_n)
 
 
@@ -168,6 +154,11 @@ class StabilityTest:
     stable: bool
 
 
+def _check_margin(margin: float) -> None:
+    if not 0.0 <= margin < 1.0:
+        raise ValueError(f"margin must be in [0, 1), got {margin!r}")
+
+
 def sufficient_test(
     p: UncertainPlant, q: QuantizerSpec, margin: float = 0.0
 ) -> StabilityTest:
@@ -178,22 +169,35 @@ def sufficient_test(
     sum_i w_i z^-i decreases in z and equals 1 at the radius, that is decided
     directly as sum_i w_i z^-i < 1, with no iteration; rho is a diagnostic.
     """
-    if not 0.0 <= margin < 1.0:
-        raise ValueError(f"margin must be in [0, 1), got {margin!r}")
+    _check_margin(margin)
     h = HMatrix(p.n, expansion_profile(q, p).w_bar)
     stable = _char_ratio(h.w_bar, 1.0 - margin) < 1.0
     return StabilityTest(rho=spectral_radius(h), stable=stable)
+
+
+def _layouts(
+    p: UncertainPlant, family: str, N_max: int
+) -> Iterator[tuple[int, QuantizerSpec]]:
+    """(N, quantizer) for each size N in 2..N_max whose layout builds.
+
+    A size without a valid layout is skipped: for large N at eps >= 0.5 the
+    float boundaries stop increasing. An unknown family name still raises.
+    """
+    for N in range(2, N_max + 1):
+        try:
+            q = quantizer_for(family, p, N)
+        except ValueError:
+            if family not in FAMILIES:
+                raise
+            continue
+        yield N, q
 
 
 def min_sufficient_N(
     p: UncertainPlant, family: str, N_max: int = 64
 ) -> int | None:
     """Smallest alphabet size the test certifies, or None within the cap."""
-    for N in range(2, N_max + 1):
-        try:
-            q = quantizer_for(family, p, N)
-        except ValueError:
-            continue  # no valid layout at this size
+    for N, q in _layouts(p, family, N_max):
         if sufficient_test(p, q).stable:
             return N
     return None
@@ -254,6 +258,7 @@ def periodic_sufficient_test(
     spectral radius is order-invariant under cyclic shifts, which matches
     the freedom in choosing the period's phase.
     """
+    _check_margin(margin)
     qs = schedule_quantizers(p, sched, family)
     mats = [HMatrix(p.n, expansion_profile(q, p).w_bar).matrix() for q in qs]
     prod = np.eye(p.n)
@@ -276,11 +281,7 @@ def _scalar_step_rates(
     """(N, log2 N, worst rate) per size for a first-order plant."""
     lam, e = abs(p.a_star[0]), p.eps[0]
     out = []
-    for N in range(2, N_max + 1):
-        try:
-            q = quantizer_for(family, p, N)
-        except ValueError:
-            continue
+    for N, q in _layouts(p, family, N_max):
         wbar = max(coefficient_expansion_rates(q, lam, e))
         if wbar > 0.0:  # always true while the coefficient box expands
             out.append((N, math.log2(N), wbar))
@@ -445,11 +446,7 @@ def _search_heuristic(
     cap_m = min(m_max, 6)
     cap_n = N_max if static is None else min(N_max, static + 4)
     cands = []
-    for N in range(2, cap_n + 1):
-        try:
-            q = quantizer_for(family, p, N)
-        except ValueError:
-            continue
+    for N, q in _layouts(p, family, cap_n):
         h = HMatrix(p.n, expansion_profile(q, p).w_bar)
         cands.append((N, math.log2(N), spectral_radius(h), h.matrix()))
     if not cands:
@@ -501,8 +498,7 @@ def search_periodic_schedule(
     """
     if m_max < 1 or N_max < 2:
         raise ValueError("need m_max >= 1 and N_max >= 2")
-    if not 0.0 <= margin < 1.0:
-        raise ValueError(f"margin must be in [0, 1), got {margin!r}")
+    _check_margin(margin)
     if p.n == 1:
         return _search_scalar_exact(p, m_max, N_max, family, margin)
     return _search_heuristic(p, m_max, N_max, family, margin)
@@ -540,9 +536,7 @@ def relaxed_min_rate(lambda_abs: float, eps_n: float, m: int) -> RelaxedRateSolu
         raise ValueError("need at least one slot")
     if not (0.0 < eps_n < 1.0):
         raise ValueError("relaxation needs 0 < eps_n < 1")
-    if lambda_abs - eps_n <= 1.0:
-        raise ValueError(f"need lambda_abs - eps_n > 1, got {lambda_abs} - {eps_n}")
-    r = (lambda_abs - eps_n) / (lambda_abs + eps_n)
+    r = r_ratio(lambda_abs, eps_n)
     n_star = math.log((1.0 - eps_n) ** 2) / math.log(r)
     comps = (n_star,) * m
     phi = 1.0
@@ -613,8 +607,7 @@ def comparison_bounds(lambda_abs: float, eps_1: float) -> ComparisonBounds:
     defined only while both parts are positive; r_suf_prime =
     log2[lam / (1 - eps)]. Both exceed the necessary rate on their domain.
     """
-    if lambda_abs - eps_1 <= 1.0:
-        raise ValueError(f"need lambda_abs - eps_1 > 1, got {lambda_abs} - {eps_1}")
+    r_ratio(lambda_abs, eps_1)  # rejects a box that is not expanding
     if not (0.0 <= eps_1 < 1.0):
         raise ValueError("eps_1 must be in [0, 1)")
     num = lambda_abs - eps_1 * (lambda_abs + eps_1)

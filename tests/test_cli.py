@@ -85,13 +85,36 @@ def test_parse_rejects_empty_section_and_key():
 
 
 def test_typed_getters_and_errors():
-    cfg = Config(parse_config_text("[s]\nk = nope\nv = 1, x\n"))
+    cfg = Config(parse_config_text("[s]\nk = nope\nv = 1, x\nw = 1, 2,\n"))
     with pytest.raises(ConfigError, match="must be an integer"):
         cfg.get_int("s", "k")
     with pytest.raises(ConfigError, match="comma-separated numbers"):
         cfg.get_floats("s", "v")
+    assert cfg.get_ints("s", "w") == (1, 2)
+    assert cfg.get_floats("s", "w") == (1.0, 2.0)
     assert cfg.get_int("s", "absent", 9) == 9
     assert cfg.get_str("missing", "key", "d") == "d"
+
+
+@pytest.mark.parametrize(
+    "getter,args,message",
+    [
+        ("get_int", (), "config line 2: 'k' must be an integer, got 'nope'"),
+        ("get_float", (), "config line 2: 'k' must be a number, got 'nope'"),
+        ("get_floats", (), "config line 2: 'k' must be comma-separated numbers, got 'nope'"),
+        ("get_ints", (), "config line 2: 'k' must be comma-separated integers, got 'nope'"),
+        (
+            "get_choice",
+            (("a", "b"), "a"),
+            "config line 2: 'k' must be one of a, b, got 'nope'",
+        ),
+    ],
+)
+def test_typed_getter_messages(getter, args, message):
+    cfg = Config(parse_config_text("[s]\nk = nope\n"))
+    with pytest.raises(ConfigError) as err:
+        getattr(cfg, getter)("s", "k", *args)
+    assert str(err.value) == message
 
 
 def test_required_key_missing():
@@ -190,6 +213,17 @@ def test_quantizer_export(tmp_path):
     assert len(lines) == 1 + len(ref.h)
     got = [float(line.split(",")[1]) for line in lines[1:]]
     assert got == pytest.approx(list(ref.h), abs=1e-12)
+
+
+def test_quantizer_unknown_family_exits_2(tmp_path, capsys):
+    cfg = write(
+        tmp_path,
+        "q.cfg",
+        "[plant]\nn = 1\na_star = 3.0\neps = 0.5\n\n[quantizer]\nN = 8\nfamily = fancy\n",
+    )
+    assert main(["quantizer", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: config line 8: 'family' must be one of optimal, uniform, got 'fancy'\n"
 
 
 def test_simulate_single_trajectory(tmp_path, capsys):

@@ -17,7 +17,6 @@ from quantstab.quantizer import (
     SaturationError,
     cells,
     coefficient_expansion_rates,
-    csv_rows,
     decode,
     encode,
     expansion_profile,
@@ -180,11 +179,6 @@ def test_quantizer_for_dispatch():
     assert quantizer_for("optimal", p, 8).h == optimal_boundaries(3.0, 0.5, 8).h
     with pytest.raises(ValueError):
         quantizer_for("fancy", p, 4)
-
-
-def test_csv_rows():
-    q = uniform_boundaries(4)
-    assert csv_rows(q) == [(0, 0.0), (1, 0.25), (2, 0.5)]
 
 
 @given(

@@ -419,6 +419,25 @@ def test_margin_outside_unit_interval_rejected(margin):
         sufficient_test(p, optimal_boundaries(3.0, 0.5, 8), margin=margin)
     with pytest.raises(ValueError, match="margin"):
         search_periodic_schedule(p, 4, 8, "optimal", margin)
+    with pytest.raises(ValueError, match="margin"):
+        periodic_sufficient_test(scalar_plant(3.0, 0.35), Schedule((3,)), margin=margin)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: min_sufficient_N(p, "optimall"),
+        lambda p: search_periodic_schedule(p, 4, 16, "optimall"),
+    ],
+    ids=["min_sufficient_N", "search_periodic_schedule"],
+)
+def test_unknown_family_raises(call, n):
+    # n = 1 runs the exact search, n = 2 the heuristic one; a misspelt family
+    # must not come back as "not found"
+    p = scalar_plant(3.0, 0.35) if n == 1 else UncertainPlant(2, (0.3, 2.2), (0.02, 0.2), (1.0, 1.0))
+    with pytest.raises(ValueError, match="unknown quantizer family 'optimall'"):
+        call(p)
 
 
 # ---------------------------------------------------------------------------
