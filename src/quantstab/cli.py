@@ -45,6 +45,7 @@ from .rates import (
     conservative_known_plant_rate,
     min_sufficient_N,
     necessary_rate,
+    schedule_quantizers,
     search_periodic_schedule,
 )
 
@@ -166,6 +167,13 @@ def load_config(path: str) -> Config:
     return Config(parse_config_text(text))
 
 
+def _at_least(key: str, value: int, low: int) -> int:
+    """value, or a config error naming key when it is below low."""
+    if value < low:
+        raise ConfigError(f"'{key}' must be at least {low}, got {value}")
+    return value
+
+
 def plant_from_config(cfg: Config) -> UncertainPlant:
     n = cfg.get_int("plant", "n", _REQUIRED)
     a_star = cfg.get_floats("plant", "a_star", _REQUIRED)
@@ -269,16 +277,14 @@ def cmd_sweep(cfg: Config, opts) -> int:
     lams = sweep_from_config(cfg)
     section = "schedule" if with_schedule else "rates"
     n_max = opts.n_max if opts.n_max is not None else cfg.get_int(section, "n_max", 64)
-    if n_max < 2:
-        raise ConfigError(f"'n_max' must be at least 2, got {n_max}")
+    _at_least("n_max", n_max, 2)
     margin = opts.margin if opts.margin is not None else cfg.get_float("rates", "margin", 0.0)
     if not 0.0 <= margin < 1.0:
         raise ConfigError(f"'margin' must be in [0, 1), got {margin!r}")
     m_max = None
     if with_schedule:
         m_max = opts.m_max if opts.m_max is not None else cfg.get_int("schedule", "m_max", 32)
-        if m_max < 1:
-            raise ConfigError(f"'m_max' must be at least 1, got {m_max}")
+        _at_least("m_max", m_max, 1)
     p_fields = (p.n, p.a_star, p.eps, p.init_bounds)
     args = [(p_fields, lam, n_max, margin, m_max) for lam in lams]
     try:
@@ -299,7 +305,7 @@ def cmd_sweep(cfg: Config, opts) -> int:
 # simulate
 
 
-def _sim_one(p, sched, family, horizon, mode, seed, i, init_mode):
+def _sim_one(p, sched, qs, horizon, mode, seed, i, init_mode):
     inst = sample_instance(
         p,
         mode,
@@ -311,7 +317,7 @@ def _sim_one(p, sched, family, horizon, mode, seed, i, init_mode):
             p,
             inst,
             sched,
-            family,
+            qs,
             horizon,
             init_mode,
             init_seed=[seed, i, 1],
@@ -332,17 +338,20 @@ def cmd_simulate(cfg: Config, opts) -> int:
     except ValueError as exc:
         raise ConfigError(f"bad schedule sizes: {exc}") from None
     family = cfg.get_choice("simulate", "family", FAMILIES, "optimal")
-    horizon = cfg.get_int("simulate", "horizon", 500)
-    if horizon < 1:
-        raise ConfigError(f"'horizon' must be at least 1, got {horizon}")
-    instances = cfg.get_int("simulate", "instances", 1)
+    horizon = _at_least("horizon", cfg.get_int("simulate", "horizon", 500), 1)
+    instances = _at_least("instances", cfg.get_int("simulate", "instances", 1), 1)
     mode = cfg.get_choice("simulate", "instance_mode", SAMPLING_MODES, "uniform")
     init_mode = cfg.get_choice("simulate", "init_mode", INIT_MODES, "uniform")
     seed = opts.seed if opts.seed is not None else cfg.get_int("simulate", "seed", 0)
+    try:
+        qs = schedule_quantizers(p, sched, family)
+    except ValueError as exc:
+        sizes_text = ", ".join(map(str, sched.sizes))
+        raise ConfigError(f"no {family} quantizer layout for sizes {sizes_text}: {exc}") from None
 
     if instances == 1:
         i, verdict, diag, traj = _sim_one(
-            p, sched, family, horizon, mode, seed, 0, init_mode
+            p, sched, qs, horizon, mode, seed, 0, init_mode
         )
         if verdict == "saturated":
             print(f"run failed: {diag}", file=sys.stderr)
@@ -368,7 +377,7 @@ def cmd_simulate(cfg: Config, opts) -> int:
         return 0
 
     results = [
-        _sim_one(p, sched, family, horizon, mode, seed, i, init_mode)
+        _sim_one(p, sched, qs, horizon, mode, seed, i, init_mode)
         for i in range(instances)
     ]
     lines = ["instance,verdict,steps,min_sigma_ratio"]
@@ -382,7 +391,7 @@ def cmd_simulate(cfg: Config, opts) -> int:
             print(f"instance {i} failed: {diag}", file=sys.stderr)
         else:
             lines.append(
-                f"{i},{verdict},{len(traj.rows) - 1},{fmt(traj.min_sigma_ratio())}"
+                f"{i},{verdict},{traj.steps},{fmt(traj.min_sigma_ratio())}"
             )
     _emit(lines, opts.out)
     summary = " ".join(f"{k}={v}" for k, v in sorted(counts.items()))

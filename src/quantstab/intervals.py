@@ -48,14 +48,21 @@ def width(iv: Interval) -> float:
     return iv.width
 
 
-def interval_product(a: Interval, y: Interval) -> Interval:
-    """Exact set product a*y = {u*v : u in a, v in y}.
+def hull_product(
+    a_lo: float, a_hi: float, y_lo: float, y_hi: float
+) -> tuple[float, float]:
+    """Endpoints of the set product [a_lo, a_hi] * [y_lo, y_hi].
 
     The hull of the four endpoint products; exact because both sets are
-    intervals.
+    intervals. Works on plain floats so the closed loop can call it per step.
     """
-    ps = (a.lo * y.lo, a.lo * y.hi, a.hi * y.lo, a.hi * y.hi)
-    return Interval(min(ps), max(ps))
+    ps = (a_lo * y_lo, a_lo * y_hi, a_hi * y_lo, a_hi * y_hi)
+    return min(ps), max(ps)
+
+
+def interval_product(a: Interval, y: Interval) -> Interval:
+    """Exact set product a*y = {u*v : u in a, v in y}."""
+    return Interval(*hull_product(a.lo, a.hi, y.lo, y.hi))
 
 
 def minkowski_sum(terms: list[Interval] | tuple[Interval, ...]) -> Interval:

@@ -14,23 +14,34 @@ envelope uses the per-coefficient worst rates of whichever quantizer
 produced each contributing estimate; estimates from the pre-transmission
 prior boxes contribute their exact box expansion factor instead, since a
 symmetric box stretches more than any cell of a valid quantizer.
+
+`run_closed_loop` steps on plain floats. What depends only on the plant and
+the schedule is computed once before the first step: the coefficient-box
+endpoints and, per schedule slot, the quantizer's cell edges, its envelope
+factors and the coefficient-n expansion of each symbol's cell. The per-step
+state is a ring of the last n estimates, each a tuple (lo, hi, sigma, env,
+factors, rate_n), and the last n outputs. Each time index leaves one tuple
+in `Trajectory.samples`; `Trajectory.rows` turns them into StepRecords only
+when read. The step uses the same helpers and operation order as the
+Interval API (`intervals.hull_product` under `predict`, `quantizer.encode`,
+`plant.step`), so its floats are those of `predict` and `control`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .intervals import Interval, interval_product, minkowski_sum
+from .intervals import Interval, hull_product, interval_product, minkowski_sum
 from .plant import PlantInstance, UncertainPlant, step
 from .quantizer import (
     QuantizerSpec,
     SaturationError,
     coefficient_expansion_rates,
-    decode,
     encode,
     expansion_profile,
 )
@@ -67,15 +78,34 @@ class StepRecord:
 
 @dataclass
 class Trajectory:
-    rows: list[StepRecord]
+    """Verdict, initial scaling and the state of every simulated time index.
+
+    samples[k] is the plain tuple (y, s, sigma, est_lo, est_hi, pred_lo,
+    pred_hi, u) of time k; `rows` builds the StepRecords from it on first
+    access, so a run that only needs the summary never builds them.
+    """
+
+    samples: list[tuple]
     verdict: str
     sigma0: float
 
+    @cached_property
+    def rows(self) -> list[StepRecord]:
+        return [
+            StepRecord(k, y, s, sigma, Interval(e_lo, e_hi), Interval(p_lo, p_hi), u)
+            for k, (y, s, sigma, e_lo, e_hi, p_lo, p_hi, u) in enumerate(self.samples)
+        ]
+
+    @property
+    def steps(self) -> int:
+        """Loop steps taken after time 0."""
+        return len(self.samples) - 1
+
     def sigmas(self) -> list[float]:
-        return [r.sigma for r in self.rows]
+        return [t[2] for t in self.samples]
 
     def min_sigma_ratio(self) -> float:
-        return min(r.sigma for r in self.rows) / self.sigma0
+        return min(t[2] for t in self.samples) / self.sigma0
 
 
 def predict(
@@ -133,17 +163,6 @@ def _cell_rate_index(q: QuantizerSpec, s: int) -> int:
     return abs(s - center)
 
 
-@dataclass
-class _Slot:
-    """Per-time bookkeeping for one estimate in the ring."""
-
-    est: Interval
-    sigma: float
-    env: float
-    factors: tuple[float, ...]  # per-coefficient envelope factor
-    rate_n: float  # exact expansion of coefficient n over this estimate
-
-
 INIT_MODES = ("endpoints", "zero", "uniform")
 """Initial-output modes that run_closed_loop accepts."""
 
@@ -180,31 +199,33 @@ def run_closed_loop(
         raise ValueError("instance order does not match the plant")
     qs = schedule_quantizers(p, sched, family)
     m = len(qs)
-    profiles = [expansion_profile(q, p).w_bar for q in qs]
-    rate_rows = [
-        coefficient_expansion_rates(q, abs(p.a_star[-1]), p.eps[-1]) for q in qs
-    ]
+    box = [(a - e, a + e) for a, e in zip(p.a_star, p.eps)]
+    box_n_lo, box_n_hi = box[-1]
     box_factors = tuple(abs(a) + e for a, e in zip(p.a_star, p.eps))
+    # per schedule slot: quantizer, cell edges, envelope factors, and the
+    # exact coefficient-n expansion of each symbol's cell (index s - 1)
+    slots = []
+    for q in qs:
+        rates_n = coefficient_expansion_rates(q, abs(p.a_star[-1]), p.eps[-1])
+        rate_of = tuple(rates_n[_cell_rate_index(q, s)] for s in range(1, q.N + 1))
+        slots.append((q, q.edges, expansion_profile(q, p).w_bar, rate_of))
 
     rng = np.random.default_rng(init_seed)
     # oldest first: times -n+1 .. 0
     y_hist = [_init_mode_value(init_mode, b, rng) for b in p.init_bounds]
 
-    ring: list[_Slot] = []
-    for b in p.init_bounds[:-1]:  # prior boxes, times -n+1 .. -1
-        sigma = 2.0 * b
-        ring.append(
-            _Slot(
-                est=Interval(-b, b),
-                sigma=sigma,
-                env=sigma,
-                factors=box_factors,
-                rate_n=box_factors[-1],
-            )
-        )
+    # ring of the last n estimates, oldest first; each entry is
+    # (lo, hi, sigma, env, factors, rate_n): the estimate, its scaling, its
+    # envelope value, its per-coefficient envelope factors and the exact
+    # expansion of coefficient n over it. Prior boxes for times -n+1 .. -1:
+    ring = [
+        (-b, b, 2.0 * b, 2.0 * b, box_factors, box_factors[-1])
+        for b in p.init_bounds[:-1]
+    ]
 
-    def transmit(k: int, y: float, sigma: float) -> tuple[int, _Slot]:
-        q = qs[k % m]
+    def transmit(k: int, y: float, sigma: float):
+        """Symbol, decoded cell hull, factors and rate_n of y at time k."""
+        q, edges, factors, rate_of = slots[k % m]
         x = y / sigma
         if abs(x) > 0.5:
             if abs(x) <= 0.5 * (1.0 + REL_GUARD):
@@ -214,60 +235,51 @@ def run_closed_loop(
                     f"step {k}: |y|/sigma = {abs(x)} exceeds 1/2 beyond roundoff"
                 )
         s = encode(q, x)
-        est = decode(q, s, sigma)
-        slot = _Slot(
-            est=est,
-            sigma=sigma,
-            env=sigma,  # placeholder; caller sets the envelope value
-            factors=profiles[k % m],
-            rate_n=rate_rows[k % m][_cell_rate_index(q, s)],
-        )
-        return s, slot
+        return s, sigma * edges[s - 1], sigma * edges[s], factors, rate_of[s - 1]
 
     sigma0 = 2.0 * p.init_bounds[-1]
-    s0, slot0 = transmit(0, y_hist[-1], sigma0)
-    slot0.env = sigma0
-    ring.append(slot0)
-    if not slot0.est.contains(y_hist[-1], REL_GUARD * sigma0):
+    stabilized_below = CONVERGENCE_RATIO * sigma0
+    diverged_above = DIVERGENCE_RATIO * sigma0
+    y_k = y_hist[-1]
+    s_k, e_lo, e_hi, factors, rate_n = transmit(0, y_k, sigma0)
+    ring.append((e_lo, e_hi, sigma0, sigma0, factors, rate_n))
+    slack = REL_GUARD * sigma0
+    if not e_lo - slack <= y_k <= e_hi + slack:
         raise InvariantViolation("initial output escaped its decoded cell")
 
-    rows: list[StepRecord] = []
+    samples: list[tuple] = []
     verdict = "horizon_exhausted"
     history = list(reversed(y_hist))  # most recent first
-    y_k, s_k = y_hist[-1], s0
     k = 0
     while True:
-        recent = [ring[-1 - i].est for i in range(p.n)]
-        pred, sigma_next = predict(p, recent)
-        u = control(pred)
-        rows.append(
-            StepRecord(
-                k=k,
-                y=y_k,
-                s=s_k,
-                sigma=ring[-1].sigma,
-                est=ring[-1].est,
-                pred=pred,
-                u=u,
-            )
-        )
-        sigma_k = ring[-1].sigma
-        if sigma_k < CONVERGENCE_RATIO * sigma0:
+        # predict: Minkowski sum of box_i * estimate(k - i + 1), from 0.0
+        lo = hi = 0.0
+        for (a_lo, a_hi), est in zip(box, reversed(ring)):
+            t_lo, t_hi = hull_product(a_lo, a_hi, est[0], est[1])
+            lo += t_lo
+            hi += t_hi
+        sigma_next = hi - lo
+        u = -(0.5 * (lo + hi))  # control: cancel the predicted midpoint
+        newest = ring[-1]
+        sigma_k = newest[2]
+        samples.append((y_k, s_k, sigma_k, newest[0], newest[1], lo, hi, u))
+        if sigma_k < stabilized_below:
             verdict = "stabilized"
             break
-        if sigma_k > DIVERGENCE_RATIO * sigma0:
+        if sigma_k > diverged_above:
             verdict = "diverged"
             break
         if k == horizon:
             break
 
         y_next = step(inst, history, u)
-        s_next, slot = transmit(k + 1, y_next, sigma_next)
+        s_next, e_lo, e_hi, factors, rate_n = transmit(k + 1, y_next, sigma_next)
 
-        oldest = ring[-p.n]
-        lower = interval_product(p.parameter_interval(p.n), oldest.est).width
+        o_lo, o_hi, o_sigma, _, _, o_rate_n = ring[0]  # oldest
+        l_lo, l_hi = hull_product(box_n_lo, box_n_hi, o_lo, o_hi)
+        lower = l_hi - l_lo
         guard = REL_GUARD * (sigma_next + abs(u))
-        if not pred.shifted(u).contains(y_next, guard):
+        if not (lo + u) - guard <= y_next <= (hi + u) + guard:
             raise InvariantViolation(
                 f"step {k + 1}: output escaped the predicted set"
             )
@@ -275,7 +287,8 @@ def run_closed_loop(
             raise InvariantViolation(
                 f"step {k + 1}: output exceeds half the scaling"
             )
-        if not slot.est.contains(y_next, REL_GUARD * sigma_next):
+        slack = REL_GUARD * sigma_next
+        if not e_lo - slack <= y_next <= e_hi + slack:
             raise InvariantViolation(
                 f"step {k + 1}: output escaped its decoded cell"
             )
@@ -283,29 +296,23 @@ def run_closed_loop(
             raise InvariantViolation(
                 f"step {k + 1}: scaling under its lower-bound recursion"
             )
-        if abs(lower - oldest.rate_n * oldest.sigma) > REL_GUARD * (
-            lower + sigma_next
-        ):
+        if abs(lower - o_rate_n * o_sigma) > REL_GUARD * (lower + sigma_next):
             raise InvariantViolation(
                 f"step {k + 1}: scaling lower bound mismatches its rate form"
             )
         env_next = 0.0
-        for i in range(1, p.n + 1):
-            donor = ring[-i]
-            env_next += donor.factors[i - 1] * donor.env
+        for i, donor in enumerate(reversed(ring)):
+            env_next += donor[4][i] * donor[3]
         if sigma_next > env_next * (1.0 + REL_GUARD):
             raise InvariantViolation(
                 f"step {k + 1}: scaling escaped the worst-case envelope"
             )
-        slot.env = env_next
 
-        ring.append(slot)
-        if len(ring) > p.n:
-            ring.pop(0)
+        ring.append((e_lo, e_hi, sigma_next, env_next, factors, rate_n))
+        ring.pop(0)
         history.insert(0, y_next)
-        if len(history) > p.n:
-            history.pop()
+        history.pop()
         y_k, s_k = y_next, s_next
         k += 1
 
-    return Trajectory(rows=rows, verdict=verdict, sigma0=sigma0)
+    return Trajectory(samples, verdict, sigma0)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 from .intervals import Interval
 from .plant import UncertainPlant
@@ -57,19 +58,18 @@ class QuantizerSpec:
     def half_levels(self) -> int:
         return (self.N + 1) // 2
 
-
-def _edges(q: QuantizerSpec) -> list[float]:
-    """Full boundary list, length N+1, ascending from -1/2 to 1/2."""
-    pos = list(q.h[1:])  # h_1..h_K
-    neg = [-v for v in reversed(pos)]
-    if q.N % 2 == 0:
-        return neg + [0.0] + pos
-    return neg + pos
+    @cached_property
+    def edges(self) -> tuple[float, ...]:
+        """All N+1 cell boundaries, ascending from -1/2 to 1/2; built once."""
+        pos = self.h[1:]  # h_1..h_K
+        neg = tuple(-v for v in reversed(pos))
+        mid = (0.0,) if self.N % 2 == 0 else ()
+        return neg + mid + pos
 
 
 def cells(q: QuantizerSpec) -> list[Interval]:
     """All N cells in ascending order (as closed hulls of the half-open cells)."""
-    e = _edges(q)
+    e = q.edges
     return [Interval(a, b) for a, b in zip(e, e[1:])]
 
 
@@ -81,8 +81,7 @@ def encode(q: QuantizerSpec, x: float) -> int:
     """
     if x < -0.5 or x > 0.5:
         raise SaturationError(f"value {x!r} outside [-1/2, 1/2]")
-    e = _edges(q)
-    s = bisect_right(e, x)  # x in [e[s-1], e[s])
+    s = bisect_right(q.edges, x)  # x in [edges[s-1], edges[s])
     return min(s, q.N)  # x == +1/2 folds into the top cell
 
 
@@ -92,7 +91,7 @@ def decode(q: QuantizerSpec, s: int, sigma: float) -> Interval:
         raise ValueError(f"symbol {s} outside 1..{q.N}")
     if sigma <= 0:
         raise ValueError("scaling must be positive")
-    e = _edges(q)
+    e = q.edges
     return Interval(sigma * e[s - 1], sigma * e[s])
 
 

@@ -318,11 +318,33 @@ def test_invalid_plant_exits_2(tmp_path, capsys):
         (1, "family = fancy", "'family' must be one of optimal, uniform, got 'fancy'"),
         (4, "instance_mode = corner", "'instance_mode' must be one of nominal, vertex, uniform"),
         (1, "init_mode = random", "'init_mode' must be one of endpoints, zero, uniform"),
+        (4, "instances = 0", "'instances' must be at least 1, got 0"),
+        (4, "instances = -3", "'instances' must be at least 1, got -3"),
     ],
 )
 def test_simulate_bad_key_exits_2(tmp_path, capsys, instances, line, message):
     text = SIM_CFG.format(instances=instances).replace("horizon = 120\n", "")
     cfg = write(tmp_path, "s.cfg", text + line + "\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "instances,plant,n_level,message",
+    [
+        (1, (1.1, 0.3), 4, "no optimal quantizer layout for sizes 4: need lambda_abs - eps_n > 1"),
+        (4, (1.1, 0.3), 4, "no optimal quantizer layout for sizes 4: need lambda_abs - eps_n > 1"),
+        # eps so small that r rounds to 1: no odd-N rate-equalizing layout
+        (1, (3.0, 1e-16), 3, "no optimal quantizer layout for sizes 3: no rate-equalizing layout"),
+    ],
+)
+def test_simulate_layout_error_exits_2(tmp_path, capsys, instances, plant, n_level, message):
+    text = SIM_CFG.format(instances=instances)
+    text = text.replace("a_star = 3.0\neps = 0.5", f"a_star = {plant[0]}\neps = {plant[1]}")
+    text = text.replace("N = 8", f"N = {n_level}")
+    cfg = write(tmp_path, "s.cfg", text)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err

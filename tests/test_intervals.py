@@ -1,9 +1,10 @@
 """Interval arithmetic: endpoint products, Minkowski sums, width additivity."""
 
 import math
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from quantstab.intervals import Interval, interval_product, minkowski_sum, width
 
@@ -97,8 +98,14 @@ def test_minkowski_width_additive(terms):
     )
 
 
+@example(Interval(-999998.0, -999989.0), 9.025759241078049)
 @given(intervals(), finite)
 def test_scaled_width(iv, c):
-    assert math.isclose(
-        iv.scaled(c).width, abs(c) * iv.width, rel_tol=1e-12, abs_tol=1e-9
-    )
+    # c*lo and c*hi each round by half an ulp of their own magnitude S, so
+    # the scaled width is off by up to 2uS however narrow the interval is;
+    # the two width subtractions and |c|*width add at most 3u|c|w <= 6uS,
+    # and each of the five roundings at most half the smallest subnormal
+    u = sys.float_info.epsilon / 2
+    S = max(abs(c * iv.lo), abs(c * iv.hi))
+    tol = 9 * u * S + 3 * math.ulp(0.0)
+    assert abs(iv.scaled(c).width - abs(c) * iv.width) <= tol
