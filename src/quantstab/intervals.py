@@ -18,8 +18,7 @@ class Interval:
     hi: float
 
     def __post_init__(self) -> None:
-        if not (self.lo <= self.hi):
-            raise ValueError(f"malformed interval: lo={self.lo} > hi={self.hi}")
+        check_hull(self.lo, self.hi)
 
     @property
     def width(self) -> float:
@@ -27,10 +26,10 @@ class Interval:
 
     @property
     def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
+        return hull_midpoint(self.lo, self.hi)
 
     def contains(self, x: float, slack: float = 0.0) -> bool:
-        return self.lo - slack <= x <= self.hi + slack
+        return hull_contains(self.lo, self.hi, x, slack)
 
     def contains_zero_strictly(self) -> bool:
         return self.lo < 0.0 < self.hi
@@ -46,6 +45,24 @@ class Interval:
 
 def width(iv: Interval) -> float:
     return iv.width
+
+
+# Float-level rules on the endpoints (lo, hi) of a set. The Interval methods
+# and functions wrap them, and the closed loop calls them directly.
+
+
+def check_hull(lo: float, hi: float) -> None:
+    """Raise ValueError unless lo <= hi; a nan endpoint fails too."""
+    if not (lo <= hi):
+        raise ValueError(f"malformed interval: lo={lo} > hi={hi}")
+
+
+def hull_midpoint(lo: float, hi: float) -> float:
+    return 0.5 * (lo + hi)
+
+
+def hull_contains(lo: float, hi: float, x: float, slack: float = 0.0) -> bool:
+    return lo - slack <= x <= hi + slack
 
 
 def hull_product(
@@ -69,9 +86,19 @@ def minkowski_sum(terms: list[Interval] | tuple[Interval, ...]) -> Interval:
     """Elementwise sum of a nonempty collection of intervals."""
     if not terms:
         raise ValueError("minkowski_sum of an empty collection")
+    return Interval(*hull_sum([(t.lo, t.hi) for t in terms]))
+
+
+def hull_sum(terms) -> tuple[float, float]:
+    """Endpoints of the Minkowski sum of the (lo, hi) terms, summed from 0.0.
+
+    Raises ValueError when the sum is malformed, as a nan from an overflowed
+    product makes it.
+    """
     lo = 0.0
     hi = 0.0
-    for t in terms:
-        lo += t.lo
-        hi += t.hi
-    return Interval(lo, hi)
+    for t_lo, t_hi in terms:
+        lo += t_lo
+        hi += t_hi
+    check_hull(lo, hi)
+    return lo, hi

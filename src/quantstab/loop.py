@@ -17,14 +17,16 @@ symmetric box stretches more than any cell of a valid quantizer.
 
 `run_closed_loop` steps on plain floats. What depends only on the plant and
 the schedule is computed once before the first step: the coefficient-box
-endpoints and, per schedule slot, the quantizer's cell edges, its envelope
-factors and the coefficient-n expansion of each symbol's cell. The per-step
-state is a ring of the last n estimates, each a tuple (lo, hi, sigma, env,
-factors, rate_n), and the last n outputs. Each time index leaves one tuple
-in `Trajectory.samples`; `Trajectory.rows` turns them into StepRecords only
-when read. The step uses the same helpers and operation order as the
-Interval API (`intervals.hull_product` under `predict`, `quantizer.encode`,
-`plant.step`), so its floats are those of `predict` and `control`.
+endpoints and, per schedule slot, the quantizer's envelope factors and the
+coefficient-n expansion of each symbol's cell. The per-step state is a ring
+of the last n estimates, each a tuple (lo, hi, sigma, env, factors, rate_n),
+and the last n outputs. Each time index leaves one tuple in
+`Trajectory.samples`; `Trajectory.rows` turns them into StepRecords only
+when read. The step calls the float-level rules that the Interval API wraps
+(`predicted_hull` under `predict`, `control_input` under `control`,
+`quantizer.cell_hull` under `decode`, `intervals.hull_contains` under
+`Interval.contains`) together with `quantizer.encode` and `plant.step`, so
+its floats and its errors are those of the Interval API.
 """
 
 from __future__ import annotations
@@ -36,11 +38,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .intervals import Interval, hull_product, interval_product, minkowski_sum
+from .intervals import (
+    Interval,
+    check_hull,
+    hull_contains,
+    hull_midpoint,
+    hull_product,
+    hull_sum,
+)
 from .plant import PlantInstance, UncertainPlant, step
 from .quantizer import (
     QuantizerSpec,
     SaturationError,
+    cell_hull,
     coefficient_expansion_rates,
     encode,
     expansion_profile,
@@ -108,6 +118,22 @@ class Trajectory:
         return min(t[2] for t in self.samples) / self.sigma0
 
 
+def predicted_hull(box, ests) -> tuple[float, float]:
+    """Endpoints of the next-output set from the last n estimates.
+
+    The Minkowski sum of the products box_i * est_i, i = 1..n: box holds the
+    coefficient boxes (lo, hi) of a_1..a_n, ests the estimates newest first,
+    each with lo at [0] and hi at [1]. Raises ValueError when an overflowed
+    product makes the set malformed.
+    """
+    return hull_sum(
+        [
+            hull_product(a_lo, a_hi, est[0], est[1])
+            for (a_lo, a_hi), est in zip(box, ests)
+        ]
+    )
+
+
 def predict(
     p: UncertainPlant, recent_sets: Sequence[Interval]
 ) -> tuple[Interval, float]:
@@ -116,17 +142,20 @@ def predict(
     The sum of coefficient-box times estimate products; its width is the
     next scaling.
     """
-    terms = [
-        interval_product(p.parameter_interval(i), recent_sets[i - 1])
-        for i in range(1, p.n + 1)
-    ]
-    pred = minkowski_sum(terms)
+    box = [(iv.lo, iv.hi) for iv in p.parameter_intervals()]
+    ests = [(recent_sets[i].lo, recent_sets[i].hi) for i in range(p.n)]
+    pred = Interval(*predicted_hull(box, ests))
     return pred, pred.width
+
+
+def control_input(lo: float, hi: float) -> float:
+    """Input cancelling the midpoint of the predicted set [lo, hi]."""
+    return -hull_midpoint(lo, hi)
 
 
 def control(pred: Interval) -> float:
     """Input cancelling the predicted set's midpoint."""
-    return -pred.midpoint
+    return control_input(pred.lo, pred.hi)
 
 
 def sigma_envelope(
@@ -199,16 +228,16 @@ def run_closed_loop(
         raise ValueError("instance order does not match the plant")
     qs = schedule_quantizers(p, sched, family)
     m = len(qs)
-    box = [(a - e, a + e) for a, e in zip(p.a_star, p.eps)]
+    box = [(iv.lo, iv.hi) for iv in p.parameter_intervals()]
     box_n_lo, box_n_hi = box[-1]
     box_factors = tuple(abs(a) + e for a, e in zip(p.a_star, p.eps))
-    # per schedule slot: quantizer, cell edges, envelope factors, and the
-    # exact coefficient-n expansion of each symbol's cell (index s - 1)
+    # per schedule slot: quantizer, envelope factors, and the exact
+    # coefficient-n expansion of each symbol's cell (index s - 1)
     slots = []
     for q in qs:
         rates_n = coefficient_expansion_rates(q, abs(p.a_star[-1]), p.eps[-1])
         rate_of = tuple(rates_n[_cell_rate_index(q, s)] for s in range(1, q.N + 1))
-        slots.append((q, q.edges, expansion_profile(q, p).w_bar, rate_of))
+        slots.append((q, expansion_profile(q, p).w_bar, rate_of))
 
     rng = np.random.default_rng(init_seed)
     # oldest first: times -n+1 .. 0
@@ -225,7 +254,7 @@ def run_closed_loop(
 
     def transmit(k: int, y: float, sigma: float):
         """Symbol, decoded cell hull, factors and rate_n of y at time k."""
-        q, edges, factors, rate_of = slots[k % m]
+        q, factors, rate_of = slots[k % m]
         x = y / sigma
         if abs(x) > 0.5:
             if abs(x) <= 0.5 * (1.0 + REL_GUARD):
@@ -235,7 +264,7 @@ def run_closed_loop(
                     f"step {k}: |y|/sigma = {abs(x)} exceeds 1/2 beyond roundoff"
                 )
         s = encode(q, x)
-        return s, sigma * edges[s - 1], sigma * edges[s], factors, rate_of[s - 1]
+        return (s, *cell_hull(q, s, sigma), factors, rate_of[s - 1])
 
     sigma0 = 2.0 * p.init_bounds[-1]
     stabilized_below = CONVERGENCE_RATIO * sigma0
@@ -243,8 +272,7 @@ def run_closed_loop(
     y_k = y_hist[-1]
     s_k, e_lo, e_hi, factors, rate_n = transmit(0, y_k, sigma0)
     ring.append((e_lo, e_hi, sigma0, sigma0, factors, rate_n))
-    slack = REL_GUARD * sigma0
-    if not e_lo - slack <= y_k <= e_hi + slack:
+    if not hull_contains(e_lo, e_hi, y_k, REL_GUARD * sigma0):
         raise InvariantViolation("initial output escaped its decoded cell")
 
     samples: list[tuple] = []
@@ -252,14 +280,9 @@ def run_closed_loop(
     history = list(reversed(y_hist))  # most recent first
     k = 0
     while True:
-        # predict: Minkowski sum of box_i * estimate(k - i + 1), from 0.0
-        lo = hi = 0.0
-        for (a_lo, a_hi), est in zip(box, reversed(ring)):
-            t_lo, t_hi = hull_product(a_lo, a_hi, est[0], est[1])
-            lo += t_lo
-            hi += t_hi
+        lo, hi = predicted_hull(box, reversed(ring))
         sigma_next = hi - lo
-        u = -(0.5 * (lo + hi))  # control: cancel the predicted midpoint
+        u = control_input(lo, hi)
         newest = ring[-1]
         sigma_k = newest[2]
         samples.append((y_k, s_k, sigma_k, newest[0], newest[1], lo, hi, u))
@@ -279,7 +302,8 @@ def run_closed_loop(
         l_lo, l_hi = hull_product(box_n_lo, box_n_hi, o_lo, o_hi)
         lower = l_hi - l_lo
         guard = REL_GUARD * (sigma_next + abs(u))
-        if not (lo + u) - guard <= y_next <= (hi + u) + guard:
+        if not hull_contains(lo + u, hi + u, y_next, guard):
+            check_hull(lo + u, hi + u)  # a nan bound is a malformed set
             raise InvariantViolation(
                 f"step {k + 1}: output escaped the predicted set"
             )
@@ -287,8 +311,7 @@ def run_closed_loop(
             raise InvariantViolation(
                 f"step {k + 1}: output exceeds half the scaling"
             )
-        slack = REL_GUARD * sigma_next
-        if not e_lo - slack <= y_next <= e_hi + slack:
+        if not hull_contains(e_lo, e_hi, y_next, REL_GUARD * sigma_next):
             raise InvariantViolation(
                 f"step {k + 1}: output escaped its decoded cell"
             )

@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
-from .intervals import Interval
+from .intervals import Interval, check_hull
 from .plant import UncertainPlant
 
 
@@ -91,8 +91,18 @@ def decode(q: QuantizerSpec, s: int, sigma: float) -> Interval:
         raise ValueError(f"symbol {s} outside 1..{q.N}")
     if sigma <= 0:
         raise ValueError("scaling must be positive")
+    return Interval(*cell_hull(q, s, sigma))
+
+
+def cell_hull(q: QuantizerSpec, s: int, sigma: float) -> tuple[float, float]:
+    """Endpoints of the closed hull of cell s scaled by sigma.
+
+    Raises ValueError when an overflowed sigma makes the hull malformed.
+    """
     e = q.edges
-    return Interval(sigma * e[s - 1], sigma * e[s])
+    lo, hi = sigma * e[s - 1], sigma * e[s]
+    check_hull(lo, hi)
+    return lo, hi
 
 
 def uniform_boundaries(N: int) -> QuantizerSpec:

@@ -202,6 +202,30 @@ def test_saturation_on_inadmissible_instance():
         )
 
 
+@pytest.mark.parametrize(
+    "a_star, eps, bounds",
+    [
+        # a* = 1e300: the products overflow on the first step
+        ((1e300,), (0.0,), (1e10,)),
+        # n = 2: the two prediction terms overflow to -inf and +inf, and their
+        # sum is nan on the step the run diverges
+        (
+            (-4.0101475628117486e195, 1.6837717645009267e282),
+            (1.2030442688435245e195, 5.05131529350278e281),
+            (33184678.935814675, 9.50428202460076e51),
+        ),
+    ],
+)
+def test_overflow_to_nan_raises_malformed_interval(a_star, eps, bounds):
+    # a nan bound is a malformed set, as the Interval constructor says; the
+    # run must raise it rather than return a trajectory holding the nan
+    p = UncertainPlant(len(a_star), a_star, eps, bounds)
+    with pytest.raises(ValueError, match="malformed interval"):
+        run_closed_loop(
+            p, PlantInstance(a_star), Schedule((3,)), "uniform", 60, "endpoints", 0
+        )
+
+
 def test_run_validations():
     p = scalar_plant()
     with pytest.raises(ValueError):
