@@ -356,21 +356,10 @@ def cmd_simulate(cfg: Config, opts) -> int:
         if verdict == "saturated":
             print(f"run failed: {diag}", file=sys.stderr)
             return 1
-        lines = [TRAJECTORY_CSV_HEADER]
-        for r in traj.rows:
-            lines.append(
-                ",".join(
-                    [
-                        str(r.k),
-                        fmt(r.y),
-                        str(r.s),
-                        fmt(r.sigma),
-                        fmt(r.est.lo),
-                        fmt(r.est.hi),
-                        fmt(r.u),
-                    ]
-                )
-            )
+        lines = [TRAJECTORY_CSV_HEADER] + [
+            f"{k},{fmt(y)},{s},{fmt(sigma)},{fmt(e_lo)},{fmt(e_hi)},{fmt(u)}"
+            for k, (y, s, sigma, e_lo, e_hi, _, _, u) in enumerate(traj.samples)
+        ]
         lines.append(f"# verdict={traj.verdict}")
         _emit(lines, opts.out)
         print(f"verdict: {traj.verdict}")

@@ -92,7 +92,9 @@ class Trajectory:
 
     samples[k] is the plain tuple (y, s, sigma, est_lo, est_hi, pred_lo,
     pred_hi, u) of time k; `rows` builds the StepRecords from it on first
-    access, so a run that only needs the summary never builds them.
+    access, so a run that only needs the summary never builds them. The CLI
+    reads `samples` directly, for the summary and for the trajectory CSV
+    alike; `rows` is there for tests and library callers.
     """
 
     samples: list[tuple]

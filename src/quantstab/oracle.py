@@ -3,12 +3,19 @@
 Everything here recomputes a quantity the library derives analytically, by
 grid search, exhaustive enumeration, or random probing, so tests can compare
 the two routes. Nothing in this module reuses the closed forms it checks.
+
+The grid search and the relaxation probes are array programs: every grid
+point, and every probe of a block, is evaluated by the same plain
+expression at once. They stay brute force; the arrays change how many
+points are evaluated per interpreter step, not which points or what is
+computed at each.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -29,16 +36,34 @@ class GridSearchResult:
     value: float
 
 
-def _worst_rate(h: np.ndarray, lam: float, eps: float, odd: bool) -> np.ndarray:
-    """max_l w_l for boundary rows h[..., 0..K]; vectorized over leading axes."""
-    hi = h[..., 1:]
-    lo = h[..., :-1]
-    w = (lam + eps) * hi - (lam - eps) * lo
-    if odd:
-        w = np.concatenate(
-            [2.0 * (lam + eps) * h[..., 1:2], w[..., 1:]], axis=-1
-        )
-    return w.max(axis=-1)
+def _worst_rate(cols, lam: float, eps: float, odd: bool):
+    """max_l w_l over boundary columns cols = (h_0, ..., h_K).
+
+    Each column is a float or an array, and the columns broadcast against
+    each other, so a grid passes one open axis per free boundary and never
+    builds the stacked boundary array. w_l = (lam+eps) h_{l+1} - (lam-eps) h_l,
+    except that odd N replaces w_0 by the centre cell's 2 (lam+eps) h_1.
+    """
+    up, down = lam + eps, lam - eps
+    worst = 2.0 * up * cols[1] if odd else up * cols[1] - down * cols[0]
+    for lo, hi in zip(cols[1:-1], cols[2:]):
+        worst = np.maximum(worst, up * hi - down * lo)
+    return worst
+
+
+def _grid_argmin(axes, lam: float, eps: float, odd: bool) -> list:
+    """Point of the grid axes[0] x axes[1] x ... with the least worst rate.
+
+    Only points whose free boundaries increase strictly inside (0, 1/2)
+    count; ties go to the first point in C order.
+    """
+    grid = np.ix_(*axes)
+    vals = _worst_rate((0.0, *grid, 0.5), lam, eps, odd)
+    ok = (grid[0] > 0.0) & (grid[-1] < 0.5)
+    for lo, hi in zip(grid, grid[1:]):
+        ok = ok & (lo < hi)
+    idx = np.unravel_index(int(np.argmin(np.where(ok, vals, np.inf))), vals.shape)
+    return [ax[i] for ax, i in zip(axes, idx)]
 
 
 def grid_optimal_boundaries(
@@ -46,13 +71,15 @@ def grid_optimal_boundaries(
 ) -> GridSearchResult:
     """Minimize the worst cell expansion rate by brute force.
 
-    Coarse grid at the given resolution over the interior boundaries, then
-    four rounds of joint shrinking-bracket refinement, each a factor of ten
-    finer. The free boundaries move together in each round: the objective is
-    a max of linear functions whose active piece couples adjacent boundaries,
-    so refining one coordinate at a time can stall on a non-optimal ridge.
-    Four rounds put grid quantization a decade under the tightest agreement
-    tolerance used by the checks.
+    Every point of a coarse grid at the given resolution over the interior
+    boundaries, then four rounds of joint shrinking-bracket refinement, each
+    a factor of ten finer. The free boundaries move together in each round:
+    the objective is a max of linear functions whose active piece couples
+    adjacent boundaries, so refining one coordinate at a time can stall on a
+    non-optimal ridge. Four rounds put grid quantization a decade under the
+    tightest agreement tolerance used by the checks. Every round evaluates
+    the plain objective at every grid point as one array expression over
+    open axes; no closed form or layout recursion enters.
     """
     if not (0.0 < resolution <= 1e-2):
         raise ValueError("resolution must be in (0, 1e-2]")
@@ -64,34 +91,12 @@ def grid_optimal_boundaries(
     odd = N % 2 == 1
     free = k - 1
 
-    def objective(interior: np.ndarray) -> np.ndarray:
-        shape = interior.shape[:-1]
-        full = np.concatenate(
-            [
-                np.zeros(shape + (1,)),
-                interior,
-                np.full(shape + (1,), 0.5),
-            ],
-            axis=-1,
-        )
-        return _worst_rate(full, lambda_abs, eps_n, odd)
-
     if free == 0:
-        return GridSearchResult(h=(0.0, 0.5), value=float(objective(np.zeros((0,)))))
+        value = _worst_rate((0.0, 0.5), lambda_abs, eps_n, odd)
+        return GridSearchResult(h=(0.0, 0.5), value=float(value))
 
     axis = np.arange(resolution, 0.5, resolution)
-    if free == 1:
-        cand = axis[:, None]
-        vals = objective(cand)
-        best = cand[int(np.argmin(vals))].copy()
-    else:
-        h1 = axis[:, None]
-        h2 = axis[None, :]
-        pairs = np.stack(np.broadcast_arrays(h1, h2), axis=-1)
-        vals = objective(pairs)
-        vals = np.where(h1 < h2, vals, np.inf)
-        i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
-        best = np.array([axis[i], axis[j]])
+    best = _grid_argmin([axis] * free, lambda_abs, eps_n, odd)
 
     # Bracket radius 25 steps = 2.5x the previous round's step: on a shallow
     # diagonal valley the incumbent can sit more than one previous-step away
@@ -100,18 +105,10 @@ def grid_optimal_boundaries(
     for _ in range(4):
         step /= 10.0
         offsets = step * np.arange(-25, 26)
-        grids = [best[c] + offsets for c in range(free)]
-        mesh = np.meshgrid(*grids, indexing="ij")
-        trial = np.stack([m.ravel() for m in mesh], axis=-1)
-        ok = (trial[:, 0] > 0.0) & (trial[:, -1] < 0.5)
-        for c in range(free - 1):
-            ok &= trial[:, c] < trial[:, c + 1]
-        trial = trial[ok]
-        vals = objective(trial)
-        best = trial[int(np.argmin(vals))].copy()
+        best = _grid_argmin([b + offsets for b in best], lambda_abs, eps_n, odd)
 
-    h_full = (0.0, *best.tolist(), 0.5)
-    return GridSearchResult(h=h_full, value=float(objective(best[None, :])[0]))
+    value = _worst_rate((0.0, *best, 0.5), lambda_abs, eps_n, odd)
+    return GridSearchResult(h=(0.0, *map(float, best), 0.5), value=float(value))
 
 
 def verify_equalization(
@@ -127,6 +124,52 @@ def verify_equalization(
     return mx - mn <= tol * mx
 
 
+PROBE_BLOCK = 4096
+"""Probes drawn and filtered together by `relaxation_probes`."""
+
+
+def relaxation_probes(
+    lambda_abs: float, eps_n: float, m: int, trials: int = 10_000, seed: int = 0
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Random probes of the relaxed-schedule optimum, projected onto its surface.
+
+    Each probe perturbs the first m-1 equal components of the optimum by a
+    uniform draw in [-1/2, 1/2) and re-solves the last component so that
+    the product of even-layout worst rates is one again. Yields one
+    (kept, phi) pair per block of at most PROBE_BLOCK probes: kept marks
+    the probes that pass every filter (positive head, each rate factor
+    finite and positive, a last component that exists and is positive),
+    phi is their geometric mean and nan elsewhere. The probes are drawn as
+    rows of one array per block from default_rng(seed), so the stream is
+    the one that per-probe draws of m-1 numbers would give.
+    """
+    n_star = relaxed_min_rate(lambda_abs, eps_n, m).components[0]
+    r = (lambda_abs - eps_n) / (lambda_abs + eps_n)
+    log_r = math.log(r)
+    rng = np.random.default_rng(seed)
+    for start in range(0, trials, PROBE_BLOCK):
+        size = (min(PROBE_BLOCK, trials - start), m - 1)
+        head = n_star + rng.uniform(-0.5, 0.5, size=size)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            kept = np.all(head > 0.0, axis=1)
+            prod_head = np.ones(size[0])
+            for c in head.T:
+                den = 1.0 - r ** (c / 2.0)
+                kept &= den > 0.0
+                prod_head *= eps_n / den
+            kept &= np.isfinite(prod_head)
+            # last component restoring the rate product to one
+            tail_arg = 1.0 - eps_n * prod_head
+            kept &= (0.0 < tail_arg) & (tail_arg < 1.0)
+            tail = 2.0 * np.log(tail_arg) / log_r
+            kept &= tail > 0.0
+            log_sum = np.zeros(size[0])
+            for c in head.T:
+                log_sum += np.log(c)
+            phi = np.exp((log_sum + np.log(tail)) / m)
+        yield kept, np.where(kept, phi, np.nan)
+
+
 def verify_relaxation_kkt(
     lambda_abs: float,
     eps_n: float,
@@ -137,41 +180,17 @@ def verify_relaxation_kkt(
 ) -> bool:
     """Probe the relaxed-schedule optimum for local optimality.
 
-    Draws random perturbations of the equal-component optimum, projects each
-    back onto the active feasibility surface by re-solving the last
-    component, and reports False if any projected probe beats the optimum's
-    geometric mean by more than slack, or if the claimed optimum is not on
-    the surface to begin with.
+    Reports False if any of the `trials` probes of `relaxation_probes`
+    beats the optimum's geometric mean by more than slack, or if the
+    claimed optimum is not on the feasibility surface to begin with. The
+    probes are brute force: each is re-solved from the constraint itself,
+    not from the closed-form optimum.
     """
     sol = relaxed_min_rate(lambda_abs, eps_n, m)
     if abs(sol.psi) > 1e-10:
         return False
-    r = (lambda_abs - eps_n) / (lambda_abs + eps_n)
-    log_r = math.log(r)
-    n_star = sol.components[0]
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        head = n_star + rng.uniform(-0.5, 0.5, size=m - 1)
-        if np.any(head <= 0.0):
-            continue
-        prod_head = 1.0
-        for c in head:
-            den = 1.0 - r ** (c / 2.0)
-            if den <= 0.0:
-                prod_head = math.inf
-                break
-            prod_head *= eps_n / den
-        if not math.isfinite(prod_head):
-            continue
-        # last component restoring the rate product to one
-        tail_arg = 1.0 - eps_n * prod_head
-        if not (0.0 < tail_arg < 1.0):
-            continue
-        tail = 2.0 * math.log(tail_arg) / log_r
-        if tail <= 0.0:
-            continue
-        log_phi = (sum(math.log(c) for c in head) + math.log(tail)) / m
-        if math.exp(log_phi) < sol.phi - slack:
+    for kept, phi in relaxation_probes(lambda_abs, eps_n, m, trials, seed):
+        if np.any(kept & (phi < sol.phi - slack)):
             return False
     return True
 

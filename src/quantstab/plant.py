@@ -8,6 +8,7 @@ estimator only ever sees the boxes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,7 +37,10 @@ class UncertainPlant:
             vec = getattr(self, name)
             if len(vec) != self.n:
                 raise ValueError(f"{name} must have length n={self.n}, got {len(vec)}")
-            object.__setattr__(self, name, tuple(float(v) for v in vec))
+            vec = tuple(float(v) for v in vec)
+            if not all(map(math.isfinite, vec)):
+                raise ValueError(f"{name} entries must be finite, got {vec}")
+            object.__setattr__(self, name, vec)
         if any(e < 0 for e in self.eps):
             raise ValueError("uncertainty radii must be nonnegative")
         if any(b <= 0 for b in self.init_bounds):

@@ -134,12 +134,15 @@ def optimal_boundaries(lambda_abs: float, eps_n: float, N: int) -> QuantizerSpec
     """Rate-equalizing boundaries for a coefficient box |a| in [lam-eps, lam+eps].
 
     Requires the whole box expanding (lambda_abs - eps_n > 1). With no
-    uncertainty the layout degenerates to uniform. For odd N the geometric
-    layout exists only while t*r^K < 1, which holds throughout the valid
-    parameter range; the guard is kept as a construction-time check.
+    uncertainty the layout degenerates to uniform, and so it does for even
+    N when eps is so small that r rounds to 1.0: the uniform layout is the
+    eps -> 0 limit of the even one, which would divide by 1 - r^K = 0. For
+    odd N the geometric layout exists only while t*r^K < 1, which holds
+    throughout the valid parameter range until r rounds to 1.0; the guard
+    is kept as a construction-time check.
     """
     r = r_ratio(lambda_abs, eps_n)
-    if eps_n == 0.0:
+    if eps_n == 0.0 or (r == 1.0 and N % 2 == 0):
         return uniform_boundaries(N)
     k = (N + 1) // 2
     if N % 2 == 0:
@@ -200,12 +203,13 @@ def v_rate(lambda_abs: float, eps_n: float, N: int) -> float:
     """Worst-cell expansion rate of the rate-equalizing N-level quantizer.
 
     Closed form: eps/(1 - t r^{(N+1)/2}) for odd N, eps/(1 - r^{N/2}) for
-    even N, and lambda/N when eps = 0.
+    even N, and lambda/N when eps = 0; also for even N when r rounds to
+    1.0, as the eps -> 0 limit of the even form.
     """
     if N < 2:
         raise ValueError("a quantizer needs at least 2 levels")
     r = r_ratio(lambda_abs, eps_n)
-    if eps_n == 0.0:
+    if eps_n == 0.0 or (r == 1.0 and N % 2 == 0):
         return lambda_abs / N
     if N % 2 == 1:
         t = lambda_abs / (lambda_abs - eps_n)

@@ -51,7 +51,8 @@ INFEASIBLE = math.inf
 def necessary_rate(lambda_abs: float, eps_n: float) -> float:
     """Rate below which stabilization is impossible for the whole box.
 
-    log2(lambda) when the plant pole product is known exactly; otherwise
+    log2(lambda) when the plant pole product is known exactly, or so nearly
+    that r rounds to 1.0 (the eps -> 0 limit); otherwise
     log2 of log((1-eps)^2)/log(r), which blows up as eps -> 1 and is
     INFEASIBLE (= +inf) for eps >= 1: past that no bit rate suffices. The
     ratio of logs is base-free.
@@ -59,7 +60,7 @@ def necessary_rate(lambda_abs: float, eps_n: float) -> float:
     r = r_ratio(lambda_abs, eps_n)
     if eps_n >= 1.0:
         return INFEASIBLE
-    if eps_n == 0.0:
+    if eps_n == 0.0 or r == 1.0:
         return math.log2(lambda_abs)
     return math.log2(math.log((1.0 - eps_n) ** 2) / math.log(r))
 

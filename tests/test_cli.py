@@ -402,3 +402,64 @@ def test_schedule_certificate_failure_exits_1(tmp_path, capsys, monkeypatch):
 def test_unknown_command_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["frobnicate", "--config", "x"])
+
+
+# eps so small against lambda that r = (lambda - eps)/(lambda + eps) rounds to
+# 1.0: even sizes take the uniform layout, lambda/N and log2(lambda), the
+# eps -> 0 limits, instead of dividing by 1 - r^K = 0
+TINY_EPS_PLANT = "[plant]\nn = 1\na_star = 3.0\neps = 1e-16\n\n"
+
+TINY_EPS_CASES = {
+    "quantizer": (
+        "[quantizer]\nN = 4\n",
+        "l,h_l\n0,0\n1,0.25\n2,0.5\n",
+        "",
+    ),
+    "simulate": (
+        "[simulate]\nN = 4\nhorizon = 6\n",
+        "k,y,s,sigma,Y_lo,Y_hi,u\n"
+        "0,-0.101522362377,2,2,-0.5,0,0.75\n"
+        "1,0.44543291287,4,1.5,0.375,0.75,-1.6875\n"
+        "2,-0.35120126139,1,1.125,-0.5625,-0.28125,1.265625\n"
+        "3,0.21202121583,4,0.84375,0.2109375,0.421875,-0.94921875\n"
+        "4,-0.31315510251,1,0.6328125,-0.31640625,-0.158203125,0.7119140625\n"
+        "5,-0.22755124503,1,0.474609375,-0.2373046875,-0.11865234375,0.533935546875\n"
+        "6,-0.148718188214,1,0.35595703125,-0.177978515625,-0.0889892578125,0.400451660156\n"
+        "# verdict=horizon_exhausted\n",
+        "verdict: horizon_exhausted\n",
+    ),
+    "bounds": (
+        "[sweep]\nlambda_min = 3.0\nlambda_max = 3.0\nlambda_step = 0.1\n",
+        "lambda,eps,R_nec,R_known_max,N_suf_opt,N_suf_uni,"
+        "R_suf_phat,R_suf_martins,avg_rate_best,m_best\n"
+        "3,1e-16,1.58496250072,1.58496250072,4,4,1.58496250072,1.58496250072,,\n",
+        "",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TINY_EPS_CASES))
+def test_eps_rounding_r_to_one_takes_known_plant_limit(tmp_path, capsys, command):
+    section, csv, stdout = TINY_EPS_CASES[command]
+    cfg = write(tmp_path, "tiny.cfg", TINY_EPS_PLANT + section)
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    assert out.read_text() == csv
+    assert capsys.readouterr() == (stdout, "")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["a_star", "eps", "init_bounds"])
+def test_non_finite_plant_number_exits_2(tmp_path, capsys, key, value):
+    plant = {"a_star": "3.0", "eps": "0.2", "init_bounds": "1.0"}
+    plant[key] = value
+    text = "[plant]\nn = 1\n" + "".join(f"{k} = {v}\n" for k, v in plant.items())
+    cfg = write(tmp_path, "nf.cfg", text + "\n[simulate]\nN = 4\nfamily = uniform\n")
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"config error: bad [plant] section: {key} entries must be finite, "
+        f"got ({float(value)},)\n"
+    )
+    assert not out.exists()
