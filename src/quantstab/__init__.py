@@ -6,28 +6,25 @@ bounds, periodic alphabet-size schedules, a verified closed-loop simulator,
 and brute-force oracles that cross-check every closed form.
 """
 
-from .intervals import Interval, interval_product, minkowski_sum, width
+from .intervals import Interval, interval_product, minkowski_sum
 from .loop import (
     InvariantViolation,
     StepRecord,
     Trajectory,
-    control,
     predict,
     run_closed_loop,
-    sigma_envelope,
 )
 from .oracle import (
     GridSearchResult,
     exhaustive_encode_decode,
     grid_optimal_boundaries,
+    sigma_envelope,
     verify_equalization,
     verify_relaxation_kkt,
 )
 from .plant import (
     PlantInstance,
     UncertainPlant,
-    is_admissible,
-    pole_product_magnitude,
     sample_instance,
     step,
 )
@@ -49,7 +46,6 @@ from .rates import (
     INFEASIBLE,
     CertificateError,
     ComparisonBounds,
-    Decomposition,
     HMatrix,
     RelaxedRateSolution,
     Schedule,
@@ -57,7 +53,6 @@ from .rates import (
     StabilityTest,
     comparison_bounds,
     conservative_known_plant_rate,
-    interval_decomposition,
     min_sufficient_N,
     necessary_rate,
     periodic_sufficient_test,
@@ -71,13 +66,12 @@ from .rates import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "INFEASIBLE",
     "CertificateError",
     "ComparisonBounds",
-    "Decomposition",
     "ExpansionProfile",
     "GridSearchResult",
     "HMatrix",
+    "INFEASIBLE",
     "Interval",
     "InvariantViolation",
     "PlantInstance",
@@ -94,21 +88,17 @@ __all__ = [
     "coefficient_expansion_rates",
     "comparison_bounds",
     "conservative_known_plant_rate",
-    "control",
     "decode",
     "encode",
     "exhaustive_encode_decode",
     "expansion_profile",
     "grid_optimal_boundaries",
-    "interval_decomposition",
     "interval_product",
-    "is_admissible",
     "min_sufficient_N",
     "minkowski_sum",
     "necessary_rate",
     "optimal_boundaries",
     "periodic_sufficient_test",
-    "pole_product_magnitude",
     "predict",
     "quantizer_for",
     "relaxed_min_rate",
@@ -124,5 +114,4 @@ __all__ = [
     "v_rate",
     "verify_equalization",
     "verify_relaxation_kkt",
-    "width",
 ]

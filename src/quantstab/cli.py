@@ -215,8 +215,8 @@ def _bounds_row(args) -> list[str]:
     eps_n = p.eps[-1]
     r_nec = necessary_rate(lam, eps_n)
     r_known = conservative_known_plant_rate(lam, eps_n)
-    n_opt = min_sufficient_N(p, "optimal", n_max)
-    n_uni = min_sufficient_N(p, "uniform", n_max)
+    n_opt = min_sufficient_N(p, "optimal", n_max, margin)
+    n_uni = min_sufficient_N(p, "uniform", n_max, margin)
     r_suf = r_suf_prime = None
     if p.n == 1 and eps_n < 1.0:
         cb = comparison_bounds(lam, eps_n)

@@ -31,21 +31,6 @@ class Interval:
     def contains(self, x: float, slack: float = 0.0) -> bool:
         return hull_contains(self.lo, self.hi, x, slack)
 
-    def contains_zero_strictly(self) -> bool:
-        return self.lo < 0.0 < self.hi
-
-    def scaled(self, c: float) -> "Interval":
-        """Image under multiplication by the scalar c."""
-        a, b = c * self.lo, c * self.hi
-        return Interval(a, b) if a <= b else Interval(b, a)
-
-    def shifted(self, c: float) -> "Interval":
-        return Interval(self.lo + c, self.hi + c)
-
-
-def width(iv: Interval) -> float:
-    return iv.width
-
 
 # Float-level rules on the endpoints (lo, hi) of a set. The Interval methods
 # and functions wrap them, and the closed loop calls them directly.

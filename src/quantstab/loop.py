@@ -23,10 +23,11 @@ of the last n estimates, each a tuple (lo, hi, sigma, env, factors, rate_n),
 and the last n outputs. Each time index leaves one tuple in
 `Trajectory.samples`; `Trajectory.rows` turns them into StepRecords only
 when read. The step calls the float-level rules that the Interval API wraps
-(`predicted_hull` under `predict`, `control_input` under `control`,
-`quantizer.cell_hull` under `decode`, `intervals.hull_contains` under
-`Interval.contains`) together with `quantizer.encode` and `plant.step`, so
-its floats and its errors are those of the Interval API.
+(`predicted_hull` under `predict`, `quantizer.cell_hull` under `decode`,
+`intervals.hull_contains` under `Interval.contains`) together with
+`control_input`, `quantizer.encode` and `plant.step`, so its floats and its
+errors are those of the Interval API. The independent envelope route that
+the tests check the loop against is `oracle.sigma_envelope`.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .quantizer import (
     encode,
     expansion_profile,
 )
-from .rates import HMatrix, Schedule, schedule_quantizers
+from .rates import Schedule, schedule_quantizers
 
 REL_GUARD = 1e-9
 """Relative slack for float roundoff in invariant checks and saturation."""
@@ -153,36 +154,6 @@ def predict(
 def control_input(lo: float, hi: float) -> float:
     """Input cancelling the midpoint of the predicted set [lo, hi]."""
     return -hull_midpoint(lo, hi)
-
-
-def control(pred: Interval) -> float:
-    """Input cancelling the predicted set's midpoint."""
-    return control_input(pred.lo, pred.hi)
-
-
-def sigma_envelope(
-    H: HMatrix, init_sigmas: Sequence[float], K: int
-) -> list[float]:
-    """Worst-case scaling bounds for the next K steps under a static rate matrix.
-
-    Iterates the companion recursion from the given n most recent scalings
-    (oldest first) and returns the newest component per step.
-    """
-    if len(init_sigmas) != H.n:
-        raise ValueError(f"need {H.n} initial scalings, got {len(init_sigmas)}")
-    if K < 0:
-        raise ValueError("K must be nonnegative")
-    ring = list(init_sigmas)
-    w = H.w_bar
-    out = []
-    for _ in range(K):
-        nxt = 0.0
-        for i in range(1, H.n + 1):
-            nxt += w[i - 1] * ring[-i]
-        out.append(nxt)
-        ring.append(nxt)
-        ring.pop(0)
-    return out
 
 
 def _cell_rate_index(q: QuantizerSpec, s: int) -> int:
@@ -295,6 +266,11 @@ def run_closed_loop(
             verdict = "diverged"
             break
         if k == horizon:
+            break
+        if sigma_next == 0.0:
+            # the next output is known exactly: nothing is left to transmit,
+            # and a zero scaling is below stabilized_below
+            verdict = "stabilized"
             break
 
         y_next = step(inst, history, u)

@@ -1,8 +1,10 @@
 """Brute-force and probe-based checks of the closed-form results.
 
 Everything here recomputes a quantity the library derives analytically, by
-grid search, exhaustive enumeration, or random probing, so tests can compare
-the two routes. Nothing in this module reuses the closed forms it checks.
+grid search, exhaustive enumeration, random probing, or plain iteration, so
+tests can compare the two routes. Nothing in this module reuses the closed
+forms it checks: `sigma_envelope` iterates the companion recursion of a rate
+matrix step by step, with no closed form for its powers or its radius.
 
 The grid search and the relaxation probes are array programs: every grid
 point, and every probe of a block, is evaluated by the same plain
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .quantizer import (
     decode,
     encode,
 )
-from .rates import relaxed_min_rate
+from .rates import HMatrix, relaxed_min_rate
 
 
 @dataclass(frozen=True)
@@ -227,3 +229,28 @@ def exhaustive_encode_decode(q: QuantizerSpec, samples: int) -> bool:
         if not decode(q, s, 1.0).contains(x):
             return False
     return True
+
+
+def sigma_envelope(
+    H: HMatrix, init_sigmas: Sequence[float], K: int
+) -> list[float]:
+    """Worst-case scaling bounds for the next K steps under a static rate matrix.
+
+    Iterates the companion recursion from the given n most recent scalings
+    (oldest first) and returns the newest component per step.
+    """
+    if len(init_sigmas) != H.n:
+        raise ValueError(f"need {H.n} initial scalings, got {len(init_sigmas)}")
+    if K < 0:
+        raise ValueError("K must be nonnegative")
+    ring = list(init_sigmas)
+    w = H.w_bar
+    out = []
+    for _ in range(K):
+        nxt = 0.0
+        for i in range(1, H.n + 1):
+            nxt += w[i - 1] * ring[-i]
+        out.append(nxt)
+        ring.append(nxt)
+        ring.pop(0)
+    return out

@@ -46,17 +46,9 @@ class UncertainPlant:
         if any(b <= 0 for b in self.init_bounds):
             raise ValueError("initial output bounds must be positive")
 
-    def parameter_interval(self, i: int) -> Interval:
-        """Box for coefficient a_i, i in 1..n."""
-        a, e = self.a_star[i - 1], self.eps[i - 1]
-        return Interval(a - e, a + e)
-
     def parameter_intervals(self) -> tuple[Interval, ...]:
-        return tuple(self.parameter_interval(i) for i in range(1, self.n + 1))
-
-    def satisfies_growth_condition(self) -> bool:
-        """Whole coefficient box on a_n strictly expanding: |a_n*| - eps_n > 1."""
-        return abs(self.a_star[-1]) - self.eps[-1] > 1.0
+        """Boxes [a_i* - eps_i, a_i* + eps_i] of a_1..a_n, in that order."""
+        return tuple(Interval(a - e, a + e) for a, e in zip(self.a_star, self.eps))
 
 
 @dataclass(frozen=True)
@@ -67,11 +59,6 @@ class PlantInstance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", tuple(float(v) for v in self.a))
-
-
-def pole_product_magnitude(p: UncertainPlant) -> float:
-    """|a_n*|, the magnitude of the product of the nominal plant poles."""
-    return abs(p.a_star[-1])
 
 
 def step(inst: PlantInstance, history: Sequence[float], u: float) -> float:
@@ -120,9 +107,3 @@ def sample_instance(
         )
         return PlantInstance(a)
     raise ValueError(f"unknown sampling mode {mode!r}")
-
-
-def is_admissible(p: UncertainPlant, inst: PlantInstance) -> bool:
-    return len(inst.a) == p.n and all(
-        p.parameter_interval(i).contains(inst.a[i - 1]) for i in range(1, p.n + 1)
-    )

@@ -195,11 +195,12 @@ def _layouts(
 
 
 def min_sufficient_N(
-    p: UncertainPlant, family: str, N_max: int = 64
+    p: UncertainPlant, family: str, N_max: int = 64, margin: float = 0.0
 ) -> int | None:
-    """Smallest alphabet size the test certifies, or None within the cap."""
+    """Smallest alphabet size the test certifies at margin, or None within the cap."""
+    _check_margin(margin)
     for N, q in _layouts(p, family, N_max):
-        if sufficient_test(p, q).stable:
+        if sufficient_test(p, q, margin).stable:
             return N
     return None
 
@@ -549,44 +550,6 @@ def relaxed_min_rate(lambda_abs: float, eps_n: float, m: int) -> RelaxedRateSolu
     return RelaxedRateSolution(
         components=comps, phi=phi, psi=psi_prod - 1.0, multiplier=lam_mult
     )
-
-
-# ---------------------------------------------------------------------------
-# block decomposition of a rate sequence
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Greedy block lengths over the stride-n subsequence starting at alpha."""
-
-    alpha: int
-    lengths: tuple[int, ...]
-
-
-def interval_decomposition(
-    v_seq: Sequence[float], n: int, alpha: int
-) -> Decomposition | None:
-    """Split v_{alpha}, v_{alpha+n}, ... into blocks whose products drop below 1.
-
-    Greedy left-to-right: a block closes at the first position where the
-    running product is below one. None if any block is still open when the
-    sequence ends, including the case where no block ever closes.
-    """
-    if n < 1 or not (0 <= alpha < n):
-        raise ValueError("need n >= 1 and 0 <= alpha < n")
-    lengths: list[int] = []
-    run = 1.0
-    count = 0
-    for j in range(alpha, len(v_seq), n):
-        run *= v_seq[j]
-        count += 1
-        if run < 1.0:
-            lengths.append(count)
-            run = 1.0
-            count = 0
-    if count != 0:
-        return None
-    return Decomposition(alpha=alpha, lengths=tuple(lengths))
 
 
 # ---------------------------------------------------------------------------

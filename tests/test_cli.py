@@ -199,6 +199,52 @@ def test_schedule_adds_rate_and_notes(tmp_path, capsys):
     assert "schedule=[" in notes and "(exact)" in notes
 
 
+MARGIN_CFG = """\
+[plant]
+n = 1
+a_star = 2.0
+eps = 0.35
+
+[sweep]
+lambda_min = 1.5
+lambda_max = 3.0
+lambda_step = 0.25
+"""
+
+
+@pytest.mark.parametrize(
+    "command,flags,first_row",
+    [
+        (
+            "bounds",
+            (),
+            "1.5,0.35,0.857747223046,0.887525270742,6,8,,1.20645087747,,",
+        ),
+        (
+            "schedule",
+            ("--m-max", "1"),
+            "1.5,0.35,0.857747223046,0.887525270742,6,8,,1.20645087747,2.58496250072,1",
+        ),
+    ],
+    ids=["bounds", "schedule"],
+)
+def test_margin_certifies_sufficient_sizes(tmp_path, capsys, command, flags, first_row):
+    # at margin 0.5 the smallest certified static size at lambda = 1.5 is 6, the
+    # size of the best one-slot schedule; at margin 0 it would be 2
+    cfg = write(tmp_path, "m.cfg", MARGIN_CFG)
+    out = tmp_path / "m.csv"
+    argv = [command, "--config", cfg, "--out", str(out), "--margin", "0.5", *flags]
+    assert main(argv) == 0
+    lines = out.read_text().splitlines()
+    assert lines[1] == first_row
+    for line in lines[1:]:
+        row = line.split(",")
+        assert int(row[4]) <= int(row[5])
+        if row[8]:
+            assert float(row[8]) <= math.log2(int(row[4])) + 1e-9
+    assert capsys.readouterr().err == ""
+
+
 def test_quantizer_export(tmp_path):
     cfg = write(
         tmp_path,
@@ -236,6 +282,24 @@ def test_simulate_single_trajectory(tmp_path, capsys):
     first = lines[1].split(",")
     assert int(first[0]) == 0
     assert "verdict: stabilized" in capsys.readouterr().out
+
+
+def test_simulate_zero_width_prediction_stabilizes(tmp_path, capsys):
+    # a = 0 exactly: the first prediction is the point {0}, so the next output
+    # is known and the run ends stabilized instead of dividing by a zero scaling
+    cfg = write(
+        tmp_path,
+        "z.cfg",
+        "[plant]\nn = 1\na_star = 0.0\neps = 0.0\n\n[simulate]\nN = 4\nfamily = uniform\n",
+    )
+    out = tmp_path / "z.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert out.read_text() == (
+        "k,y,s,sigma,Y_lo,Y_hi,u\n"
+        "0,-0.101522362377,2,2,-0.5,0,-0\n"
+        "# verdict=stabilized\n"
+    )
+    assert capsys.readouterr() == ("verdict: stabilized\n", "")
 
 
 def test_simulate_monte_carlo_summary(tmp_path, capsys):

@@ -1,12 +1,11 @@
 """Interval arithmetic: endpoint products, Minkowski sums, width additivity."""
 
 import math
-import sys
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, strategies as st
 
-from quantstab.intervals import Interval, interval_product, minkowski_sum, width
+from quantstab.intervals import Interval, interval_product, minkowski_sum
 
 
 def test_constructor_validates_order():
@@ -19,7 +18,6 @@ def test_width_midpoint():
     iv = Interval(0.3, 1.0)
     assert math.isclose(iv.width, 0.7, rel_tol=1e-15)
     assert math.isclose(iv.midpoint, 0.65, rel_tol=1e-15)
-    assert width(iv) == iv.width
 
 
 def test_contains_and_slack():
@@ -27,15 +25,6 @@ def test_contains_and_slack():
     assert iv.contains(-1.0) and iv.contains(2.0) and iv.contains(0.0)
     assert not iv.contains(2.0000001)
     assert iv.contains(2.0000001, slack=1e-6)
-    assert Interval(-0.5, 0.5).contains_zero_strictly()
-    assert not Interval(0.0, 0.5).contains_zero_strictly()
-
-
-def test_scaled_shifted():
-    iv = Interval(-0.25, 0.5)
-    assert iv.scaled(2.0) == Interval(-0.5, 1.0)
-    assert iv.scaled(-2.0) == Interval(-1.0, 0.5)
-    assert iv.shifted(1.0) == Interval(0.75, 1.5)
 
 
 # products frozen by hand from the four endpoint candidates
@@ -96,16 +85,3 @@ def test_minkowski_width_additive(terms):
     assert math.isclose(
         total.width, sum(t.width for t in terms), rel_tol=1e-12, abs_tol=1e-9
     )
-
-
-@example(Interval(-999998.0, -999989.0), 9.025759241078049)
-@given(intervals(), finite)
-def test_scaled_width(iv, c):
-    # c*lo and c*hi each round by half an ulp of their own magnitude S, so
-    # the scaled width is off by up to 2uS however narrow the interval is;
-    # the two width subtractions and |c|*width add at most 3u|c|w <= 6uS,
-    # and each of the five roundings at most half the smallest subnormal
-    u = sys.float_info.epsilon / 2
-    S = max(abs(c * iv.lo), abs(c * iv.hi))
-    tol = 9 * u * S + 3 * math.ulp(0.0)
-    assert abs(iv.scaled(c).width - abs(c) * iv.width) <= tol

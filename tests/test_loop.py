@@ -5,13 +5,8 @@ import math
 import pytest
 
 from quantstab.intervals import Interval, interval_product
-from quantstab.loop import (
-    InvariantViolation,
-    control,
-    predict,
-    run_closed_loop,
-    sigma_envelope,
-)
+from quantstab.loop import InvariantViolation, control_input, predict, run_closed_loop
+from quantstab.oracle import sigma_envelope
 from quantstab.plant import PlantInstance, UncertainPlant, sample_instance
 from quantstab.quantizer import SaturationError, optimal_boundaries, v_rate
 from quantstab.rates import HMatrix, Schedule
@@ -48,7 +43,7 @@ def test_predict_width_additivity():
     sets = [Interval(-0.2, 0.5), Interval(0.1, 0.3)]
     pred, sig = predict(p, sets)
     parts = [
-        interval_product(p.parameter_interval(i), sets[i - 1]).width
+        interval_product(p.parameter_intervals()[i - 1], sets[i - 1]).width
         for i in (1, 2)
     ]
     assert math.isclose(sig, sum(parts), rel_tol=REL)
@@ -56,9 +51,9 @@ def test_predict_width_additivity():
 
 
 def test_control_examples():
-    assert math.isclose(control(Interval(0.3, 1.0)), -0.65, rel_tol=REL)
-    assert control(Interval(-1.0, 1.0)) == 0.0
-    assert control(Interval(2.0, 2.0)) == -2.0
+    assert math.isclose(control_input(0.3, 1.0), -0.65, rel_tol=REL)
+    assert control_input(-1.0, 1.0) == 0.0
+    assert control_input(2.0, 2.0) == -2.0
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +91,7 @@ def test_scalar_sigma_recursion_exact():
     traj = run_closed_loop(
         p, PlantInstance((3.2,)), Schedule((8,)), "optimal", 200, "endpoints"
     )
-    box = p.parameter_interval(1)
+    box = p.parameter_intervals()[0]
     for prev, cur in zip(traj.rows, traj.rows[1:]):
         want = interval_product(box, prev.est).width
         assert math.isclose(cur.sigma, want, rel_tol=REL)
@@ -133,6 +128,18 @@ def test_divergence_verdict():
     )
     assert traj.verdict == "diverged"
     assert traj.rows[-1].sigma > 1e12 * traj.sigma0
+
+
+def test_zero_width_prediction_ends_stabilized():
+    # every coefficient 0 and known: the first prediction is the point {0}
+    p = UncertainPlant(2, (0.0, 0.0), (0.0, 0.0), (1.0, 1.0))
+    traj = run_closed_loop(
+        p, PlantInstance((0.0, 0.0)), Schedule((4,)), "uniform", 50, "uniform", 3
+    )
+    assert traj.verdict == "stabilized"
+    assert traj.steps == 0
+    assert traj.rows[0].pred == Interval(0.0, 0.0)
+    assert traj.rows[0].sigma == traj.sigma0 == 2.0
 
 
 def test_envelope_dominates_run():

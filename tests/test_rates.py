@@ -17,12 +17,10 @@ from quantstab.quantizer import optimal_boundaries, quantizer_for, uniform_bound
 from quantstab.rates import (
     INFEASIBLE,
     CertificateError,
-    Decomposition,
     HMatrix,
     Schedule,
     comparison_bounds,
     conservative_known_plant_rate,
-    interval_decomposition,
     min_sufficient_N,
     necessary_rate,
     periodic_sufficient_test,
@@ -160,6 +158,8 @@ def test_sufficient_test_margin():
     q = optimal_boundaries(3.0, 0.5, 8)
     assert sufficient_test(p, q, margin=0.3).stable  # 0.676 < 0.7
     assert not sufficient_test(p, q, margin=0.33).stable
+    # v_rate is 0.727 at N = 7 and 0.676 at N = 8; at margin 0 it is N = 5
+    assert min_sufficient_N(p, "optimal", margin=0.3) == 8
 
 
 def test_min_sufficient_N_frozen():
@@ -421,6 +421,8 @@ def test_margin_outside_unit_interval_rejected(margin):
         search_periodic_schedule(p, 4, 8, "optimal", margin)
     with pytest.raises(ValueError, match="margin"):
         periodic_sufficient_test(scalar_plant(3.0, 0.35), Schedule((3,)), margin=margin)
+    with pytest.raises(ValueError, match="margin"):
+        min_sufficient_N(p, "optimal", 1, margin)  # raises with no size to test
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -470,31 +472,6 @@ def test_relaxed_min_rate_errors():
         relaxed_min_rate(1.2, 0.3, 2)
     with pytest.raises(ValueError):
         relaxed_min_rate(3.0, 0.35, 0)
-
-
-# ---------------------------------------------------------------------------
-# block decomposition
-
-
-def test_decomposition_examples():
-    assert interval_decomposition((0.5, 0.5, 0.5), 1, 0) == Decomposition(0, (1, 1, 1))
-    assert interval_decomposition((2.0, 0.4, 2.0, 0.4), 1, 0) == Decomposition(0, (2, 2))
-    assert interval_decomposition((1.1, 1.1, 1.1), 1, 0) is None
-
-
-def test_decomposition_stride_and_alpha():
-    v = (2.0, 9.0, 0.4, 9.0, 2.0, 9.0, 0.4, 9.0)
-    assert interval_decomposition(v, 2, 0) == Decomposition(0, (2, 2))
-    assert interval_decomposition(v, 2, 1) is None  # all 9s, never drops below 1
-    with pytest.raises(ValueError):
-        interval_decomposition(v, 2, 2)
-    with pytest.raises(ValueError):
-        interval_decomposition(v, 0, 0)
-
-
-def test_decomposition_trailing_open_block():
-    assert interval_decomposition((0.5, 2.0), 1, 0) is None
-    assert interval_decomposition((), 1, 0) == Decomposition(0, ())
 
 
 # ---------------------------------------------------------------------------
