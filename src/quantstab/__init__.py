@@ -6,10 +6,9 @@ bounds, periodic alphabet-size schedules, a verified closed-loop simulator,
 and brute-force oracles that cross-check every closed form.
 """
 
-from .intervals import Interval, interval_product, minkowski_sum
+from .intervals import interval_product, minkowski_sum
 from .loop import (
     InvariantViolation,
-    StepRecord,
     Trajectory,
     predict,
     run_closed_loop,
@@ -32,7 +31,6 @@ from .quantizer import (
     ExpansionProfile,
     QuantizerSpec,
     SaturationError,
-    cells,
     coefficient_expansion_rates,
     decode,
     encode,
@@ -72,7 +70,6 @@ __all__ = [
     "GridSearchResult",
     "HMatrix",
     "INFEASIBLE",
-    "Interval",
     "InvariantViolation",
     "PlantInstance",
     "QuantizerSpec",
@@ -81,10 +78,8 @@ __all__ = [
     "Schedule",
     "ScheduleSearchResult",
     "StabilityTest",
-    "StepRecord",
     "Trajectory",
     "UncertainPlant",
-    "cells",
     "coefficient_expansion_rates",
     "comparison_bounds",
     "conservative_known_plant_rate",

@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 failed verification or failed run, 2 bad config.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -191,6 +192,9 @@ def sweep_from_config(cfg: Config) -> list[float]:
     lo = cfg.get_float("sweep", "lambda_min", _REQUIRED)
     hi = cfg.get_float("sweep", "lambda_max", _REQUIRED)
     step = cfg.get_float("sweep", "lambda_step", _REQUIRED)
+    for key, val in (("lambda_min", lo), ("lambda_max", hi), ("lambda_step", step)):
+        if not math.isfinite(val):
+            raise ConfigError(f"'{key}' must be finite, got {val!r}")
     if step <= 0 or hi < lo:
         raise ConfigError("[sweep] needs lambda_step > 0 and lambda_max >= lambda_min")
     count = int(round((hi - lo) / step)) + 1
@@ -210,8 +214,8 @@ def _with_pole_product(p: UncertainPlant, lam: float) -> UncertainPlant:
 
 def _bounds_row(args) -> list[str]:
     """CSV row and schedule note at one pole product; m_max None skips the search."""
-    (p_fields, lam, n_max, margin, m_max) = args
-    p = _with_pole_product(UncertainPlant(*p_fields), lam)
+    (p, lam, n_max, margin, m_max) = args
+    p = _with_pole_product(p, lam)
     eps_n = p.eps[-1]
     r_nec = necessary_rate(lam, eps_n)
     r_known = conservative_known_plant_rate(lam, eps_n)
@@ -285,8 +289,7 @@ def cmd_sweep(cfg: Config, opts) -> int:
     if with_schedule:
         m_max = opts.m_max if opts.m_max is not None else cfg.get_int("schedule", "m_max", 32)
         _at_least("m_max", m_max, 1)
-    p_fields = (p.n, p.a_star, p.eps, p.init_bounds)
-    args = [(p_fields, lam, n_max, margin, m_max) for lam in lams]
+    args = [(p, lam, n_max, margin, m_max) for lam in lams]
     try:
         rows = _run_rows(_bounds_row, opts.jobs, args)
     except ValueError as exc:
@@ -343,6 +346,7 @@ def cmd_simulate(cfg: Config, opts) -> int:
     mode = cfg.get_choice("simulate", "instance_mode", SAMPLING_MODES, "uniform")
     init_mode = cfg.get_choice("simulate", "init_mode", INIT_MODES, "uniform")
     seed = opts.seed if opts.seed is not None else cfg.get_int("simulate", "seed", 0)
+    _at_least("seed", seed, 0)
     try:
         qs = schedule_quantizers(p, sched, family)
     except ValueError as exc:
@@ -487,7 +491,10 @@ def run_verification(cases: list[dict], resolution: float = 1e-3, seed: int = 0)
 
 def cmd_verify(cfg: Config, opts) -> int:
     resolution = cfg.get_float("verify", "resolution", 1e-3)
+    if not 0.0 < resolution <= 0.01:
+        raise ConfigError(f"'resolution' must be in (0, 0.01], got {resolution!r}")
     seed = opts.seed if opts.seed is not None else cfg.get_int("verify", "seed", 0)
+    _at_least("seed", seed, 0)
     rows = run_verification(canonical_cases(), resolution, seed)
     lines = ["case,closed_form,oracle,abs_diff,pass"]
     fails = 0

@@ -1,39 +1,13 @@
 """Closed-interval arithmetic for set-valued output estimates.
 
-Only the operations the estimator needs: exact products with an uncertain
+A set is the float pair (lo, hi) of its endpoints; no class wraps it. Only
+the operations the estimator needs: exact products with an uncertain
 coefficient interval and Minkowski sums. Widths are additive under the sum,
-which is what makes the scaling recursion exact.
+which is what makes the scaling recursion exact. The closed loop calls
+`interval_product` and `minkowski_sum` on every step.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval [lo, hi] on the real line."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        check_hull(self.lo, self.hi)
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> float:
-        return hull_midpoint(self.lo, self.hi)
-
-    def contains(self, x: float, slack: float = 0.0) -> bool:
-        return hull_contains(self.lo, self.hi, x, slack)
-
-
-# Float-level rules on the endpoints (lo, hi) of a set. The Interval methods
-# and functions wrap them, and the closed loop calls them directly.
 
 
 def check_hull(lo: float, hi: float) -> None:
@@ -42,44 +16,32 @@ def check_hull(lo: float, hi: float) -> None:
         raise ValueError(f"malformed interval: lo={lo} > hi={hi}")
 
 
-def hull_midpoint(lo: float, hi: float) -> float:
-    return 0.5 * (lo + hi)
-
-
 def hull_contains(lo: float, hi: float, x: float, slack: float = 0.0) -> bool:
     return lo - slack <= x <= hi + slack
 
 
-def hull_product(
+def interval_product(
     a_lo: float, a_hi: float, y_lo: float, y_hi: float
 ) -> tuple[float, float]:
-    """Endpoints of the set product [a_lo, a_hi] * [y_lo, y_hi].
+    """Exact set product [a_lo, a_hi] * [y_lo, y_hi] = {u*v : u in a, v in y}.
 
     The hull of the four endpoint products; exact because both sets are
-    intervals. Works on plain floats so the closed loop can call it per step.
+    intervals. Raises ValueError when a nan product makes it malformed.
     """
     ps = (a_lo * y_lo, a_lo * y_hi, a_hi * y_lo, a_hi * y_hi)
-    return min(ps), max(ps)
+    lo, hi = min(ps), max(ps)
+    check_hull(lo, hi)
+    return lo, hi
 
 
-def interval_product(a: Interval, y: Interval) -> Interval:
-    """Exact set product a*y = {u*v : u in a, v in y}."""
-    return Interval(*hull_product(a.lo, a.hi, y.lo, y.hi))
+def minkowski_sum(terms) -> tuple[float, float]:
+    """Elementwise sum of a nonempty sequence of (lo, hi) sets, from 0.0.
 
-
-def minkowski_sum(terms: list[Interval] | tuple[Interval, ...]) -> Interval:
-    """Elementwise sum of a nonempty collection of intervals."""
+    Raises ValueError on an empty sequence, and when the sum is malformed,
+    as a nan from an overflowed product makes it.
+    """
     if not terms:
         raise ValueError("minkowski_sum of an empty collection")
-    return Interval(*hull_sum([(t.lo, t.hi) for t in terms]))
-
-
-def hull_sum(terms) -> tuple[float, float]:
-    """Endpoints of the Minkowski sum of the (lo, hi) terms, summed from 0.0.
-
-    Raises ValueError when the sum is malformed, as a nan from an overflowed
-    product makes it.
-    """
     lo = 0.0
     hi = 0.0
     for t_lo, t_hi in terms:

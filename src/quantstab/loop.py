@@ -15,44 +15,34 @@ produced each contributing estimate; estimates from the pre-transmission
 prior boxes contribute their exact box expansion factor instead, since a
 symmetric box stretches more than any cell of a valid quantizer.
 
-`run_closed_loop` steps on plain floats. What depends only on the plant and
-the schedule is computed once before the first step: the coefficient-box
-endpoints and, per schedule slot, the quantizer's envelope factors and the
-coefficient-n expansion of each symbol's cell. The per-step state is a ring
-of the last n estimates, each a tuple (lo, hi, sigma, env, factors, rate_n),
-and the last n outputs. Each time index leaves one tuple in
-`Trajectory.samples`; `Trajectory.rows` turns them into StepRecords only
-when read. The step calls the float-level rules that the Interval API wraps
-(`predicted_hull` under `predict`, `quantizer.cell_hull` under `decode`,
-`intervals.hull_contains` under `Interval.contains`) together with
-`control_input`, `quantizer.encode` and `plant.step`, so its floats and its
-errors are those of the Interval API. The independent envelope route that
-the tests check the loop against is `oracle.sigma_envelope`.
+Sets are float pairs (lo, hi), as in `intervals`. `run_closed_loop`
+computes what depends only on the plant and the schedule once before the
+first step: the coefficient-box endpoints and, per schedule slot, the
+quantizer's envelope factors and the coefficient-n expansion of each
+symbol's cell. The per-step state is a ring of the last n estimates, each a
+tuple (lo, hi, sigma, env, factors, rate_n), and the last n outputs. Each
+time index leaves one tuple in `Trajectory.samples`. The step calls
+`predict`, `control_input`, `intervals.interval_product`,
+`quantizer.encode`, `quantizer.decode` and `plant.step`; no other route
+computes those sets. The independent envelope route that the tests check
+the loop against is `oracle.sigma_envelope`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .intervals import (
-    Interval,
-    check_hull,
-    hull_contains,
-    hull_midpoint,
-    hull_product,
-    hull_sum,
-)
+from .intervals import check_hull, hull_contains, interval_product, minkowski_sum
 from .plant import PlantInstance, UncertainPlant, step
 from .quantizer import (
     QuantizerSpec,
     SaturationError,
-    cell_hull,
     coefficient_expansion_rates,
+    decode,
     encode,
     expansion_profile,
 )
@@ -69,45 +59,20 @@ class InvariantViolation(RuntimeError):
     """An analytical per-step invariant failed beyond the float guard."""
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """One simulated time index.
-
-    s is the transmitted symbol (1..N). pred is the predicted set for the
-    next output, u the input cancelling its midpoint; both are recorded on
-    the row of the time they were computed at.
-    """
-
-    k: int
-    y: float
-    s: int
-    sigma: float
-    est: Interval
-    pred: Interval
-    u: float
-
-
 @dataclass
 class Trajectory:
     """Verdict, initial scaling and the state of every simulated time index.
 
     samples[k] is the plain tuple (y, s, sigma, est_lo, est_hi, pred_lo,
-    pred_hi, u) of time k; `rows` builds the StepRecords from it on first
-    access, so a run that only needs the summary never builds them. The CLI
-    reads `samples` directly, for the summary and for the trajectory CSV
-    alike; `rows` is there for tests and library callers.
+    pred_hi, u) of time k: the output, the transmitted symbol (1..N), the
+    scaling, the decoded estimate, the predicted set for the next output
+    and the input cancelling its midpoint, the last two recorded on the row
+    of the time they were computed at.
     """
 
     samples: list[tuple]
     verdict: str
     sigma0: float
-
-    @cached_property
-    def rows(self) -> list[StepRecord]:
-        return [
-            StepRecord(k, y, s, sigma, Interval(e_lo, e_hi), Interval(p_lo, p_hi), u)
-            for k, (y, s, sigma, e_lo, e_hi, p_lo, p_hi, u) in enumerate(self.samples)
-        ]
 
     @property
     def steps(self) -> int:
@@ -121,39 +86,25 @@ class Trajectory:
         return min(t[2] for t in self.samples) / self.sigma0
 
 
-def predicted_hull(box, ests) -> tuple[float, float]:
-    """Endpoints of the next-output set from the last n estimates.
+def predict(box, ests) -> tuple[float, float]:
+    """Next-output set (lo, hi) from the last n estimates.
 
     The Minkowski sum of the products box_i * est_i, i = 1..n: box holds the
     coefficient boxes (lo, hi) of a_1..a_n, ests the estimates newest first,
-    each with lo at [0] and hi at [1]. Raises ValueError when an overflowed
-    product makes the set malformed.
+    each with lo at [0] and hi at [1]. Its width is the next scaling. Raises
+    ValueError when an overflowed product makes the set malformed.
     """
-    return hull_sum(
+    return minkowski_sum(
         [
-            hull_product(a_lo, a_hi, est[0], est[1])
+            interval_product(a_lo, a_hi, est[0], est[1])
             for (a_lo, a_hi), est in zip(box, ests)
         ]
     )
 
 
-def predict(
-    p: UncertainPlant, recent_sets: Sequence[Interval]
-) -> tuple[Interval, float]:
-    """Next-output set from the last n estimates, newest first.
-
-    The sum of coefficient-box times estimate products; its width is the
-    next scaling.
-    """
-    box = [(iv.lo, iv.hi) for iv in p.parameter_intervals()]
-    ests = [(recent_sets[i].lo, recent_sets[i].hi) for i in range(p.n)]
-    pred = Interval(*predicted_hull(box, ests))
-    return pred, pred.width
-
-
 def control_input(lo: float, hi: float) -> float:
     """Input cancelling the midpoint of the predicted set [lo, hi]."""
-    return -hull_midpoint(lo, hi)
+    return -(0.5 * (lo + hi))
 
 
 def _cell_rate_index(q: QuantizerSpec, s: int) -> int:
@@ -201,7 +152,7 @@ def run_closed_loop(
         raise ValueError("instance order does not match the plant")
     qs = schedule_quantizers(p, sched, family)
     m = len(qs)
-    box = [(iv.lo, iv.hi) for iv in p.parameter_intervals()]
+    box = p.parameter_intervals()
     box_n_lo, box_n_hi = box[-1]
     box_factors = tuple(abs(a) + e for a, e in zip(p.a_star, p.eps))
     # per schedule slot: quantizer, envelope factors, and the exact
@@ -226,7 +177,7 @@ def run_closed_loop(
     ]
 
     def transmit(k: int, y: float, sigma: float):
-        """Symbol, decoded cell hull, factors and rate_n of y at time k."""
+        """Symbol, decoded cell, factors and rate_n of y at time k."""
         q, factors, rate_of = slots[k % m]
         x = y / sigma
         if abs(x) > 0.5:
@@ -237,7 +188,7 @@ def run_closed_loop(
                     f"step {k}: |y|/sigma = {abs(x)} exceeds 1/2 beyond roundoff"
                 )
         s = encode(q, x)
-        return (s, *cell_hull(q, s, sigma), factors, rate_of[s - 1])
+        return (s, *decode(q, s, sigma), factors, rate_of[s - 1])
 
     sigma0 = 2.0 * p.init_bounds[-1]
     stabilized_below = CONVERGENCE_RATIO * sigma0
@@ -253,7 +204,7 @@ def run_closed_loop(
     history = list(reversed(y_hist))  # most recent first
     k = 0
     while True:
-        lo, hi = predicted_hull(box, reversed(ring))
+        lo, hi = predict(box, reversed(ring))
         sigma_next = hi - lo
         u = control_input(lo, hi)
         newest = ring[-1]
@@ -277,7 +228,7 @@ def run_closed_loop(
         s_next, e_lo, e_hi, factors, rate_n = transmit(k + 1, y_next, sigma_next)
 
         o_lo, o_hi, o_sigma, _, _, o_rate_n = ring[0]  # oldest
-        l_lo, l_hi = hull_product(box_n_lo, box_n_hi, o_lo, o_hi)
+        l_lo, l_hi = interval_product(box_n_lo, box_n_hi, o_lo, o_hi)
         lower = l_hi - l_lo
         guard = REL_GUARD * (sigma_next + abs(u))
         if not hull_contains(lo + u, hi + u, y_next, guard):

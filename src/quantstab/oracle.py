@@ -21,10 +21,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .intervals import hull_contains
 from .plant import UncertainPlant
 from .quantizer import (
     QuantizerSpec,
-    cells,
     coefficient_expansion_rates,
     decode,
     encode,
@@ -207,8 +207,7 @@ def exhaustive_encode_decode(q: QuantizerSpec, samples: int) -> bool:
     """
     if samples < q.N:
         raise ValueError("need at least one sample per cell")
-    cs = cells(q)
-    edges = [c.lo for c in cs] + [cs[-1].hi]
+    edges = q.edges
     if edges[0] != -0.5 or edges[-1] != 0.5:
         return False
     if any(not (a < b) for a, b in zip(edges, edges[1:])):
@@ -226,7 +225,7 @@ def exhaustive_encode_decode(q: QuantizerSpec, samples: int) -> bool:
         inside = lo <= x < hi or (s == q.N and x == hi)
         if not inside:
             return False
-        if not decode(q, s, 1.0).contains(x):
+        if not hull_contains(*decode(q, s, 1.0), x):
             return False
     return True
 

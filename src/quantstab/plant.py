@@ -14,8 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .intervals import Interval
-
 
 @dataclass(frozen=True)
 class UncertainPlant:
@@ -46,9 +44,9 @@ class UncertainPlant:
         if any(b <= 0 for b in self.init_bounds):
             raise ValueError("initial output bounds must be positive")
 
-    def parameter_intervals(self) -> tuple[Interval, ...]:
-        """Boxes [a_i* - eps_i, a_i* + eps_i] of a_1..a_n, in that order."""
-        return tuple(Interval(a - e, a + e) for a, e in zip(self.a_star, self.eps))
+    def parameter_intervals(self) -> tuple[tuple[float, float], ...]:
+        """Boxes (a_i* - eps_i, a_i* + eps_i) of a_1..a_n, in that order."""
+        return tuple((a - e, a + e) for a, e in zip(self.a_star, self.eps))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
-from .intervals import Interval, check_hull
+from .intervals import check_hull
 from .plant import UncertainPlant
 
 
@@ -67,12 +67,6 @@ class QuantizerSpec:
         return neg + mid + pos
 
 
-def cells(q: QuantizerSpec) -> list[Interval]:
-    """All N cells in ascending order (as closed hulls of the half-open cells)."""
-    e = q.edges
-    return [Interval(a, b) for a, b in zip(e, e[1:])]
-
-
 def encode(q: QuantizerSpec, x: float) -> int:
     """Symbol in 1..N of the cell containing x.
 
@@ -85,20 +79,15 @@ def encode(q: QuantizerSpec, x: float) -> int:
     return min(s, q.N)  # x == +1/2 folds into the top cell
 
 
-def decode(q: QuantizerSpec, s: int, sigma: float) -> Interval:
-    """Closed hull of cell s scaled by sigma."""
+def decode(q: QuantizerSpec, s: int, sigma: float) -> tuple[float, float]:
+    """Endpoints (lo, hi) of the closed hull of cell s scaled by sigma.
+
+    Raises ValueError when an overflowed sigma makes the hull malformed.
+    """
     if not (1 <= s <= q.N):
         raise ValueError(f"symbol {s} outside 1..{q.N}")
     if sigma <= 0:
         raise ValueError("scaling must be positive")
-    return Interval(*cell_hull(q, s, sigma))
-
-
-def cell_hull(q: QuantizerSpec, s: int, sigma: float) -> tuple[float, float]:
-    """Endpoints of the closed hull of cell s scaled by sigma.
-
-    Raises ValueError when an overflowed sigma makes the hull malformed.
-    """
     e = q.edges
     lo, hi = sigma * e[s - 1], sigma * e[s]
     check_hull(lo, hi)

@@ -216,7 +216,7 @@ def test_criterion_06_critical_rate_is_flat():
     p = UncertainPlant(1, (2.0,), (0.0,), (1.0,))
     inst = sample_instance(p, "vertex", index=0)
     traj = run_closed_loop(p, inst, Schedule((2,)), "uniform", 500, "uniform", [6])
-    sigmas = [r.sigma for r in traj.rows]
+    sigmas = traj.sigmas()
     problems = []
     if len(sigmas) != 501:
         problems.append(f"expected 501 records, got {len(sigmas)}")

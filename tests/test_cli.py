@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 
 import pytest
 
@@ -433,6 +434,43 @@ def test_rate_option_out_of_range_exits_2(tmp_path, capsys, command, flags, extr
     assert main([command, "--config", cfg, "--out", str(out), *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("lambda_step", "nan"), ("lambda_min", "nan"), ("lambda_max", "inf")],
+)
+def test_non_finite_sweep_value_exits_2(tmp_path, capsys, key, value):
+    text = re.sub(rf"{key} = .*\n", f"{key} = {value}\n", BOUNDS_CFG)
+    cfg = write(tmp_path, "b.cfg", text)
+    out = tmp_path / "o.csv"
+    assert main(["bounds", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: '{key}' must be finite, got {float(value)!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,flags,extra,message",
+    [
+        ("simulate", ("--seed", "-1"), "", "'seed' must be at least 0, got -1"),
+        ("simulate", (), "seed = -3\n", "'seed' must be at least 0, got -3"),
+        ("verify", ("--seed", "-1"), "", "'seed' must be at least 0, got -1"),
+        ("verify", (), "seed = -3\n", "'seed' must be at least 0, got -3"),
+        ("verify", (), "resolution = 0.5\n", "'resolution' must be in (0, 0.01], got 0.5"),
+        ("verify", (), "resolution = nan\n", "'resolution' must be in (0, 0.01], got nan"),
+    ],
+)
+def test_seed_and_resolution_out_of_range_exit_2(
+    tmp_path, capsys, command, flags, extra, message
+):
+    # a repeated [simulate] header adds to the section: seed = -3 replaces 7
+    text = SIM_CFG.format(instances=1) + f"\n[{command}]\n{extra}"
+    cfg = write(tmp_path, "s.cfg", text)
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", cfg, "--out", str(out), *flags]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
 

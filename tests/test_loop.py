@@ -4,11 +4,11 @@ import math
 
 import pytest
 
-from quantstab.intervals import Interval, interval_product
+from quantstab.intervals import hull_contains, interval_product
 from quantstab.loop import InvariantViolation, control_input, predict, run_closed_loop
 from quantstab.oracle import sigma_envelope
 from quantstab.plant import PlantInstance, UncertainPlant, sample_instance
-from quantstab.quantizer import SaturationError, optimal_boundaries, v_rate
+from quantstab.quantizer import SaturationError, encode, optimal_boundaries, v_rate
 from quantstab.rates import HMatrix, Schedule
 
 REL = 1e-12
@@ -25,29 +25,24 @@ def scalar_plant(lam=3.0, eps=0.5, bound=1.0):
 
 def test_predict_scalar_frozen():
     p = UncertainPlant(1, (2.0,), (0.5,), (1.0,))  # box [1.5, 2.5]
-    pred, sig = predict(p, [Interval(0.2, 0.4)])
-    assert pred.lo == pytest.approx(0.3, rel=1e-15)
-    assert pred.hi == 1.0
-    assert math.isclose(sig, 0.7, rel_tol=REL)
+    lo, hi = predict(p.parameter_intervals(), [(0.2, 0.4)])
+    assert lo == pytest.approx(0.3, rel=1e-15)
+    assert hi == 1.0
+    assert math.isclose(hi - lo, 0.7, rel_tol=REL)
 
 
 def test_predict_known_second_order():
     p = UncertainPlant(2, (1.0, 2.0), (0.0, 0.0), (1.0, 1.0))
-    pred, sig = predict(p, [Interval(0.0, 1.0), Interval(0.0, 1.0)])
-    assert pred == Interval(0.0, 3.0)
-    assert sig == 3.0
+    assert predict(p.parameter_intervals(), [(0.0, 1.0), (0.0, 1.0)]) == (0.0, 3.0)
 
 
 def test_predict_width_additivity():
     p = UncertainPlant(2, (1.0, 3.0), (0.10, 0.35), (1.0, 1.0))
-    sets = [Interval(-0.2, 0.5), Interval(0.1, 0.3)]
-    pred, sig = predict(p, sets)
-    parts = [
-        interval_product(p.parameter_intervals()[i - 1], sets[i - 1]).width
-        for i in (1, 2)
-    ]
-    assert math.isclose(sig, sum(parts), rel_tol=REL)
-    assert math.isclose(pred.width, sig, rel_tol=REL)
+    box = p.parameter_intervals()
+    sets = [(-0.2, 0.5), (0.1, 0.3)]
+    lo, hi = predict(box, sets)
+    parts = [interval_product(*box[i - 1], *sets[i - 1]) for i in (1, 2)]
+    assert math.isclose(hi - lo, sum(p_hi - p_lo for p_lo, p_hi in parts), rel_tol=REL)
 
 
 def test_control_examples():
@@ -92,9 +87,9 @@ def test_scalar_sigma_recursion_exact():
         p, PlantInstance((3.2,)), Schedule((8,)), "optimal", 200, "endpoints"
     )
     box = p.parameter_intervals()[0]
-    for prev, cur in zip(traj.rows, traj.rows[1:]):
-        want = interval_product(box, prev.est).width
-        assert math.isclose(cur.sigma, want, rel_tol=REL)
+    for prev, cur in zip(traj.samples, traj.samples[1:]):
+        lo, hi = interval_product(*box, prev[3], prev[4])
+        assert math.isclose(cur[2], hi - lo, rel_tol=REL)
 
 
 def test_scalar_geometric_decay_bound():
@@ -105,8 +100,8 @@ def test_scalar_geometric_decay_bound():
     )
     assert traj.verdict == "stabilized"
     sigma0 = traj.sigma0
-    for row in traj.rows:
-        assert row.sigma <= sigma0 * wbar**row.k * (1.0 + GUARD)
+    for k, sigma in enumerate(traj.sigmas()):
+        assert sigma <= sigma0 * wbar**k * (1.0 + GUARD)
 
 
 def test_critical_rate_flat_sigma():
@@ -116,8 +111,8 @@ def test_critical_rate_flat_sigma():
         p, PlantInstance((2.0,)), Schedule((2,)), "uniform", 500, "uniform", 11
     )
     assert traj.verdict == "horizon_exhausted"
-    assert len(traj.rows) == 501
-    assert all(r.sigma == traj.sigma0 for r in traj.rows)
+    assert len(traj.samples) == 501
+    assert all(sigma == traj.sigma0 for sigma in traj.sigmas())
 
 
 def test_divergence_verdict():
@@ -127,7 +122,7 @@ def test_divergence_verdict():
         p, PlantInstance((3.0,)), Schedule((2,)), "optimal", 500, "uniform", 5
     )
     assert traj.verdict == "diverged"
-    assert traj.rows[-1].sigma > 1e12 * traj.sigma0
+    assert traj.sigmas()[-1] > 1e12 * traj.sigma0
 
 
 def test_zero_width_prediction_ends_stabilized():
@@ -138,8 +133,9 @@ def test_zero_width_prediction_ends_stabilized():
     )
     assert traj.verdict == "stabilized"
     assert traj.steps == 0
-    assert traj.rows[0].pred == Interval(0.0, 0.0)
-    assert traj.rows[0].sigma == traj.sigma0 == 2.0
+    y, s, sigma, e_lo, e_hi, p_lo, p_hi, u = traj.samples[0]
+    assert (p_lo, p_hi) == (0.0, 0.0)
+    assert sigma == traj.sigma0 == 2.0
 
 
 def test_envelope_dominates_run():
@@ -148,19 +144,20 @@ def test_envelope_dominates_run():
     traj = run_closed_loop(
         p, PlantInstance((2.6,)), Schedule((8,)), "optimal", 100, "uniform", 3
     )
-    env = sigma_envelope(HMatrix(1, (wbar,)), [traj.sigma0], len(traj.rows))
-    for row in traj.rows[1:]:
-        assert row.sigma <= env[row.k - 1] * (1.0 + GUARD)
+    sig = traj.sigmas()
+    env = sigma_envelope(HMatrix(1, (wbar,)), [traj.sigma0], len(sig))
+    for k in range(1, len(sig)):
+        assert sig[k] <= env[k - 1] * (1.0 + GUARD)
 
 
 def test_containment_and_half_sigma_bound():
     p = UncertainPlant(2, (1.0, 3.0), (0.10, 0.35), (1.0, 1.0))
     inst = sample_instance(p, "uniform", seed=14)
     traj = run_closed_loop(p, inst, Schedule((6,)), "optimal", 300, "uniform", 15)
-    for row in traj.rows:
-        assert row.est.contains(row.y, GUARD * row.sigma)
-        assert abs(row.y) <= 0.5 * row.sigma * (1.0 + GUARD)
-        assert row.est.width <= row.sigma * (1.0 + GUARD)
+    for y, s, sigma, e_lo, e_hi, *_ in traj.samples:
+        assert hull_contains(e_lo, e_hi, y, GUARD * sigma)
+        assert abs(y) <= 0.5 * sigma * (1.0 + GUARD)
+        assert e_hi - e_lo <= sigma * (1.0 + GUARD)
 
 
 def test_second_order_invariants_over_seeds():
@@ -189,7 +186,7 @@ def test_custom_quantizer_list_family():
     qs = [optimal_boundaries(3.0, 0.35, 2), optimal_boundaries(3.0, 0.35, 8)]
     a = run_closed_loop(p, PlantInstance((3.1,)), Schedule((2, 8)), qs, 100, "zero")
     b = run_closed_loop(p, PlantInstance((3.1,)), Schedule((2, 8)), "optimal", 100, "zero")
-    assert a.rows == b.rows
+    assert a.samples == b.samples
 
 
 def test_determinism():
@@ -197,7 +194,7 @@ def test_determinism():
     inst = sample_instance(p, "uniform", seed=2)
     a = run_closed_loop(p, inst, Schedule((6,)), "optimal", 150, "uniform", 9)
     b = run_closed_loop(p, inst, Schedule((6,)), "optimal", 150, "uniform", 9)
-    assert a.rows == b.rows and a.verdict == b.verdict
+    assert a.samples == b.samples and a.verdict == b.verdict
 
 
 def test_saturation_on_inadmissible_instance():
@@ -224,8 +221,8 @@ def test_saturation_on_inadmissible_instance():
     ],
 )
 def test_overflow_to_nan_raises_malformed_interval(a_star, eps, bounds):
-    # a nan bound is a malformed set, as the Interval constructor says; the
-    # run must raise it rather than return a trajectory holding the nan
+    # a nan bound is a malformed set, as intervals.check_hull says; the run
+    # must raise it rather than return a trajectory holding the nan
     p = UncertainPlant(len(a_star), a_star, eps, bounds)
     with pytest.raises(ValueError, match="malformed interval"):
         run_closed_loop(
@@ -250,11 +247,11 @@ def test_trajectory_shape_and_first_row():
     traj = run_closed_loop(
         p, PlantInstance((3.0,)), Schedule((8,)), "optimal", 40, "zero"
     )
-    assert traj.rows[0].k == 0
     assert traj.sigma0 == 1.4  # twice the newest initial bound
-    assert traj.rows[0].sigma == traj.sigma0
-    ks = [r.k for r in traj.rows]
-    assert ks == list(range(len(traj.rows)))
+    q = optimal_boundaries(3.0, 0.5, 8)
+    assert traj.samples[0][:3] == (0.0, encode(q, 0.0), traj.sigma0)
+    assert traj.steps == len(traj.samples) - 1
+    assert all(len(t) == 8 for t in traj.samples)
 
 
 def test_invariant_violation_type_is_runtime_error():

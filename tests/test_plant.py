@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from quantstab.intervals import Interval
+from quantstab.intervals import hull_contains
 from quantstab.plant import (
     PlantInstance,
     UncertainPlant,
@@ -21,7 +21,7 @@ def scalar_plant(lam=3.0, eps=0.35):
 def is_admissible(p, inst):
     """Instance of the plant's order with every coefficient inside its box."""
     return len(inst.a) == p.n and all(
-        box.contains(a) for box, a in zip(p.parameter_intervals(), inst.a)
+        hull_contains(*box, a) for box, a in zip(p.parameter_intervals(), inst.a)
     )
 
 
@@ -37,7 +37,7 @@ def test_constructor_validation():
 def test_parameter_intervals_one_indexed():
     # the box of a_i sits at index i - 1
     p = UncertainPlant(2, (1.0, 3.0), (0.10, 0.35), (1.0, 1.0))
-    assert p.parameter_intervals() == (Interval(0.9, 1.1), Interval(2.65, 3.35))
+    assert p.parameter_intervals() == ((0.9, 1.1), (2.65, 3.35))
 
 
 def test_step_frozen():

@@ -10,12 +10,11 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from quantstab.intervals import Interval
+from quantstab.intervals import hull_contains
 from quantstab.plant import UncertainPlant
 from quantstab.quantizer import (
     QuantizerSpec,
     SaturationError,
-    cells,
     coefficient_expansion_rates,
     decode,
     encode,
@@ -53,12 +52,12 @@ def test_uniform_boundaries():
 
 def test_cells_partition():
     q = uniform_boundaries(5)
-    cs = cells(q)
-    assert len(cs) == 5
-    assert cs[0] == Interval(-0.5, -0.3)
-    assert cs[2] == Interval(-0.1, 0.1)  # center cell straddles 0
-    assert cs[-1] == Interval(0.3, 0.5)
-    assert all(a.hi == b.lo for a, b in zip(cs, cs[1:]))
+    cs = [decode(q, s, 1.0) for s in range(1, 6)]
+    assert cs[0] == (-0.5, -0.3)
+    assert cs[2] == (-0.1, 0.1)  # center cell straddles 0
+    assert cs[-1] == (0.3, 0.5)
+    assert all(a[1] == b[0] for a, b in zip(cs, cs[1:]))
+    assert q.edges == (-0.5, -0.3, -0.1, 0.1, 0.3, 0.5)
 
 
 def test_encode_conventions():
@@ -81,14 +80,17 @@ def test_encode_saturation_strict():
 
 def test_decode_frozen():
     q = uniform_boundaries(4)
-    assert decode(q, 1, 2.0) == Interval(-1.0, -0.5)
-    assert decode(q, 4, 2.0) == Interval(0.5, 1.0)
+    assert decode(q, 1, 2.0) == (-1.0, -0.5)
+    assert decode(q, 4, 2.0) == (0.5, 1.0)
     with pytest.raises(ValueError):
         decode(q, 0, 1.0)
     with pytest.raises(ValueError):
         decode(q, 5, 1.0)
     with pytest.raises(ValueError):
         decode(q, 1, 0.0)
+    # a nan scaling passes the sign check and makes a malformed hull
+    with pytest.raises(ValueError, match="malformed interval"):
+        decode(q, 1, math.nan)
 
 
 def test_optimal_boundaries_frozen_even():
@@ -189,8 +191,7 @@ def test_roundtrip_containment(n_level, x):
     q = uniform_boundaries(n_level)
     s = encode(q, x)
     assert 1 <= s <= n_level
-    cell = decode(q, s, 1.0)
-    assert cell.contains(x)
+    assert hull_contains(*decode(q, s, 1.0), x)
 
 
 @given(st.integers(min_value=2, max_value=9))
@@ -199,5 +200,5 @@ def test_decode_scales_linearly(n_level):
     for s in range(1, n_level + 1):
         base = decode(q, s, 1.0)
         scaled = decode(q, s, 3.0)
-        assert math.isclose(scaled.lo, 3.0 * base.lo, rel_tol=REL, abs_tol=1e-15)
-        assert math.isclose(scaled.hi, 3.0 * base.hi, rel_tol=REL, abs_tol=1e-15)
+        for got, want in zip(scaled, base):
+            assert math.isclose(got, 3.0 * want, rel_tol=REL, abs_tol=1e-15)

@@ -1,13 +1,25 @@
 """The public surface: package exports, the README example, bench trace targets."""
 
+import ast
 import importlib
 import importlib.util
 import re
 from pathlib import Path
 
 import quantstab
+from quantstab import cli
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_spans():
+    """bench/spans.py as a module, loaded read-only from its file."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_spans", ROOT / "bench" / "spans.py"
+    )
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
 
 
 def test_all_names_resolve_sorted_and_unique():
@@ -29,12 +41,64 @@ def test_readme_quick_start_runs_as_documented():
 
 def test_bench_trace_targets_resolve():
     # the traced benchmark run rebinds these functions by name
-    spec = importlib.util.spec_from_file_location(
-        "bench_spans", ROOT / "bench" / "spans.py"
-    )
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = load_spans()
     assert spans.TARGETS
     for mod_name, fn_name in spans.TARGETS:
         mod = importlib.import_module(f"quantstab.{mod_name}")
         assert callable(getattr(mod, fn_name)), f"{mod_name}.{fn_name}"
+
+
+def test_traced_simulate_counts_the_loop_work(tmp_path):
+    # each per-step rule the loop runs is a traced name, so a traced
+    # simulate run counts its calls
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(
+        "[plant]\nn = 2\na_star = 1.0, 3.0\neps = 0.1, 0.35\n"
+        "[simulate]\nN = 6\nhorizon = 40\ninstances = 2\n",
+        encoding="utf-8",
+    )
+    recorder = load_spans().SpanRecorder()
+    recorder.install()
+    try:
+        rc = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+    finally:
+        recorder.uninstall()
+    assert rc == 0
+    totals = recorder.layer_totals()
+    for name in (
+        "loop.predict",
+        "intervals.interval_product",
+        "intervals.minkowski_sum",
+        "quantizer.decode",
+        "quantizer.encode",
+        "plant.step",
+    ):
+        assert totals[name]["calls"] > 0, name
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never references, __future__ aside."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.add(alias.asname or alias.name.split(".")[0])
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_unused_imports_detected():
+    assert unused_imports("import os\nimport math as m\nfrom a import b\nm.pi\n") == [
+        "b",
+        "os",
+    ]
+
+
+def test_no_unused_imports_in_modules():
+    for path in sorted((ROOT / "src" / "quantstab").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        assert unused_imports(path.read_text(encoding="utf-8")) == [], path.name
