@@ -28,7 +28,6 @@ from .plant import (
     step,
 )
 from .quantizer import (
-    ExpansionProfile,
     QuantizerSpec,
     SaturationError,
     coefficient_expansion_rates,
@@ -66,7 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CertificateError",
     "ComparisonBounds",
-    "ExpansionProfile",
     "GridSearchResult",
     "HMatrix",
     "INFEASIBLE",

@@ -55,6 +55,7 @@ RATES_CSV_HEADER = (
     "R_suf_phat,R_suf_martins,avg_rate_best,m_best"
 )
 TRAJECTORY_CSV_HEADER = "k,y,s,sigma,Y_lo,Y_hi,u"
+MAX_SWEEP_ROWS = 100_000  # most lambda values one [sweep] may hold
 
 
 class ConfigError(Exception):
@@ -197,7 +198,10 @@ def sweep_from_config(cfg: Config) -> list[float]:
             raise ConfigError(f"'{key}' must be finite, got {val!r}")
     if step <= 0 or hi < lo:
         raise ConfigError("[sweep] needs lambda_step > 0 and lambda_max >= lambda_min")
-    count = int(round((hi - lo) / step)) + 1
+    span = (hi - lo) / step  # inf when hi - lo overflows
+    if not span < MAX_SWEEP_ROWS - 0.5:  # the sweep has round(span) + 1 points
+        raise ConfigError(f"'lambda_step' = {step!r} gives more than {MAX_SWEEP_ROWS} sweep points")
+    count = int(round(span)) + 1
     vals = [lo + j * step for j in range(count)]
     return [v for v in vals if v <= hi + 1e-12]
 
@@ -477,11 +481,7 @@ def run_verification(cases: list[dict], resolution: float = 1e-3, seed: int = 0)
             rows.append((f"relaxation_kkt lam={lam} eps={eps} m={m}", 1.0, float(ok), float(not ok), ok))
         elif kind == "encode_decode":
             lam, eps, n_level = case["lam"], case["eps"], case["N"]
-            q = (
-                optimal_boundaries(lam, eps, n_level)
-                if eps > 0
-                else uniform_boundaries(n_level)
-            )
+            q = optimal_boundaries(lam, eps, n_level)  # uniform at eps = 0
             ok = exhaustive_encode_decode(q, max(1000, 10 * n_level))
             rows.append((f"encode_decode N={n_level} eps={eps}", 1.0, float(ok), float(not ok), ok))
         else:

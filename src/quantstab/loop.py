@@ -161,7 +161,7 @@ def run_closed_loop(
     for q in qs:
         rates_n = coefficient_expansion_rates(q, abs(p.a_star[-1]), p.eps[-1])
         rate_of = tuple(rates_n[_cell_rate_index(q, s)] for s in range(1, q.N + 1))
-        slots.append((q, expansion_profile(q, p).w_bar, rate_of))
+        slots.append((q, expansion_profile(q, p), rate_of))
 
     rng = np.random.default_rng(init_seed)
     # oldest first: times -n+1 .. 0

@@ -172,20 +172,14 @@ def coefficient_expansion_rates(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ExpansionProfile:
-    """Rates w[i-1][l] for coefficient i over cell family l, and row maxima."""
+def expansion_profile(q: QuantizerSpec, p: UncertainPlant) -> tuple[float, ...]:
+    """Worst-case expansion rates w_bar = (w_1, ..., w_n), the companion matrix's entries.
 
-    w: tuple[tuple[float, ...], ...]
-    w_bar: tuple[float, ...]
-
-
-def expansion_profile(q: QuantizerSpec, p: UncertainPlant) -> ExpansionProfile:
-    """Expansion rates of every coefficient box of p over q's cells."""
-    rows = tuple(
-        coefficient_expansion_rates(q, abs(a), e) for a, e in zip(p.a_star, p.eps)
+    w_i is the largest of coefficient i's per-cell rates from coefficient_expansion_rates.
+    """
+    return tuple(
+        max(coefficient_expansion_rates(q, abs(a), e)) for a, e in zip(p.a_star, p.eps)
     )
-    return ExpansionProfile(w=rows, w_bar=tuple(max(r) for r in rows))
 
 
 def v_rate(lambda_abs: float, eps_n: float, N: int) -> float:

@@ -8,10 +8,10 @@ Three layers:
   bounds used for comparison;
 * the stability test itself: the nonnegative companion matrix built from
   worst-case expansion rates, whose spectral radius strictly below one
-  certifies the scaling recursion contracts. That radius is the positive
-  root of sum_i w_i z^-i = 1, found by Newton's method from an upper bound;
-  since the sum decreases in z, the verdict radius < 1 - margin is decided
-  directly as sum_i w_i (1 - margin)^-i < 1, with no iteration;
+  certifies the scaling recursion contracts. Every radius is computed one
+  way, as the largest eigenvalue modulus from np.linalg.eigvals, and only
+  where a caller reads it; one companion's verdict radius < 1 - margin is
+  the sum rule sum_i w_i (1 - margin)^-i < 1, with no radius;
 * time-varying alphabets: periodic schedules of quantizer sizes, their
   average rate, the minimum-average-rate search, and the convex relaxation
   whose optimum reproduces the necessary rate. For scalar plants the search
@@ -107,46 +107,28 @@ class HMatrix:
         return m
 
 
-def _char_ratio(w_bar: Sequence[float], z: float) -> float:
-    """sum_i w_i z^-i for z > 0: decreasing in z, equal to 1 at the spectral radius."""
+def _radius(m: np.ndarray) -> float:
+    """Spectral radius of a companion matrix or a period product of them."""
+    return float(max(abs(np.linalg.eigvals(m))))
+
+
+def spectral_radius(H: HMatrix) -> float:
+    """Spectral radius of the companion matrix by eigvals, 0 when every rate is 0."""
+    return _radius(H.matrix())
+
+
+def _contracts(w_bar: Sequence[float], margin: float) -> bool:
+    """Sum rule: the companion's radius is below z = 1 - margin iff sum_i w_i z^-i < 1.
+
+    The radius is the positive root of sum_i w_i z^-i = 1, and the sum decreases in z.
+    """
+    z = 1.0 - margin
     acc = 0.0
     zi = 1.0
     for wi in w_bar:
         zi *= z
         acc += wi / zi
-    return acc
-
-
-def spectral_radius(H: HMatrix) -> float:
-    """Spectral radius of the companion matrix, 0 when every rate is 0.
-
-    For a nonnegative companion matrix the radius is the positive root of
-    sum_i w_i z^-i = 1. Newton's method on the characteristic polynomial
-    z^n (1 - sum_i w_i z^-i) starts at the Cauchy bound max_i (n w_i)^(1/i),
-    where every term is at most 1/n, so the start lies on or above the root.
-    From the root on the polynomial is increasing and convex, so the iterates
-    fall monotonically onto it; they stop once the sum reaches 1 or a step no
-    longer lowers z. At n = 1 the start is the root w_1 itself.
-    """
-    w = H.w_bar
-    n = H.n
-    z = max((n * wi) ** (1.0 / i) for i, wi in enumerate(w, start=1))
-    if z == 0.0:
-        return 0.0
-    while True:
-        s = t = 0.0  # sum_i w_i z^-i and sum_i i w_i z^-i
-        zi = 1.0
-        for i, wi in enumerate(w, start=1):
-            zi *= z
-            s += wi / zi
-            t += i * wi / zi
-        if s >= 1.0:
-            return z
-        u = 1.0 - s
-        z_next = z - z * u / (n * u + t)
-        if not z_next < z:
-            return z
-        z = z_next
+    return acc < 1.0
 
 
 @dataclass(frozen=True)
@@ -166,14 +148,12 @@ def sufficient_test(
     """Does the quantizer contract the scaling envelope for this plant?
 
     Builds the companion matrix from worst-case expansion rates; the test
-    passes when its spectral radius is strictly below z = 1 - margin. Since
-    sum_i w_i z^-i decreases in z and equals 1 at the radius, that is decided
-    directly as sum_i w_i z^-i < 1, with no iteration; rho is a diagnostic.
+    passes when its spectral radius is strictly below 1 - margin, decided
+    by the sum rule with no iteration. rho is a diagnostic.
     """
     _check_margin(margin)
-    h = HMatrix(p.n, expansion_profile(q, p).w_bar)
-    stable = _char_ratio(h.w_bar, 1.0 - margin) < 1.0
-    return StabilityTest(rho=spectral_radius(h), stable=stable)
+    h = HMatrix(p.n, expansion_profile(q, p))
+    return StabilityTest(rho=spectral_radius(h), stable=_contracts(h.w_bar, margin))
 
 
 def _layouts(
@@ -197,10 +177,10 @@ def _layouts(
 def min_sufficient_N(
     p: UncertainPlant, family: str, N_max: int = 64, margin: float = 0.0
 ) -> int | None:
-    """Smallest alphabet size the test certifies at margin, or None within the cap."""
+    """Smallest alphabet size the sum rule certifies at margin, or None within the cap."""
     _check_margin(margin)
     for N, q in _layouts(p, family, N_max):
-        if sufficient_test(p, q, margin).stable:
+        if _contracts(expansion_profile(q, p), margin):
             return N
     return None
 
@@ -243,11 +223,6 @@ def schedule_quantizers(
     return qs
 
 
-def _product_radius(prod: np.ndarray) -> float:
-    """Spectral radius of a period product of companion matrices."""
-    return float(max(abs(np.linalg.eigvals(prod))))
-
-
 def periodic_sufficient_test(
     p: UncertainPlant,
     sched: Schedule,
@@ -262,11 +237,10 @@ def periodic_sufficient_test(
     """
     _check_margin(margin)
     qs = schedule_quantizers(p, sched, family)
-    mats = [HMatrix(p.n, expansion_profile(q, p).w_bar).matrix() for q in qs]
     prod = np.eye(p.n)
-    for m_j in mats:
-        prod = m_j @ prod
-    rho = _product_radius(prod)
+    for q in qs:
+        prod = HMatrix(p.n, expansion_profile(q, p)).matrix() @ prod
+    rho = _radius(prod)
     return StabilityTest(rho=rho, stable=rho < 1.0 - margin)
 
 
@@ -439,17 +413,21 @@ def _search_heuristic(
 ) -> ScheduleSearchResult | None:
     """Best-effort search for higher-order plants: small periods only.
 
-    Depth-first over nondecreasing size sequences. Each size's companion
-    matrix is built once, and a node's period product is its parent's times
-    the new slot's matrix, newest last, the same products and radii that
-    periodic_sufficient_test computes.
+    Sizes run up to static + 4, static being the first the sum rule
+    certifies at margin 0. Depth-first over nondecreasing size sequences.
+    Each size's companion matrix is built once, and a node's period product
+    is its parent's times the new slot's matrix, newest last, the same
+    products and radii that periodic_sufficient_test computes.
     """
-    static = min_sufficient_N(p, family, N_max)
     cap_m = min(m_max, 6)
-    cap_n = N_max if static is None else min(N_max, static + 4)
+    static = None
     cands = []
-    for N, q in _layouts(p, family, cap_n):
-        h = HMatrix(p.n, expansion_profile(q, p).w_bar)
+    for N, q in _layouts(p, family, N_max):
+        if static is not None and N > static + 4:
+            break
+        h = HMatrix(p.n, expansion_profile(q, p))
+        if static is None and _contracts(h.w_bar, 0.0):
+            static = N
         cands.append((N, math.log2(N), spectral_radius(h), h.matrix()))
     if not cands:
         return None
@@ -464,7 +442,7 @@ def _search_heuristic(
         if j > 0:
             key = (c_sum / j, j, tuple(sizes))
             # the radius only matters for a node that would beat the incumbent
-            if (best is None or key < best) and _product_radius(prod) < 1.0 - margin:
+            if (best is None or key < best) and _radius(prod) < 1.0 - margin:
                 best = key
         if j == cap_m:
             return

@@ -141,6 +141,31 @@ def test_sweep_values_and_validation():
         sweep_from_config(bad)
 
 
+def test_sweep_length_is_capped():
+    # 1 + 0.25 * j for j = 0..MAX_SWEEP_ROWS - 1 is exact in binary
+    top = 1.0 + 0.25 * (cli.MAX_SWEEP_ROWS - 1)
+    text = "[sweep]\nlambda_min=1\nlambda_max={}\nlambda_step=0.25\n"
+    assert len(sweep_from_config(Config(parse_config_text(text.format(top))))) == cli.MAX_SWEEP_ROWS
+    with pytest.raises(ConfigError, match="'lambda_step'"):
+        sweep_from_config(Config(parse_config_text(text.format(top + 0.25))))
+
+
+@pytest.mark.parametrize("command", ["bounds", "schedule"])
+def test_tiny_sweep_step_exits_2_before_building_the_sweep(tmp_path, capsys, command):
+    # 2e9 points at this step: the sweep must be refused, not built
+    text = BOUNDS_CFG.replace("lambda_min = 1.5", "lambda_min = 1.0").replace(
+        "lambda_max = 2.0", "lambda_max = 3.0"
+    ).replace("lambda_step = 0.25", "lambda_step = 1e-9")
+    cfg = write(tmp_path, "b.cfg", text)
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"config error: 'lambda_step' = 1e-09 gives more than {cli.MAX_SWEEP_ROWS} sweep points\n"
+    )
+    assert not out.exists()
+
+
 def test_fmt():
     assert fmt(None) == ""
     assert fmt(0.25) == "0.25"

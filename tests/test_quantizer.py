@@ -167,12 +167,11 @@ def test_zero_straddling_coefficient_box():
 def test_expansion_profile_rows_and_maxima():
     p = UncertainPlant(2, (1.0, 3.0), (0.10, 0.35), (1.0, 1.0))
     q = uniform_boundaries(4)
-    prof = expansion_profile(q, p)
-    assert len(prof.w) == 2 and len(prof.w_bar) == 2
-    assert prof.w_bar == (max(prof.w[0]), max(prof.w[1]))
+    rows = [coefficient_expansion_rates(q, abs(a), e) for a, e in zip(p.a_star, p.eps)]
+    assert expansion_profile(q, p) == (max(rows[0]), max(rows[1]))
     # row 1: coefficient box [0.9, 1.1]: w = (1.1*.25, 1.1*.5 - .9*.25)
-    assert math.isclose(prof.w[0][0], 0.275, rel_tol=REL)
-    assert math.isclose(prof.w[0][1], 0.325, rel_tol=REL)
+    assert math.isclose(rows[0][0], 0.275, rel_tol=REL)
+    assert math.isclose(rows[0][1], 0.325, rel_tol=REL)
 
 
 def test_quantizer_for_dispatch():

@@ -168,6 +168,34 @@ def test_min_sufficient_N_frozen():
     assert min_sufficient_N(scalar_plant(3.0, 0.35), "optimal", N_max=3) is None
 
 
+@pytest.mark.parametrize("family", ["optimal", "uniform"])
+def test_min_sufficient_N_is_first_size_sufficient_test_certifies(family):
+    # min_sufficient_N decides each size without calling sufficient_test;
+    # both must reach the same verdict
+    rng = np.random.default_rng(9)
+    n_max = 32
+    for n in range(1, 7):
+        for k in range(5):
+            lam = float(rng.uniform(1.4, 3.2))
+            eps_n = float(rng.uniform(0.0, min(0.6, lam - 1.1)))
+            if k == 4:  # optimal layouts stop building from N = 28 on
+                lam, eps_n = 20.0, 18.0
+            a = tuple(rng.uniform(-0.8, 0.8, n - 1)) + (-lam if k % 2 else lam,)
+            eps = tuple(rng.uniform(0.0, 0.1, n - 1)) + (eps_n,)
+            p = UncertainPlant(n, a, eps, (1.0,) * n)
+            for margin in (0.0, 0.02, 0.3):
+                want = None
+                for N in range(2, n_max + 1):
+                    try:
+                        q = quantizer_for(family, p, N)
+                    except ValueError:
+                        continue
+                    if sufficient_test(p, q, margin).stable:
+                        want = N
+                        break
+                assert min_sufficient_N(p, family, n_max, margin) == want, (n, k, margin)
+
+
 def test_min_sufficient_N_optimal_never_worse():
     for lam in (1.5, 2.0, 3.0, 4.0):
         p = scalar_plant(lam, 0.35)

@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import re
+import shutil
 from pathlib import Path
 
 import quantstab
@@ -102,3 +103,55 @@ def test_no_unused_imports_in_modules():
         if path.name == "__init__.py":
             continue
         assert unused_imports(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def _referenced(stmt: ast.stmt) -> set[str]:
+    """Names a statement reads, as a bare name, an attribute or an import."""
+    names = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def unused_private_names(package: Path) -> list[str]:
+    """module._name for each top-level private name of package/*.py that no
+    top-level statement of the package reads other than its own definition."""
+    defined = []  # (module, name, defining statement)
+    readers = []  # (statement, names it reads)
+    for path in sorted(package.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            readers.append((stmt, _referenced(stmt)))
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined.append((path.stem, name, stmt))
+    return [
+        f"{mod}.{name}"
+        for mod, name, own in defined
+        if not any(name in reads for stmt, reads in readers if stmt is not own)
+    ]
+
+
+def test_unused_private_names_detected(tmp_path):
+    package = tmp_path / "quantstab"
+    shutil.copytree(ROOT / "src" / "quantstab", package)
+    with (package / "rates.py").open("a", encoding="utf-8") as f:
+        # a leftover helper, recursive so that it reads its own name
+        f.write("\n\ndef _leftover(k):\n    return _leftover(k - 1) if k else 0\n")
+        f.write("\n_LEFTOVER_LIMIT = 3\n")
+    assert unused_private_names(package) == ["rates._leftover", "rates._LEFTOVER_LIMIT"]
+
+
+def test_no_unused_private_names_in_modules():
+    assert unused_private_names(ROOT / "src" / "quantstab") == []
