@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 failed verification or failed run, 2 bad config.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -511,7 +512,13 @@ def cmd_verify(cfg: Config, opts) -> int:
 # entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it.
+
+    parse_args leaves a parser as it found it, so every request in one process
+    can reuse it; building it costs more than parsing one command line.
+    """
     ap = argparse.ArgumentParser(
         prog="quantstab",
         description="Rate-limited stabilization toolkit: bounds, schedules, simulation",
@@ -528,8 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    ap = build_parser()
-    opts = ap.parse_args(argv)
+    opts = build_parser().parse_args(argv)
     try:
         cfg = load_config(opts.config)
         if opts.command in ("bounds", "schedule"):

@@ -8,20 +8,26 @@ Three layers:
   bounds used for comparison;
 * the stability test itself: the nonnegative companion matrix built from
   worst-case expansion rates, whose spectral radius strictly below one
-  certifies the scaling recursion contracts. Every radius is computed one
-  way, as the largest eigenvalue modulus from np.linalg.eigvals, and only
-  where a caller reads it; one companion's verdict radius < 1 - margin is
-  the sum rule sum_i w_i (1 - margin)^-i < 1, with no radius;
+  certifies the scaling recursion contracts. Every verdict rho < z is exact
+  for the float rates: one companion's is the sum rule
+  sum_i w_i z^-i < 1 (_contracts), a period product's is _radius_below,
+  which decides in floats outside a written rounding band (row sums, a
+  diagonal entry, a Collatz-Wielandt certificate vector) and by the exact
+  leading principal minors of zI - P inside it. Radii come from
+  np.linalg.eigvals, only as diagnostics (spectral_radius,
+  StabilityTest.rho) and for the higher-order search's per-size screen;
 * time-varying alphabets: periodic schedules of quantizer sizes, their
   average rate, the minimum-average-rate search, and the convex relaxation
   whose optimum reproduces the necessary rate. For scalar plants the search
   is exact: a knapsack with exactly m items, solved by depth-first branch
   and bound with the Lagrangian bound of the lower convex hull of the
-  (log rate, log2 size) points, and its winner is certified by an exact
-  rational product of the rates. Higher-order plants get a flagged
+  (log rate, log2 size) points, and its winner is certified by the exact
+  verdict on its rate product. Higher-order plants get a flagged
   heuristic: a depth-first search over short nondecreasing schedules that
-  builds each size's companion matrix once and extends the period product
-  from parent to child.
+  builds each size's companion matrix once, extends the period product
+  from parent to child, stops a node's children at the first one whose
+  average rate exceeds the incumbent, and starts from the cheapest
+  certified single size.
 """
 
 from __future__ import annotations
@@ -117,10 +123,18 @@ def spectral_radius(H: HMatrix) -> float:
     return _radius(H.matrix())
 
 
+_U = 2.0**-53
+"""Unit roundoff of float64: a correctly rounded operation errs by at most this, relatively."""
+
+
 def _contracts(w_bar: Sequence[float], margin: float) -> bool:
     """Sum rule: the companion's radius is below z = 1 - margin iff sum_i w_i z^-i < 1.
 
-    The radius is the positive root of sum_i w_i z^-i = 1, and the sum decreases in z.
+    The radius is the positive root of sum_i w_i z^-i = 1, and the sum decreases
+    in z. The float sum errs by at most gamma_2n = 2n u / (1 - 2n u) relatively
+    (i - 1 roundings in z^i, one in the quotient, n - 1 in the sum of
+    nonnegative terms), so outside the band 1 +- 4(n + 2)u it decides; inside
+    it the exact rational sum does.
     """
     z = 1.0 - margin
     acc = 0.0
@@ -128,7 +142,129 @@ def _contracts(w_bar: Sequence[float], margin: float) -> bool:
     for wi in w_bar:
         zi *= z
         acc += wi / zi
-    return acc < 1.0
+    band = 4 * (len(w_bar) + 2) * _U
+    if acc < 1.0 - band:
+        return True
+    if acc >= 1.0 + band:
+        return False
+    zf = Fraction(z)
+    return sum(Fraction(wi) / zf**i for i, wi in enumerate(w_bar, 1)) < 1
+
+
+def _radius_below(prod: np.ndarray, z: float, rates: Sequence[Sequence[float]]) -> bool:
+    """Exactly whether rho(P) < z > 0, P the exact product of the companions of rates.
+
+    rates holds each slot's w_bar, oldest first, and prod their float period
+    product H_m ... H_1 as numpy forms it. P is nonnegative, and each float
+    matrix product errs componentwise by a factor within 1 +- gamma_n, so
+    prod, one matrix-vector product and one comparison lie within 1 +- d of
+    their exact values, d = 4(m + 2)(n + 2)u, while no partial product
+    leaves the normal range (checked on the rates). The float tiers decide
+    only outside that band, by Collatz-Wielandt certificates (Horn &
+    Johnson, Matrix Analysis, Cor. 8.1.29: x > 0 with Px < zx gives
+    rho(P) < z; x >= 0, x != 0 with Px >= zx gives rho(P) >= z):
+
+    * row sums bound rho from both sides, and a diagonal entry from below;
+    * elimination of sI - prod without pivoting at s = z(1 + 4d), checked
+      with one product by prod: when every pivot is positive, x = (sI -
+      prod)^-1 1 has Px = sx - 1 < zx; when pivot k is not, the vector from
+      the leading k x k block in _certificate_vector has Pv >= sv > zv.
+
+    What is left, the band around rho = z and products that could underflow
+    or overflow, goes to _exact_radius_below.
+    """
+    m, n = len(rates), len(prod)
+    lo_w = min(map(min, rates))
+    if lo_w == 0.0:
+        lo_w = min((v for w in rates for v in w if v > 0.0), default=1.0)
+    hi_w = max(map(max, rates))
+    # Every nonzero entry of a partial product lies in [lo_w^m, (n hi_w)^m].
+    # Keeping that within 2^+-400, and the certificate vector's nonzero
+    # entries within [2^-400, 2^60], keeps every float result below normal
+    # and finite, where the relative error model holds.
+    if m * math.log2(min(lo_w, 1.0)) > -400.0 and m * math.log2(n * max(hi_w, 1.0)) < 400.0:
+        d = 4 * (m + 2) * (n + 2) * _U
+        below, above = z * (1.0 - d), z * (1.0 + d)
+        P = prod.tolist()
+        rows = list(map(sum, P))
+        if max(rows) < below:
+            return True
+        if min(rows) >= above or max(P[i][i] for i in range(n)) >= above:
+            return False
+        v = _certificate_vector(P, z * (1.0 + 4.0 * d))
+        if all(x == 0.0 or 2.0**-400 < abs(x) < 2.0**60 for x in v):
+            pv = [sum([a * b for a, b in zip(row, v)]) for row in P]
+            if min(v) > 0.0 and all(p < below * x for p, x in zip(pv, v)):
+                return True
+            if min(v) >= 0.0 and all(p >= above * x for p, x in zip(pv, v)):
+                return False
+    return _exact_radius_below(z, rates)
+
+
+def _certificate_vector(P: list[list[float]], s: float) -> list[float]:
+    """Candidate certificate from Gaussian elimination of sI - P without pivoting.
+
+    When every pivot is positive, x = (sI - P)^-1 1, so Px = sx - 1. When
+    pivot k is the first that is not, v = (y, 1, 0, ..., 0) with y the
+    solution of (sI - P_k) y = p, P_k the leading k x k block and p the first
+    k entries of column k; v >= 0, and (sI - P)v is 0 in its first k entries
+    and pivot k in entry k, so Pv >= sv. The float elimination only proposes
+    the vector; the caller checks it. Plain Python: for n <= 6 it costs less
+    than one call of np.linalg.solve.
+    """
+    n = len(P)
+    a = [[-x for x in row] + [1.0] for row in P]
+    for i in range(n):
+        a[i][i] += s
+    for k in range(n):
+        piv = a[k][k]
+        if piv <= 0.0:
+            # back-substitution on the eliminated leading block, against column k
+            v = [0.0] * n
+            v[k] = 1.0
+            for i in range(k - 1, -1, -1):
+                row = a[i]
+                v[i] = (-row[k] - sum([row[j] * v[j] for j in range(i + 1, k)])) / row[i]
+            return v
+        rk = a[k]
+        for i in range(k + 1, n):
+            ri = a[i]
+            f = ri[k] / piv
+            if f:
+                for j in range(k + 1, n + 1):
+                    ri[j] -= f * rk[j]
+    x = [0.0] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        x[i] = (row[n] - sum([row[j] * x[j] for j in range(i + 1, n)])) / row[i]
+    return x
+
+
+def _exact_radius_below(z: float, rates: Sequence[Sequence[float]]) -> bool:
+    """rho(P) < z by exact rational arithmetic on the float rates.
+
+    For nonnegative P, zI - P is a nonsingular M-matrix exactly when
+    rho(P) < z, and a Z-matrix is one exactly when its leading principal
+    minors are positive (Berman & Plemmons, Nonnegative Matrices in the
+    Mathematical Sciences, ch. 6, Thm 2.3). Elimination without pivoting
+    has the ratios of consecutive leading minors as its pivots.
+    """
+    n = len(rates[0])
+    prod = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for w in rates:
+        # the companion shifts rows up; its bottom row (w_n, ..., w_1) mixes them
+        bottom = [Fraction(v) for v in reversed(w)]
+        prod = prod[1:] + [[sum(b * row[k] for b, row in zip(bottom, prod)) for k in range(n)]]
+    zf = Fraction(z)
+    a = [[(zf if i == j else 0) - prod[i][j] for j in range(n)] for i in range(n)]
+    for k in range(n):
+        if a[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k + 1, n):
+                a[i][j] -= f * a[k][j]
+    return True
 
 
 @dataclass(frozen=True)
@@ -233,15 +369,16 @@ def periodic_sufficient_test(
 
     The product is taken newest-applied-last, H_{m-1} ... H_1 H_0; its
     spectral radius is order-invariant under cyclic shifts, which matches
-    the freedom in choosing the period's phase.
+    the freedom in choosing the period's phase. stable is the exact
+    decision rho < 1 - margin of _radius_below; rho is a diagnostic.
     """
     _check_margin(margin)
-    qs = schedule_quantizers(p, sched, family)
+    hs = [HMatrix(p.n, expansion_profile(q, p)) for q in schedule_quantizers(p, sched, family)]
     prod = np.eye(p.n)
-    for q in qs:
-        prod = HMatrix(p.n, expansion_profile(q, p)).matrix() @ prod
-    rho = _radius(prod)
-    return StabilityTest(rho=rho, stable=rho < 1.0 - margin)
+    for h in hs:
+        prod = h.matrix() @ prod
+    stable = _radius_below(prod, 1.0 - margin, [h.w_bar for h in hs])
+    return StabilityTest(rho=_radius(prod), stable=stable)
 
 
 @dataclass(frozen=True)
@@ -304,9 +441,11 @@ def _search_scalar_exact(
     the incumbent, so ties still prefer fewer slots, then lexicographically
     smaller sizes.
 
-    The winner is certified by the exact rational product of its float
-    worst rates against 1 - margin; a disagreement with the log-space
-    search raises CertificateError.
+    The winner is certified by _radius_below on its 1 x 1 period product:
+    the exact product of its float worst rates against 1 - margin, decided
+    by the float product outside the rounding band and by rational
+    arithmetic inside it; a disagreement with the log-space search raises
+    CertificateError.
     """
     vals = _scalar_step_rates(p, family, N_max)
     if not vals:
@@ -397,13 +536,12 @@ def _search_scalar_exact(
         return None
     avg, _, sizes = best
     rate = {N: w for N, _, w in vals}
-    product = Fraction(1)
-    for N in sizes:
-        product *= Fraction(rate[N])
-    if not product < Fraction(1.0 - margin):
+    rates = [(rate[N],) for N in sizes]
+    product = math.prod(w for (w,) in rates)
+    if not _radius_below(np.array([[product]]), 1.0 - margin, rates):
         raise CertificateError(
-            f"schedule {list(sizes)} passes the log-space search but its exact "
-            f"rate product {float(product)!r} is not below 1 - margin = {1.0 - margin!r}"
+            f"schedule {list(sizes)} passes the log-space search but the exact product "
+            f"of its rates (about {product!r}) is not below 1 - margin = {1.0 - margin!r}"
         )
     return ScheduleSearchResult(schedule=Schedule(sizes), avg_rate=avg, exact=True)
 
@@ -414,25 +552,44 @@ def _search_heuristic(
     """Best-effort search for higher-order plants: small periods only.
 
     Sizes run up to static + 4, static being the first the sum rule
-    certifies at margin 0. Depth-first over nondecreasing size sequences.
-    Each size's companion matrix is built once, and a node's period product
-    is its parent's times the new slot's matrix, newest last, the same
-    products and radii that periodic_sufficient_test computes.
+    certifies at margin 0, and periods up to 6. Depth-first over
+    nondecreasing size sequences. Each size's companion matrix and radius
+    are built once, and a node's period product is its parent's times the
+    new slot's matrix, newest last, the products periodic_sufficient_test
+    forms. A node's verdict is the exact _radius_below, taken only when the
+    node would beat the incumbent. A child is skipped when the product of
+    per-size radii with the smallest radius in every remaining slot is not
+    below 1 - margin. Sizes never decrease along a path, so a child's
+    average rate bounds its whole subtree and every later sibling's from
+    below: the loop over children stops at the first child whose average
+    exceeds the incumbent's by more than rounding. The incumbent starts as
+    the cheapest single size that passes the same screen and the same
+    exact verdict (the sum rule, on one companion). Both only skip nodes
+    that cannot beat the incumbent, so the winner and its tie order are
+    those of the full search.
     """
     cap_m = min(m_max, 6)
+    z = 1.0 - margin
     static = None
     cands = []
     for N, q in _layouts(p, family, N_max):
         if static is not None and N > static + 4:
-            break
+            break  # static + 4 had no layout
         h = HMatrix(p.n, expansion_profile(q, p))
         if static is None and _contracts(h.w_bar, 0.0):
             static = N
-        cands.append((N, math.log2(N), spectral_radius(h), h.matrix()))
+        cands.append((N, math.log2(N), spectral_radius(h), h.matrix(), h.w_bar))
+        if static is not None and N == static + 4:
+            break  # before the next size's quantizer is built
     if not cands:
         return None
-    rho_min = min(r for _, _, r, _ in cands)
+    rho_min = min(r for _, _, r, _, _ in cands)
     best: tuple[float, int, tuple[int, ...]] | None = None
+    for N, c, rho, _, w in cands:
+        if rho * rho_min ** (cap_m - 1) < z and _contracts(w, margin):
+            best = (c, 1, (N,))
+            break
+    rates: list[tuple[float, ...]] = []  # w_bar of each slot on the current path
 
     def dfs(
         start: int, sizes: list[int], c_sum: float, rho_prod: float, prod: np.ndarray
@@ -441,20 +598,23 @@ def _search_heuristic(
         j = len(sizes)
         if j > 0:
             key = (c_sum / j, j, tuple(sizes))
-            # the radius only matters for a node that would beat the incumbent
-            if (best is None or key < best) and _radius(prod) < 1.0 - margin:
+            if (best is None or key < best) and _radius_below(prod, z, rates):
                 best = key
         if j == cap_m:
             return
         for idx in range(start, len(cands)):
-            N, c, rho, mat = cands[idx]
+            N, c, rho, mat, w = cands[idx]
+            if best is not None and (c_sum + c) / (j + 1) > best[0] * (1.0 + 1e-12):
+                break
             # coarse screen: even finishing every remaining slot at the best
             # per-step radius, the radius product stays expansive
-            if rho_prod * rho * rho_min ** (cap_m - j - 1) >= 1.0 - margin:
+            if rho_prod * rho * rho_min ** (cap_m - j - 1) >= z:
                 continue
             sizes.append(N)
+            rates.append(w)
             dfs(idx, sizes, c_sum + c, rho_prod * rho, mat @ prod)
             sizes.pop()
+            rates.pop()
 
     dfs(0, [], 0.0, 1.0, np.eye(p.n))
     if best is None:

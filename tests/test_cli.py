@@ -208,6 +208,33 @@ def test_bounds_parallel_matches_serial(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_main_reuses_one_parser_across_requests(tmp_path, capsys):
+    bounds_cfg = write(tmp_path, "b.cfg", BOUNDS_CFG)
+    quant_cfg = write(
+        tmp_path, "q.cfg", "[plant]\nn = 1\na_star = 3.0\neps = 0.5\n\n[quantizer]\nN = 4\n"
+    )
+    first = tmp_path / "first.csv"
+    assert main(["bounds", "--config", bounds_cfg, "--out", str(first)]) == 0
+    parser = cli.build_parser()
+    assert main(["quantizer", "--config", quant_cfg, "--out", str(tmp_path / "q.csv")]) == 0
+    sched = tmp_path / "sched.csv"
+    assert main(["schedule", "--config", bounds_cfg, "--out", str(sched), "--m-max", "3"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--config", bounds_cfg, "--m-maxx", "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: quantstab ")
+    assert "unrecognized arguments: --m-maxx 3" in captured.err
+    # the failed parse left the shared parser as it was
+    again = tmp_path / "again.csv"
+    assert main(["bounds", "--config", bounds_cfg, "--out", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
+    assert "m_best" in sched.read_text().splitlines()[0]
+    assert cli.build_parser() is parser
+
+
 def test_schedule_adds_rate_and_notes(tmp_path, capsys):
     cfg = write(tmp_path, "b.cfg", BOUNDS_CFG)
     out = tmp_path / "sched.csv"

@@ -6,6 +6,7 @@ hand where the arithmetic is short (quadratics, log ratios of small ints).
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -261,6 +262,136 @@ def test_periodic_power_consistency():
 
 
 # ---------------------------------------------------------------------------
+# exact verdicts: rho(P) < z for P the exact product of float companions
+
+
+def float_product(rate_list):
+    """Period product H_m ... H_1 of the companions of rate_list, oldest first."""
+    n = len(rate_list[0])
+    prod = np.eye(n)
+    for w in rate_list:
+        prod = HMatrix(n, w).matrix() @ prod
+    return prod
+
+
+def test_verdict_near_tie_n1_pins_exact_answer():
+    # the float product rounds up to 1.0 or more; the exact product is below 1
+    w = (1.4099536636507697, 1.5942448414759975, 0.4448771903290061)
+    product = w[0] * w[1] * w[2]
+    assert not product < 1.0
+    assert Fraction(w[0]) * Fraction(w[1]) * Fraction(w[2]) < 1
+    rate_list = [(v,) for v in w]
+    assert rates._radius_below(np.array([[product]]), 1.0, rate_list)
+    assert rates._radius_below(float_product(rate_list), 1.0, rate_list)
+    # and the other way: 1.29^3 * 0.4658336629106498 is at least 1 exactly
+    w = (1.29, 1.29, 1.29, 0.4658336629106498)
+    assert not Fraction(1.29) ** 3 * Fraction(w[3]) < 1
+    rate_list = [(v,) for v in w]
+    assert not rates._radius_below(float_product(rate_list), 1.0, rate_list)
+
+
+def test_verdict_near_tie_n2_pins_exact_answer():
+    # rho < 1 iff w_1 + w_2 < 1; the float sum and eigvals both say 1.0,
+    # but Fraction(0.7) + Fraction(0.3) is 1 - 2^-54
+    w = (0.7, 0.3)
+    assert Fraction(0.7) + Fraction(0.3) < 1
+    assert not rates._radius(HMatrix(2, w).matrix()) < 1.0
+    assert not w[0] + w[1] < 1.0
+    assert rates._radius_below(float_product([w]), 1.0, [w])
+    assert rates._radius_below(float_product([w, w]), 1.0, [w, w])
+    # 0.1 + 0.9 exceeds 1 exactly
+    w = (0.1, 0.9)
+    assert not rates._radius_below(float_product([w]), 1.0, [w])
+    assert not rates._radius_below(float_product([w, w, w]), 1.0, [w, w, w])
+
+
+def test_contracts_decides_its_band_exactly():
+    # both sums are 1.0 in floats, inside the band 1 +- 4(n + 2)u
+    assert 0.3 + 0.7 == 1.0 and 0.1 + 0.9 == 1.0
+    assert rates._contracts((0.7, 0.3), 0.0)
+    assert rates._contracts((0.3, 0.7), 0.0)
+    assert not rates._contracts((0.1, 0.9), 0.0)
+    # 0.5 / 0.5 + 0.125 / 0.25 is 1.5 exactly, far outside the band; at
+    # margin 0.5 + 2^-53 the single slot alone is the tie
+    assert not rates._contracts((0.5, 0.125), 0.5)
+    z = 0.5 - 2.0**-53
+    assert not rates._contracts((z,), 1.0 - z)
+    assert rates._contracts((math.nextafter(z, 0.0),), 1.0 - z)
+
+
+def random_rate_lists(rng, count):
+    for t in range(count):
+        n = int(rng.integers(1, 7))
+        m = int(rng.integers(1, 6))
+        rate_list = []
+        for _ in range(m):
+            w = rng.uniform(0.0, 0.7, n)
+            if t % 3 == 1 and n > 1:  # near-cyclic
+                w[:-1] *= rng.uniform(0.0, 0.02, n - 1)
+            if t % 3 == 2:  # zero rates
+                w[rng.uniform(size=n) < 0.4] = 0.0
+                w[-1] = max(w[-1], 0.1)
+            rate_list.append(tuple(float(v) for v in w))
+        yield rate_list
+
+
+def test_radius_below_agrees_with_exact_path():
+    rng = np.random.default_rng(17)
+    cases = list(random_rate_lists(rng, 120))
+    # nearly reducible: the product is about [[1.176, 0.003], [0.003, 0.85]]
+    cases.append([(0.003, 1.176), (0.003 / 1.176, 0.85 - 0.003 * 0.003 / 1.176)])
+    checked = 0
+    for rate_list in cases:
+        prod = float_product(rate_list)
+        rho = rates._radius(prod)
+        if rho == 0.0:
+            continue
+        for f in (1.0 - 1e-9, 1.0 + 1e-9, 1.0 - 1e-6, 1.0 + 1e-6, 0.9, 1.1, 1.0):
+            z = rho * f
+            want = rates._exact_radius_below(z, rate_list)
+            assert rates._radius_below(prod, z, rate_list) == want, (rate_list, f)
+            if f != 1.0:
+                assert want == (f > 1.0), (rate_list, f)
+            checked += 1
+    assert checked > 700
+
+
+def test_exact_path_matches_sum_rule_on_one_companion():
+    rng = np.random.default_rng(5)
+    for rate_list in random_rate_lists(rng, 60):
+        w = rate_list[0]
+        for margin in (0.0, 0.02, 0.3):
+            assert rates._exact_radius_below(1.0 - margin, [w]) == rates._contracts(w, margin)
+
+
+def test_eigvals_reaches_no_verdict(monkeypatch):
+    p1 = scalar_plant(2.5, 0.3)
+    p2 = UncertainPlant(2, (1.0, 3.0), (0.10, 0.35), (1.0, 1.0))
+    grid = [(p, f, mg) for p in (p1, p2) for f in ("optimal", "uniform") for mg in (0.0, 0.02)]
+    want_n = [min_sufficient_N(p, f, 64, mg) for p, f, mg in grid]
+    want_s = search_periodic_schedule(p1, 8, 16, "optimal", 0.02)
+    static = min_sufficient_N(p2, "optimal", 12)
+    real_eigvals = np.linalg.eigvals
+    calls = []
+
+    def counting_eigvals(a):
+        calls.append(a.shape)
+        return real_eigvals(a)
+
+    # the n >= 2 search reaches eigvals once per candidate size, for its screen
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    assert search_periodic_schedule(p2, 4, 12, "optimal") is not None
+    assert len(calls) == static + 3
+
+    def no_eigvals(a):
+        raise AssertionError("np.linalg.eigvals reached a verdict")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+    assert [min_sufficient_N(p, f, 64, mg) for p, f, mg in grid] == want_n
+    assert search_periodic_schedule(p1, 8, 16, "optimal", 0.02) == want_s
+
+
+# ---------------------------------------------------------------------------
 # schedule search
 
 
@@ -409,10 +540,11 @@ def reference_heuristic(p, m_max, n_max, margin):
     return best
 
 
-def test_search_heuristic_matches_per_node_reference():
-    rng = np.random.default_rng(3)
-    for k in range(30):
-        n = int(rng.integers(2, 5))
+def random_heuristic_cases(seed, count, orders, periods):
+    """(case index, plant, margin, m_max); a third near-cyclic, margin 0.02 on some."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(*orders))
         lam = float(rng.uniform(1.4, 3.2))
         eps_n = float(rng.uniform(0.05, 0.35))
         if k % 3 == 0:  # near-cyclic: zero lower coefficients, tiny eps_1
@@ -423,7 +555,18 @@ def test_search_heuristic_matches_per_node_reference():
             eps = tuple(rng.uniform(0.0, 0.1, n - 1)) + (eps_n,)
         p = UncertainPlant(n, a, eps, (1.0,) * n)
         margin = 0.02 if k % 4 == 1 else 0.0
-        m_max = int(rng.integers(2, 5))
+        m_max = int(rng.integers(*periods))
+        yield k, p, margin, m_max
+
+
+def test_search_heuristic_matches_per_node_reference():
+    # n = 2..4 with m_max 2..4, then n = 4..6 with m_max 5..6, where the cost
+    # bound and the seeded incumbent skip the most nodes
+    cases = itertools.chain(
+        random_heuristic_cases(3, 30, (2, 5), (2, 5)),
+        random_heuristic_cases(5, 6, (4, 7), (5, 7)),
+    )
+    for k, p, margin, m_max in cases:
         want = reference_heuristic(p, m_max, 12, margin)
         got = search_periodic_schedule(p, m_max, 12, "optimal", margin)
         if want is None:
