@@ -134,19 +134,21 @@ def _contracts(w_bar: Sequence[float], margin: float) -> bool:
     in z. The float sum errs by at most gamma_2n = 2n u / (1 - 2n u) relatively
     (i - 1 roundings in z^i, one in the quotient, n - 1 in the sum of
     nonnegative terms), so outside the band 1 +- 4(n + 2)u it decides; inside
-    it the exact rational sum does.
+    it, or when some z^i would leave the normal range, the exact rational
+    sum does.
     """
     z = 1.0 - margin
-    acc = 0.0
-    zi = 1.0
-    for wi in w_bar:
-        zi *= z
-        acc += wi / zi
-    band = 4 * (len(w_bar) + 2) * _U
-    if acc < 1.0 - band:
-        return True
-    if acc >= 1.0 + band:
-        return False
+    if z ** len(w_bar) > 2.0**-1000:
+        acc = 0.0
+        zi = 1.0
+        for wi in w_bar:
+            zi *= z
+            acc += wi / zi
+        band = 4 * (len(w_bar) + 2) * _U
+        if acc < 1.0 - band:
+            return True
+        if acc >= 1.0 + band:
+            return False
     zf = Fraction(z)
     return sum(Fraction(wi) / zf**i for i, wi in enumerate(w_bar, 1)) < 1
 

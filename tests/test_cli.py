@@ -298,6 +298,24 @@ def test_margin_certifies_sufficient_sizes(tmp_path, capsys, command, flags, fir
     assert capsys.readouterr().err == ""
 
 
+def test_margin_next_to_one_on_a_high_order_plant(tmp_path, capsys):
+    # (1 - margin)^i underflows for i = 21: the sum rule decides exactly
+    # instead of dividing by zero, and no size is certified within the cap
+    zeros = ", ".join(["0.0"] * 20)
+    cfg = write(
+        tmp_path,
+        "n21.cfg",
+        f"[plant]\nn = 21\na_star = {zeros}, 2.0\neps = {zeros}, 0.3\n\n"
+        "[sweep]\nlambda_min = 2.0\nlambda_max = 2.0\nlambda_step = 0.1\n",
+    )
+    out = tmp_path / "n21.csv"
+    margin = repr(1.0 - 2.0**-53)
+    argv = ["bounds", "--config", cfg, "--out", str(out), "--n-max", "4", "--margin", margin]
+    assert main(argv) == 0
+    assert out.read_text().splitlines()[1] == "2,0.3,1.23872018237,1.20163386117,,,,,,"
+    assert capsys.readouterr().err == ""
+
+
 def test_quantizer_export(tmp_path):
     cfg = write(
         tmp_path,

@@ -317,6 +317,9 @@ def test_contracts_decides_its_band_exactly():
     z = 0.5 - 2.0**-53
     assert not rates._contracts((z,), 1.0 - z)
     assert rates._contracts((math.nextafter(z, 0.0),), 1.0 - z)
+    # z^21 underflows at z = 2^-53: the exact sum decides instead of 0.0 / 0.0
+    assert rates._contracts((0.0,) * 21, 1.0 - 2.0**-53)
+    assert not rates._contracts((0.0,) * 20 + (2.0**-1070,), 1.0 - 2.0**-53)
 
 
 def random_rate_lists(rng, count):
