@@ -154,7 +154,7 @@ def _contracts(w_bar: Sequence[float], margin: float) -> bool:
 
 
 def _radius_below(prod: np.ndarray, z: float, rates: Sequence[Sequence[float]]) -> bool:
-    """Exactly whether rho(P) < z > 0, P the exact product of the companions of rates.
+    """Whether rho(P) < z, exactly, for z > 0 and P the exact product of the rates' companions.
 
     rates holds each slot's w_bar, oldest first, and prod their float period
     product H_m ... H_1 as numpy forms it. P is nonnegative, and each float

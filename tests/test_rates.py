@@ -283,10 +283,13 @@ def test_verdict_near_tie_n1_pins_exact_answer():
     rate_list = [(v,) for v in w]
     assert rates._radius_below(np.array([[product]]), 1.0, rate_list)
     assert rates._radius_below(float_product(rate_list), 1.0, rate_list)
-    # and the other way: 1.29^3 * 0.4658336629106498 is at least 1 exactly
-    w = (1.29, 1.29, 1.29, 0.4658336629106498)
-    assert not Fraction(1.29) ** 3 * Fraction(w[3]) < 1
+    # and the other way: the float product is below 1, the exact one is not
+    w = (0.719692610599019, 1.5782532091426846, 0.880392380670389)
+    product = w[0] * w[1] * w[2]
+    assert product < 1.0
+    assert not Fraction(w[0]) * Fraction(w[1]) * Fraction(w[2]) < 1
     rate_list = [(v,) for v in w]
+    assert not rates._radius_below(np.array([[product]]), 1.0, rate_list)
     assert not rates._radius_below(float_product(rate_list), 1.0, rate_list)
 
 
@@ -299,6 +302,17 @@ def test_verdict_near_tie_n2_pins_exact_answer():
     assert not w[0] + w[1] < 1.0
     assert rates._radius_below(float_product([w]), 1.0, [w])
     assert rates._radius_below(float_product([w, w]), 1.0, [w, w])
+    # a period product whose float radius from eigvals is the z tested: the
+    # exact radius lies below it. The largest root of z^2 - tr z + det lies
+    # below z iff z is right of the vertex and the polynomial is positive there
+    rate_list = [(0.786, 0.127), (0.684, 0.241)]
+    (a1, a2), (b1, b2) = [[Fraction(v) for v in w] for w in rate_list]
+    tr, det = a2 + b2 + b1 * a1, a2 * b2  # of [[a2, a1], [b1 a2, b2 + b1 a1]]
+    z = 0.8704622212904958
+    prod = float_product(rate_list)
+    assert not rates._radius(prod) < z
+    assert 2 * Fraction(z) > tr and Fraction(z) ** 2 - tr * Fraction(z) + det > 0
+    assert rates._radius_below(prod, z, rate_list)
     # 0.1 + 0.9 exceeds 1 exactly
     w = (0.1, 0.9)
     assert not rates._radius_below(float_product([w]), 1.0, [w])
