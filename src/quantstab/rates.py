@@ -18,20 +18,23 @@ Three layers:
   StabilityTest.rho) and for the higher-order search's per-size screen;
 * time-varying alphabets: periodic schedules of quantizer sizes, their
   average rate, the minimum-average-rate search, and the convex relaxation
-  whose optimum reproduces the necessary rate. For scalar plants the search
+  whose optimum reproduces the necessary rate. Every size loop reads one
+  memoized rate table per plant and family. For scalar plants the search
   is exact: a knapsack with exactly m items, solved by depth-first branch
   and bound with the Lagrangian bound of the lower convex hull of the
-  (log rate, log2 size) points, and its winner is certified by the exact
-  verdict on its rate product. Higher-order plants get a flagged
-  heuristic: a depth-first search over short nondecreasing schedules that
-  builds each size's companion matrix once, extends the period product
-  from parent to child, stops a node's children at the first one whose
-  average rate exceeds the incumbent, and starts from the cheapest
+  (log rate, log2 size) points. Each leaf is decided exactly for the float
+  rates, by the float log sum outside its rounding band and by the exact
+  verdict on the rate product inside it, so the winner's certificate is an
+  assertion. Higher-order plants get a flagged heuristic: a depth-first
+  search over short nondecreasing schedules that extends the period
+  product from parent to child, stops a node's children at the first one
+  whose average rate exceeds the incumbent, and starts from the cheapest
   certified single size.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -44,7 +47,6 @@ from .plant import UncertainPlant
 from .quantizer import (
     FAMILIES,
     QuantizerSpec,
-    coefficient_expansion_rates,
     expansion_profile,
     quantizer_for,
     r_ratio,
@@ -294,22 +296,34 @@ def sufficient_test(
     return StabilityTest(rho=spectral_radius(h), stable=_contracts(h.w_bar, margin))
 
 
-def _layouts(
-    p: UncertainPlant, family: str, N_max: int
-) -> Iterator[tuple[int, QuantizerSpec]]:
-    """(N, quantizer) for each size N in 2..N_max whose layout builds.
+# One default row reads at most 2 x 63 sizes, N = 2..64 in each family; a
+# fixed size keeps a long sweep from holding every row's entries.
+@functools.lru_cache(maxsize=2 * 63)
+def _rate_entry(family: str, p: UncertainPlant, N: int) -> tuple[float, ...] | None:
+    """w_bar of the family's N-level layout, None when the layout does not build."""
+    try:
+        q = quantizer_for(family, p, N)
+    except ValueError:
+        if family not in FAMILIES:
+            raise
+        return None
+    return expansion_profile(q, p)
 
-    A size without a valid layout is skipped: for large N at eps >= 0.5 the
-    float boundaries stop increasing. An unknown family name still raises.
+
+def _rate_table(
+    p: UncertainPlant, family: str, N_max: int
+) -> Iterator[tuple[int, float, tuple[float, ...]]]:
+    """(N, log2 N, w_bar) for each size N in 2..N_max whose layout builds.
+
+    Every size loop reads this table, each size through one memo on
+    (family, plant, N), so one row builds each quantizer once. A size
+    without a valid layout is skipped: for large N at eps >= 0.5 the float
+    boundaries stop increasing. An unknown family name still raises.
     """
     for N in range(2, N_max + 1):
-        try:
-            q = quantizer_for(family, p, N)
-        except ValueError:
-            if family not in FAMILIES:
-                raise
-            continue
-        yield N, q
+        w = _rate_entry(family, p, N)
+        if w is not None:
+            yield N, math.log2(N), w
 
 
 def min_sufficient_N(
@@ -317,8 +331,8 @@ def min_sufficient_N(
 ) -> int | None:
     """Smallest alphabet size the sum rule certifies at margin, or None within the cap."""
     _check_margin(margin)
-    for N, q in _layouts(p, family, N_max):
-        if _contracts(expansion_profile(q, p), margin):
+    for N, _, w in _rate_table(p, family, N_max):
+        if _contracts(w, margin):
             return N
     return None
 
@@ -390,19 +404,6 @@ class ScheduleSearchResult:
     exact: bool
 
 
-def _scalar_step_rates(
-    p: UncertainPlant, family: str, N_max: int
-) -> list[tuple[int, float, float]]:
-    """(N, log2 N, worst rate) per size for a first-order plant."""
-    lam, e = abs(p.a_star[0]), p.eps[0]
-    out = []
-    for N, q in _layouts(p, family, N_max):
-        wbar = max(coefficient_expansion_rates(q, lam, e))
-        if wbar > 0.0:  # always true while the coefficient box expands
-            out.append((N, math.log2(N), wbar))
-    return out
-
-
 def _lower_hull(points: list[tuple[float, float]]) -> list[int]:
     """Indices of the lower convex hull of (x, y) points sorted by x."""
     hull: list[int] = []
@@ -443,16 +444,21 @@ def _search_scalar_exact(
     the incumbent, so ties still prefer fewer slots, then lexicographically
     smaller sizes.
 
-    The winner is certified by _radius_below on its 1 x 1 period product:
-    the exact product of its float worst rates against 1 - margin, decided
-    by the float product outside the rounding band and by rational
-    arithmetic inside it; a disagreement with the log-space search raises
-    CertificateError.
+    Feasibility means the exact product of the float worst rates is below
+    z = 1 - margin. The float log sums decide it outside their rounding
+    band; inside it, _radius_below on the 1 x 1 period product does, the
+    exact product of the float rates. A leaf in the band is decided only
+    when it would beat the incumbent, and a child in the band counts as
+    possibly feasible for the pruning bounds. So every leaf's verdict is
+    exact, and the winner's certificate, the same call, can no longer
+    fail: CertificateError is kept as an assertion.
     """
-    vals = _scalar_step_rates(p, family, N_max)
+    # the uniform family at a* = eps = 0 gives a zero rate, which has no log
+    vals = [(N, c, w) for N, c, (w,) in _rate_table(p, family, N_max) if w > 0.0]
     if not vals:
         return None
-    target = math.log(1.0 - margin) if margin > 0.0 else 0.0
+    z = 1.0 - margin
+    target = math.log(z) if margin > 0.0 else 0.0
     cvec = [c for _, c, _ in vals]
     gvec = [math.log(w) for _, _, w in vals]
     nvals = len(vals)
@@ -460,10 +466,22 @@ def _search_scalar_exact(
     gmin = list(itertools.accumulate(reversed(gvec), min))[::-1]
     if gmin[0] >= 0.0:
         return None  # nothing contracts, so no product ever can
+    # Rounding band of a float log sum against target. Each log errs by less
+    # than one ulp (2u |g|), and each of the at most m_max - 1 additions by
+    # u times a partial sum of at most k G, G = max |g|, so a sum and target
+    # lie within u (G m_max (m_max + 5) / 2 + 2 |target|) of the exact logs
+    # of the float rates and of z, which the band bounds.
+    band = (m_max + 2) ** 2 * _U * max(max(map(abs, gvec)), abs(target))
+    rate = {N: w for N, _, w in vals}
 
-    # Seeds only bound the search, so they keep a margin below the target
-    # that no summation order can round away.
-    seed_target = target - 1e-9
+    def below(sizes: tuple[int, ...]) -> bool:
+        """Whether the exact product of the sizes' float rates is below z."""
+        rates = [(rate[N],) for N in sizes]
+        return _radius_below(np.array([[math.prod(w for (w,) in rates)]]), z, rates)
+
+    # Seeds only bound the search, so they keep at least the band below the
+    # target.
+    seed_target = target - max(band, 1e-9)
     ub = cvec[-1] + 1.0  # above every average
     for g, c in zip(gvec, cvec):
         if m_max * g < seed_target:  # uniform schedule, any feasible period
@@ -490,15 +508,21 @@ def _search_scalar_exact(
 
     tol = 1e-9  # keeps children that tie the incumbent
     best: tuple[float, int, tuple[int, ...]] | None = None
-    # nodes: (slots, c_sum, g_sum, last index, sizes); the root has no slot
-    stack: list[tuple[int, float, float, int, tuple[int, ...]]] = [(0, 0.0, 0.0, 0, ())]
+    # nodes: (slots, c_sum, g_sum, last index, sizes, feasible); feasible is
+    # None while undecided. The root's empty product 1 is not below z.
+    stack: list[tuple[int, float, float, int, tuple[int, ...], bool | None]] = [
+        (0, 0.0, 0.0, 0, (), False)
+    ]
     while stack:
-        j, c_sum, g_sum, last, sizes = stack.pop()
-        if j and g_sum < target:
+        j, c_sum, g_sum, last, sizes, feas = stack.pop()
+        if feas is not False:  # never at the root
             key = (c_sum / j, j, sizes)
             if best is None or key < best:
-                best = key
-                ub = min(ub, key[0])
+                if feas is None:
+                    feas = below(sizes)
+                if feas:
+                    best = key
+                    ub = min(ub, key[0])
         if j == m_max:
             continue
         j2 = j + 1
@@ -512,11 +536,23 @@ def _search_scalar_exact(
         for i in range(last, nvals):
             g2 = g_sum + gvec[i]
             d = target - g2
+            if d > band:
+                feas2: bool | None = True
+            elif d <= -band:
+                feas2 = False
+            elif feas is False and vals[i][2] >= 1.0:
+                feas2 = False  # a rate >= 1 keeps an infeasible product infeasible
+            elif feas and vals[i][2] <= 1.0:
+                feas2 = True  # and a rate <= 1 a feasible one feasible
+            else:
+                feas2 = None
             e_min = 0
-            if d <= 0.0:
+            if feas2 is False:
                 if gmin[i] >= 0.0:
                     continue
-                e_min = math.floor(d / gmin[i] - 1e-9) + 1  # never above the true count
+                # d + band bounds the exact budget from above and the 1e-9 covers
+                # the relative rounding of the quotient, so never above the true count
+                e_min = math.floor((d + band) / gmin[i] - 1e-9) + 1
                 if e_min > e_max:
                     continue
             lb = -math.inf
@@ -531,19 +567,17 @@ def _search_scalar_exact(
             if lb == math.inf:
                 break
             if lb <= tol:
-                children.append((j2, c_sum + cvec[i], g2, i, sizes + (vals[i][0],)))
+                children.append((j2, c_sum + cvec[i], g2, i, sizes + (vals[i][0],), feas2))
         stack.extend(children)  # largest index first: feasible incumbents early
 
     if best is None:
         return None
     avg, _, sizes = best
-    rate = {N: w for N, _, w in vals}
-    rates = [(rate[N],) for N in sizes]
-    product = math.prod(w for (w,) in rates)
-    if not _radius_below(np.array([[product]]), 1.0 - margin, rates):
+    if not below(sizes):
+        product = math.prod(rate[N] for N in sizes)
         raise CertificateError(
             f"schedule {list(sizes)} passes the log-space search but the exact product "
-            f"of its rates (about {product!r}) is not below 1 - margin = {1.0 - margin!r}"
+            f"of its rates (about {product!r}) is not below 1 - margin = {z!r}"
         )
     return ScheduleSearchResult(schedule=Schedule(sizes), avg_rate=avg, exact=True)
 
@@ -553,36 +587,30 @@ def _search_heuristic(
 ) -> ScheduleSearchResult | None:
     """Best-effort search for higher-order plants: small periods only.
 
-    Sizes run up to static + 4, static being the first the sum rule
-    certifies at margin 0, and periods up to 6. Depth-first over
-    nondecreasing size sequences. Each size's companion matrix and radius
-    are built once, and a node's period product is its parent's times the
-    new slot's matrix, newest last, the products periodic_sufficient_test
-    forms. A node's verdict is the exact _radius_below, taken only when the
-    node would beat the incumbent. A child is skipped when the product of
-    per-size radii with the smallest radius in every remaining slot is not
-    below 1 - margin. Sizes never decrease along a path, so a child's
-    average rate bounds its whole subtree and every later sibling's from
-    below: the loop over children stops at the first child whose average
-    exceeds the incumbent's by more than rounding. The incumbent starts as
-    the cheapest single size that passes the same screen and the same
-    exact verdict (the sum rule, on one companion). Both only skip nodes
-    that cannot beat the incumbent, so the winner and its tie order are
-    those of the full search.
+    Sizes run up to static + 4, static = min_sufficient_N at margin 0, and
+    periods up to 6; both read the rate table, so the sizes up to static
+    are not rebuilt. Depth-first over nondecreasing size sequences. Each
+    size's companion matrix and radius are built once, and a node's period
+    product is its parent's times the new slot's matrix, newest last, the
+    products periodic_sufficient_test forms. A node's verdict is the exact
+    _radius_below, taken only when the node would beat the incumbent. A
+    child is skipped when the product of per-size radii with the smallest
+    radius in every remaining slot is not below 1 - margin. Sizes never
+    decrease along a path, so a child's average rate bounds its whole
+    subtree and every later sibling's from below: the loop over children
+    stops at the first child whose average exceeds the incumbent's by more
+    than rounding. The incumbent starts as the cheapest single size that
+    passes the same screen and the same exact verdict (the sum rule, on one
+    companion). Both only skip nodes that cannot beat the incumbent, so the
+    winner and its tie order are those of the full search.
     """
     cap_m = min(m_max, 6)
     z = 1.0 - margin
-    static = None
+    static = min_sufficient_N(p, family, N_max)
     cands = []
-    for N, q in _layouts(p, family, N_max):
-        if static is not None and N > static + 4:
-            break  # static + 4 had no layout
-        h = HMatrix(p.n, expansion_profile(q, p))
-        if static is None and _contracts(h.w_bar, 0.0):
-            static = N
-        cands.append((N, math.log2(N), spectral_radius(h), h.matrix(), h.w_bar))
-        if static is not None and N == static + 4:
-            break  # before the next size's quantizer is built
+    for N, c, w in _rate_table(p, family, N_max if static is None else min(N_max, static + 4)):
+        h = HMatrix(p.n, w)
+        cands.append((N, c, spectral_radius(h), h.matrix(), w))
     if not cands:
         return None
     rho_min = min(r for _, _, r, _, _ in cands)
@@ -634,8 +662,10 @@ def search_periodic_schedule(
 ) -> ScheduleSearchResult | None:
     """Minimum average-rate periodic schedule within the given caps.
 
-    Exact and certified for first-order plants, raising CertificateError if
-    the certificate disagrees with the search; a flagged heuristic otherwise.
+    Exact for first-order plants: each candidate is decided exactly for the
+    float rates, and the winner's certificate, the same verdict, is an
+    assertion (CertificateError, which no known input reaches). A flagged
+    heuristic otherwise. Both read one rate table per plant and family.
     None when no schedule within the caps is found.
     """
     if m_max < 1 or N_max < 2:

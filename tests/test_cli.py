@@ -22,7 +22,7 @@ from quantstab.cli import (
     worker_count,
 )
 from quantstab.quantizer import optimal_boundaries
-from quantstab.rates import necessary_rate
+from quantstab.rates import CertificateError, necessary_rate
 
 BOUNDS_CFG = """\
 # scalar plant sweep
@@ -557,18 +557,66 @@ def test_worker_count_clamped(monkeypatch):
 
 
 def test_schedule_certificate_failure_exits_1(tmp_path, capsys, monkeypatch):
-    # float logs accept (2, 2, 2, 3) although the exact rate product is >= 1
-    monkeypatch.setattr(
-        rates,
-        "_scalar_step_rates",
-        lambda p, family, n_max: [(2, 1.0, 1.29), (3, math.log2(3.0), 0.4658336629106498)],
-    )
+    # the search decides every leaf exactly, so only a search that contradicts
+    # its own certificate reaches this path
+    def failing_search(*args):
+        raise CertificateError("schedule [2, 2, 2, 3] passes the log-space search but ...")
+
+    monkeypatch.setattr(cli, "search_periodic_schedule", failing_search)
     cfg = write(tmp_path, "b.cfg", BOUNDS_CFG)
     argv = ["schedule", "--config", cfg, "--m-max", "4", "--n-max", "3"]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("schedule failed: schedule [2, 2, 2, 3]")
     assert "Traceback" not in err
+
+
+KNOWN_PLANT_CFG = """\
+[plant]
+n = 1
+a_star = 4.0
+eps = 0.0
+
+[sweep]
+lambda_min = 4.0
+lambda_max = 4.0
+lambda_step = 1.0
+"""
+
+
+def test_schedule_known_integer_pole_exits_0(tmp_path, capsys):
+    # rate products exactly 1, such as (2, 2, 2, 8, 16) at lambda = 4, are
+    # rejected exactly inside the search, not by the certificate afterwards
+    cfg = write(tmp_path, "k.cfg", KNOWN_PLANT_CFG)
+    out = tmp_path / "k.csv"
+    assert main(["schedule", "--config", cfg, "--out", str(out), "--m-max", "8"]) == 0
+    assert "(exact)" in capsys.readouterr().out
+    row = out.read_text().splitlines()[1].split(",")
+    assert 2.0 < float(row[8]) < 2.0 + 1e-3
+
+
+@pytest.mark.parametrize(
+    "plant",
+    ["n = 1\na_star = 2.0\neps = 0.35", "n = 2\na_star = 0.3, 2.2\neps = 0.02, 0.2"],
+    ids=["n1", "n2"],
+)
+def test_schedule_row_builds_each_quantizer_once(tmp_path, monkeypatch, plant):
+    # the bounds columns and the search read one memoized rate table
+    built = {}
+    real = rates.quantizer_for
+
+    def counting_quantizer_for(family, p, n_level):
+        built[family, n_level] = built.get((family, n_level), 0) + 1
+        return real(family, p, n_level)
+
+    rates._rate_entry.cache_clear()
+    monkeypatch.setattr(rates, "quantizer_for", counting_quantizer_for)
+    sweep = "[sweep]\nlambda_min = 2.2\nlambda_max = 2.2\nlambda_step = 0.1\n"
+    cfg = write(tmp_path, "one.cfg", f"[plant]\n{plant}\n\n{sweep}")
+    argv = ["schedule", "--config", cfg, "--out", str(tmp_path / "one.csv"), "--m-max", "4"]
+    assert main(argv) == 0
+    assert built and max(built.values()) == 1
+    assert {f for f, _ in built} == {"optimal", "uniform"}
 
 
 def test_unknown_command_rejected(tmp_path):

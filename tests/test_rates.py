@@ -14,7 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from quantstab import rates
 from quantstab.plant import UncertainPlant
-from quantstab.quantizer import optimal_boundaries, quantizer_for, uniform_boundaries, v_rate
+from quantstab.quantizer import (
+    expansion_profile,
+    optimal_boundaries,
+    quantizer_for,
+    uniform_boundaries,
+    v_rate,
+)
 from quantstab.rates import (
     INFEASIBLE,
     CertificateError,
@@ -451,6 +457,55 @@ def test_search_matches_brute_force(lam, eps, margin):
     assert tuple(sorted(got.schedule.sizes)) == want[2]
 
 
+def exact_brute_force_winners(lam, m_max, n_max):
+    """Best key (avg, m, sizes) of the known plant at each m_max in 1..m_max.
+
+    Exhaustive over multisets of sizes. A multiset is feasible when the exact
+    product of its float rates is below 1: the float log sum decides outside
+    +-1e-6, far wider than the search's rounding band, and a Fraction product
+    decides inside it. avg adds log2 N over the sorted sizes one by one, as
+    the search does, so ties break in the search's order.
+    """
+    p = scalar_plant(lam, 0.0)
+    rate = {n: expansion_profile(quantizer_for("optimal", p, n), p)[0] for n in range(2, n_max + 1)}
+    log_rate = {n: math.log(w) for n, w in rate.items()}
+    best, winners = None, []
+    for m in range(1, m_max + 1):
+        for sizes in itertools.combinations_with_replacement(range(2, n_max + 1), m):
+            cost = 0.0
+            for n_level in sizes:
+                cost += math.log2(n_level)
+            key = (cost / m, m, sizes)
+            if best is not None and key >= best:
+                continue
+            g = sum(log_rate[n] for n in sizes)
+            if g < -1e-6 or (g <= 1e-6 and math.prod(Fraction(rate[n]) for n in sizes) < 1):
+                best = key
+        winners.append(best)
+    return winners
+
+
+@pytest.mark.parametrize("lam", [4.0, 6.0, 8.0, 10.0, 12.0])
+def test_known_plant_search_matches_exact_brute_force(lam):
+    # integer poles at eps = 0 give rate products exactly 1, where the float
+    # log sum of an infeasible schedule can fall below 0
+    p = scalar_plant(lam, 0.0)
+    for m_max, want in enumerate(exact_brute_force_winners(lam, 6, 16), 1):
+        got = search_periodic_schedule(p, m_max, 16)
+        assert got is not None and got.exact, m_max
+        assert (got.avg_rate, got.schedule.m, got.schedule.sizes) == want, m_max
+
+
+@pytest.mark.parametrize(
+    "lam,m_max", [(4.0, 6), (6.0, 6), (8.0, 4), (8.0, 6), (10.0, 6), (12.0, 4), (12.0, 6)]
+)
+def test_known_plant_exact_ties_certified_at_full_cap(lam, m_max):
+    p = scalar_plant(lam, 0.0)
+    res = search_periodic_schedule(p, m_max, 64)
+    assert res is not None and res.exact
+    assert periodic_sufficient_test(p, res.schedule).stable
+
+
 def test_search_m1_known_plant():
     res = search_periodic_schedule(scalar_plant(2.0, 0.0), 1, 16, "uniform")
     assert res is not None and res.exact
@@ -493,22 +548,24 @@ def test_search_deeper_than_recursion_limit():
     assert res.schedule.sizes == (2,) * (m_max - 1) + (3,)
 
 
-def fake_step_rates(p, family, N_max):
+def fake_rate_table(p, family, N_max):
     """Rates whose float log sum and exact product disagree on (2, 2, 2, 3).
 
     1.29**3 * 0.4658336629106498 is at least 1 exactly, but the sum of the
-    four float logarithms is -1.1e-16, so the log-space search accepts it.
+    four float logarithms is -1.1e-16, inside the search's rounding band.
     """
-    return [(2, 1.0, 1.29), (3, math.log2(3.0), 0.4658336629106498)]
+    return iter([(2, 1.0, (1.29,)), (3, math.log2(3.0), (0.4658336629106498,))])
 
 
-def test_search_certificate_disagreement_raises(monkeypatch):
-    monkeypatch.setattr(rates, "_scalar_step_rates", fake_step_rates)
-    with pytest.raises(CertificateError, match=r"\[2, 2, 2, 3\]"):
-        search_periodic_schedule(scalar_plant(2.0, 0.35), 4, 3)
-    # one slot fewer, the winner (2, 2, 3) is certified
-    res = search_periodic_schedule(scalar_plant(2.0, 0.35), 3, 3)
-    assert res is not None and res.schedule.sizes == (2, 2, 3)
+def test_search_decides_in_band_leaf_exactly(monkeypatch):
+    w2, w3 = 1.29, 0.4658336629106498
+    assert 3 * math.log(w2) + math.log(w3) < 0.0  # the float sum accepts it
+    assert Fraction(w2) ** 3 * Fraction(w3) >= 1  # the exact product does not
+    monkeypatch.setattr(rates, "_rate_table", fake_rate_table)
+    # so the cheaper (2, 2, 2, 3) is rejected and (2, 2, 3) wins at m_max 4 too
+    for m_max in (3, 4):
+        res = search_periodic_schedule(scalar_plant(2.0, 0.35), m_max, 3)
+        assert res is not None and res.schedule.sizes == (2, 2, 3), m_max
 
 
 def test_search_not_found_within_caps():
