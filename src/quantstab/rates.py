@@ -8,28 +8,28 @@ Three layers:
   bounds used for comparison;
 * the stability test itself: the nonnegative companion matrix built from
   worst-case expansion rates, whose spectral radius strictly below one
-  certifies the scaling recursion contracts. Every verdict rho < z is exact
-  for the float rates: one companion's is the sum rule
-  sum_i w_i z^-i < 1 (_contracts), a period product's is _radius_below,
-  which decides in floats outside a written rounding band (row sums, a
-  diagonal entry, a Collatz-Wielandt certificate vector) and by the exact
-  leading principal minors of zI - P inside it. Radii come from
-  np.linalg.eigvals, only as diagnostics (spectral_radius,
-  StabilityTest.rho) and for the higher-order search's per-size screen;
+  certifies the scaling recursion contracts. A margin asks rho(P) < z^m
+  over m steps, z = 1 - margin; _rescaled makes that rho < 1 on rates
+  w_i z^-i, and every verdict is exact for those float rates: the sum rule
+  sum_i w_i < 1 for one companion (_contracts), _radius_below for a period
+  product, in floats outside a written rounding band (row sums, a diagonal
+  entry, a Collatz-Wielandt certificate vector) and by the exact leading
+  principal minors of I - P inside it. Radii from np.linalg.eigvals are
+  diagnostics (spectral_radius, StabilityTest.rho) and a search screen;
 * time-varying alphabets: periodic schedules of quantizer sizes, their
   average rate, the minimum-average-rate search, and the convex relaxation
   whose optimum reproduces the necessary rate. Every size loop reads one
   memoized rate table per plant and family. For scalar plants the search
   is exact: a knapsack with exactly m items, solved by depth-first branch
   and bound with the Lagrangian bound of the lower convex hull of the
-  (log rate, log2 size) points. Each leaf is decided exactly for the float
-  rates, by the float log sum outside its rounding band and by the exact
-  verdict on the rate product inside it, so the winner's certificate is an
-  assertion. Higher-order plants get a flagged heuristic: a depth-first
-  search over short nondecreasing schedules that extends the period
-  product from parent to child, stops a node's children at the first one
-  whose average rate exceeds the incumbent, and starts from the cheapest
-  certified single size.
+  (log rate, log2 size) points. Each leaf is decided exactly, by the float
+  log sum outside its rounding band and by the exact verdict on the rate
+  product inside it, so the winner's certificate is an assertion.
+  Higher-order plants get a flagged heuristic: a depth-first search over
+  short nondecreasing schedules that extends the period product from
+  parent to child, stops a node's children at the first one whose average
+  rate exceeds the incumbent, and starts from the cheapest certified
+  single size.
 """
 
 from __future__ import annotations
@@ -129,58 +129,77 @@ _U = 2.0**-53
 """Unit roundoff of float64: a correctly rounded operation errs by at most this, relatively."""
 
 
-def _contracts(w_bar: Sequence[float], margin: float) -> bool:
-    """Sum rule: the companion's radius is below z = 1 - margin iff sum_i w_i z^-i < 1.
+def _rescaled(w_bar: tuple[float, ...], margin: float) -> tuple:
+    """Rates w_i z^-i, z = 1 - margin, whose companions' product P' has rho < 1 iff rho(P) < z^m.
 
-    The radius is the positive root of sum_i w_i z^-i = 1, and the sum decreases
-    in z. The float sum errs by at most gamma_2n = 2n u / (1 - 2n u) relatively
-    (i - 1 roundings in z^i, one in the quotient, n - 1 in the sum of
-    nonnegative terms), so outside the band 1 +- 4(n + 2)u it decides; inside
-    it, or when some z^i would leave the normal range, the exact rational
-    sum does.
+    H(w)/z = D H(w') D^-1, D = diag(1, z, ..., z^(n-1)). Verdicts are exact
+    for these floats, w_i / z^i or, where z^n nears underflow, the exact
+    quotient rounded once; a rate past 2^1023 stays an exact rational, which
+    only the exact paths read. At margin 0, w_bar itself.
     """
+    if margin == 0.0:
+        return w_bar
     z = 1.0 - margin
     if z ** len(w_bar) > 2.0**-1000:
-        acc = 0.0
-        zi = 1.0
-        for wi in w_bar:
-            zi *= z
-            acc += wi / zi
-        band = 4 * (len(w_bar) + 2) * _U
-        if acc < 1.0 - band:
-            return True
-        if acc >= 1.0 + band:
-            return False
-    zf = Fraction(z)
-    return sum(Fraction(wi) / zf**i for i, wi in enumerate(w_bar, 1)) < 1
+        out = tuple(wi / z**i for i, wi in enumerate(w_bar, 1))
+        if max(out) < 2.0**1023:
+            return out
+    exact = tuple(Fraction(wi) / Fraction(z) ** i for i, wi in enumerate(w_bar, 1))
+    return exact if max(exact) >= 2**1023 else tuple(map(float, exact))
 
 
-def _radius_below(prod: np.ndarray, z: float, rates: Sequence[Sequence[float]]) -> bool:
-    """Whether rho(P) < z, exactly, for z > 0 and P the exact product of the rates' companions.
+def _contracts(w_bar: Sequence[float]) -> bool:
+    """Sum rule: the companion's radius is below 1 iff sum_i w_i < 1.
+
+    The radius is the positive root r of sum_i w_i r^-i = 1, which decreases
+    in r. The float sum, within n u / (1 - n u) relatively, decides outside
+    the band 1 +- 4(n + 2)u; the exact sum inside it and on exact rationals.
+    """
+    acc = sum(w_bar)
+    band = 4 * (len(w_bar) + 2) * _U
+    if acc < 1.0 - band:
+        return True
+    if acc >= 1.0 + band:
+        return False
+    return sum(map(Fraction, w_bar)) < 1
+
+
+def _product(rates: Sequence[Sequence[float]]) -> np.ndarray | None:
+    """Float period product H_m ... H_1 of the rates' companions; None for exact rationals."""
+    prod = np.eye(len(rates[0]))
+    for w in rates:
+        if not isinstance(w[0], float):
+            return None
+        prod = HMatrix(len(w), w).matrix() @ prod
+    return prod
+
+
+def _radius_below(prod: np.ndarray | None, rates: Sequence[Sequence[float]]) -> bool:
+    """Whether rho(P) < 1, exactly, for P the exact product of the rates' companions.
 
     rates holds each slot's w_bar, oldest first, and prod their float period
-    product H_m ... H_1 as numpy forms it. P is nonnegative, and each float
-    matrix product errs componentwise by a factor within 1 +- gamma_n, so
+    product H_m ... H_1 as numpy forms it, None for exact rationals. P >= 0,
+    and each float matrix product errs componentwise within 1 +- gamma_n, so
     prod, one matrix-vector product and one comparison lie within 1 +- d of
     their exact values, d = 4(m + 2)(n + 2)u, while no partial product
     leaves the normal range (checked on the rates). The float tiers decide
     only outside that band, by Collatz-Wielandt certificates (Horn &
-    Johnson, Matrix Analysis, Cor. 8.1.29: x > 0 with Px < zx gives
-    rho(P) < z; x >= 0, x != 0 with Px >= zx gives rho(P) >= z):
+    Johnson, Matrix Analysis, Cor. 8.1.29: x > 0 with Px < x gives
+    rho(P) < 1; x >= 0, x != 0 with Px >= x gives rho(P) >= 1):
 
     * row sums bound rho from both sides, and a diagonal entry from below;
-    * elimination of sI - prod without pivoting at s = z(1 + 4d), checked
-      with one product by prod: when every pivot is positive, x = (sI -
-      prod)^-1 1 has Px = sx - 1 < zx; when pivot k is not, the vector from
-      the leading k x k block in _certificate_vector has Pv >= sv > zv.
+    * elimination of sI - prod without pivoting at s = 1 + 4d, checked with
+      one product by prod: when every pivot is positive, x = (sI - prod)^-1 1
+      has Px = sx - 1 < x; when pivot k is not, the vector from the leading
+      k x k block in _certificate_vector has Pv >= sv > v.
 
-    What is left, the band around rho = z and products that could underflow
+    What is left, the band around rho = 1 and products that could underflow
     or overflow, goes to _exact_radius_below.
     """
+    if prod is None:
+        return _exact_radius_below(rates)
     m, n = len(rates), len(prod)
-    lo_w = min(map(min, rates))
-    if lo_w == 0.0:
-        lo_w = min((v for w in rates for v in w if v > 0.0), default=1.0)
+    lo_w = min((v for w in rates for v in w if v > 0.0), default=1.0)
     hi_w = max(map(max, rates))
     # Every nonzero entry of a partial product lies in [lo_w^m, (n hi_w)^m].
     # Keeping that within 2^+-400, and the certificate vector's nonzero
@@ -188,21 +207,21 @@ def _radius_below(prod: np.ndarray, z: float, rates: Sequence[Sequence[float]]) 
     # and finite, where the relative error model holds.
     if m * math.log2(min(lo_w, 1.0)) > -400.0 and m * math.log2(n * max(hi_w, 1.0)) < 400.0:
         d = 4 * (m + 2) * (n + 2) * _U
-        below, above = z * (1.0 - d), z * (1.0 + d)
+        below, above = 1.0 - d, 1.0 + d
         P = prod.tolist()
         rows = list(map(sum, P))
         if max(rows) < below:
             return True
         if min(rows) >= above or max(P[i][i] for i in range(n)) >= above:
             return False
-        v = _certificate_vector(P, z * (1.0 + 4.0 * d))
+        v = _certificate_vector(P, 1.0 + 4.0 * d)
         if all(x == 0.0 or 2.0**-400 < abs(x) < 2.0**60 for x in v):
             pv = [sum([a * b for a, b in zip(row, v)]) for row in P]
             if min(v) > 0.0 and all(p < below * x for p, x in zip(pv, v)):
                 return True
             if min(v) >= 0.0 and all(p >= above * x for p, x in zip(pv, v)):
                 return False
-    return _exact_radius_below(z, rates)
+    return _exact_radius_below(rates)
 
 
 def _certificate_vector(P: list[list[float]], s: float) -> list[float]:
@@ -244,11 +263,11 @@ def _certificate_vector(P: list[list[float]], s: float) -> list[float]:
     return x
 
 
-def _exact_radius_below(z: float, rates: Sequence[Sequence[float]]) -> bool:
-    """rho(P) < z by exact rational arithmetic on the float rates.
+def _exact_radius_below(rates: Sequence[Sequence[float]]) -> bool:
+    """rho(P) < 1 by exact rational arithmetic on the rates.
 
-    For nonnegative P, zI - P is a nonsingular M-matrix exactly when
-    rho(P) < z, and a Z-matrix is one exactly when its leading principal
+    For nonnegative P, I - P is a nonsingular M-matrix exactly when
+    rho(P) < 1, and a Z-matrix is one exactly when its leading principal
     minors are positive (Berman & Plemmons, Nonnegative Matrices in the
     Mathematical Sciences, ch. 6, Thm 2.3). Elimination without pivoting
     has the ratios of consecutive leading minors as its pivots.
@@ -259,8 +278,7 @@ def _exact_radius_below(z: float, rates: Sequence[Sequence[float]]) -> bool:
         # the companion shifts rows up; its bottom row (w_n, ..., w_1) mixes them
         bottom = [Fraction(v) for v in reversed(w)]
         prod = prod[1:] + [[sum(b * row[k] for b, row in zip(bottom, prod)) for k in range(n)]]
-    zf = Fraction(z)
-    a = [[(zf if i == j else 0) - prod[i][j] for j in range(n)] for i in range(n)]
+    a = [[int(i == j) - prod[i][j] for j in range(n)] for i in range(n)]
     for k in range(n):
         if a[k][k] <= 0:
             return False
@@ -289,11 +307,11 @@ def sufficient_test(
 
     Builds the companion matrix from worst-case expansion rates; the test
     passes when its spectral radius is strictly below 1 - margin, decided
-    by the sum rule with no iteration. rho is a diagnostic.
+    by the sum rule on the rescaled rates. rho is a diagnostic.
     """
     _check_margin(margin)
     h = HMatrix(p.n, expansion_profile(q, p))
-    return StabilityTest(rho=spectral_radius(h), stable=_contracts(h.w_bar, margin))
+    return StabilityTest(rho=spectral_radius(h), stable=_contracts(_rescaled(h.w_bar, margin)))
 
 
 # One default row reads at most 2 x 63 sizes, N = 2..64 in each family; a
@@ -310,10 +328,8 @@ def _rate_entry(family: str, p: UncertainPlant, N: int) -> tuple[float, ...] | N
     return expansion_profile(q, p)
 
 
-def _rate_table(
-    p: UncertainPlant, family: str, N_max: int
-) -> Iterator[tuple[int, float, tuple[float, ...]]]:
-    """(N, log2 N, w_bar) for each size N in 2..N_max whose layout builds.
+def _rate_table(p: UncertainPlant, family: str, N_max: int, margin: float) -> Iterator[tuple]:
+    """(N, log2 N, _rescaled w_bar) for each size N in 2..N_max whose layout builds.
 
     Every size loop reads this table, each size through one memo on
     (family, plant, N), so one row builds each quantizer once. A size
@@ -323,7 +339,7 @@ def _rate_table(
     for N in range(2, N_max + 1):
         w = _rate_entry(family, p, N)
         if w is not None:
-            yield N, math.log2(N), w
+            yield N, math.log2(N), _rescaled(w, margin)
 
 
 def min_sufficient_N(
@@ -331,8 +347,8 @@ def min_sufficient_N(
 ) -> int | None:
     """Smallest alphabet size the sum rule certifies at margin, or None within the cap."""
     _check_margin(margin)
-    for N, _, w in _rate_table(p, family, N_max):
-        if _contracts(w, margin):
+    for N, _, w in _rate_table(p, family, N_max, margin):
+        if _contracts(w):
             return N
     return None
 
@@ -385,16 +401,13 @@ def periodic_sufficient_test(
 
     The product is taken newest-applied-last, H_{m-1} ... H_1 H_0; its
     spectral radius is order-invariant under cyclic shifts, which matches
-    the freedom in choosing the period's phase. stable is the exact
-    decision rho < 1 - margin of _radius_below; rho is a diagnostic.
+    the freedom in choosing the period's phase. stable is _radius_below on
+    the rescaled rates, rho < (1 - margin)^m exactly; rho is a diagnostic.
     """
     _check_margin(margin)
-    hs = [HMatrix(p.n, expansion_profile(q, p)) for q in schedule_quantizers(p, sched, family)]
-    prod = np.eye(p.n)
-    for h in hs:
-        prod = h.matrix() @ prod
-    stable = _radius_below(prod, 1.0 - margin, [h.w_bar for h in hs])
-    return StabilityTest(rho=_radius(prod), stable=stable)
+    ws = [expansion_profile(q, p) for q in schedule_quantizers(p, sched, family)]
+    rs = [_rescaled(w, margin) for w in ws]
+    return StabilityTest(rho=_radius(_product(ws)), stable=_radius_below(_product(rs), rs))
 
 
 @dataclass(frozen=True)
@@ -430,9 +443,9 @@ def _search_scalar_exact(
     """Exact minimum-average-rate schedule for n = 1.
 
     The period product of scalar rates commutes, so schedules are multisets
-    of sizes: pick m <= m_max items (g, c) = (ln w_N, log2 N) minimizing
-    sum(c)/m subject to sum(g) < ln(1 - margin), a knapsack with exactly m
-    items. The search is a depth-first branch and bound over nondecreasing
+    of sizes: pick m <= m_max items (g, c) = (ln w_N, log2 N) of the rescaled
+    rates minimizing sum(c)/m subject to sum(g) < 0, a knapsack with exactly
+    m items. The search is a depth-first branch and bound over nondecreasing
     size indices, larger indices first so that feasible incumbents appear
     early. The incumbent average starts from uniform schedules and from the
     cheapest feasible mix of each pair of adjacent lower-hull points in
@@ -444,21 +457,19 @@ def _search_scalar_exact(
     the incumbent, so ties still prefer fewer slots, then lexicographically
     smaller sizes.
 
-    Feasibility means the exact product of the float worst rates is below
-    z = 1 - margin. The float log sums decide it outside their rounding
-    band; inside it, _radius_below on the 1 x 1 period product does, the
-    exact product of the float rates. A leaf in the band is decided only
-    when it would beat the incumbent, and a child in the band counts as
-    possibly feasible for the pruning bounds. So every leaf's verdict is
-    exact, and the winner's certificate, the same call, can no longer
-    fail: CertificateError is kept as an assertion.
+    Feasibility means the exact product of the rescaled float rates is
+    below 1 (a rate past 2^1023, at a margin next to 1, is left out). The
+    float log sums decide it outside their rounding band, _radius_below on
+    the 1 x 1 product inside it, and only for a leaf that would beat the
+    incumbent; a child in the band counts as possibly feasible for the
+    pruning bounds. So the winner's certificate, the same call, can no
+    longer fail: CertificateError is kept as an assertion.
     """
     # the uniform family at a* = eps = 0 gives a zero rate, which has no log
-    vals = [(N, c, w) for N, c, (w,) in _rate_table(p, family, N_max) if w > 0.0]
+    table = _rate_table(p, family, N_max, margin)
+    vals = [(N, c, w) for N, c, (w,) in table if isinstance(w, float) and w > 0.0]
     if not vals:
         return None
-    z = 1.0 - margin
-    target = math.log(z) if margin > 0.0 else 0.0
     cvec = [c for _, c, _ in vals]
     gvec = [math.log(w) for _, _, w in vals]
     nvals = len(vals)
@@ -466,22 +477,20 @@ def _search_scalar_exact(
     gmin = list(itertools.accumulate(reversed(gvec), min))[::-1]
     if gmin[0] >= 0.0:
         return None  # nothing contracts, so no product ever can
-    # Rounding band of a float log sum against target. Each log errs by less
-    # than one ulp (2u |g|), and each of the at most m_max - 1 additions by
-    # u times a partial sum of at most k G, G = max |g|, so a sum and target
-    # lie within u (G m_max (m_max + 5) / 2 + 2 |target|) of the exact logs
-    # of the float rates and of z, which the band bounds.
-    band = (m_max + 2) ** 2 * _U * max(max(map(abs, gvec)), abs(target))
+    # Rounding band of a float log sum against 0. Each log errs by less than
+    # one ulp (2u |g|), and each of the at most m_max - 1 additions by u times
+    # a partial sum of at most k G, G = max |g|, so a sum lies within
+    # u G m_max (m_max + 5) / 2 of the exact log of the rates' product.
+    band = (m_max + 2) ** 2 * _U * max(map(abs, gvec))
     rate = {N: w for N, _, w in vals}
 
     def below(sizes: tuple[int, ...]) -> bool:
-        """Whether the exact product of the sizes' float rates is below z."""
+        """Whether the exact product of the sizes' float rates is below 1."""
         rates = [(rate[N],) for N in sizes]
-        return _radius_below(np.array([[math.prod(w for (w,) in rates)]]), z, rates)
+        return _radius_below(np.array([[math.prod(w for (w,) in rates)]]), rates)
 
-    # Seeds only bound the search, so they keep at least the band below the
-    # target.
-    seed_target = target - max(band, 1e-9)
+    # Seeds only bound the search, so they keep at least the band below 0.
+    seed_target = -max(band, 1e-9)
     ub = cvec[-1] + 1.0  # above every average
     for g, c in zip(gvec, cvec):
         if m_max * g < seed_target:  # uniform schedule, any feasible period
@@ -509,7 +518,7 @@ def _search_scalar_exact(
     tol = 1e-9  # keeps children that tie the incumbent
     best: tuple[float, int, tuple[int, ...]] | None = None
     # nodes: (slots, c_sum, g_sum, last index, sizes, feasible); feasible is
-    # None while undecided. The root's empty product 1 is not below z.
+    # None while undecided. The root's empty product 1 is not below 1.
     stack: list[tuple[int, float, float, int, tuple[int, ...], bool | None]] = [
         (0, 0.0, 0.0, 0, (), False)
     ]
@@ -528,14 +537,14 @@ def _search_scalar_exact(
         j2 = j + 1
         e_max = m_max - j2
         # A completion adding e items from index i on, with g sum below the
-        # budget d = target - g_sum - g_i, exceeds ub * (j2 + e) in cost by at
-        # least base + price_i + e * (floor_i - ub) for every beta <= 0, where
-        # base = c_sum - ub * j2 + beta * (target - g_sum).
-        base = [c_sum - ub * j2 + b * (target - g_sum) for b in betas]
+        # budget d = -g_sum - g_i, exceeds ub * (j2 + e) in cost by at least
+        # base + price_i + e * (floor_i - ub) for every beta <= 0, where
+        # base = c_sum - ub * j2 - beta * g_sum.
+        base = [c_sum - ub * j2 - b * g_sum for b in betas]
         children = []
         for i in range(last, nvals):
             g2 = g_sum + gvec[i]
-            d = target - g2
+            d = -g2
             if d > band:
                 feas2: bool | None = True
             elif d <= -band:
@@ -576,8 +585,8 @@ def _search_scalar_exact(
     if not below(sizes):
         product = math.prod(rate[N] for N in sizes)
         raise CertificateError(
-            f"schedule {list(sizes)} passes the log-space search but the exact product "
-            f"of its rates (about {product!r}) is not below 1 - margin = {z!r}"
+            f"schedule {list(sizes)} passes the log-space search but the exact product"
+            f" of its rescaled rates (about {product!r}) is not below 1"
         )
     return ScheduleSearchResult(schedule=Schedule(sizes), avg_rate=avg, exact=True)
 
@@ -587,48 +596,42 @@ def _search_heuristic(
 ) -> ScheduleSearchResult | None:
     """Best-effort search for higher-order plants: small periods only.
 
-    Sizes run up to static + 4, static = min_sufficient_N at margin 0, and
-    periods up to 6; both read the rate table, so the sizes up to static
-    are not rebuilt. Depth-first over nondecreasing size sequences. Each
-    size's companion matrix and radius are built once, and a node's period
-    product is its parent's times the new slot's matrix, newest last, the
-    products periodic_sufficient_test forms. A node's verdict is the exact
+    Sizes up to static + 4, static = min_sufficient_N at the margin, and
+    periods up to 6 (a size with a rescaled rate past 2^1023, radius above
+    2^(1023/n), is left out). Depth-first over nondecreasing size sequences;
+    a node's period product is its parent's times the new slot's rescaled
+    matrix, newest last, as periodic_sufficient_test forms it. A node's verdict is the exact
     _radius_below, taken only when the node would beat the incumbent. A
     child is skipped when the product of per-size radii with the smallest
-    radius in every remaining slot is not below 1 - margin. Sizes never
-    decrease along a path, so a child's average rate bounds its whole
-    subtree and every later sibling's from below: the loop over children
-    stops at the first child whose average exceeds the incumbent's by more
-    than rounding. The incumbent starts as the cheapest single size that
-    passes the same screen and the same exact verdict (the sum rule, on one
-    companion). Both only skip nodes that cannot beat the incumbent, so the
-    winner and its tie order are those of the full search.
+    radius in every remaining slot is not below 1. Sizes never decrease
+    along a path, so a child's average rate bounds its whole subtree and
+    every later sibling's from below: the loop over children stops at the
+    first child whose average exceeds the incumbent's by more than rounding.
+    The incumbent starts as the cheapest single size that passes the same
+    screen and the sum rule. Both only skip nodes that cannot beat the
+    incumbent, so the winner and its tie order are those of the full search.
     """
     cap_m = min(m_max, 6)
-    z = 1.0 - margin
-    static = min_sufficient_N(p, family, N_max)
+    static = min_sufficient_N(p, family, N_max, margin)
+    cap_n = N_max if static is None else min(N_max, static + 4)
     cands = []
-    for N, c, w in _rate_table(p, family, N_max if static is None else min(N_max, static + 4)):
-        h = HMatrix(p.n, w)
-        cands.append((N, c, spectral_radius(h), h.matrix(), w))
-    if not cands:
-        return None
-    rho_min = min(r for _, _, r, _, _ in cands)
+    for N, c, w in _rate_table(p, family, cap_n, margin):
+        if isinstance(w[0], float):
+            h = HMatrix(p.n, w)
+            cands.append((N, c, spectral_radius(h), h.matrix(), w))
+    rho_min = min((r for _, _, r, _, _ in cands), default=0.0)
     best: tuple[float, int, tuple[int, ...]] | None = None
     for N, c, rho, _, w in cands:
-        if rho * rho_min ** (cap_m - 1) < z and _contracts(w, margin):
+        if rho * rho_min ** (cap_m - 1) < 1.0 and _contracts(w):
             best = (c, 1, (N,))
             break
-    rates: list[tuple[float, ...]] = []  # w_bar of each slot on the current path
 
-    def dfs(
-        start: int, sizes: list[int], c_sum: float, rho_prod: float, prod: np.ndarray
-    ) -> None:
+    def dfs(start: int, sizes: tuple, rates: tuple, c_sum: float, rho_prod: float, prod) -> None:
         nonlocal best
         j = len(sizes)
         if j > 0:
-            key = (c_sum / j, j, tuple(sizes))
-            if (best is None or key < best) and _radius_below(prod, z, rates):
+            key = (c_sum / j, j, sizes)
+            if (best is None or key < best) and _radius_below(prod, rates):
                 best = key
         if j == cap_m:
             return
@@ -638,15 +641,11 @@ def _search_heuristic(
                 break
             # coarse screen: even finishing every remaining slot at the best
             # per-step radius, the radius product stays expansive
-            if rho_prod * rho * rho_min ** (cap_m - j - 1) >= z:
+            if rho_prod * rho * rho_min ** (cap_m - j - 1) >= 1.0:
                 continue
-            sizes.append(N)
-            rates.append(w)
-            dfs(idx, sizes, c_sum + c, rho_prod * rho, mat @ prod)
-            sizes.pop()
-            rates.pop()
+            dfs(idx, sizes + (N,), rates + (w,), c_sum + c, rho_prod * rho, mat @ prod)
 
-    dfs(0, [], 0.0, 1.0, np.eye(p.n))
+    dfs(0, (), (), 0.0, 1.0, np.eye(p.n))
     if best is None:
         return None
     avg, _, sizes = best
@@ -662,11 +661,12 @@ def search_periodic_schedule(
 ) -> ScheduleSearchResult | None:
     """Minimum average-rate periodic schedule within the given caps.
 
-    Exact for first-order plants: each candidate is decided exactly for the
-    float rates, and the winner's certificate, the same verdict, is an
-    assertion (CertificateError, which no known input reaches). A flagged
-    heuristic otherwise. Both read one rate table per plant and family.
-    None when no schedule within the caps is found.
+    The margin is a contraction per step, rho(P) < (1 - margin)^m over an
+    m-slot period. Exact for first-order plants: each candidate is decided
+    exactly for the rescaled float rates, and the winner's certificate, the
+    same verdict, is an assertion (CertificateError, which no known input
+    reaches). A flagged heuristic otherwise. Both read one rate table per
+    plant and family. None when no schedule within the caps is found.
     """
     if m_max < 1 or N_max < 2:
         raise ValueError("need m_max >= 1 and N_max >= 2")

@@ -299,8 +299,8 @@ def test_margin_certifies_sufficient_sizes(tmp_path, capsys, command, flags, fir
 
 
 def test_margin_next_to_one_on_a_high_order_plant(tmp_path, capsys):
-    # (1 - margin)^i underflows for i = 21: the sum rule decides exactly
-    # instead of dividing by zero, and no size is certified within the cap
+    # (1 - margin)^i underflows for i = 21: the rescale divides exactly
+    # instead of by zero, and no size is certified within the cap
     zeros = ", ".join(["0.0"] * 20)
     cfg = write(
         tmp_path,
@@ -314,6 +314,69 @@ def test_margin_next_to_one_on_a_high_order_plant(tmp_path, capsys):
     assert main(argv) == 0
     assert out.read_text().splitlines()[1] == "2,0.3,1.23872018237,1.20163386117,,,,,,"
     assert capsys.readouterr().err == ""
+
+
+N21_PLANT = "n = 21\na_star = {0}, 2.0\neps = {0}, 0.3".format(", ".join(["0.0"] * 20))
+
+
+@pytest.mark.parametrize(
+    "plant,lam,flags,row",
+    [
+        (
+            N21_PLANT,
+            "2",
+            ("--m-max", "3", "--n-max", "6"),
+            "2,0.3,1.23872018237,1.20163386117,,,,,,",
+        ),
+        (
+            "n = 1\na_star = 3.0\neps = 0.35",
+            "3",
+            ("--m-max", "8"),
+            "3,0.35,1.87798412281,1.74416109557,,,,2.20645087747,,",
+        ),
+    ],
+    ids=["n21", "n1"],
+)
+def test_margin_next_to_one_schedule_finds_none(tmp_path, capsys, plant, lam, flags, row):
+    # no schedule contracts by z = 2^-53 per step. The n = 1 rescaled rates
+    # w 2^53 are far above 1; the n = 21 plant's w_21 2^1113 is past the
+    # float range, so N_suf reads it exactly and the search leaves it out
+    sweep = f"[sweep]\nlambda_min = {lam}\nlambda_max = {lam}\nlambda_step = 0.1\n"
+    cfg = write(tmp_path, "s.cfg", f"[plant]\n{plant}\n\n{sweep}")
+    out = tmp_path / "s.csv"
+    margin = repr(1.0 - 2.0**-53)
+    assert main(["schedule", "--config", cfg, "--out", str(out), *flags, "--margin", margin]) == 0
+    assert out.read_text().splitlines()[1] == row
+    captured = capsys.readouterr()
+    assert captured.out == f"lambda={lam} schedule=not-found\n"
+    assert captured.err == ""
+
+
+def test_margin_is_a_contraction_per_step_for_every_period(tmp_path, capsys):
+    # margin 0.5 asks rho(P) < 0.5^m of an m-slot period, so longer periods
+    # cannot dilute it: the best average falls with m_max but stays near
+    # the static 2.585 bits, far above the margin-0 optimum of 1 bit
+    plant = "[plant]\nn = 1\na_star = 2.0\neps = 0.35\n\n"
+    sweep = "[sweep]\nlambda_min = 1.5\nlambda_max = 1.5\nlambda_step = 0.1\n"
+    cfg = write(tmp_path, "m.cfg", plant + sweep)
+    out = tmp_path / "m.csv"
+    rows = []
+    for m_max in ("1", "2", "32"):
+        argv = ["schedule", "--config", cfg, "--out", str(out), "--m-max", m_max]
+        assert main([*argv, "--margin", "0.5"]) == 0
+        rows.append(out.read_text().splitlines()[1])
+    prefix = "1.5,0.35,0.857747223046,0.887525270742,6,8,,1.20645087747,"
+    assert rows == [
+        prefix + "2.58496250072,1",
+        prefix + "2.40367746103,2",
+        prefix + "2.36170843693,30",
+    ]
+    six = ", ".join(["6"] * 18)
+    assert capsys.readouterr().out.splitlines() == [
+        "lambda=1.5 schedule=[6] (exact)",
+        "lambda=1.5 schedule=[4, 7] (exact)",
+        f"lambda=1.5 schedule=[{', '.join(['4'] * 11)}, 5, {six}] (exact)",
+    ]
 
 
 def test_quantizer_export(tmp_path):

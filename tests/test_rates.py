@@ -268,7 +268,7 @@ def test_periodic_power_consistency():
 
 
 # ---------------------------------------------------------------------------
-# exact verdicts: rho(P) < z for P the exact product of float companions
+# exact verdicts: rho(P) < 1 for P the exact product of float companions
 
 
 def float_product(rate_list):
@@ -287,16 +287,16 @@ def test_verdict_near_tie_n1_pins_exact_answer():
     assert not product < 1.0
     assert Fraction(w[0]) * Fraction(w[1]) * Fraction(w[2]) < 1
     rate_list = [(v,) for v in w]
-    assert rates._radius_below(np.array([[product]]), 1.0, rate_list)
-    assert rates._radius_below(float_product(rate_list), 1.0, rate_list)
+    assert rates._radius_below(np.array([[product]]), rate_list)
+    assert rates._radius_below(float_product(rate_list), rate_list)
     # and the other way: the float product is below 1, the exact one is not
     w = (0.719692610599019, 1.5782532091426846, 0.880392380670389)
     product = w[0] * w[1] * w[2]
     assert product < 1.0
     assert not Fraction(w[0]) * Fraction(w[1]) * Fraction(w[2]) < 1
     rate_list = [(v,) for v in w]
-    assert not rates._radius_below(np.array([[product]]), 1.0, rate_list)
-    assert not rates._radius_below(float_product(rate_list), 1.0, rate_list)
+    assert not rates._radius_below(np.array([[product]]), rate_list)
+    assert not rates._radius_below(float_product(rate_list), rate_list)
 
 
 def test_verdict_near_tie_n2_pins_exact_answer():
@@ -306,40 +306,50 @@ def test_verdict_near_tie_n2_pins_exact_answer():
     assert Fraction(0.7) + Fraction(0.3) < 1
     assert not rates._radius(HMatrix(2, w).matrix()) < 1.0
     assert not w[0] + w[1] < 1.0
-    assert rates._radius_below(float_product([w]), 1.0, [w])
-    assert rates._radius_below(float_product([w, w]), 1.0, [w, w])
-    # a period product whose float radius from eigvals is the z tested: the
-    # exact radius lies below it. The largest root of z^2 - tr z + det lies
-    # below z iff z is right of the vertex and the polynomial is positive there
-    rate_list = [(0.786, 0.127), (0.684, 0.241)]
+    assert rates._radius_below(float_product([w]), [w])
+    assert rates._radius_below(float_product([w, w]), [w, w])
+    # a period product rescaled to a near tie: its float radius from eigvals
+    # is 1, the exact radius of the rescaled float rates lies below it. The
+    # largest root of x^2 - tr x + det lies below 1 iff 1 is right of the
+    # vertex and the polynomial is positive there
+    rate_list = [rates._rescaled(w, 0.09096392832975031) for w in [(0.536, 0.324), (0.555, 0.337)]]
     (a1, a2), (b1, b2) = [[Fraction(v) for v in w] for w in rate_list]
     tr, det = a2 + b2 + b1 * a1, a2 * b2  # of [[a2, a1], [b1 a2, b2 + b1 a1]]
-    z = 0.8704622212904958
     prod = float_product(rate_list)
-    assert not rates._radius(prod) < z
-    assert 2 * Fraction(z) > tr and Fraction(z) ** 2 - tr * Fraction(z) + det > 0
-    assert rates._radius_below(prod, z, rate_list)
+    assert not rates._radius(prod) < 1.0
+    assert 2 > tr and 1 - tr + det > 0
+    assert rates._radius_below(prod, rate_list)
     # 0.1 + 0.9 exceeds 1 exactly
     w = (0.1, 0.9)
-    assert not rates._radius_below(float_product([w]), 1.0, [w])
-    assert not rates._radius_below(float_product([w, w, w]), 1.0, [w, w, w])
+    assert not rates._radius_below(float_product([w]), [w])
+    assert not rates._radius_below(float_product([w, w, w]), [w, w, w])
 
 
 def test_contracts_decides_its_band_exactly():
     # both sums are 1.0 in floats, inside the band 1 +- 4(n + 2)u
     assert 0.3 + 0.7 == 1.0 and 0.1 + 0.9 == 1.0
-    assert rates._contracts((0.7, 0.3), 0.0)
-    assert rates._contracts((0.3, 0.7), 0.0)
-    assert not rates._contracts((0.1, 0.9), 0.0)
+    assert rates._contracts((0.7, 0.3))
+    assert rates._contracts((0.3, 0.7))
+    assert not rates._contracts((0.1, 0.9))
     # 0.5 / 0.5 + 0.125 / 0.25 is 1.5 exactly, far outside the band; at
     # margin 0.5 + 2^-53 the single slot alone is the tie
-    assert not rates._contracts((0.5, 0.125), 0.5)
+    assert rates._rescaled((0.5, 0.125), 0.5) == (1.0, 0.5)
+    assert not rates._contracts(rates._rescaled((0.5, 0.125), 0.5))
     z = 0.5 - 2.0**-53
-    assert not rates._contracts((z,), 1.0 - z)
-    assert rates._contracts((math.nextafter(z, 0.0),), 1.0 - z)
-    # z^21 underflows at z = 2^-53: the exact sum decides instead of 0.0 / 0.0
-    assert rates._contracts((0.0,) * 21, 1.0 - 2.0**-53)
-    assert not rates._contracts((0.0,) * 20 + (2.0**-1070,), 1.0 - 2.0**-53)
+    assert not rates._contracts(rates._rescaled((z,), 1.0 - z))
+    assert rates._contracts(rates._rescaled((math.nextafter(z, 0.0),), 1.0 - z))
+    # z^21 underflows at z = 2^-53: the rescale divides exactly instead of
+    # 0.0 / 0.0, and 2^-1070 / 2^-1113 is 2^43
+    zeros = rates._rescaled((0.0,) * 21, 1.0 - 2.0**-53)
+    tiny = rates._rescaled((0.0,) * 20 + (2.0**-1070,), 1.0 - 2.0**-53)
+    assert zeros == (0.0,) * 21 and tiny == (0.0,) * 20 + (2.0**43,)
+    assert rates._contracts(zeros)
+    assert not rates._contracts(tiny)
+    # a rescaled rate past the float range stays exact, and the sum rule
+    # reads it exactly
+    huge = rates._rescaled((0.0,) * 20 + (0.5,), 1.0 - 2.0**-53)
+    assert huge[-1] == 2**1112 and all(isinstance(v, Fraction) for v in huge)
+    assert not rates._contracts(huge)
 
 
 def random_rate_lists(rng, count):
@@ -370,9 +380,11 @@ def test_radius_below_agrees_with_exact_path():
         if rho == 0.0:
             continue
         for f in (1.0 - 1e-9, 1.0 + 1e-9, 1.0 - 1e-6, 1.0 + 1e-6, 0.9, 1.1, 1.0):
-            z = rho * f
-            want = rates._exact_radius_below(z, rate_list)
-            assert rates._radius_below(prod, z, rate_list) == want, (rate_list, f)
+            # rescaled per step by z, so rho(P) < z^m becomes rho(P') < 1
+            z = (rho * f) ** (1.0 / len(rate_list))
+            scaled = [rates._rescaled(w, 1.0 - z) for w in rate_list]
+            want = rates._exact_radius_below(scaled)
+            assert rates._radius_below(float_product(scaled), scaled) == want, (rate_list, f)
             if f != 1.0:
                 assert want == (f > 1.0), (rate_list, f)
             checked += 1
@@ -384,7 +396,8 @@ def test_exact_path_matches_sum_rule_on_one_companion():
     for rate_list in random_rate_lists(rng, 60):
         w = rate_list[0]
         for margin in (0.0, 0.02, 0.3):
-            assert rates._exact_radius_below(1.0 - margin, [w]) == rates._contracts(w, margin)
+            scaled = rates._rescaled(w, margin)
+            assert rates._exact_radius_below([scaled]) == rates._contracts(scaled)
 
 
 def test_eigvals_reaches_no_verdict(monkeypatch):
@@ -419,14 +432,19 @@ def test_eigvals_reaches_no_verdict(monkeypatch):
 
 
 def brute_force_best(lam, eps, m_max, n_max, margin=0.0):
-    """Test-local exhaustive multiset search over v-rate products."""
+    """Test-local exhaustive multiset search over v-rate products.
+
+    The margin is a contraction per step: a period of m slots is feasible
+    when the exact product of its rates is below (1 - margin)^m.
+    """
     best = None
+    z = Fraction(1.0 - margin)
     for m in range(1, m_max + 1):
         for sizes in itertools.combinations_with_replacement(range(2, n_max + 1), m):
-            prod = 1.0
+            prod = Fraction(1)
             for n_level in sizes:
-                prod *= v_rate(lam, eps, n_level)
-            if prod < 1.0 - margin:
+                prod *= Fraction(v_rate(lam, eps, n_level))
+            if prod < z**m:
                 avg = sum(math.log2(v) for v in sizes) / m
                 key = (avg, m, sizes)
                 if best is None or key < best:
@@ -442,6 +460,9 @@ def brute_force_best(lam, eps, m_max, n_max, margin=0.0):
         pytest.param(1.75, 0.35, 0.0, id="1.75-0.35"),
         # the margin moves the optimum away from (4, 4, 4, 5)
         pytest.param(3.0, 0.5, 0.1, id="3.0-0.5-margin0.1"),
+        # a per-step margin of 0.5 keeps every slot above 3 levels:
+        # (4, 5, 6, 6), where a per-period one would allow (2, 2, 2, 4)
+        pytest.param(1.5, 0.35, 0.5, id="1.5-0.35-margin0.5"),
         # (4,) ties (4, 4), (4, 4, 4), ...: the fewest slots must win
         pytest.param(3.995, 0.0, 0.0, id="3.995-0.0"),
     ],
@@ -548,7 +569,7 @@ def test_search_deeper_than_recursion_limit():
     assert res.schedule.sizes == (2,) * (m_max - 1) + (3,)
 
 
-def fake_rate_table(p, family, N_max):
+def fake_rate_table(p, family, N_max, margin):
     """Rates whose float log sum and exact product disagree on (2, 2, 2, 3).
 
     1.29**3 * 0.4658336629106498 is at least 1 exactly, but the sum of the
@@ -583,8 +604,13 @@ def test_search_heuristic_n2_is_feasible_and_flagged():
 
 def reference_heuristic(p, m_max, n_max, margin):
     """Test-local copy of the higher-order DFS that runs periodic_sufficient_test
-    on every node instead of extending a carried period product."""
-    static = min_sufficient_N(p, "optimal", n_max)
+    on every node instead of extending a carried period product.
+
+    Static size, screen and threshold are taken at the margin: the screen
+    reads the radii of the companions rescaled by z = 1 - margin per step,
+    rho(H) / z, against 1.
+    """
+    static = min_sufficient_N(p, "optimal", n_max, margin)
     cap_m = min(m_max, 6)
     cap_n = n_max if static is None else min(n_max, static + 4)
     cands = []
@@ -593,7 +619,8 @@ def reference_heuristic(p, m_max, n_max, margin):
             q = quantizer_for("optimal", p, n_level)
         except ValueError:
             continue
-        cands.append((n_level, sufficient_test(p, q).rho))
+        w = rates._rescaled(expansion_profile(q, p), margin)
+        cands.append((n_level, spectral_radius(HMatrix(p.n, w))))
     rho_min = min(r for _, r in cands)
     best = None
 
@@ -606,7 +633,7 @@ def reference_heuristic(p, m_max, n_max, margin):
             return
         for idx in range(start, len(cands)):
             n_level, rho = cands[idx]
-            if rho_prod * rho * rho_min ** (cap_m - len(sizes) - 1) >= 1.0 - margin:
+            if rho_prod * rho * rho_min ** (cap_m - len(sizes) - 1) >= 1.0:
                 continue
             dfs(idx, sizes + (n_level,), rho_prod * rho)
 
@@ -648,6 +675,62 @@ def test_search_heuristic_matches_per_node_reference():
         else:
             assert got is not None and not got.exact, k
             assert (got.avg_rate, got.schedule.m, got.schedule.sizes) == want, k
+
+
+def random_plants(seed, count):
+    """Seeded n = 1..4 plants, a third of them near-cyclic."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(1, 5))
+        lam = float(rng.uniform(1.4, 3.2))
+        eps_n = float(rng.uniform(0.0, 0.4))
+        a = tuple(rng.uniform(-0.8, 0.8, n - 1)) + (-lam if k % 2 else lam,)
+        eps = tuple(rng.uniform(0.0, 0.1, n - 1)) + (eps_n,)
+        if k % 3 == 0 and n > 1:
+            a = (0.0,) * (n - 1) + (lam,)
+            eps = (float(rng.uniform(1e-3, 1e-2)),) + (0.0,) * (n - 2) + (eps_n,)
+        yield UncertainPlant(n, a, eps, (1.0,) * n)
+
+
+MARGINS = (0.0, 0.02, 0.1, 0.3)
+
+
+def test_one_slot_search_is_the_static_size_at_every_margin():
+    # the margin is a contraction per step for the search as for N_suf
+    for k, p in enumerate(random_plants(23, 150)):
+        for margin in MARGINS:
+            static = min_sufficient_N(p, "optimal", 24, margin)
+            res = search_periodic_schedule(p, 1, 24, "optimal", margin)
+            got = None if res is None else res.schedule.sizes
+            assert got == (None if static is None else (static,)), (k, margin)
+
+
+def test_repeated_size_is_feasible_exactly_when_the_size_is():
+    checked = 0
+    for k, p in enumerate(random_plants(29, 60)):
+        for margin in MARGINS:
+            static = min_sufficient_N(p, "optimal", 24, margin) or 24
+            for N in range(max(2, static - 2), static + 2):
+                want = sufficient_test(p, quantizer_for("optimal", p, N), margin).stable
+                for reps in (2, 3):
+                    got = periodic_sufficient_test(p, Schedule((N,) * reps), "optimal", margin)
+                    assert got.stable == want, (k, margin, N, reps)
+                    checked += 1
+    assert checked > 1500
+
+
+def test_rescale_is_a_similarity_per_step():
+    # H(w) / z = D H(w') D^-1 with D = diag(1, z, ..., z^(n-1)), so the
+    # product of m rescaled companions has radius rho(P) / z^m
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(1, 5))
+        margin = float(rng.uniform(0.0, 0.5))
+        rate_list = [tuple(float(v) for v in rng.uniform(0.05, 0.8, n)) for _ in range(m)]
+        scaled = [rates._rescaled(w, margin) for w in rate_list]
+        want = rates._radius(float_product(rate_list)) / (1.0 - margin) ** m
+        assert math.isclose(rates._radius(float_product(scaled)), want, rel_tol=1e-12)
 
 
 def test_search_validates_caps():

@@ -9,7 +9,9 @@ same schedules, same tie-breaks, same average-rate floats.
 HIGHER_ORDER_CASES pin the heuristic search for n = 2..6 the same way: nine
 plants, two of them near-cyclic (zero lower coefficients, tiny eps_1), at
 margin 0 and 0.02 and with ``--m-max`` 4 to 6, recorded with the search that
-pruned only on the radius product.
+pruned only on the radius product. The margin-0.02 cases were re-recorded
+when the margin became a contraction per step, rho(P) < 0.98^m over an
+m-slot period, for the search as for the N_suf columns.
 """
 
 import pytest
@@ -221,12 +223,12 @@ lambda_step = 0.4
         ("--m-max", "5", "--margin", "0.02"),
         """\
 lambda,eps,R_nec,R_known_max,N_suf_opt,N_suf_uni,R_suf_phat,R_suf_martins,avg_rate_best,m_best
-1.8,0.3,1.08412240301,1.07038932789,4,4,,,1.58048202372,4
-2.2,0.3,1.37813568171,1.32192809489,4,4,,,1.79248125036,4
+1.8,0.3,1.08412240301,1.07038932789,4,4,,,1.6,5
+2.2,0.3,1.37813568171,1.32192809489,4,4,,,1.83398500029,5
 """,
         """\
-lambda=1.8 schedule=[2, 2, 4, 5] (heuristic)
-lambda=2.2 schedule=[3, 3, 4, 4] (heuristic)
+lambda=1.8 schedule=[2, 2, 4, 4, 4] (heuristic)
+lambda=2.2 schedule=[3, 3, 4, 4, 4] (heuristic)
 """,
     ),
     "n3_regular": (
@@ -244,12 +246,12 @@ lambda_step = 0.4
         ("--m-max", "5", "--margin", "0.02"),
         """\
 lambda,eps,R_nec,R_known_max,N_suf_opt,N_suf_uni,R_suf_phat,R_suf_martins,avg_rate_best,m_best
-2.1,0.3,1.31013455234,1.26303440583,4,5,,,1.89624062518,4
-2.5,0.3,1.56460693251,1.48542682717,5,5,,,2.06438561898,5
+2.1,0.3,1.31013455234,1.26303440583,4,5,,,1.96275623824,5
+2.5,0.3,1.56460693251,1.48542682717,5,5,,,2.11699250014,5
 """,
         """\
-lambda=2.1 schedule=[2, 4, 4, 6] (heuristic)
-lambda=2.5 schedule=[4, 4, 4, 4, 5] (heuristic)
+lambda=2.1 schedule=[3, 3, 4, 5, 5] (heuristic)
+lambda=2.5 schedule=[4, 4, 4, 4, 6] (heuristic)
 """,
     ),
     "n3_cyclic": (
@@ -290,12 +292,12 @@ lambda_step = 0.4
         ("--m-max", "4", "--margin", "0.02"),
         """\
 lambda,eps,R_nec,R_known_max,N_suf_opt,N_suf_uni,R_suf_phat,R_suf_martins,avg_rate_best,m_best
-2.2,0.3,1.37813568171,1.32192809489,5,5,,,2,2
-2.6,0.3,1.62171925946,1.53605290024,5,6,,,2.19498750024,3
+2.2,0.3,1.37813568171,1.32192809489,5,5,,,2.10730936496,3
+2.6,0.3,1.62171925946,1.53605290024,5,6,,,2.26911830735,3
 """,
         """\
-lambda=2.2 schedule=[4, 4] (heuristic)
-lambda=2.6 schedule=[4, 4, 6] (heuristic)
+lambda=2.2 schedule=[4, 4, 5] (heuristic)
+lambda=2.6 schedule=[4, 4, 7] (heuristic)
 """,
     ),
     "n5": (
@@ -336,10 +338,10 @@ lambda_step = 0.05
         ("--m-max", "6", "--margin", "0.02"),
         """\
 lambda,eps,R_nec,R_known_max,N_suf_opt,N_suf_uni,R_suf_phat,R_suf_martins,avg_rate_best,m_best
-2.9,0.35,1.82860964076,1.70043971814,8,11,,,2.80735492206,5
+2.9,0.35,1.82860964076,1.70043971814,8,11,,,3,1
 """,
         """\
-lambda=2.9 schedule=[7, 7, 7, 7, 7] (heuristic)
+lambda=2.9 schedule=[8] (heuristic)
 """,
     ),
     "n6_m4": (

@@ -155,3 +155,45 @@ def test_unused_private_names_detected(tmp_path):
 
 def test_no_unused_private_names_in_modules():
     assert unused_private_names(ROOT / "src" / "quantstab") == []
+
+
+# The functions that may do more with a margin than pass it on: the rescale
+# helper, the only place it enters arithmetic, and the two range checks.
+MARGIN_OWNERS = {"rates._rescaled", "rates._check_margin", "cli.cmd_sweep"}
+
+
+def margin_arithmetic(package: Path) -> list[str]:
+    """module.function for each read of `margin` in package/*.py, outside
+    MARGIN_OWNERS, that does more than pass it on as a call argument."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Name) and node.id == "margin"):
+                continue
+            up = parent[node]
+            if not isinstance(node.ctx, ast.Load) or isinstance(up, ast.keyword):
+                continue
+            if isinstance(up, ast.Call) and node in up.args:
+                continue
+            while not isinstance(up, (ast.FunctionDef, ast.Module)):
+                up = parent[up]
+            where = f"{path.stem}.{getattr(up, 'name', '<module>')}"
+            if where not in MARGIN_OWNERS:
+                found.append(where)
+    return found
+
+
+def test_margin_arithmetic_detected(tmp_path):
+    package = tmp_path / "quantstab"
+    shutil.copytree(ROOT / "src" / "quantstab", package)
+    with (package / "rates.py").open("a", encoding="utf-8") as f:
+        # a second, per-period reading of the margin next to a passed-on one
+        f.write("\n\ndef _per_period(margin):\n    _check_margin(margin)\n")
+        f.write("    return math.log(1.0 - margin)\n")
+    assert margin_arithmetic(package) == ["rates._per_period"]
+
+
+def test_margin_enters_arithmetic_only_in_the_rescale():
+    assert margin_arithmetic(ROOT / "src" / "quantstab") == []
