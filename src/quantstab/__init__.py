@@ -41,7 +41,6 @@ from .quantizer import (
 )
 from .rates import (
     INFEASIBLE,
-    CertificateError,
     ComparisonBounds,
     HMatrix,
     RelaxedRateSolution,
@@ -63,7 +62,6 @@ from .rates import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CertificateError",
     "ComparisonBounds",
     "GridSearchResult",
     "HMatrix",

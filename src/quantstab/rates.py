@@ -22,9 +22,9 @@ Three layers:
   memoized rate table per plant and family. For scalar plants the search
   is exact: a knapsack with exactly m items, solved by depth-first branch
   and bound with the Lagrangian bound of the lower convex hull of the
-  (log rate, log2 size) points. Each leaf is decided exactly, by the float
-  log sum outside its rounding band and by the exact verdict on the rate
-  product inside it, so the winner's certificate is an assertion.
+  (log rate, log2 size) points. Each node is decided exactly, by the float
+  log sum outside its rounding band and inside it by the rate product,
+  carried as an integer over a power of two.
   Higher-order plants get a flagged heuristic: a depth-first search over
   short nondecreasing schedules that extends the period product from
   parent to child, stops a node's children at the first one whose average
@@ -433,10 +433,6 @@ def _lower_hull(points: list[tuple[float, float]]) -> list[int]:
     return hull
 
 
-class CertificateError(ArithmeticError):
-    """The exact rate product of a search winner contradicts the float search."""
-
-
 def _search_scalar_exact(
     p: UncertainPlant, m_max: int, N_max: int, family: str, margin: float
 ) -> ScheduleSearchResult | None:
@@ -458,12 +454,10 @@ def _search_scalar_exact(
     smaller sizes.
 
     Feasibility means the exact product of the rescaled float rates is
-    below 1 (a rate past 2^1023, at a margin next to 1, is left out). The
-    float log sums decide it outside their rounding band, _radius_below on
-    the 1 x 1 product inside it, and only for a leaf that would beat the
-    incumbent; a child in the band counts as possibly feasible for the
-    pruning bounds. So the winner's certificate, the same call, can no
-    longer fail: CertificateError is kept as an assertion.
+    below 1 (a rate past 2^1023, at a margin next to 1, is left out). Each
+    float rate is an integer over a power of two, so every node carries its
+    exact product as num / 2^shift next to its verdict. A child's float log
+    sum decides outside its rounding band, and num < 2^shift inside it.
     """
     # the uniform family at a* = eps = 0 gives a zero rate, which has no log
     table = _rate_table(p, family, N_max, margin)
@@ -472,6 +466,9 @@ def _search_scalar_exact(
         return None
     cvec = [c for _, c, _ in vals]
     gvec = [math.log(w) for _, _, w in vals]
+    # w = nums[i] / 2^shifts[i] exactly
+    nums, dens = zip(*(w.as_integer_ratio() for _, _, w in vals))
+    shifts = [den.bit_length() - 1 for den in dens]
     nvals = len(vals)
     # cheapest future feasibility credit for slots restricted to index >= i
     gmin = list(itertools.accumulate(reversed(gvec), min))[::-1]
@@ -482,12 +479,6 @@ def _search_scalar_exact(
     # a partial sum of at most k G, G = max |g|, so a sum lies within
     # u G m_max (m_max + 5) / 2 of the exact log of the rates' product.
     band = (m_max + 2) ** 2 * _U * max(map(abs, gvec))
-    rate = {N: w for N, _, w in vals}
-
-    def below(sizes: tuple[int, ...]) -> bool:
-        """Whether the exact product of the sizes' float rates is below 1."""
-        rates = [(rate[N],) for N in sizes]
-        return _radius_below(np.array([[math.prod(w for (w,) in rates)]]), rates)
 
     # Seeds only bound the search, so they keep at least the band below 0.
     seed_target = -max(band, 1e-9)
@@ -517,21 +508,16 @@ def _search_scalar_exact(
 
     tol = 1e-9  # keeps children that tie the incumbent
     best: tuple[float, int, tuple[int, ...]] | None = None
-    # nodes: (slots, c_sum, g_sum, last index, sizes, feasible); feasible is
-    # None while undecided. The root's empty product 1 is not below 1.
-    stack: list[tuple[int, float, float, int, tuple[int, ...], bool | None]] = [
-        (0, 0.0, 0.0, 0, (), False)
-    ]
+    # nodes: (slots, c_sum, g_sum, last index, sizes, feasible, num, shift), with
+    # num / 2^shift the exact rate product; the root's product 1 is not below 1
+    stack: list[tuple] = [(0, 0.0, 0.0, 0, (), False, 1, 0)]
     while stack:
-        j, c_sum, g_sum, last, sizes, feas = stack.pop()
-        if feas is not False:  # never at the root
+        j, c_sum, g_sum, last, sizes, feas, num, shift = stack.pop()
+        if feas:
             key = (c_sum / j, j, sizes)
             if best is None or key < best:
-                if feas is None:
-                    feas = below(sizes)
-                if feas:
-                    best = key
-                    ub = min(ub, key[0])
+                best = key
+                ub = min(ub, key[0])
         if j == m_max:
             continue
         j2 = j + 1
@@ -546,17 +532,13 @@ def _search_scalar_exact(
             g2 = g_sum + gvec[i]
             d = -g2
             if d > band:
-                feas2: bool | None = True
+                feas2 = True
             elif d <= -band:
                 feas2 = False
-            elif feas is False and vals[i][2] >= 1.0:
-                feas2 = False  # a rate >= 1 keeps an infeasible product infeasible
-            elif feas and vals[i][2] <= 1.0:
-                feas2 = True  # and a rate <= 1 a feasible one feasible
             else:
-                feas2 = None
+                feas2 = num * nums[i] < 1 << (shift + shifts[i])
             e_min = 0
-            if feas2 is False:
+            if not feas2:
                 if gmin[i] >= 0.0:
                     continue
                 # d + band bounds the exact budget from above and the 1e-9 covers
@@ -576,18 +558,13 @@ def _search_scalar_exact(
             if lb == math.inf:
                 break
             if lb <= tol:
-                children.append((j2, c_sum + cvec[i], g2, i, sizes + (vals[i][0],), feas2))
+                children.append((j2, c_sum + cvec[i], g2, i, sizes + (vals[i][0],), feas2,
+                                 num * nums[i], shift + shifts[i]))
         stack.extend(children)  # largest index first: feasible incumbents early
 
     if best is None:
         return None
     avg, _, sizes = best
-    if not below(sizes):
-        product = math.prod(rate[N] for N in sizes)
-        raise CertificateError(
-            f"schedule {list(sizes)} passes the log-space search but the exact product"
-            f" of its rescaled rates (about {product!r}) is not below 1"
-        )
     return ScheduleSearchResult(schedule=Schedule(sizes), avg_rate=avg, exact=True)
 
 
@@ -663,10 +640,10 @@ def search_periodic_schedule(
 
     The margin is a contraction per step, rho(P) < (1 - margin)^m over an
     m-slot period. Exact for first-order plants: each candidate is decided
-    exactly for the rescaled float rates, and the winner's certificate, the
-    same verdict, is an assertion (CertificateError, which no known input
-    reaches). A flagged heuristic otherwise. Both read one rate table per
-    plant and family. None when no schedule within the caps is found.
+    exactly for the rescaled float rates, by the float log sum outside its
+    rounding band and by the integer rate product inside it. A flagged
+    heuristic otherwise. Both read one rate table per plant and family.
+    None when no schedule within the caps is found.
     """
     if m_max < 1 or N_max < 2:
         raise ValueError("need m_max >= 1 and N_max >= 2")

@@ -22,7 +22,7 @@ from quantstab.cli import (
     worker_count,
 )
 from quantstab.quantizer import optimal_boundaries
-from quantstab.rates import CertificateError, necessary_rate
+from quantstab.rates import necessary_rate
 
 BOUNDS_CFG = """\
 # scalar plant sweep
@@ -94,7 +94,7 @@ def test_typed_getters_and_errors():
     assert cfg.get_ints("s", "w") == (1, 2)
     assert cfg.get_floats("s", "w") == (1.0, 2.0)
     assert cfg.get_int("s", "absent", 9) == 9
-    assert cfg.get_str("missing", "key", "d") == "d"
+    assert cfg.get_float("missing", "key", 2.5) == 2.5
 
 
 @pytest.mark.parametrize(
@@ -559,6 +559,12 @@ def test_simulate_layout_error_exits_2(tmp_path, capsys, instances, plant, n_lev
         ("schedule", ("--margin", "-0.5"), "", "'margin' must be in [0, 1), got -0.5"),
         ("schedule", ("--margin", "1.5"), "", "'margin' must be in [0, 1), got 1.5"),
         ("bounds", (), "[rates]\nmargin = 1.0\n", "'margin' must be in [0, 1), got 1.0"),
+        ("schedule", ("--m-max", "257"), "", "'m_max' must be at most 256, got 257"),
+        ("schedule", (), "[schedule]\nm_max = 257\n", "'m_max' must be at most 256, got 257"),
+        ("schedule", ("--n-max", "1025"), "", "'n_max' must be at most 1024, got 1025"),
+        ("schedule", (), "[schedule]\nn_max = 1025\n", "'n_max' must be at most 1024, got 1025"),
+        ("bounds", ("--n-max", "1025"), "", "'n_max' must be at most 1024, got 1025"),
+        ("bounds", (), "[rates]\nn_max = 1025\n", "'n_max' must be at most 1024, got 1025"),
     ],
 )
 def test_rate_option_out_of_range_exits_2(tmp_path, capsys, command, flags, extra, message):
@@ -568,6 +574,27 @@ def test_rate_option_out_of_range_exits_2(tmp_path, capsys, command, flags, extr
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,flags,extra",
+    [
+        ("schedule", ("--m-max", "256", "--n-max", "1024"), ""),
+        ("schedule", (), "[schedule]\nm_max = 256\nn_max = 1024\n"),
+        ("bounds", ("--n-max", "1024"), ""),
+        ("bounds", (), "[rates]\nn_max = 1024\n"),
+    ],
+)
+def test_rate_option_at_its_cap_accepted(tmp_path, capsys, command, flags, extra):
+    # at lambda = 1.5 size 2 already contracts, so both caps cost little
+    text = BOUNDS_CFG.replace("lambda_max = 2.0", "lambda_max = 1.5") + extra
+    cfg = write(tmp_path, "b.cfg", text)
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", cfg, "--out", str(out), *flags]) == 0
+    assert capsys.readouterr().err == ""
+    row = out.read_text(encoding="utf-8").splitlines()[1].split(",")
+    assert row[:2] == ["1.5", "0.1"] and row[4:6] == ["2", "2"]
+    assert row[8:] == (["1", "1"] if command == "schedule" else ["", ""])
 
 
 @pytest.mark.parametrize(
@@ -617,21 +644,6 @@ def test_worker_count_clamped(monkeypatch):
     assert worker_count(64) == 4
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     assert worker_count(8) == 1
-
-
-def test_schedule_certificate_failure_exits_1(tmp_path, capsys, monkeypatch):
-    # the search decides every leaf exactly, so only a search that contradicts
-    # its own certificate reaches this path
-    def failing_search(*args):
-        raise CertificateError("schedule [2, 2, 2, 3] passes the log-space search but ...")
-
-    monkeypatch.setattr(cli, "search_periodic_schedule", failing_search)
-    cfg = write(tmp_path, "b.cfg", BOUNDS_CFG)
-    argv = ["schedule", "--config", cfg, "--m-max", "4", "--n-max", "3"]
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("schedule failed: schedule [2, 2, 2, 3]")
-    assert "Traceback" not in err
 
 
 KNOWN_PLANT_CFG = """\

@@ -23,7 +23,6 @@ from quantstab.quantizer import (
 )
 from quantstab.rates import (
     INFEASIBLE,
-    CertificateError,
     HMatrix,
     Schedule,
     comparison_bounds,
@@ -587,6 +586,52 @@ def test_search_decides_in_band_leaf_exactly(monkeypatch):
     for m_max in (3, 4):
         res = search_periodic_schedule(scalar_plant(2.0, 0.35), m_max, 3)
         assert res is not None and res.schedule.sizes == (2, 2, 3), m_max
+
+
+def fake_rate_table_in_band_feasible(p, family, N_max, margin):
+    """Rates whose float log sum and exact product disagree on (2, 2, 2, 3) the
+    other way round from fake_rate_table.
+
+    1.15**3 * 0.6575162324319883 is below 1 exactly, by about 7e-18, but the
+    search's float log sum of (2, 2, 2, 3) is +5.6e-17, inside its rounding
+    band. Found by stepping w3 with math.nextafter around 1 / w2**3 for
+    w2 = 1.10, 1.11, ..., 1.99.
+    """
+    return iter([(2, 1.0, (1.15,)), (3, math.log2(3.0), (0.6575162324319883,))])
+
+
+def test_search_accepts_in_band_feasible_leaf_exactly(monkeypatch):
+    w2, w3 = 1.15, 0.6575162324319883
+    g2, g3 = math.log(w2), math.log(w3)
+    assert g2 + g2 + g2 + g3 >= 0.0  # the search's float sum rejects it
+    assert Fraction(w2) ** 3 * Fraction(w3) < 1  # the exact product does not
+    monkeypatch.setattr(rates, "_rate_table", fake_rate_table_in_band_feasible)
+    # so the cheaper (2, 2, 2, 3) wins at m_max 4, over (2, 2, 3)
+    for m_max, want in ((3, (2, 2, 3)), (4, (2, 2, 2, 3))):
+        res = search_periodic_schedule(scalar_plant(2.0, 0.35), m_max, 3)
+        assert res is not None and res.schedule.sizes == want, m_max
+        assert res.avg_rate == sum(math.log2(n) for n in want) / len(want)
+
+
+class _Forbidden:
+    """Stands in for a name the scalar search must not reach."""
+
+    def __call__(self, *args, **kwargs):
+        raise AssertionError("the scalar search reached a matrix or Fraction verdict")
+
+    def __getattr__(self, name):
+        self()
+
+
+def test_scalar_search_builds_no_matrix_and_no_fraction(monkeypatch):
+    for name in ("_radius_below", "_exact_radius_below", "Fraction", "np"):
+        monkeypatch.setattr(rates, name, _Forbidden())
+    grid = [(1.40 + 0.05 * j, 0.35, 32) for j in range(53)]
+    # at eps = 0, integer sizes whose product ties lambda^m fall inside the band
+    ties = [(lam, 0.0, 6) for lam in (4.0, 6.0, 8.0)]
+    for lam, eps, m_max in grid + ties:
+        res = search_periodic_schedule(scalar_plant(lam, eps), m_max, 64)
+        assert res is not None and res.exact, lam
 
 
 def test_search_not_found_within_caps():
