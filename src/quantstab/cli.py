@@ -66,6 +66,11 @@ class ConfigError(Exception):
     """Malformed or inconsistent configuration; exits with code 2."""
 
 
+def _config_error(line: int | None, message: str) -> ConfigError:
+    """ConfigError with message, after 'config line N: ' for a value read from line N."""
+    return ConfigError(message if line is None else f"config line {line}: {message}")
+
+
 def fmt(x) -> str:
     if x is None:
         return ""
@@ -127,9 +132,12 @@ class Config:
         try:
             return convert(val)
         except ValueError:
-            raise ConfigError(
-                f"config line {lineno}: '{key}' must be {expected}, got {val!r}"
-            ) from None
+            raise _config_error(lineno, f"'{key}' must be {expected}, got {val!r}") from None
+
+    def line(self, section: str, key: str) -> int | None:
+        """Config line of [section] key, None when the key is absent."""
+        entry = self.sections.get(section, {}).get(key)
+        return None if entry is None else entry[1]
 
     def get_int(self, section: str, key: str, default=None) -> int | None:
         return self._parse(section, key, default, int, "an integer")
@@ -170,13 +178,20 @@ def load_config(path: str) -> Config:
     return Config(parse_config_text(text))
 
 
-def _in_range(key: str, value: int, low: int, high: int | None = None) -> int:
-    """value, or a config error naming key when it is below low or above high."""
+def _setting(flag, cfg: Config, get, section: str, key: str, default):
+    """(value, config line) of a setting a flag overrides: the flag's value and
+    None when it is given, else get(section, key, default) and the key's line."""
+    if flag is not None:
+        return flag, None
+    return get(section, key, default), cfg.line(section, key)
+
+
+def _in_range(key: str, value: int, low: int, high: int | None = None, line: int | None = None):
+    """A config error naming key, and line if given, when value is below low or above high."""
     if value < low:
-        raise ConfigError(f"'{key}' must be at least {low}, got {value}")
+        raise _config_error(line, f"'{key}' must be at least {low}, got {value}")
     if high is not None and value > high:
-        raise ConfigError(f"'{key}' must be at most {high}, got {value}")
-    return value
+        raise _config_error(line, f"'{key}' must be at most {high}, got {value}")
 
 
 def plant_from_config(cfg: Config) -> UncertainPlant:
@@ -198,7 +213,7 @@ def sweep_from_config(cfg: Config) -> list[float]:
     step = cfg.get_float("sweep", "lambda_step", _REQUIRED)
     for key, val in (("lambda_min", lo), ("lambda_max", hi), ("lambda_step", step)):
         if not math.isfinite(val):
-            raise ConfigError(f"'{key}' must be finite, got {val!r}")
+            raise _config_error(cfg.line("sweep", key), f"'{key}' must be finite, got {val!r}")
     if step <= 0 or hi < lo:
         raise ConfigError("[sweep] needs lambda_step > 0 and lambda_max >= lambda_min")
     span = (hi - lo) / step  # inf when hi - lo overflows
@@ -287,15 +302,15 @@ def cmd_sweep(cfg: Config, opts) -> int:
     p = plant_from_config(cfg)
     lams = sweep_from_config(cfg)
     section = "schedule" if with_schedule else "rates"
-    n_max = opts.n_max if opts.n_max is not None else cfg.get_int(section, "n_max", 64)
-    _in_range("n_max", n_max, 2, MAX_N_MAX)
-    margin = opts.margin if opts.margin is not None else cfg.get_float("rates", "margin", 0.0)
+    n_max, line = _setting(opts.n_max, cfg, cfg.get_int, section, "n_max", 64)
+    _in_range("n_max", n_max, 2, MAX_N_MAX, line)
+    margin, line = _setting(opts.margin, cfg, cfg.get_float, "rates", "margin", 0.0)
     if not 0.0 <= margin < 1.0:
-        raise ConfigError(f"'margin' must be in [0, 1), got {margin!r}")
+        raise _config_error(line, f"'margin' must be in [0, 1), got {margin!r}")
     m_max = None
     if with_schedule:
-        m_max = opts.m_max if opts.m_max is not None else cfg.get_int("schedule", "m_max", 32)
-        _in_range("m_max", m_max, 1, MAX_M_MAX)
+        m_max, line = _setting(opts.m_max, cfg, cfg.get_int, "schedule", "m_max", 32)
+        _in_range("m_max", m_max, 1, MAX_M_MAX, line)
     args = [(p, lam, n_max, margin, m_max) for lam in lams]
     try:
         rows = _run_rows(_bounds_row, opts.jobs, args)
@@ -345,12 +360,14 @@ def cmd_simulate(cfg: Config, opts) -> int:
     except ValueError as exc:
         raise ConfigError(f"bad schedule sizes: {exc}") from None
     family = cfg.get_choice("simulate", "family", FAMILIES, "optimal")
-    horizon = _in_range("horizon", cfg.get_int("simulate", "horizon", 500), 1)
-    instances = _in_range("instances", cfg.get_int("simulate", "instances", 1), 1)
+    horizon = cfg.get_int("simulate", "horizon", 500)
+    _in_range("horizon", horizon, 1, line=cfg.line("simulate", "horizon"))
+    instances = cfg.get_int("simulate", "instances", 1)
+    _in_range("instances", instances, 1, line=cfg.line("simulate", "instances"))
     mode = cfg.get_choice("simulate", "instance_mode", SAMPLING_MODES, "uniform")
     init_mode = cfg.get_choice("simulate", "init_mode", INIT_MODES, "uniform")
-    seed = opts.seed if opts.seed is not None else cfg.get_int("simulate", "seed", 0)
-    _in_range("seed", seed, 0)
+    seed, line = _setting(opts.seed, cfg, cfg.get_int, "simulate", "seed", 0)
+    _in_range("seed", seed, 0, line=line)
     try:
         qs = schedule_quantizers(p, sched, family)
     except ValueError as exc:
@@ -492,9 +509,10 @@ def run_verification(cases: list[dict], resolution: float = 1e-3, seed: int = 0)
 def cmd_verify(cfg: Config, opts) -> int:
     resolution = cfg.get_float("verify", "resolution", 1e-3)
     if not 0.0 < resolution <= 0.01:
-        raise ConfigError(f"'resolution' must be in (0, 0.01], got {resolution!r}")
-    seed = opts.seed if opts.seed is not None else cfg.get_int("verify", "seed", 0)
-    _in_range("seed", seed, 0)
+        message = f"'resolution' must be in (0, 0.01], got {resolution!r}"
+        raise _config_error(cfg.line("verify", "resolution"), message)
+    seed, line = _setting(opts.seed, cfg, cfg.get_int, "verify", "seed", 0)
+    _in_range("seed", seed, 0, line=line)
     rows = run_verification(canonical_cases(), resolution, seed)
     lines = ["case,closed_form,oracle,abs_diff,pass"]
     fails = 0

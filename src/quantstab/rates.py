@@ -11,10 +11,10 @@ Three layers:
   certifies the scaling recursion contracts. A margin asks rho(P) < z^m
   over m steps, z = 1 - margin; _rescaled makes that rho < 1 on rates
   w_i z^-i, and every verdict is exact for those float rates: the sum rule
-  sum_i w_i < 1 for one companion (_contracts), _radius_below for a period
-  product, in floats outside a written rounding band (row sums, a diagonal
-  entry, a Collatz-Wielandt certificate vector) and by the exact leading
-  principal minors of I - P inside it. Radii from np.linalg.eigvals are
+  sum_i w_i < 1 for one companion (_contracts, by one correctly rounded
+  sum), and for a period product _radius_below, the signs of the leading
+  principal minors of I - P from a fraction-free elimination of the
+  product carried exactly in integers. Radii from np.linalg.eigvals are
   diagnostics (spectral_radius, StabilityTest.rho) and a search screen;
 * time-varying alphabets: periodic schedules of quantizer sizes, their
   average rate, the minimum-average-rate search, and the convex relaxation
@@ -37,6 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -135,7 +136,8 @@ def _rescaled(w_bar: tuple[float, ...], margin: float) -> tuple:
     H(w)/z = D H(w') D^-1, D = diag(1, z, ..., z^(n-1)). Verdicts are exact
     for these floats, w_i / z^i or, where z^n nears underflow, the exact
     quotient rounded once; a rate past 2^1023 stays an exact rational, which
-    only the exact paths read. At margin 0, w_bar itself.
+    the verdicts read exactly and the searches leave out. At margin 0, w_bar
+    itself.
     """
     if margin == 0.0:
         return w_bar
@@ -152,140 +154,83 @@ def _contracts(w_bar: Sequence[float]) -> bool:
     """Sum rule: the companion's radius is below 1 iff sum_i w_i < 1.
 
     The radius is the positive root r of sum_i w_i r^-i = 1, which decreases
-    in r. The float sum, within n u / (1 - n u) relatively, decides outside
-    the band 1 +- 4(n + 2)u; the exact sum inside it and on exact rationals.
+    in r. fsum rounds sum_i w_i - 1 once, correctly, so it has the sign of
+    the exact difference. The max guard keeps fsum from overflowing and
+    settles the exact rationals _rescaled keeps, all past 2^1023.
     """
-    acc = sum(w_bar)
-    band = 4 * (len(w_bar) + 2) * _U
-    if acc < 1.0 - band:
-        return True
-    if acc >= 1.0 + band:
-        return False
-    return sum(map(Fraction, w_bar)) < 1
+    return max(w_bar) < 1.0 and math.fsum((*w_bar, -1.0)) < 0.0
 
 
-def _product(rates: Sequence[Sequence[float]]) -> np.ndarray | None:
-    """Float period product H_m ... H_1 of the rates' companions; None for exact rationals."""
+def _product(rates: Sequence[Sequence[float]]) -> np.ndarray:
+    """Float period product H_m ... H_1 of the rates' companions, for the rho diagnostic."""
     prod = np.eye(len(rates[0]))
     for w in rates:
-        if not isinstance(w[0], float):
-            return None
         prod = HMatrix(len(w), w).matrix() @ prod
     return prod
 
 
-def _radius_below(prod: np.ndarray | None, rates: Sequence[Sequence[float]]) -> bool:
-    """Whether rho(P) < 1, exactly, for P the exact product of the rates' companions.
+def _slot(w_bar: Sequence[float]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Numerators and denominators of the companion's bottom row (w_n, ..., w_1).
 
-    rates holds each slot's w_bar, oldest first, and prod their float period
-    product H_m ... H_1 as numpy forms it, None for exact rationals. P >= 0,
-    and each float matrix product errs componentwise within 1 +- gamma_n, so
-    prod, one matrix-vector product and one comparison lie within 1 +- d of
-    their exact values, d = 4(m + 2)(n + 2)u, while no partial product
-    leaves the normal range (checked on the rates). The float tiers decide
-    only outside that band, by Collatz-Wielandt certificates (Horn &
-    Johnson, Matrix Analysis, Cor. 8.1.29: x > 0 with Px < x gives
-    rho(P) < 1; x >= 0, x != 0 with Px >= x gives rho(P) >= 1):
-
-    * row sums bound rho from both sides, and a diagonal entry from below;
-    * elimination of sI - prod without pivoting at s = 1 + 4d, checked with
-      one product by prod: when every pivot is positive, x = (sI - prod)^-1 1
-      has Px = sx - 1 < x; when pivot k is not, the vector from the leading
-      k x k block in _certificate_vector has Pv >= sv > v.
-
-    What is left, the band around rho = 1 and products that could underflow
-    or overflow, goes to _exact_radius_below.
+    A float is an integer over a power of two, so both are exact, as they
+    are for the exact rationals _rescaled keeps.
     """
-    if prod is None:
-        return _exact_radius_below(rates)
-    m, n = len(rates), len(prod)
-    lo_w = min((v for w in rates for v in w if v > 0.0), default=1.0)
-    hi_w = max(map(max, rates))
-    # Every nonzero entry of a partial product lies in [lo_w^m, (n hi_w)^m].
-    # Keeping that within 2^+-400, and the certificate vector's nonzero
-    # entries within [2^-400, 2^60], keeps every float result below normal
-    # and finite, where the relative error model holds.
-    if m * math.log2(min(lo_w, 1.0)) > -400.0 and m * math.log2(n * max(hi_w, 1.0)) < 400.0:
-        d = 4 * (m + 2) * (n + 2) * _U
-        below, above = 1.0 - d, 1.0 + d
-        P = prod.tolist()
-        rows = list(map(sum, P))
-        if max(rows) < below:
-            return True
-        if min(rows) >= above or max(P[i][i] for i in range(n)) >= above:
-            return False
-        v = _certificate_vector(P, 1.0 + 4.0 * d)
-        if all(x == 0.0 or 2.0**-400 < abs(x) < 2.0**60 for x in v):
-            pv = [sum([a * b for a, b in zip(row, v)]) for row in P]
-            if min(v) > 0.0 and all(p < below * x for p, x in zip(pv, v)):
-                return True
-            if min(v) >= 0.0 and all(p >= above * x for p, x in zip(pv, v)):
-                return False
-    return _exact_radius_below(rates)
+    return tuple(zip(*(v.as_integer_ratio() for v in reversed(w_bar))))
 
 
-def _certificate_vector(P: list[list[float]], s: float) -> list[float]:
-    """Candidate certificate from Gaussian elimination of sI - P without pivoting.
+def _extend(prod: tuple, slot: tuple) -> tuple:
+    """The exact product H(w) P for slot = _slot(w).
 
-    When every pivot is positive, x = (sI - P)^-1 1, so Px = sx - 1. When
-    pivot k is the first that is not, v = (y, 1, 0, ..., 0) with y the
-    solution of (sI - P_k) y = p, P_k the leading k x k block and p the first
-    k entries of column k; v >= 0, and (sI - P)v is 0 in its first k entries
-    and pivot k in entry k, so Pv >= sv. The float elimination only proposes
-    the vector; the caller checks it. Plain Python: for n <= 6 it costs less
-    than one call of np.linalg.solve.
+    prod = (d, M) is P = diag(d)^-1 M, positive integers d_i and an integer
+    matrix M, as _exact_product builds it. H(w) shifts P's rows up and adds
+    the bottom row sum_j w_(n-j) P_j, put over the lcm of its terms'
+    denominators.
     """
-    n = len(P)
-    a = [[-x for x in row] + [1.0] for row in P]
-    for i in range(n):
-        a[i][i] += s
-    for k in range(n):
-        piv = a[k][k]
-        if piv <= 0.0:
-            # back-substitution on the eliminated leading block, against column k
-            v = [0.0] * n
-            v[k] = 1.0
-            for i in range(k - 1, -1, -1):
-                row = a[i]
-                v[i] = (-row[k] - sum([row[j] * v[j] for j in range(i + 1, k)])) / row[i]
-            return v
-        rk = a[k]
-        for i in range(k + 1, n):
-            ri = a[i]
-            f = ri[k] / piv
-            if f:
-                for j in range(k + 1, n + 1):
-                    ri[j] -= f * rk[j]
-    x = [0.0] * n
-    for i in range(n - 1, -1, -1):
-        row = a[i]
-        x[i] = (row[n] - sum([row[j] * x[j] for j in range(i + 1, n)])) / row[i]
-    return x
+    d, M = prod
+    nums, dens = slot
+    terms = [b * di for b, di in zip(dens, d)]
+    den = math.lcm(*terms)
+    coef = [a * (den // t) for a, t in zip(nums, terms)]
+    bottom = tuple(sum(map(operator.mul, coef, col)) for col in zip(*M))
+    return d[1:] + (den,), M[1:] + (bottom,)
 
 
-def _exact_radius_below(rates: Sequence[Sequence[float]]) -> bool:
-    """rho(P) < 1 by exact rational arithmetic on the rates.
+def _exact_product(n: int, rates: Sequence[Sequence[float]]) -> tuple:
+    """The exact period product H_m ... H_1 of the rates' companions, oldest first, as (d, M)."""
+    prod = ((1,) * n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+    for w in rates:
+        prod = _extend(prod, _slot(w))
+    return prod
+
+
+def _radius_below(prod: tuple) -> bool:
+    """Whether rho(P) < 1, exactly, for P = diag(d)^-1 M given as prod = (d, M).
 
     For nonnegative P, I - P is a nonsingular M-matrix exactly when
     rho(P) < 1, and a Z-matrix is one exactly when its leading principal
     minors are positive (Berman & Plemmons, Nonnegative Matrices in the
-    Mathematical Sciences, ch. 6, Thm 2.3). Elimination without pivoting
-    has the ratios of consecutive leading minors as its pivots.
+    Mathematical Sciences, ch. 6, Thm 2.3). The leading minors of
+    diag(d) - M = diag(d)(I - P) have the same signs, since every d_i > 0,
+    and are the pivots of its fraction-free (Bareiss) elimination, in which
+    every division is exact.
     """
-    n = len(rates[0])
-    prod = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for w in rates:
-        # the companion shifts rows up; its bottom row (w_n, ..., w_1) mixes them
-        bottom = [Fraction(v) for v in reversed(w)]
-        prod = prod[1:] + [[sum(b * row[k] for b, row in zip(bottom, prod)) for k in range(n)]]
-    a = [[int(i == j) - prod[i][j] for j in range(n)] for i in range(n)]
+    d, M = prod
+    n = len(d)
+    a = [[-x for x in row] for row in M]
+    for i in range(n):
+        a[i][i] += d[i]
+    prev = 1
     for k in range(n):
-        if a[k][k] <= 0:
+        piv = a[k][k]
+        if piv <= 0:
             return False
+        rk = a[k]
         for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
+            ri = a[i]
+            f = ri[k]
             for j in range(k + 1, n):
-                a[i][j] -= f * a[k][j]
+                ri[j] = (ri[j] * piv - f * rk[j]) // prev
+        prev = piv
     return True
 
 
@@ -402,12 +347,13 @@ def periodic_sufficient_test(
     The product is taken newest-applied-last, H_{m-1} ... H_1 H_0; its
     spectral radius is order-invariant under cyclic shifts, which matches
     the freedom in choosing the period's phase. stable is _radius_below on
-    the rescaled rates, rho < (1 - margin)^m exactly; rho is a diagnostic.
+    the exact product of the rescaled rates' companions, rho < (1 - margin)^m
+    exactly; rho is a diagnostic.
     """
     _check_margin(margin)
     ws = [expansion_profile(q, p) for q in schedule_quantizers(p, sched, family)]
     rs = [_rescaled(w, margin) for w in ws]
-    return StabilityTest(rho=_radius(_product(ws)), stable=_radius_below(_product(rs), rs))
+    return StabilityTest(rho=_radius(_product(ws)), stable=_radius_below(_exact_product(p.n, rs)))
 
 
 @dataclass(frozen=True)
@@ -576,14 +522,15 @@ def _search_heuristic(
     Sizes up to static + 4, static = min_sufficient_N at the margin, and
     periods up to 6 (a size with a rescaled rate past 2^1023, radius above
     2^(1023/n), is left out). Depth-first over nondecreasing size sequences;
-    a node's period product is its parent's times the new slot's rescaled
-    matrix, newest last, as periodic_sufficient_test forms it. A node's verdict is the exact
-    _radius_below, taken only when the node would beat the incumbent. A
-    child is skipped when the product of per-size radii with the smallest
-    radius in every remaining slot is not below 1. Sizes never decrease
-    along a path, so a child's average rate bounds its whole subtree and
-    every later sibling's from below: the loop over children stops at the
-    first child whose average exceeds the incumbent's by more than rounding.
+    a node carries its exact period product, its parent's extended by the
+    new slot's rescaled rates, newest last, as periodic_sufficient_test
+    forms it. A node's verdict is _radius_below on that product, taken only
+    when the node would beat the incumbent. A child is skipped when the
+    product of per-size radii with the smallest radius in every remaining
+    slot is not below 1. Sizes never decrease along a path, so a child's
+    average rate bounds its whole subtree and every later sibling's from
+    below: the loop over children stops at the first child whose average
+    exceeds the incumbent's by more than rounding.
     The incumbent starts as the cheapest single size that passes the same
     screen and the sum rule. Both only skip nodes that cannot beat the
     incumbent, so the winner and its tie order are those of the full search.
@@ -594,8 +541,7 @@ def _search_heuristic(
     cands = []
     for N, c, w in _rate_table(p, family, cap_n, margin):
         if isinstance(w[0], float):
-            h = HMatrix(p.n, w)
-            cands.append((N, c, spectral_radius(h), h.matrix(), w))
+            cands.append((N, c, spectral_radius(HMatrix(p.n, w)), _slot(w), w))
     rho_min = min((r for _, _, r, _, _ in cands), default=0.0)
     best: tuple[float, int, tuple[int, ...]] | None = None
     for N, c, rho, _, w in cands:
@@ -603,26 +549,26 @@ def _search_heuristic(
             best = (c, 1, (N,))
             break
 
-    def dfs(start: int, sizes: tuple, rates: tuple, c_sum: float, rho_prod: float, prod) -> None:
+    def dfs(start: int, sizes: tuple, c_sum: float, rho_prod: float, prod: tuple) -> None:
         nonlocal best
         j = len(sizes)
         if j > 0:
             key = (c_sum / j, j, sizes)
-            if (best is None or key < best) and _radius_below(prod, rates):
+            if (best is None or key < best) and _radius_below(prod):
                 best = key
         if j == cap_m:
             return
         for idx in range(start, len(cands)):
-            N, c, rho, mat, w = cands[idx]
+            N, c, rho, slot, _ = cands[idx]
             if best is not None and (c_sum + c) / (j + 1) > best[0] * (1.0 + 1e-12):
                 break
             # coarse screen: even finishing every remaining slot at the best
             # per-step radius, the radius product stays expansive
             if rho_prod * rho * rho_min ** (cap_m - j - 1) >= 1.0:
                 continue
-            dfs(idx, sizes + (N,), rates + (w,), c_sum + c, rho_prod * rho, mat @ prod)
+            dfs(idx, sizes + (N,), c_sum + c, rho_prod * rho, _extend(prod, slot))
 
-    dfs(0, (), (), 0.0, 1.0, np.eye(p.n))
+    dfs(0, (), 0.0, 1.0, _exact_product(p.n, ()))
     if best is None:
         return None
     avg, _, sizes = best

@@ -521,11 +521,12 @@ def test_invalid_plant_exits_2(tmp_path, capsys):
     ],
 )
 def test_simulate_bad_key_exits_2(tmp_path, capsys, instances, line, message):
-    text = SIM_CFG.format(instances=instances).replace("horizon = 120\n", "")
-    cfg = write(tmp_path, "s.cfg", text + line + "\n")
+    text = SIM_CFG.format(instances=instances).replace("horizon = 120\n", "") + line + "\n"
+    cfg = write(tmp_path, "s.cfg", text)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and message in err
+    # the bad key is the last line of the file
+    assert err.startswith(f"config error: config line {len(text.splitlines())}: {message}")
     assert not (tmp_path / "o.csv").exists()
 
 
@@ -568,11 +569,13 @@ def test_simulate_layout_error_exits_2(tmp_path, capsys, instances, plant, n_lev
     ],
 )
 def test_rate_option_out_of_range_exits_2(tmp_path, capsys, command, flags, extra, message):
-    cfg = write(tmp_path, "b.cfg", BOUNDS_CFG + extra)
+    text = BOUNDS_CFG + extra
+    cfg = write(tmp_path, "b.cfg", text)
     out = tmp_path / "o.csv"
     assert main([command, "--config", cfg, "--out", str(out), *flags]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and message in err
+    # a value from the file names its line, the last one; a flag's value has none
+    where = f"config line {len(text.splitlines())}: " if extra else ""
+    assert capsys.readouterr().err == f"config error: {where}{message}\n"
     assert not out.exists()
 
 
@@ -606,8 +609,9 @@ def test_non_finite_sweep_value_exits_2(tmp_path, capsys, key, value):
     cfg = write(tmp_path, "b.cfg", text)
     out = tmp_path / "o.csv"
     assert main(["bounds", "--config", cfg, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err == f"config error: '{key}' must be finite, got {float(value)!r}\n"
+    line = text.splitlines().index(f"{key} = {value}") + 1
+    message = f"config line {line}: '{key}' must be finite, got {float(value)!r}"
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
 
@@ -630,7 +634,9 @@ def test_seed_and_resolution_out_of_range_exit_2(
     cfg = write(tmp_path, "s.cfg", text)
     out = tmp_path / "o.csv"
     assert main([command, "--config", cfg, "--out", str(out), *flags]) == 2
-    assert capsys.readouterr().err == f"config error: {message}\n"
+    # a value from the file names its line, the last one; a flag's value has none
+    where = f"config line {len(text.splitlines())}: " if extra else ""
+    assert capsys.readouterr().err == f"config error: {where}{message}\n"
     assert not out.exists()
 
 

@@ -279,6 +279,37 @@ def float_product(rate_list):
     return prod
 
 
+def exact_product(rate_list):
+    """rates' exact integer form of the same product, which _radius_below reads."""
+    return rates._exact_product(len(rate_list[0]), rate_list)
+
+
+def exact_radius_below(rate_list):
+    """Reference verdict: rho(P) < 1 by Fraction arithmetic on the rates.
+
+    For nonnegative P, I - P is a nonsingular M-matrix exactly when
+    rho(P) < 1, and a Z-matrix is one exactly when its leading principal
+    minors are positive (Berman & Plemmons, Nonnegative Matrices in the
+    Mathematical Sciences, ch. 6, Thm 2.3). Elimination without pivoting
+    has the ratios of consecutive leading minors as its pivots.
+    """
+    n = len(rate_list[0])
+    prod = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for w in rate_list:
+        # the companion shifts rows up; its bottom row (w_n, ..., w_1) mixes them
+        bottom = [Fraction(v) for v in reversed(w)]
+        prod = prod[1:] + [[sum(b * row[k] for b, row in zip(bottom, prod)) for k in range(n)]]
+    a = [[int(i == j) - prod[i][j] for j in range(n)] for i in range(n)]
+    for k in range(n):
+        if a[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k + 1, n):
+                a[i][j] -= f * a[k][j]
+    return True
+
+
 def test_verdict_near_tie_n1_pins_exact_answer():
     # the float product rounds up to 1.0 or more; the exact product is below 1
     w = (1.4099536636507697, 1.5942448414759975, 0.4448771903290061)
@@ -286,16 +317,14 @@ def test_verdict_near_tie_n1_pins_exact_answer():
     assert not product < 1.0
     assert Fraction(w[0]) * Fraction(w[1]) * Fraction(w[2]) < 1
     rate_list = [(v,) for v in w]
-    assert rates._radius_below(np.array([[product]]), rate_list)
-    assert rates._radius_below(float_product(rate_list), rate_list)
+    assert rates._radius_below(exact_product(rate_list))
     # and the other way: the float product is below 1, the exact one is not
     w = (0.719692610599019, 1.5782532091426846, 0.880392380670389)
     product = w[0] * w[1] * w[2]
     assert product < 1.0
     assert not Fraction(w[0]) * Fraction(w[1]) * Fraction(w[2]) < 1
     rate_list = [(v,) for v in w]
-    assert not rates._radius_below(np.array([[product]]), rate_list)
-    assert not rates._radius_below(float_product(rate_list), rate_list)
+    assert not rates._radius_below(exact_product(rate_list))
 
 
 def test_verdict_near_tie_n2_pins_exact_answer():
@@ -305,8 +334,8 @@ def test_verdict_near_tie_n2_pins_exact_answer():
     assert Fraction(0.7) + Fraction(0.3) < 1
     assert not rates._radius(HMatrix(2, w).matrix()) < 1.0
     assert not w[0] + w[1] < 1.0
-    assert rates._radius_below(float_product([w]), [w])
-    assert rates._radius_below(float_product([w, w]), [w, w])
+    assert rates._radius_below(exact_product([w]))
+    assert rates._radius_below(exact_product([w, w]))
     # a period product rescaled to a near tie: its float radius from eigvals
     # is 1, the exact radius of the rescaled float rates lies below it. The
     # largest root of x^2 - tr x + det lies below 1 iff 1 is right of the
@@ -314,18 +343,17 @@ def test_verdict_near_tie_n2_pins_exact_answer():
     rate_list = [rates._rescaled(w, 0.09096392832975031) for w in [(0.536, 0.324), (0.555, 0.337)]]
     (a1, a2), (b1, b2) = [[Fraction(v) for v in w] for w in rate_list]
     tr, det = a2 + b2 + b1 * a1, a2 * b2  # of [[a2, a1], [b1 a2, b2 + b1 a1]]
-    prod = float_product(rate_list)
-    assert not rates._radius(prod) < 1.0
+    assert not rates._radius(float_product(rate_list)) < 1.0
     assert 2 > tr and 1 - tr + det > 0
-    assert rates._radius_below(prod, rate_list)
+    assert rates._radius_below(exact_product(rate_list))
     # 0.1 + 0.9 exceeds 1 exactly
     w = (0.1, 0.9)
-    assert not rates._radius_below(float_product([w]), [w])
-    assert not rates._radius_below(float_product([w, w, w]), [w, w, w])
+    assert not rates._radius_below(exact_product([w]))
+    assert not rates._radius_below(exact_product([w, w, w]))
 
 
 def test_contracts_decides_its_band_exactly():
-    # both sums are 1.0 in floats, inside the band 1 +- 4(n + 2)u
+    # both sums round to 1.0 in floats; the exact sums lie on either side of 1
     assert 0.3 + 0.7 == 1.0 and 0.1 + 0.9 == 1.0
     assert rates._contracts((0.7, 0.3))
     assert rates._contracts((0.3, 0.7))
@@ -349,6 +377,11 @@ def test_contracts_decides_its_band_exactly():
     huge = rates._rescaled((0.0,) * 20 + (0.5,), 1.0 - 2.0**-53)
     assert huge[-1] == 2**1112 and all(isinstance(v, Fraction) for v in huge)
     assert not rates._contracts(huge)
+    # floats whose sum overflows: the max guard decides before fsum could raise
+    big = (1.9 * 2.0**1022,) * 3
+    with pytest.raises(OverflowError):
+        math.fsum((*big, -1.0))
+    assert not rates._contracts(big)
 
 
 def random_rate_lists(rng, count):
@@ -382,8 +415,8 @@ def test_radius_below_agrees_with_exact_path():
             # rescaled per step by z, so rho(P) < z^m becomes rho(P') < 1
             z = (rho * f) ** (1.0 / len(rate_list))
             scaled = [rates._rescaled(w, 1.0 - z) for w in rate_list]
-            want = rates._exact_radius_below(scaled)
-            assert rates._radius_below(float_product(scaled), scaled) == want, (rate_list, f)
+            want = exact_radius_below(scaled)
+            assert rates._radius_below(exact_product(scaled)) == want, (rate_list, f)
             if f != 1.0:
                 assert want == (f > 1.0), (rate_list, f)
             checked += 1
@@ -396,7 +429,26 @@ def test_exact_path_matches_sum_rule_on_one_companion():
         w = rate_list[0]
         for margin in (0.0, 0.02, 0.3):
             scaled = rates._rescaled(w, margin)
-            assert rates._exact_radius_below([scaled]) == rates._contracts(scaled)
+            want = exact_radius_below([scaled])
+            assert rates._radius_below(exact_product([scaled])) == want
+            assert rates._contracts(scaled) == want
+
+
+@pytest.mark.parametrize("sizes", [(2,), (64,), (2, 64), (64, 64, 2)])
+def test_periodic_test_at_a_margin_next_to_one_is_exact(sizes):
+    margin = 1.0 - 2.0**-53
+    # n = 21: z^21 underflows and the rescaled rates stay exact rationals;
+    # n = 2: the rescaled rates are floats of about 2^105
+    p21 = UncertainPlant(21, (0.1,) * 20 + (2.0,), (0.01,) * 20 + (0.3,), (1.0,) * 21)
+    p2 = UncertainPlant(2, (0.5, 2.0), (0.05, 0.3), (1.0, 1.0))
+    for p, kind in ((p21, Fraction), (p2, float)):
+        scaled = [
+            rates._rescaled(expansion_profile(q, p), margin)
+            for q in rates.schedule_quantizers(p, Schedule(sizes), "optimal")
+        ]
+        assert all(isinstance(v, kind) for w in scaled for v in w)
+        got = periodic_sufficient_test(p, Schedule(sizes), "optimal", margin)
+        assert got.stable == exact_radius_below(scaled), (p.n, sizes)
 
 
 def test_eigvals_reaches_no_verdict(monkeypatch):
@@ -624,7 +676,7 @@ class _Forbidden:
 
 
 def test_scalar_search_builds_no_matrix_and_no_fraction(monkeypatch):
-    for name in ("_radius_below", "_exact_radius_below", "Fraction", "np"):
+    for name in ("_radius_below", "_exact_product", "_extend", "_slot", "Fraction", "np"):
         monkeypatch.setattr(rates, name, _Forbidden())
     grid = [(1.40 + 0.05 * j, 0.35, 32) for j in range(53)]
     # at eps = 0, integer sizes whose product ties lambda^m fall inside the band

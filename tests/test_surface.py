@@ -162,26 +162,36 @@ def test_no_unused_private_names_in_modules():
 MARGIN_OWNERS = {"rates._rescaled", "rates._check_margin", "cli.cmd_sweep"}
 
 
-def margin_arithmetic(package: Path) -> list[str]:
-    """module.function for each read of `margin` in package/*.py, outside
-    MARGIN_OWNERS, that does more than pass it on as a call argument."""
-    found = []
+def _loads(package: Path, name: str):
+    """(module.function, node, parent map) for each load of the bare name or
+    attribute `name` in package/*.py, with its innermost enclosing function."""
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
         for node in ast.walk(tree):
-            if not (isinstance(node, ast.Name) and node.id == "margin"):
+            if not (
+                isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+            ) or not isinstance(node.ctx, ast.Load):
                 continue
             up = parent[node]
-            if not isinstance(node.ctx, ast.Load) or isinstance(up, ast.keyword):
-                continue
-            if isinstance(up, ast.Call) and node in up.args:
-                continue
             while not isinstance(up, (ast.FunctionDef, ast.Module)):
                 up = parent[up]
-            where = f"{path.stem}.{getattr(up, 'name', '<module>')}"
-            if where not in MARGIN_OWNERS:
-                found.append(where)
+            yield f"{path.stem}.{getattr(up, 'name', '<module>')}", node, parent
+
+
+def margin_arithmetic(package: Path) -> list[str]:
+    """module.function for each read of `margin` in package/*.py, outside
+    MARGIN_OWNERS, that does more than pass it on as a call argument."""
+    found = []
+    for where, node, parent in _loads(package, "margin"):
+        up = parent[node]
+        if isinstance(node, ast.Attribute) or isinstance(up, ast.keyword):
+            continue
+        if isinstance(up, ast.Call) and node in up.args:
+            continue
+        if where not in MARGIN_OWNERS:
+            found.append(where)
     return found
 
 
@@ -197,3 +207,29 @@ def test_margin_arithmetic_detected(tmp_path):
 
 def test_margin_enters_arithmetic_only_in_the_rescale():
     assert margin_arithmetic(ROOT / "src" / "quantstab") == []
+
+
+# The one function that may read Fraction: the rescale keeps a rate past
+# 2^1023 as an exact rational. Every verdict reads exact rates as integers.
+FRACTION_OWNERS = {"rates._rescaled"}
+
+
+def fraction_reads(package: Path) -> list[str]:
+    """module.function for each read of `Fraction` in package/*.py outside
+    FRACTION_OWNERS; importing it is not a read."""
+    return [where for where, _, _ in _loads(package, "Fraction") if where not in FRACTION_OWNERS]
+
+
+def test_fraction_read_detected(tmp_path):
+    package = tmp_path / "quantstab"
+    shutil.copytree(ROOT / "src" / "quantstab", package)
+    with (package / "rates.py").open("a", encoding="utf-8") as f:
+        # an exact fallback next to the integer verdicts
+        f.write("\n\ndef _exact_sum(w):\n    return sum(map(Fraction, w)) < 1\n")
+    with (package / "cli.py").open("a", encoding="utf-8") as f:
+        f.write("\n\ndef _ratio(x):\n    import fractions\n\n    return fractions.Fraction(x)\n")
+    assert fraction_reads(package) == ["cli._ratio", "rates._exact_sum"]
+
+
+def test_fraction_read_only_in_the_rescale():
+    assert fraction_reads(ROOT / "src" / "quantstab") == []
