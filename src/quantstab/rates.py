@@ -390,14 +390,28 @@ def _search_scalar_exact(
     m items. The search is a depth-first branch and bound over nondecreasing
     size indices, larger indices first so that feasible incumbents appear
     early. The incumbent average starts from uniform schedules and from the
-    cheapest feasible mix of each pair of adjacent lower-hull points in
-    (g, c). A child is pruned when a Lagrangian bound shows that no
-    completion reaches the incumbent average: for beta = 0 and for each
-    negative slope beta of the hull, an added item k costs at least
+    cheapest feasible mixes of the adjacent lower-hull points (a, b) in
+    (g, c) that straddle the seed target, g_a < 0 <= g_b - target: a pair
+    with g_a >= 0 never mixes below 0, and a pair of two feasible sizes mixes
+    dearer than its cheaper size, which the uniform seed already holds.
+
+    A child is pruned when a Lagrangian bound shows that no completion
+    reaches the incumbent average: for beta = 0 and for each negative slope
+    beta of the hull, an added item k costs at least
     min_{k' >= k}(c_k' - beta g_k') + beta g_k, and the added g sum stays
-    below the remaining budget. A small tolerance keeps children that tie
-    the incumbent, so ties still prefer fewer slots, then lexicographically
-    smaller sizes.
+    below the remaining budget d. For a child adding item i to a node of
+    j - 1 items, with e_min to e_max more items to come, the bound is
+    C + beta d + min(e_min s(beta), e_max s(beta)), where C = c_sum + c_i -
+    ub j and s(beta) = min_{k >= i}(c_k - beta g_k) - ub is a minimum of lines
+    in beta. So the bound is concave in beta: over the sorted slopes it
+    rises, then falls. Each child evaluates it at the slope that served the
+    previous child, steps to a neighbour only while it rises, and is pruned
+    at the first value above the tolerance; a local maximum is the maximum,
+    so the climb keeps exactly the children a scan of every slope keeps, and
+    each prune rests on a value that scan computes too. A slope's prices and
+    suffix minima are built when the climb first reaches it. A small
+    tolerance keeps children that tie the incumbent, so ties still prefer
+    fewer slots, then lexicographically smaller sizes.
 
     Feasibility means the exact product of the rescaled float rates is
     below 1 (a rate past 2^1023, at a margin next to 1, is left out). Each
@@ -440,6 +454,8 @@ def _search_scalar_exact(
         if not (ga < gb and ca > cb):
             continue
         betas.append((cb - ca) / (gb - ga))
+        if not ga < 0.0 <= gb - seed_target:  # no mix of the pair beats the seeds
+            continue
         # k slots of a and m - k of b: the cheapest feasible k in closed form
         for m in range(2, m_max + 1):
             k = max(1, math.floor((m * gb - seed_target) / (gb - ga)) + 1)
@@ -447,13 +463,13 @@ def _search_scalar_exact(
                 k += 1
             if k < m and k * ga + (m - k) * gb < seed_target:
                 ub = min(ub, (k * ca + (m - k) * cb) / m)
-    # per slope beta <= 0: item prices c_k - beta g_k and their suffix minima
-    prices = [[c - b * g for c, g in zip(cvec, gvec)] for b in betas]
-    floors = [list(itertools.accumulate(reversed(pr), min))[::-1] for pr in prices]
-    tables = list(zip(prices, floors))
+    betas.sort()
+    # per slope, built on first use: item prices c_k - beta g_k and their suffix minima
+    rows: list = [None] * len(betas)
 
     tol = 1e-9  # keeps children that tie the incumbent
     best: tuple[float, int, tuple[int, ...]] | None = None
+    h = len(betas) - 1  # slope of the last bound evaluated: warm start for the next
     # nodes: (slots, c_sum, g_sum, last index, sizes, feasible, num, shift), with
     # num / 2^shift the exact rate product; the root's product 1 is not below 1
     stack: list[tuple] = [(0, 0.0, 0.0, 0, (), False, 1, 0)]
@@ -468,11 +484,7 @@ def _search_scalar_exact(
             continue
         j2 = j + 1
         e_max = m_max - j2
-        # A completion adding e items from index i on, with g sum below the
-        # budget d = -g_sum - g_i, exceeds ub * (j2 + e) in cost by at least
-        # base + price_i + e * (floor_i - ub) for every beta <= 0, where
-        # base = c_sum - ub * j2 - beta * g_sum.
-        base = [c_sum - ub * j2 - b * g_sum for b in betas]
+        c0 = c_sum - ub * j2
         children = []
         for i in range(last, nvals):
             g2 = g_sum + gvec[i]
@@ -492,15 +504,33 @@ def _search_scalar_exact(
                 e_min = math.floor((d + band) / gmin[i] - 1e-9) + 1
                 if e_min > e_max:
                     continue
-            lb = -math.inf
-            for (pr, fl), bb in zip(tables, base):
-                slack = fl[i] - ub
-                if slack >= 0.0 and bb + fl[i] > tol:
-                    lb = math.inf  # floors grow with i: every later i fails too
-                    break
-                lb = bb + pr[i] + (e_min if slack >= 0.0 else e_max) * slack
-                if lb > tol:
-                    break
+            # A completion adding e items from index i on, with g sum below the
+            # budget d, exceeds ub * (j2 + e) in cost by at least
+            # c_sum - ub j2 - beta g_sum + price_i + e (floor_i - ub) for every
+            # beta <= 0: climb that concave bound from the warm start.
+            start, k, step, lb = h, h, 1, -math.inf
+            while True:
+                if 0 <= k < len(betas):
+                    if rows[k] is None:
+                        pr = [c - betas[k] * g for c, g in zip(cvec, gvec)]
+                        rows[k] = (pr, list(itertools.accumulate(reversed(pr), min))[::-1])
+                    pr, fl = rows[k]
+                    bb = c0 - betas[k] * g_sum
+                    slack = fl[i] - ub
+                    if slack >= 0.0 and bb + fl[i] > tol:
+                        lb = math.inf  # floors grow with i: every later i fails too
+                        break
+                    val = bb + pr[i] + (e_min if slack >= 0.0 else e_max) * slack
+                    if val > lb:  # the bound rose: move there and go on
+                        h, lb = k, val
+                        if lb > tol:
+                            break
+                        k += step
+                        continue
+                if step == 1 and h == start:  # no rise upward: try downward
+                    step, k = -1, h - 1
+                    continue
+                break
             if lb == math.inf:
                 break
             if lb <= tol:

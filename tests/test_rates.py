@@ -504,24 +504,28 @@ def brute_force_best(lam, eps, m_max, n_max, margin=0.0):
 
 
 @pytest.mark.parametrize(
-    "lam,eps,margin",
+    "lam,eps,margin,n_max",
     [
-        pytest.param(2.0, 0.35, 0.0, id="2.0-0.35"),
-        pytest.param(3.0, 0.5, 0.0, id="3.0-0.5"),
-        pytest.param(1.75, 0.35, 0.0, id="1.75-0.35"),
+        pytest.param(2.0, 0.35, 0.0, 8, id="2.0-0.35"),
+        pytest.param(3.0, 0.5, 0.0, 8, id="3.0-0.5"),
+        pytest.param(1.75, 0.35, 0.0, 8, id="1.75-0.35"),
         # the margin moves the optimum away from (4, 4, 4, 5)
-        pytest.param(3.0, 0.5, 0.1, id="3.0-0.5-margin0.1"),
+        pytest.param(3.0, 0.5, 0.1, 8, id="3.0-0.5-margin0.1"),
         # a per-step margin of 0.5 keeps every slot above 3 levels:
         # (4, 5, 6, 6), where a per-period one would allow (2, 2, 2, 4)
-        pytest.param(1.5, 0.35, 0.5, id="1.5-0.35-margin0.5"),
+        pytest.param(1.5, 0.35, 0.5, 8, id="1.5-0.35-margin0.5"),
         # (4,) ties (4, 4), (4, 4, 4), ...: the fewest slots must win
-        pytest.param(3.995, 0.0, 0.0, id="3.995-0.0"),
+        pytest.param(3.995, 0.0, 0.0, 8, id="3.995-0.0"),
+        # small eps and 16 sizes give 7 hull slopes for the bound's climb,
+        # where 8 sizes give at most 6
+        pytest.param(2.6, 0.02, 0.0, 16, id="2.6-0.02-n16"),
+        pytest.param(3.5, 0.1, 0.0, 16, id="3.5-0.1-n16"),
     ],
 )
-def test_search_matches_brute_force(lam, eps, margin):
+def test_search_matches_brute_force(lam, eps, margin, n_max):
     p = scalar_plant(lam, eps)
-    want = brute_force_best(lam, eps, 4, 8, margin)
-    got = search_periodic_schedule(p, 4, 8, "optimal", margin)
+    want = brute_force_best(lam, eps, 4, n_max, margin)
+    got = search_periodic_schedule(p, 4, n_max, "optimal", margin)
     assert want is not None and got is not None
     assert got.exact
     assert math.isclose(got.avg_rate, want[0], rel_tol=1e-9)
