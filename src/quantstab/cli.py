@@ -56,10 +56,49 @@ RATES_CSV_HEADER = (
 )
 TRAJECTORY_CSV_HEADER = "k,y,s,sigma,Y_lo,Y_hi,u"
 MAX_SWEEP_ROWS = 100_000  # most lambda values one [sweep] may hold
-# largest n_max and m_max a sweep accepts; the rate searches grow faster
-# than linearly in either
-MAX_N_MAX = 1024
-MAX_M_MAX = 256
+# Caps on the work one request may ask for; the library takes any value.
+MAX_N_MAX = 1024  # alphabet size: the rate searches grow faster than linearly
+MAX_M_MAX = 256  # schedule period, likewise
+MAX_ORDER = 24  # plant order: a schedule row at the caps above takes ~2 s at n = 24
+MAX_STEPS = 200_000  # closed-loop steps of one simulate run, horizon x instances
+MIN_RESOLUTION = 2e-4  # verify grid step: the grid's memory grows as its inverse square
+
+
+def _at_least(low):
+    """LIMITS rule: v >= low."""
+    return (lambda v: v >= low), f"at least {low}"
+
+
+def _at_most(high):
+    """LIMITS rule: v <= high."""
+    return (lambda v: v <= high), f"at most {high}"
+
+
+_FINITE = (math.isfinite, "finite")
+
+LIMITS = {
+    "n": (_at_most(MAX_ORDER),),
+    "n_max": (_at_least(2), _at_most(MAX_N_MAX)),
+    "m_max": (_at_least(1), _at_most(MAX_M_MAX)),
+    "margin": ((lambda v: 0.0 <= v < 1.0, "in [0, 1)"),),
+    "N": (_at_most(MAX_N_MAX),),
+    "sizes": (
+        (lambda v: len(v) <= MAX_M_MAX, f"at most {MAX_M_MAX} entries"),
+        (lambda v: max(v, default=0) <= MAX_N_MAX, f"at most {MAX_N_MAX} each"),
+    ),
+    "horizon": (_at_least(1),),
+    "instances": (_at_least(1),),
+    "horizon x instances": (_at_most(MAX_STEPS),),
+    "resolution": (
+        (lambda v: MIN_RESOLUTION <= v <= 0.01, f"in [{MIN_RESOLUTION}, 0.01]"),
+    ),
+    "seed": (_at_least(0),),
+    "lambda_min": (_FINITE,),
+    "lambda_max": (_FINITE,),
+    "lambda_step": (_FINITE,),
+}
+"""Every range a config value must lie in, keyed by key name in any section:
+(test, requirement) rules, checked in order on the converted value."""
 
 
 class ConfigError(Exception):
@@ -113,37 +152,51 @@ _REQUIRED = object()
 """Default that makes a config key mandatory."""
 
 
+def _check(name: str, value, line: int | None) -> None:
+    """A config error naming name, and line if given, at value's first failed LIMITS rule."""
+    for test, requirement in LIMITS.get(name, ()):
+        if not test(value):
+            raise _config_error(line, f"'{name}' must be {requirement}, got {value!r}")
+
+
 @dataclass
 class Config:
     sections: dict[str, dict[str, tuple[str, int]]]
 
-    def _parse(self, section: str, key: str, default, convert, expected: str):
-        """convert(value) of [section] key, or default when the key is absent.
+    def _parse(self, section, key, default, convert, expected, flag=None, times=None):
+        """The checked value of [section] key: flag when given, else convert(value)
+        of the key, else default; None when that default is None.
 
-        A missing key with default _REQUIRED, or a value that convert rejects
-        with ValueError, is a ConfigError naming the key and its config line.
+        A missing key with default _REQUIRED, a value that convert rejects with
+        ValueError or one that fails a LIMITS rule of key is a ConfigError naming
+        the key and, for a value from the file, its line. times = (other, factor)
+        also checks factor * value against the rules of 'other x key'.
         """
-        sec = self.sections.get(section, {})
-        if key not in sec:
-            if default is _REQUIRED:
-                raise ConfigError(f"missing required key '{key}' in section [{section}]")
-            return default
-        val, lineno = sec[key]
-        try:
-            return convert(val)
-        except ValueError:
-            raise _config_error(lineno, f"'{key}' must be {expected}, got {val!r}") from None
+        value, line = flag, None
+        if flag is None:
+            entry = self.sections.get(section, {}).get(key)
+            if entry is None:
+                if default is _REQUIRED:
+                    raise ConfigError(f"missing required key '{key}' in section [{section}]")
+                if default is None:
+                    return None
+                value = default
+            else:
+                text, line = entry
+                try:
+                    value = convert(text)
+                except ValueError:
+                    raise _config_error(line, f"'{key}' must be {expected}, got {text!r}") from None
+        _check(key, value, line)
+        if times is not None:
+            _check(f"{times[0]} x {key}", times[1] * value, line)
+        return value
 
-    def line(self, section: str, key: str) -> int | None:
-        """Config line of [section] key, None when the key is absent."""
-        entry = self.sections.get(section, {}).get(key)
-        return None if entry is None else entry[1]
+    def get_int(self, section: str, key: str, default=None, flag=None, times=None):
+        return self._parse(section, key, default, int, "an integer", flag, times)
 
-    def get_int(self, section: str, key: str, default=None) -> int | None:
-        return self._parse(section, key, default, int, "an integer")
-
-    def get_float(self, section: str, key: str, default=None) -> float | None:
-        return self._parse(section, key, default, float, "a number")
+    def get_float(self, section: str, key: str, default=None, flag=None) -> float | None:
+        return self._parse(section, key, default, float, "a number", flag)
 
     def get_choice(self, section: str, key: str, choices: Sequence[str], default: str) -> str:
         def pick(val: str) -> str:
@@ -154,14 +207,10 @@ class Config:
         return self._parse(section, key, default, pick, f"one of {', '.join(choices)}")
 
     def get_floats(self, section: str, key: str, default=None) -> tuple[float, ...] | None:
-        return self._parse(
-            section, key, default, _comma_list(float), "comma-separated numbers"
-        )
+        return self._parse(section, key, default, _comma_list(float), "comma-separated numbers")
 
     def get_ints(self, section: str, key: str, default=None) -> tuple[int, ...] | None:
-        return self._parse(
-            section, key, default, _comma_list(int), "comma-separated integers"
-        )
+        return self._parse(section, key, default, _comma_list(int), "comma-separated integers")
 
 
 def _comma_list(convert):
@@ -176,22 +225,6 @@ def load_config(path: str) -> Config:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return Config(parse_config_text(text))
-
-
-def _setting(flag, cfg: Config, get, section: str, key: str, default):
-    """(value, config line) of a setting a flag overrides: the flag's value and
-    None when it is given, else get(section, key, default) and the key's line."""
-    if flag is not None:
-        return flag, None
-    return get(section, key, default), cfg.line(section, key)
-
-
-def _in_range(key: str, value: int, low: int, high: int | None = None, line: int | None = None):
-    """A config error naming key, and line if given, when value is below low or above high."""
-    if value < low:
-        raise _config_error(line, f"'{key}' must be at least {low}, got {value}")
-    if high is not None and value > high:
-        raise _config_error(line, f"'{key}' must be at most {high}, got {value}")
 
 
 def plant_from_config(cfg: Config) -> UncertainPlant:
@@ -211,9 +244,6 @@ def sweep_from_config(cfg: Config) -> list[float]:
     lo = cfg.get_float("sweep", "lambda_min", _REQUIRED)
     hi = cfg.get_float("sweep", "lambda_max", _REQUIRED)
     step = cfg.get_float("sweep", "lambda_step", _REQUIRED)
-    for key, val in (("lambda_min", lo), ("lambda_max", hi), ("lambda_step", step)):
-        if not math.isfinite(val):
-            raise _config_error(cfg.line("sweep", key), f"'{key}' must be finite, got {val!r}")
     if step <= 0 or hi < lo:
         raise ConfigError("[sweep] needs lambda_step > 0 and lambda_max >= lambda_min")
     span = (hi - lo) / step  # inf when hi - lo overflows
@@ -302,15 +332,9 @@ def cmd_sweep(cfg: Config, opts) -> int:
     p = plant_from_config(cfg)
     lams = sweep_from_config(cfg)
     section = "schedule" if with_schedule else "rates"
-    n_max, line = _setting(opts.n_max, cfg, cfg.get_int, section, "n_max", 64)
-    _in_range("n_max", n_max, 2, MAX_N_MAX, line)
-    margin, line = _setting(opts.margin, cfg, cfg.get_float, "rates", "margin", 0.0)
-    if not 0.0 <= margin < 1.0:
-        raise _config_error(line, f"'margin' must be in [0, 1), got {margin!r}")
-    m_max = None
-    if with_schedule:
-        m_max, line = _setting(opts.m_max, cfg, cfg.get_int, "schedule", "m_max", 32)
-        _in_range("m_max", m_max, 1, MAX_M_MAX, line)
+    n_max = cfg.get_int(section, "n_max", 64, opts.n_max)
+    margin = cfg.get_float("rates", "margin", 0.0, opts.margin)
+    m_max = cfg.get_int("schedule", "m_max", 32, opts.m_max) if with_schedule else None
     args = [(p, lam, n_max, margin, m_max) for lam in lams]
     try:
         rows = _run_rows(_bounds_row, opts.jobs, args)
@@ -335,15 +359,7 @@ def _sim_one(p, sched, qs, horizon, mode, seed, i, init_mode):
         seed=[seed, i, 0] if mode == "uniform" else None,
     )
     try:
-        traj = run_closed_loop(
-            p,
-            inst,
-            sched,
-            qs,
-            horizon,
-            init_mode,
-            init_seed=[seed, i, 1],
-        )
+        traj = run_closed_loop(p, inst, sched, qs, horizon, init_mode, init_seed=[seed, i, 1])
     except SaturationError as exc:
         return (i, "saturated", str(exc), None)
     return (i, traj.verdict, "", traj)
@@ -361,23 +377,19 @@ def cmd_simulate(cfg: Config, opts) -> int:
         raise ConfigError(f"bad schedule sizes: {exc}") from None
     family = cfg.get_choice("simulate", "family", FAMILIES, "optimal")
     horizon = cfg.get_int("simulate", "horizon", 500)
-    _in_range("horizon", horizon, 1, line=cfg.line("simulate", "horizon"))
-    instances = cfg.get_int("simulate", "instances", 1)
-    _in_range("instances", instances, 1, line=cfg.line("simulate", "instances"))
+    instances = cfg.get_int("simulate", "instances", 1, times=("horizon", horizon))
     mode = cfg.get_choice("simulate", "instance_mode", SAMPLING_MODES, "uniform")
     init_mode = cfg.get_choice("simulate", "init_mode", INIT_MODES, "uniform")
-    seed, line = _setting(opts.seed, cfg, cfg.get_int, "simulate", "seed", 0)
-    _in_range("seed", seed, 0, line=line)
+    seed = cfg.get_int("simulate", "seed", 0, opts.seed)
     try:
         qs = schedule_quantizers(p, sched, family)
     except ValueError as exc:
         sizes_text = ", ".join(map(str, sched.sizes))
         raise ConfigError(f"no {family} quantizer layout for sizes {sizes_text}: {exc}") from None
 
+    results = [_sim_one(p, sched, qs, horizon, mode, seed, i, init_mode) for i in range(instances)]
     if instances == 1:
-        i, verdict, diag, traj = _sim_one(
-            p, sched, qs, horizon, mode, seed, 0, init_mode
-        )
+        _, verdict, diag, traj = results[0]
         if verdict == "saturated":
             print(f"run failed: {diag}", file=sys.stderr)
             return 1
@@ -390,10 +402,6 @@ def cmd_simulate(cfg: Config, opts) -> int:
         print(f"verdict: {traj.verdict}")
         return 0
 
-    results = [
-        _sim_one(p, sched, qs, horizon, mode, seed, i, init_mode)
-        for i in range(instances)
-    ]
     lines = ["instance,verdict,steps,min_sigma_ratio"]
     counts: dict[str, int] = {}
     failed = 0
@@ -404,9 +412,7 @@ def cmd_simulate(cfg: Config, opts) -> int:
             lines.append(f"{i},saturated,,")
             print(f"instance {i} failed: {diag}", file=sys.stderr)
         else:
-            lines.append(
-                f"{i},{verdict},{traj.steps},{fmt(traj.min_sigma_ratio())}"
-            )
+            lines.append(f"{i},{verdict},{traj.steps},{fmt(traj.min_sigma_ratio())}")
     _emit(lines, opts.out)
     summary = " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
     print(f"instances={instances} {summary}")
@@ -450,6 +456,11 @@ def canonical_cases() -> list[dict]:
     return cases
 
 
+def _yes_no(name: str, want: bool, got: bool) -> tuple:
+    """Verify row (name, want, got, |got - want|, got == want) of a yes/no check."""
+    return (name, float(want), float(got), abs(float(got) - want), got == want)
+
+
 def run_verification(cases: list[dict], resolution: float = 1e-3, seed: int = 0):
     """Rows (case, closed_form, oracle, abs_diff, pass) for each oracle check."""
     if not cases:
@@ -472,35 +483,19 @@ def run_verification(cases: list[dict], resolution: float = 1e-3, seed: int = 0)
             plant = UncertainPlant(1, (lam,), (eps,), (1.0,))
             q_opt = optimal_boundaries(lam, eps, 8)
             q_uni = uniform_boundaries(8)
-            got_opt = verify_equalization(q_opt, plant)
-            got_uni = verify_equalization(q_uni, plant)
-            rows.append(
-                (
-                    f"equalization_optimal lam={lam} eps={eps}",
-                    1.0,
-                    float(got_opt),
-                    float(not got_opt),
-                    got_opt,
-                )
-            )
-            rows.append(
-                (
-                    f"equalization_uniform lam={lam} eps={eps}",
-                    0.0,
-                    float(got_uni),
-                    float(got_uni),
-                    not got_uni,
-                )
-            )
+            got = verify_equalization(q_opt, plant)
+            rows.append(_yes_no(f"equalization_optimal lam={lam} eps={eps}", True, got))
+            got = verify_equalization(q_uni, plant)
+            rows.append(_yes_no(f"equalization_uniform lam={lam} eps={eps}", False, got))
         elif kind == "relaxation_kkt":
             lam, eps, m = case["lam"], case["eps"], case["m"]
             ok = verify_relaxation_kkt(lam, eps, m, trials=10_000, seed=seed)
-            rows.append((f"relaxation_kkt lam={lam} eps={eps} m={m}", 1.0, float(ok), float(not ok), ok))
+            rows.append(_yes_no(f"relaxation_kkt lam={lam} eps={eps} m={m}", True, ok))
         elif kind == "encode_decode":
             lam, eps, n_level = case["lam"], case["eps"], case["N"]
             q = optimal_boundaries(lam, eps, n_level)  # uniform at eps = 0
             ok = exhaustive_encode_decode(q, max(1000, 10 * n_level))
-            rows.append((f"encode_decode N={n_level} eps={eps}", 1.0, float(ok), float(not ok), ok))
+            rows.append(_yes_no(f"encode_decode N={n_level} eps={eps}", True, ok))
         else:
             raise ValueError(f"unknown case kind {kind!r}")
     return rows
@@ -508,11 +503,7 @@ def run_verification(cases: list[dict], resolution: float = 1e-3, seed: int = 0)
 
 def cmd_verify(cfg: Config, opts) -> int:
     resolution = cfg.get_float("verify", "resolution", 1e-3)
-    if not 0.0 < resolution <= 0.01:
-        message = f"'resolution' must be in (0, 0.01], got {resolution!r}"
-        raise _config_error(cfg.line("verify", "resolution"), message)
-    seed, line = _setting(opts.seed, cfg, cfg.get_int, "verify", "seed", 0)
-    _in_range("seed", seed, 0, line=line)
+    seed = cfg.get_int("verify", "seed", 0, opts.seed)
     rows = run_verification(canonical_cases(), resolution, seed)
     lines = ["case,closed_form,oracle,abs_diff,pass"]
     fails = 0
@@ -529,6 +520,16 @@ def cmd_verify(cfg: Config, opts) -> int:
 # entry point
 
 
+COMMANDS = {
+    "bounds": cmd_sweep,
+    "simulate": cmd_simulate,
+    "schedule": cmd_sweep,
+    "verify": cmd_verify,
+    "quantizer": cmd_quantizer,
+}
+"""Subcommand name to handler, in the order of the usage text."""
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared after it.
@@ -540,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="quantstab",
         description="Rate-limited stabilization toolkit: bounds, schedules, simulation",
     )
-    ap.add_argument("command", choices=["bounds", "simulate", "schedule", "verify", "quantizer"])
+    ap.add_argument("command", choices=list(COMMANDS))
     ap.add_argument("--config", required=True, help="key-value config file")
     ap.add_argument("--out", default=None, help="output CSV path (default stdout)")
     ap.add_argument("--seed", type=int, default=None, help="master seed override")
@@ -554,19 +555,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     opts = build_parser().parse_args(argv)
     try:
-        cfg = load_config(opts.config)
-        if opts.command in ("bounds", "schedule"):
-            return cmd_sweep(cfg, opts)
-        if opts.command == "simulate":
-            return cmd_simulate(cfg, opts)
-        if opts.command == "verify":
-            return cmd_verify(cfg, opts)
-        if opts.command == "quantizer":
-            return cmd_quantizer(cfg, opts)
+        return COMMANDS[opts.command](load_config(opts.config), opts)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -41,6 +41,8 @@ class UncertainPlant:
             object.__setattr__(self, name, vec)
         if any(e < 0 for e in self.eps):
             raise ValueError("uncertainty radii must be nonnegative")
+        if not all(math.isfinite(abs(a) + e) for a, e in zip(self.a_star, self.eps)):
+            raise ValueError("coefficient boxes must lie in the float range: |a_i*| + eps_i overflows")
         if any(b <= 0 for b in self.init_bounds):
             raise ValueError("initial output bounds must be positive")
 

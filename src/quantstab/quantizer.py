@@ -131,6 +131,8 @@ def optimal_boundaries(lambda_abs: float, eps_n: float, N: int) -> QuantizerSpec
     is kept as a construction-time check.
     """
     r = r_ratio(lambda_abs, eps_n)
+    if N < 2:
+        raise ValueError("a quantizer needs at least 2 levels")
     if eps_n == 0.0 or (r == 1.0 and N % 2 == 0):
         return uniform_boundaries(N)
     k = (N + 1) // 2
@@ -164,9 +166,9 @@ def coefficient_expansion_rates(
     for l in range(k):
         if q.N % 2 == 1 and l == 0:
             # center cell [-h_1, h_1) straddles the origin
-            out.append(2.0 * (a_abs + eps) * h[1])
+            out.append((a_abs + eps) * (2.0 * h[1]))  # 2 h_1 <= 1: finite for a finite box
         elif straddles:
-            out.append(2.0 * eps * h[l + 1])
+            out.append(eps * (2.0 * h[l + 1]))
         else:
             out.append((a_abs + eps) * h[l + 1] - (a_abs - eps) * h[l])
     return tuple(out)

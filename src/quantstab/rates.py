@@ -561,8 +561,8 @@ def _search_heuristic(
     average rate bounds its whole subtree and every later sibling's from
     below: the loop over children stops at the first child whose average
     exceeds the incumbent's by more than rounding.
-    The incumbent starts as the cheapest single size that passes the same
-    screen and the sum rule. Both only skip nodes that cannot beat the
+    The incumbent starts as the static size, the cheapest single size the
+    sum rule certifies. Both shortcuts only skip nodes that cannot beat the
     incumbent, so the winner and its tie order are those of the full search.
     """
     cap_m = min(m_max, 6)
@@ -571,13 +571,9 @@ def _search_heuristic(
     cands = []
     for N, c, w in _rate_table(p, family, cap_n, margin):
         if isinstance(w[0], float):
-            cands.append((N, c, spectral_radius(HMatrix(p.n, w)), _slot(w), w))
-    rho_min = min((r for _, _, r, _, _ in cands), default=0.0)
-    best: tuple[float, int, tuple[int, ...]] | None = None
-    for N, c, rho, _, w in cands:
-        if rho * rho_min ** (cap_m - 1) < 1.0 and _contracts(w):
-            best = (c, 1, (N,))
-            break
+            cands.append((N, c, spectral_radius(HMatrix(p.n, w)), _slot(w)))
+    rho_min = min((r for _, _, r, _ in cands), default=0.0)
+    best = None if static is None else (math.log2(static), 1, (static,))
 
     def dfs(start: int, sizes: tuple, c_sum: float, rho_prod: float, prod: tuple) -> None:
         nonlocal best
@@ -589,7 +585,7 @@ def _search_heuristic(
         if j == cap_m:
             return
         for idx in range(start, len(cands)):
-            N, c, rho, slot, _ = cands[idx]
+            N, c, rho, slot = cands[idx]
             if best is not None and (c_sum + c) / (j + 1) > best[0] * (1.0 + 1e-12):
                 break
             # coarse screen: even finishing every remaining slot at the best
@@ -598,7 +594,8 @@ def _search_heuristic(
                 continue
             dfs(idx, sizes + (N,), c_sum + c, rho_prod * rho, _extend(prod, slot))
 
-    dfs(0, (), 0.0, 1.0, _exact_product(p.n, ()))
+    if rho_min < 1.0:  # else the screen skips every child of the root
+        dfs(0, (), 0.0, 1.0, _exact_product(p.n, ()))
     if best is None:
         return None
     avg, _, sizes = best

@@ -622,8 +622,8 @@ def test_non_finite_sweep_value_exits_2(tmp_path, capsys, key, value):
         ("simulate", (), "seed = -3\n", "'seed' must be at least 0, got -3"),
         ("verify", ("--seed", "-1"), "", "'seed' must be at least 0, got -1"),
         ("verify", (), "seed = -3\n", "'seed' must be at least 0, got -3"),
-        ("verify", (), "resolution = 0.5\n", "'resolution' must be in (0, 0.01], got 0.5"),
-        ("verify", (), "resolution = nan\n", "'resolution' must be in (0, 0.01], got nan"),
+        ("verify", (), "resolution = 0.5\n", "'resolution' must be in [0.0002, 0.01], got 0.5"),
+        ("verify", (), "resolution = nan\n", "'resolution' must be in [0.0002, 0.01], got nan"),
     ],
 )
 def test_seed_and_resolution_out_of_range_exit_2(
@@ -764,3 +764,186 @@ def test_non_finite_plant_number_exits_2(tmp_path, capsys, key, value):
         f"got ({float(value)},)\n"
     )
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# input limits
+
+ZERO_PLANT = "[plant]\nn = 1\na_star = 0.0\neps = 0.0\n\n"  # every run stops at step 0
+
+
+def _order_plant(n):
+    zeros = ", ".join(["0.0"] * (n - 1))
+    return f"[plant]\nn = {n}\na_star = {zeros}, 2.0\neps = {zeros}, 0.1\n\n"
+
+
+PAST_LIMIT_CASES = {
+    "order": (
+        "quantizer",
+        _order_plant(cli.MAX_ORDER + 1) + "[quantizer]\nN = 4\n",
+        2,
+        f"'n' must be at most {cli.MAX_ORDER}, got {cli.MAX_ORDER + 1}",
+    ),
+    # (1.0,) * n of the default init_bounds would not fit in memory
+    "order_huge": (
+        "simulate",
+        "[plant]\nn = 10000000000000\na_star = 2.0\neps = 0.1\n\n[simulate]\nN = 4\n",
+        2,
+        f"'n' must be at most {cli.MAX_ORDER}, got 10000000000000",
+    ),
+    "quantizer_N": (
+        "quantizer",
+        ZERO_PLANT + f"[quantizer]\nN = {cli.MAX_N_MAX + 1}\n",
+        7,
+        f"'N' must be at most {cli.MAX_N_MAX}, got {cli.MAX_N_MAX + 1}",
+    ),
+    "simulate_N": (
+        "simulate",
+        ZERO_PLANT + f"[simulate]\nhorizon = 1\nN = {cli.MAX_N_MAX + 1}\n",
+        8,
+        f"'N' must be at most {cli.MAX_N_MAX}, got {cli.MAX_N_MAX + 1}",
+    ),
+    "size_entry": (
+        "simulate",
+        ZERO_PLANT + f"[simulate]\nsizes = 4, {cli.MAX_N_MAX + 1}, 2\n",
+        7,
+        f"'sizes' must be at most {cli.MAX_N_MAX} each, got (4, {cli.MAX_N_MAX + 1}, 2)",
+    ),
+    "size_count": (
+        "simulate",
+        ZERO_PLANT + "[simulate]\nsizes = " + ", ".join(["2"] * (cli.MAX_M_MAX + 1)) + "\n",
+        7,
+        f"'sizes' must be at most {cli.MAX_M_MAX} entries, got {(2,) * (cli.MAX_M_MAX + 1)!r}",
+    ),
+    "steps": (
+        "simulate",
+        ZERO_PLANT + "[simulate]\nN = 4\nhorizon = 1000\n"
+        f"instances = {cli.MAX_STEPS // 1000 + 1}\nfamily = uniform\n",
+        9,
+        f"'horizon x instances' must be at most {cli.MAX_STEPS}, "
+        f"got {1000 * (cli.MAX_STEPS // 1000 + 1)}",
+    ),
+    "resolution": (
+        "verify",
+        "[verify]\nseed = 1\nresolution = 0.000199\n",
+        3,
+        f"'resolution' must be in [{cli.MIN_RESOLUTION}, 0.01], got 0.000199",
+    ),
+    # a 1e-7 grid would ask numpy for about 182 TiB
+    "resolution_tiny": (
+        "verify",
+        "[verify]\nresolution = 1e-7\n",
+        2,
+        f"'resolution' must be in [{cli.MIN_RESOLUTION}, 0.01], got 1e-07",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAST_LIMIT_CASES))
+def test_value_past_its_limit_exits_2_naming_key_and_line(tmp_path, capsys, case):
+    command, text, line, message = PAST_LIMIT_CASES[case]
+    cfg = write(tmp_path, "limit.cfg", text)
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"config error: config line {line}: {message}\n")
+    assert not out.exists()
+
+
+def test_horizon_past_the_step_budget_alone_exits_2(tmp_path, capsys):
+    # instances defaults to 1, so the product is the horizon; no line to name
+    text = ZERO_PLANT + f"[simulate]\nN = 4\nhorizon = {cli.MAX_STEPS + 1}\n"
+    assert main(["simulate", "--config", write(tmp_path, "h.cfg", text)]) == 2
+    message = f"'horizon x instances' must be at most {cli.MAX_STEPS}, got {cli.MAX_STEPS + 1}"
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+
+AT_LIMIT_CASES = {
+    "order": ("quantizer", _order_plant(cli.MAX_ORDER) + "[quantizer]\nN = 4\n", ""),
+    "quantizer_N": (
+        "quantizer",
+        ZERO_PLANT + f"[quantizer]\nN = {cli.MAX_N_MAX}\nfamily = uniform\n",
+        "",
+    ),
+    "simulate_N": (
+        "simulate",
+        ZERO_PLANT + f"[simulate]\nN = {cli.MAX_N_MAX}\nfamily = uniform\nhorizon = 1\n",
+        "verdict: stabilized\n",
+    ),
+    "sizes": (
+        "simulate",
+        ZERO_PLANT
+        + "[simulate]\nfamily = uniform\nsizes = "
+        + ", ".join(["2"] * (cli.MAX_M_MAX - 1) + [str(cli.MAX_N_MAX)])
+        + "\n",
+        "verdict: stabilized\n",
+    ),
+    "steps": (
+        "simulate",
+        ZERO_PLANT + "[simulate]\nN = 4\nfamily = uniform\nhorizon = 1000\n"
+        f"instances = {cli.MAX_STEPS // 1000}\n",
+        f"instances={cli.MAX_STEPS // 1000} stabilized={cli.MAX_STEPS // 1000}\n",
+    ),
+    "horizon": (
+        "simulate",
+        ZERO_PLANT + f"[simulate]\nN = 4\nfamily = uniform\nhorizon = {cli.MAX_STEPS}\n",
+        "verdict: stabilized\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AT_LIMIT_CASES))
+def test_value_at_its_limit_accepted(tmp_path, capsys, case):
+    # a = 0 exactly stops every run at step 0, so the accepted runs stay cheap
+    command, text, stdout = AT_LIMIT_CASES[case]
+    cfg = write(tmp_path, "limit.cfg", text)
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr() == (stdout, "")
+    assert out.exists()
+
+
+def test_resolution_at_its_floor_accepted():
+    # a verify run at the floor takes about a second, so this reads the value only
+    text = f"[verify]\nresolution = {cli.MIN_RESOLUTION!r}\n"
+    assert Config(parse_config_text(text)).get_float("verify", "resolution", 1e-3) == 2e-4
+
+
+def test_usage_lists_the_commands_in_their_order():
+    usage = cli.build_parser().format_usage()
+    assert "{bounds,simulate,schedule,verify,quantizer}" in usage
+
+
+HUGE_PLANT = "[plant]\nn = 2\na_star = 1e308, 1e308\neps = 0.0, 0.0\n\n"
+HUGE_SWEEP = "[sweep]\nlambda_min = 1e308\nlambda_max = 1e308\nlambda_step = 1e308\n"
+
+
+@pytest.mark.parametrize("margin", ["0", "0.1"])
+def test_plant_at_the_float_range_finds_no_schedule(tmp_path, capsys, margin):
+    # rates near 1e308: the radius screen of the higher-order search skips
+    # every size instead of raising float pow overflow on the smallest radius
+    cfg = write(tmp_path, "huge.cfg", HUGE_PLANT + HUGE_SWEEP)
+    out = tmp_path / "o.csv"
+    argv = ["schedule", "--config", cfg, "--out", str(out), "--m-max", "4", "--n-max", "8"]
+    assert main([*argv, "--margin", margin]) == 0
+    assert out.read_text().splitlines()[1] == "1e+308,0,1023.15385323,1023.15385323,,,,,,"
+    assert capsys.readouterr() == ("lambda=1e+308 schedule=not-found\n", "")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (
+            "[plant]\nn = 1\na_star = 1e308\neps = 1e308\n\n[quantizer]\nN = 3\n",
+            "bad [plant] section: coefficient boxes must lie in the float range: "
+            "|a_i*| + eps_i overflows",
+        ),
+        (
+            "[plant]\nn = 1\na_star = 3.0\neps = 0.1\n\n[quantizer]\nN = 0\n",
+            "a quantizer needs at least 2 levels",
+        ),
+    ],
+    ids=["box_overflows", "zero_levels"],
+)
+def test_quantizer_float_range_and_zero_levels_exit_2(tmp_path, capsys, text, message):
+    assert main(["quantizer", "--config", write(tmp_path, "q.cfg", text)]) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")

@@ -34,6 +34,14 @@ def test_constructor_validation():
         UncertainPlant(1, (2.0,), (0.1,), (0.0,))
 
 
+@pytest.mark.parametrize("a_star,eps", [((1e308,), (1e308,)), ((-1.7e308,), (2e307,))])
+def test_box_past_the_float_range_rejected(a_star, eps):
+    # |a*| + eps overflows, so the expansion rates of the box would be inf
+    with pytest.raises(ValueError, match="float range"):
+        UncertainPlant(1, a_star, eps, (1.0,))
+    UncertainPlant(1, (1.5e308,), (1e307,), (1.0,))  # still finite
+
+
 def test_parameter_intervals_one_indexed():
     # the box of a_i sits at index i - 1
     p = UncertainPlant(2, (1.0, 3.0), (0.10, 0.35), (1.0, 1.0))

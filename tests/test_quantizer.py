@@ -201,3 +201,21 @@ def test_decode_scales_linearly(n_level):
         scaled = decode(q, s, 3.0)
         for got, want in zip(scaled, base):
             assert math.isclose(got, 3.0 * want, rel_tol=REL, abs_tol=1e-15)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 8])
+@pytest.mark.parametrize("a_abs,eps", [(1e308, 0.0), (1e308, 1e307), (1e307, 1e308)])
+def test_expansion_rates_of_a_finite_box_are_finite(N, a_abs, eps):
+    # the odd centre cell reads (a + eps) 2 h_1 with 2 h_1 <= 1, so it stays
+    # finite where 2 (a + eps) would overflow
+    rates = coefficient_expansion_rates(uniform_boundaries(N), a_abs, eps)
+    assert all(map(math.isfinite, rates))
+    if N % 2:
+        assert rates[0] == (a_abs + eps) * (1.0 / N)
+
+
+@pytest.mark.parametrize("N", [1, 0, -1])
+def test_optimal_boundaries_need_two_levels(N):
+    # N = 0 divided by zero, N = -1 reported no rate-equalizing layout
+    with pytest.raises(ValueError, match="at least 2 levels"):
+        optimal_boundaries(3.0, 0.1, N)
