@@ -152,11 +152,23 @@ _REQUIRED = object()
 """Default that makes a config key mandatory."""
 
 
+SHOWN = 8  # entries an error message prints of a longer list
+
+
+def _listed(items: Sequence) -> str:
+    """'a, b, ...' of items; past SHOWN entries, the first SHOWN, '...' and the count."""
+    text = ", ".join(map(repr, items[:SHOWN]))
+    return text if len(items) <= SHOWN else f"{text}, ... ({len(items)} entries)"
+
+
 def _check(name: str, value, line: int | None) -> None:
     """A config error naming name, and line if given, at value's first failed LIMITS rule."""
     for test, requirement in LIMITS.get(name, ()):
         if not test(value):
-            raise _config_error(line, f"'{name}' must be {requirement}, got {value!r}")
+            got = repr(value)
+            if isinstance(value, tuple) and len(value) > SHOWN:
+                got = f"({_listed(value)})"
+            raise _config_error(line, f"'{name}' must be {requirement}, got {got}")
 
 
 @dataclass
@@ -384,7 +396,7 @@ def cmd_simulate(cfg: Config, opts) -> int:
     try:
         qs = schedule_quantizers(p, sched, family)
     except ValueError as exc:
-        sizes_text = ", ".join(map(str, sched.sizes))
+        sizes_text = _listed(sched.sizes)
         raise ConfigError(f"no {family} quantizer layout for sizes {sizes_text}: {exc}") from None
 
     results = [_sim_one(p, sched, qs, horizon, mode, seed, i, init_mode) for i in range(instances)]

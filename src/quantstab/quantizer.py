@@ -10,13 +10,23 @@ The expansion rate of a cell measures how much a coefficient box stretches
 the cell under the set product, normalized by the current scaling. The
 rate-equalizing boundary layout minimizes the worst cell's rate; its
 closed-form worst rate is `v_rate`.
+
+Each step has one route. `Layouts.half` gives a size's boundary half h,
+`check_half` runs the checks a QuantizerSpec makes of h, and `cell_rates`
+gives a layout's per-cell rates (`worst_rates`, their maxima).
+uniform_boundaries, optimal_boundaries, quantizer_for, QuantizerSpec,
+coefficient_expansion_rates and expansion_profile call them on one size.
+The rate table in `rates` calls them on every size of a row, with one
+Layouts whose powers r^l all sizes share, and builds no QuantizerSpec.
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 from .intervals import check_hull
 from .plant import UncertainPlant
@@ -24,6 +34,28 @@ from .plant import UncertainPlant
 
 class SaturationError(Exception):
     """Raised when a value to encode lies strictly outside [-1/2, 1/2]."""
+
+
+def _check_levels(N: int) -> None:
+    if N < 2:
+        raise ValueError("a quantizer needs at least 2 levels")
+
+
+def check_half(N: int, h: Sequence[float]) -> None:
+    """The checks of a boundary half for N levels: K + 1 entries, h_0 = 0, h_K = 1/2, rising.
+
+    Raises ValueError at the first that fails; QuantizerSpec and the rate
+    table run it.
+    """
+    k = (N + 1) // 2
+    if len(h) != k + 1:
+        raise ValueError(f"expected {k + 1} boundaries for N={N}, got {len(h)}")
+    if h[0] != 0.0:
+        raise ValueError("h_0 must be 0")
+    if h[-1] != 0.5:
+        raise ValueError("h_K must be 1/2")
+    if not all(map(operator.lt, h, h[1:])):
+        raise ValueError("boundaries must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -38,25 +70,9 @@ class QuantizerSpec:
     h: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.N < 2:
-            raise ValueError("a quantizer needs at least 2 levels")
+        _check_levels(self.N)
         object.__setattr__(self, "h", tuple(float(v) for v in self.h))
-        k = (self.N + 1) // 2
-        if len(self.h) != k + 1:
-            raise ValueError(
-                f"expected {k + 1} boundaries for N={self.N}, got {len(self.h)}"
-            )
-        if self.h[0] != 0.0:
-            raise ValueError("h_0 must be 0")
-        if self.h[-1] != 0.5:
-            raise ValueError("h_K must be 1/2")
-        for a, b in zip(self.h, self.h[1:]):
-            if not (a < b):
-                raise ValueError("boundaries must be strictly increasing")
-
-    @property
-    def half_levels(self) -> int:
-        return (self.N + 1) // 2
+        check_half(self.N, self.h)
 
     @cached_property
     def edges(self) -> tuple[float, ...]:
@@ -94,18 +110,6 @@ def decode(q: QuantizerSpec, s: int, sigma: float) -> tuple[float, float]:
     return lo, hi
 
 
-def uniform_boundaries(N: int) -> QuantizerSpec:
-    """Equal-width cells: h_l = l/N (N even) or (l - 1/2)/N for l >= 1 (N odd)."""
-    if N < 2:
-        raise ValueError("a quantizer needs at least 2 levels")
-    k = (N + 1) // 2
-    if N % 2 == 0:
-        h = tuple(l / N for l in range(k + 1))
-    else:
-        h = (0.0,) + tuple((l - 0.5) / N for l in range(1, k + 1))
-    return QuantizerSpec(N, h)
-
-
 def r_ratio(lambda_abs: float, eps_n: float) -> float:
     """Contraction ratio r = (lambda - eps)/(lambda + eps) of the layout recursion.
 
@@ -119,69 +123,129 @@ def r_ratio(lambda_abs: float, eps_n: float) -> float:
     return (lambda_abs - eps_n) / (lambda_abs + eps_n)
 
 
+class Layouts:
+    """Boundary halves h of one family's layouts, by size N: the one route to h.
+
+    Layouts() is the uniform family: h_l = l/N (N even) or (l - 1/2)/N for
+    l >= 1 (N odd). Layouts(lambda_abs, eps_n) is the rate-equalizing
+    family for a coefficient box |a| in [lam-eps, lam+eps], which must be
+    expanding (lambda_abs - eps_n > 1). Its even sizes read the numerators
+    0.5 (1 - r^l) and its odd sizes 0.5 (1 - t r^l), t = lam/(lam - eps),
+    over one prefix of powers r^l grown to the largest K = ceil(N/2) asked
+    for, so a further size costs only its own divisions.
+
+    With no uncertainty the layout degenerates to uniform, and so it does
+    for even N when eps is so small that r rounds to 1.0: the uniform
+    layout is the eps -> 0 limit of the even one, which would divide by
+    1 - r^K = 0. For odd N the geometric layout exists only while
+    t r^K < 1, which holds throughout the valid parameter range until r
+    rounds to 1.0; half raises ValueError past it.
+    """
+
+    def __init__(self, lambda_abs: float | None = None, eps_n: float = 0.0) -> None:
+        self.box = (lambda_abs, eps_n)
+        if lambda_abs is not None:
+            self.r = r_ratio(lambda_abs, eps_n)
+            self.t = lambda_abs / (lambda_abs - eps_n)
+        self.uniform = lambda_abs is None or eps_n == 0.0
+        # r^l, 0.5 (1 - r^l) and 0.5 (1 - t r^l) for l = 0, 1, ...
+        self.powers: list[float] = []
+        self.even: list[float] = []
+        self.odd: list[float] = []
+
+    def half(self, N: int) -> tuple[float, ...]:
+        """h_0..h_K of the N-level layout; ValueError when it does not exist."""
+        _check_levels(N)
+        k = (N + 1) // 2
+        odd = N % 2
+        if self.uniform or (self.r == 1.0 and not odd):
+            if odd:
+                return (0.0,) + tuple((l - 0.5) / N for l in range(1, k + 1))
+            return tuple(l / N for l in range(k + 1))
+        powers, r, t = self.powers, self.r, self.t
+        for l in range(len(powers), k + 1):
+            rl = r**l
+            powers.append(rl)
+            self.even.append(0.5 * (1.0 - rl))
+            self.odd.append(0.5 * (1.0 - t * rl))
+        if odd:
+            den = 1.0 - t * powers[k]
+            if den <= 0.0:
+                lambda_abs, eps_n = self.box
+                raise ValueError(
+                    f"no rate-equalizing layout for odd N={N} at "
+                    f"lambda={lambda_abs}, eps={eps_n}"
+                )
+            out = [0.0]
+            for v in self.odd[1 : k + 1]:
+                out.append(v / den)
+        else:
+            den = 1.0 - powers[k]
+            out = []
+            for v in self.even[: k + 1]:
+                out.append(v / den)
+        return tuple(out)
+
+
+UNIFORM = Layouts()
+"""The uniform family's layouts; they hold no state."""
+
+
+def uniform_boundaries(N: int) -> QuantizerSpec:
+    """Equal-width cells: h_l = l/N (N even) or (l - 1/2)/N for l >= 1 (N odd)."""
+    return QuantizerSpec(N, UNIFORM.half(N))
+
+
 def optimal_boundaries(lambda_abs: float, eps_n: float, N: int) -> QuantizerSpec:
     """Rate-equalizing boundaries for a coefficient box |a| in [lam-eps, lam+eps].
 
-    Requires the whole box expanding (lambda_abs - eps_n > 1). With no
-    uncertainty the layout degenerates to uniform, and so it does for even
-    N when eps is so small that r rounds to 1.0: the uniform layout is the
-    eps -> 0 limit of the even one, which would divide by 1 - r^K = 0. For
-    odd N the geometric layout exists only while t*r^K < 1, which holds
-    throughout the valid parameter range until r rounds to 1.0; the guard
-    is kept as a construction-time check.
+    Requires the whole box expanding (lambda_abs - eps_n > 1); the layout
+    and its degenerate cases are those of Layouts(lambda_abs, eps_n).
     """
-    r = r_ratio(lambda_abs, eps_n)
-    if N < 2:
-        raise ValueError("a quantizer needs at least 2 levels")
-    if eps_n == 0.0 or (r == 1.0 and N % 2 == 0):
-        return uniform_boundaries(N)
-    k = (N + 1) // 2
-    if N % 2 == 0:
-        den = 1.0 - r**k
-        h = tuple(0.5 * (1.0 - r**l) / den for l in range(k + 1))
+    return QuantizerSpec(N, Layouts(lambda_abs, eps_n).half(N))
+
+
+def cell_rates(h: Sequence[float], odd: int, a_abs: float, eps: float) -> list[float]:
+    """Per-cell expansion rates of the box |a - a*| <= eps over boundary half h.
+
+    Entry l is the width of (box * cell_l) divided by the scaling, for the
+    nonnegative cell family l = 0..K-1 (symmetry covers the negative half);
+    odd marks an odd N, whose cell 0 is the center cell [-h_1, h_1).
+    """
+    hi = a_abs + eps
+    # center cell straddles the origin; 2 h_1 <= 1: finite for a finite box
+    out = [hi * (2.0 * h[1])] if odd else []
+    if a_abs <= eps:  # 0 inside the coefficient box
+        for b in h[1 + odd :]:
+            out.append(eps * (2.0 * b))
     else:
-        t = lambda_abs / (lambda_abs - eps_n)
-        den = 1.0 - t * r**k
-        if den <= 0.0:
-            raise ValueError(
-                f"no rate-equalizing layout for odd N={N} at "
-                f"lambda={lambda_abs}, eps={eps_n}"
-            )
-        h = (0.0,) + tuple(0.5 * (1.0 - t * r**l) / den for l in range(1, k + 1))
-    return QuantizerSpec(N, h)
+        lo = a_abs - eps
+        a = h[odd]
+        for b in h[1 + odd :]:
+            out.append(hi * b - lo * a)
+            a = b
+    return out
+
+
+def worst_rates(h: Sequence[float], N: int, p: UncertainPlant) -> tuple[float, ...]:
+    """(w_1, ..., w_n): each coefficient's largest cell rate over the N-level half h."""
+    odd = N % 2
+    return tuple(max(cell_rates(h, odd, abs(a), e)) for a, e in zip(p.a_star, p.eps))
 
 
 def coefficient_expansion_rates(
     q: QuantizerSpec, a_abs: float, eps: float
 ) -> tuple[float, ...]:
-    """Per-cell expansion rates w_l of the box |a - a*| <= eps over q's cells.
-
-    Entry l is the width of (box * cell_l) divided by the scaling, for the
-    nonnegative cell family l = 0..K-1 (symmetry covers the negative half).
-    """
-    h = q.h
-    k = q.half_levels
-    straddles = a_abs <= eps  # 0 inside the coefficient box
-    out = []
-    for l in range(k):
-        if q.N % 2 == 1 and l == 0:
-            # center cell [-h_1, h_1) straddles the origin
-            out.append((a_abs + eps) * (2.0 * h[1]))  # 2 h_1 <= 1: finite for a finite box
-        elif straddles:
-            out.append(eps * (2.0 * h[l + 1]))
-        else:
-            out.append((a_abs + eps) * h[l + 1] - (a_abs - eps) * h[l])
-    return tuple(out)
+    """Per-cell expansion rates w_l of the box |a - a*| <= eps over q's cells, by cell_rates."""
+    return tuple(cell_rates(q.h, q.N % 2, a_abs, eps))
 
 
 def expansion_profile(q: QuantizerSpec, p: UncertainPlant) -> tuple[float, ...]:
     """Worst-case expansion rates w_bar = (w_1, ..., w_n), the companion matrix's entries.
 
-    w_i is the largest of coefficient i's per-cell rates from coefficient_expansion_rates.
+    w_i is the largest of coefficient i's per-cell rates, by worst_rates.
     """
-    return tuple(
-        max(coefficient_expansion_rates(q, abs(a), e)) for a, e in zip(p.a_star, p.eps)
-    )
+    return worst_rates(q.h, q.N, p)
 
 
 def v_rate(lambda_abs: float, eps_n: float, N: int) -> float:
@@ -191,8 +255,7 @@ def v_rate(lambda_abs: float, eps_n: float, N: int) -> float:
     even N, and lambda/N when eps = 0; also for even N when r rounds to
     1.0, as the eps -> 0 limit of the even form.
     """
-    if N < 2:
-        raise ValueError("a quantizer needs at least 2 levels")
+    _check_levels(N)
     r = r_ratio(lambda_abs, eps_n)
     if eps_n == 0.0 or (r == 1.0 and N % 2 == 0):
         return lambda_abs / N
@@ -209,13 +272,17 @@ FAMILIES = ("optimal", "uniform")
 """Quantizer family names that quantizer_for accepts."""
 
 
+def layouts_for(family: str, p: UncertainPlant) -> Layouts:
+    """The family's layouts for plant p: the optimal ones fit the box of its last coefficient."""
+    if family == "uniform":
+        return UNIFORM
+    if family == "optimal":
+        return Layouts(abs(p.a_star[-1]), p.eps[-1])
+    raise ValueError(f"unknown quantizer family {family!r}")
+
+
 def quantizer_for(
     family: str, p: UncertainPlant, N: int
 ) -> QuantizerSpec:
     """Family dispatch used by the rate tests and the simulator."""
-    if family == "uniform":
-        return uniform_boundaries(N)
-    if family == "optimal":
-        lam = abs(p.a_star[-1])
-        return optimal_boundaries(lam, p.eps[-1], N)
-    raise ValueError(f"unknown quantizer family {family!r}")
+    return QuantizerSpec(N, layouts_for(family, p).half(N))

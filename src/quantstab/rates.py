@@ -19,7 +19,13 @@ Three layers:
 * time-varying alphabets: periodic schedules of quantizer sizes, their
   average rate, the minimum-average-rate search, and the convex relaxation
   whose optimum reproduces the necessary rate. Every size loop reads one
-  memoized rate table per plant and family. For scalar plants the search
+  rate table per plant and family, built in one pass over the sizes and
+  only as far as a reader has gone: each size takes its boundary half from
+  a prefix of powers r^l shared by all sizes, the QuantizerSpec checks and
+  its worst cell rates, through the same helpers as a QuantizerSpec, but
+  builds none. The memo holds the tables of one plant, so the N_suf
+  columns and the search of a sweep row share one build, and the next
+  row's plant drops them. For scalar plants the search
   is exact: a knapsack with exactly m items, solved by depth-first branch
   and bound with the Lagrangian bound of the lower convex hull of the
   (log rate, log2 size) points. Each node is decided exactly, by the float
@@ -34,7 +40,6 @@ Three layers:
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -47,10 +52,14 @@ import numpy as np
 from .plant import UncertainPlant
 from .quantizer import (
     FAMILIES,
+    Layouts,
     QuantizerSpec,
+    check_half,
     expansion_profile,
+    layouts_for,
     quantizer_for,
     r_ratio,
+    worst_rates,
 )
 
 INFEASIBLE = math.inf
@@ -259,30 +268,58 @@ def sufficient_test(
     return StabilityTest(rho=spectral_radius(h), stable=_contracts(_rescaled(h.w_bar, margin)))
 
 
-# One default row reads at most 2 x 63 sizes, N = 2..64 in each family; a
-# fixed size keeps a long sweep from holding every row's entries.
-@functools.lru_cache(maxsize=2 * 63)
-def _rate_entry(family: str, p: UncertainPlant, N: int) -> tuple[float, ...] | None:
-    """w_bar of the family's N-level layout, None when the layout does not build."""
-    try:
-        q = quantizer_for(family, p, N)
-    except ValueError:
-        if family not in FAMILIES:
-            raise
-        return None
-    return expansion_profile(q, p)
+# The rate tables built so far, all for one plant: a table for another plant
+# drops them, so a sweep holds the tables of one row at a time.
+_TABLES: dict[tuple[str, UncertainPlant], tuple[Layouts | None, list]] = {}
+
+
+def _table_of(family: str, p: UncertainPlant) -> tuple[Layouts | None, list]:
+    """The family's layouts for p (None when its box admits none) and the w_bar built so far.
+
+    Entry N - 2 of the list is w_bar of the N-level layout, None when that
+    layout does not build; _rate_table appends to it. An unknown family
+    name raises.
+    """
+    table = _TABLES.get((family, p))
+    if table is None:
+        if any(q != p for _, q in _TABLES):
+            _TABLES.clear()
+        try:
+            layouts = layouts_for(family, p)
+        except ValueError:
+            if family not in FAMILIES:
+                raise
+            layouts = None
+        table = _TABLES[family, p] = (layouts, [])
+    return table
 
 
 def _rate_table(p: UncertainPlant, family: str, N_max: int, margin: float) -> Iterator[tuple]:
     """(N, log2 N, _rescaled w_bar) for each size N in 2..N_max whose layout builds.
 
-    Every size loop reads this table, each size through one memo on
-    (family, plant, N), so one row builds each quantizer once. A size
-    without a valid layout is skipped: for large N at eps >= 0.5 the float
-    boundaries stop increasing. An unknown family name still raises.
+    Every size loop reads this table. It is built in one pass over N, only
+    as far as a reader has gone, and kept for the plant until another
+    plant's is read, so the N_suf columns and the schedule search of one
+    sweep row build each size once. A size costs its boundary half from
+    the powers r^l its table's layouts share, the QuantizerSpec checks and
+    its worst cell rates; no QuantizerSpec is built. A size without a valid
+    layout is skipped: for large N the float boundaries stop increasing
+    once 1 - r^l rounds to 1. An unknown family name still raises.
     """
+    layouts, ws = _table_of(family, p)
     for N in range(2, N_max + 1):
-        w = _rate_entry(family, p, N)
+        if len(ws) == N - 2:
+            w = None
+            if layouts is not None:
+                try:
+                    h = layouts.half(N)
+                    check_half(N, h)
+                except ValueError:
+                    pass
+                else:
+                    w = worst_rates(h, N, p)
+            ws.append(w)
+        w = ws[N - 2]
         if w is not None:
             yield N, math.log2(N), _rescaled(w, margin)
 

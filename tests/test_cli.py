@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from quantstab import cli, rates
+from quantstab import cli, quantizer, rates
 from quantstab.cli import (
     Config,
     ConfigError,
@@ -550,6 +550,20 @@ def test_simulate_layout_error_exits_2(tmp_path, capsys, instances, plant, n_lev
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_layout_error_on_a_long_size_list_names_its_head_and_count(tmp_path, capsys):
+    # at r = 1.1/1.5, 1 - r^l rounds to 1 long before l = 512, so the
+    # 1024-level boundaries stop increasing; 8 of the 256 sizes are printed
+    sizes = ", ".join(["1024"] * cli.MAX_M_MAX)
+    text = f"[plant]\nn = 1\na_star = 1.3\neps = 0.2\n\n[simulate]\nsizes = {sizes}\nhorizon = 1\n"
+    assert main(["simulate", "--config", write(tmp_path, "long.cfg", text)]) == 2
+    head = ", ".join(["1024"] * cli.SHOWN)
+    message = (
+        f"no optimal quantizer layout for sizes {head}, ... ({cli.MAX_M_MAX} entries): "
+        "boundaries must be strictly increasing"
+    )
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "command,flags,extra,message",
     [
@@ -682,16 +696,18 @@ def test_schedule_known_integer_pole_exits_0(tmp_path, capsys):
     ids=["n1", "n2"],
 )
 def test_schedule_row_builds_each_quantizer_once(tmp_path, monkeypatch, plant):
-    # the bounds columns and the search read one memoized rate table
+    # the bounds columns and the search read one memoized rate table, whose
+    # every size takes its boundary half from the one shared layout helper
     built = {}
-    real = rates.quantizer_for
+    real = quantizer.Layouts.half
 
-    def counting_quantizer_for(family, p, n_level):
+    def counting_half(layouts, n_level):
+        family = "uniform" if layouts is quantizer.UNIFORM else "optimal"
         built[family, n_level] = built.get((family, n_level), 0) + 1
-        return real(family, p, n_level)
+        return real(layouts, n_level)
 
-    rates._rate_entry.cache_clear()
-    monkeypatch.setattr(rates, "quantizer_for", counting_quantizer_for)
+    rates._TABLES.clear()
+    monkeypatch.setattr(quantizer.Layouts, "half", counting_half)
     sweep = "[sweep]\nlambda_min = 2.2\nlambda_max = 2.2\nlambda_step = 0.1\n"
     cfg = write(tmp_path, "one.cfg", f"[plant]\n{plant}\n\n{sweep}")
     argv = ["schedule", "--config", cfg, "--out", str(tmp_path / "one.csv"), "--m-max", "4"]
@@ -813,7 +829,8 @@ PAST_LIMIT_CASES = {
         "simulate",
         ZERO_PLANT + "[simulate]\nsizes = " + ", ".join(["2"] * (cli.MAX_M_MAX + 1)) + "\n",
         7,
-        f"'sizes' must be at most {cli.MAX_M_MAX} entries, got {(2,) * (cli.MAX_M_MAX + 1)!r}",
+        f"'sizes' must be at most {cli.MAX_M_MAX} entries, "
+        f"got (2, 2, 2, 2, 2, 2, 2, 2, ... ({cli.MAX_M_MAX + 1} entries))",
     ),
     "steps": (
         "simulate",

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from quantstab import rates
 from quantstab.plant import UncertainPlant
 from quantstab.quantizer import (
+    Layouts,
     expansion_profile,
     optimal_boundaries,
     quantizer_for,
@@ -209,6 +210,89 @@ def test_min_sufficient_N_optimal_never_worse():
         n_uni = min_sufficient_N(p, "uniform")
         assert n_opt is not None and n_uni is not None
         assert n_opt <= n_uni
+
+
+def _table_plants() -> list:
+    """(plant, N_max): random plants n = 1..6 and the edge cases of the rate table."""
+    rng = np.random.default_rng(17)
+    plants = []
+    for n in range(1, 7):
+        for k in range(4):
+            lam = float(rng.uniform(1.2, 4.0))
+            eps_n = float(rng.uniform(0.0, min(0.6, lam - 1.05)))
+            a = tuple(rng.uniform(-0.8, 0.8, n - 1)) + (-lam if k % 2 else lam,)
+            # k = 3: lower boxes wide enough to straddle 0 mostly
+            eps = tuple(rng.uniform(0.0, 0.1 if k < 3 else 1.0, n - 1)) + (eps_n,)
+            plants.append((UncertainPlant(n, a, eps, (1.0,) * n), 96))
+    edges = [
+        ((3.0,), (0.0,), 64),  # eps = 0: uniform layouts
+        ((3.0,), (1e-16,), 64),  # r rounds to 1: even sizes uniform, odd ones den = 0
+        ((0.05, -2.0), (0.1, 1e-16), 64),  # the same under a straddling coefficient
+        ((20.0,), (18.0,), 1024),  # eps >= 0.5: boundaries stop increasing from N = 28
+        ((1.3,), (0.2,), 1024),  # 1 - r^l rounds to 1 before l = K for large N
+        ((0.0, -0.1, 2.5), (0.3, 0.2, 0.9), 1024),
+        ((1.1,), (0.3,), 16),  # not expanding: no optimal layout at all
+    ]
+    for a, eps, n_max in edges:
+        plants.append((UncertainPlant(len(a), a, eps, (1.0,) * len(a)), n_max))
+    return plants
+
+
+TABLE_PLANTS = _table_plants()
+
+
+@pytest.mark.parametrize("family", ["optimal", "uniform"])
+def test_rate_table_matches_the_quantizer_route_bit_for_bit(family):
+    # the one-pass table builds no QuantizerSpec, yet every row it yields is
+    # the object route's, and it skips exactly the sizes quantizer_for rejects
+    skipped_any = set()
+    for p, n_max in TABLE_PLANTS:
+        ws = {}
+        for N in range(2, n_max + 1):
+            try:
+                ws[N] = expansion_profile(quantizer_for(family, p, N), p)
+            except ValueError:
+                pass
+        skipped_any |= set(range(2, n_max + 1)) - set(ws)
+        for margin in (0.0, 0.02, 1.0 - 2.0**-53):
+            want = [(N, math.log2(N), rates._rescaled(w, margin)) for N, w in ws.items()]
+            # a prefix first, as min_sufficient_N reads it; the rest grows the
+            # table; repr tells -0.0 from 0.0 and every float bit
+            prefix = list(rates._rate_table(p, family, n_max // 3, margin))
+            assert repr(prefix) == repr([row for row in want if row[0] <= n_max // 3])
+            assert repr(list(rates._rate_table(p, family, n_max, margin))) == repr(want)
+    if family == "optimal":
+        assert {3, 5, 1023} <= skipped_any  # den = 0 and stalled boundaries seen
+    else:
+        assert not skipped_any
+
+
+def test_rate_table_memo_drops_a_plant_after_two_later_rows(monkeypatch):
+    # the memo holds one plant's tables: a row replayed after two others
+    # builds every size again
+    built = []
+    real = Layouts.half
+
+    def counting_half(layouts, n_level):
+        built.append(n_level)
+        return real(layouts, n_level)
+
+    monkeypatch.setattr(Layouts, "half", counting_half)
+    rates._TABLES.clear()
+    first, later = scalar_plant(2.0, 0.35), [scalar_plant(2.1, 0.35), scalar_plant(2.2, 0.35)]
+
+    def row(p):
+        return [min_sufficient_N(p, family, 64) for family in ("optimal", "uniform")]
+
+    want = row(first)
+    cost = len(built)
+    assert cost > 0 and {q for _, q in rates._TABLES} == {first}
+    for p in later:
+        row(p)
+    assert {q for _, q in rates._TABLES} == {later[-1]}
+    built.clear()
+    assert row(first) == want
+    assert len(built) == cost
 
 
 # ---------------------------------------------------------------------------
