@@ -20,7 +20,6 @@ import functools
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -334,6 +333,8 @@ def _run_rows(worker, jobs: int, arglist):
     jobs = worker_count(jobs)
     if jobs == 1:
         return [worker(a) for a in arglist]
+    # imported only here: multiprocessing would add to every `import quantstab.cli`
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as ex:
         return list(ex.map(worker, arglist))
 
@@ -452,80 +453,49 @@ def cmd_quantizer(cfg: Config, opts) -> int:
 # verify
 
 
-def canonical_cases() -> list[dict]:
-    cases: list[dict] = []
-    for lam in (2.0, 2.5, 3.0):
-        for eps in (0.2, 0.35, 0.5):
-            for n_level in (2, 3, 4, 5):
-                cases.append(
-                    {"kind": "boundary_synthesis", "lam": lam, "eps": eps, "N": n_level}
-                )
-            cases.append({"kind": "equalization", "lam": lam, "eps": eps})
-    for m in (2, 3, 5):
-        cases.append({"kind": "relaxation_kkt", "lam": 3.0, "eps": 0.35, "m": m})
-    cases.append({"kind": "encode_decode", "lam": 3.0, "eps": 0.5, "N": 8})
-    cases.append({"kind": "encode_decode", "lam": 3.0, "eps": 0.0, "N": 7})
-    return cases
-
-
 def _yes_no(name: str, want: bool, got: bool) -> tuple:
     """Verify row (name, want, got, |got - want|, got == want) of a yes/no check."""
     return (name, float(want), float(got), abs(float(got) - want), got == want)
 
 
-def run_verification(cases: list[dict], resolution: float = 1e-3, seed: int = 0):
-    """Rows (case, closed_form, oracle, abs_diff, pass) for each oracle check."""
-    if not cases:
-        raise ValueError("no cases")
+def run_verification(resolution: float = 1e-3, seed: int = 0):
+    """Rows (case, closed_form, oracle, abs_diff, pass) of the fixed oracle check grid."""
     rows = []
-    for case in cases:
-        kind = case["kind"]
-        if kind == "boundary_synthesis":
-            lam, eps, n_level = case["lam"], case["eps"], case["N"]
-            closed = v_rate(lam, eps, n_level)
-            res = grid_optimal_boundaries(lam, eps, n_level, resolution)
-            ref = optimal_boundaries(lam, eps, n_level)
-            sup = max(abs(a - b) for a, b in zip(res.h, ref.h))
-            diff = abs(res.value - closed)
-            ok = diff <= 1e-4 and sup <= 2e-3
-            name = f"boundary_synthesis lam={lam} eps={eps} N={n_level}"
-            rows.append((name, closed, res.value, diff, ok))
-        elif kind == "equalization":
-            lam, eps = case["lam"], case["eps"]
+    for lam in (2.0, 2.5, 3.0):
+        for eps in (0.2, 0.35, 0.5):
+            for n_level in (2, 3, 4, 5):
+                closed = v_rate(lam, eps, n_level)
+                res = grid_optimal_boundaries(lam, eps, n_level, resolution)
+                ref = optimal_boundaries(lam, eps, n_level)
+                sup = max(abs(a - b) for a, b in zip(res.h, ref.h))
+                diff = abs(res.value - closed)
+                name = f"boundary_synthesis lam={lam} eps={eps} N={n_level}"
+                rows.append((name, closed, res.value, diff, diff <= 1e-4 and sup <= 2e-3))
             plant = UncertainPlant(1, (lam,), (eps,), (1.0,))
-            q_opt = optimal_boundaries(lam, eps, 8)
-            q_uni = uniform_boundaries(8)
-            got = verify_equalization(q_opt, plant)
+            got = verify_equalization(optimal_boundaries(lam, eps, 8), plant)
             rows.append(_yes_no(f"equalization_optimal lam={lam} eps={eps}", True, got))
-            got = verify_equalization(q_uni, plant)
+            got = verify_equalization(uniform_boundaries(8), plant)
             rows.append(_yes_no(f"equalization_uniform lam={lam} eps={eps}", False, got))
-        elif kind == "relaxation_kkt":
-            lam, eps, m = case["lam"], case["eps"], case["m"]
-            ok = verify_relaxation_kkt(lam, eps, m, trials=10_000, seed=seed)
-            rows.append(_yes_no(f"relaxation_kkt lam={lam} eps={eps} m={m}", True, ok))
-        elif kind == "encode_decode":
-            lam, eps, n_level = case["lam"], case["eps"], case["N"]
-            q = optimal_boundaries(lam, eps, n_level)  # uniform at eps = 0
-            ok = exhaustive_encode_decode(q, max(1000, 10 * n_level))
-            rows.append(_yes_no(f"encode_decode N={n_level} eps={eps}", True, ok))
-        else:
-            raise ValueError(f"unknown case kind {kind!r}")
+    for m in (2, 3, 5):
+        ok = verify_relaxation_kkt(3.0, 0.35, m, trials=10_000, seed=seed)
+        rows.append(_yes_no(f"relaxation_kkt lam=3.0 eps=0.35 m={m}", True, ok))
+    for n_level, eps in ((8, 0.5), (7, 0.0)):
+        q = optimal_boundaries(3.0, eps, n_level)  # uniform at eps = 0
+        ok = exhaustive_encode_decode(q, max(1000, 10 * n_level))
+        rows.append(_yes_no(f"encode_decode N={n_level} eps={eps}", True, ok))
     return rows
 
 
 def cmd_verify(cfg: Config, opts) -> int:
     resolution = cfg.get_float("verify", "resolution", 1e-3)
     seed = cfg.get_int("verify", "seed", 0, opts.seed)
-    rows = run_verification(canonical_cases(), resolution, seed)
+    rows = run_verification(resolution, seed)
     lines = ["case,closed_form,oracle,abs_diff,pass"]
-    fails = 0
-    for name, closed, got, diff, ok in rows:
-        lines.append(f"{name},{fmt(closed)},{fmt(got)},{fmt(diff)},{int(ok)}")
-        if not ok:
-            fails += 1
+    lines += [f"{name},{fmt(c)},{fmt(g)},{fmt(d)},{int(ok)}" for name, c, g, d, ok in rows]
+    passed = sum(ok for *_, ok in rows)
     _emit(lines, opts.out)
-    print(f"verify: {len(rows) - fails}/{len(rows)} checks passed")
-    return 1 if fails else 0
+    print(f"verify: {passed}/{len(rows)} checks passed")
+    return 0 if passed == len(rows) else 1
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ Three layers:
   short nondecreasing schedules that extends the period product from
   parent to child, stops a node's children at the first one whose average
   rate exceeds the incumbent, and starts from the cheapest certified
-  single size.
+  single size; without one it returns None.
 """
 
 from __future__ import annotations
@@ -381,14 +381,14 @@ def periodic_sufficient_test(
 ) -> StabilityTest:
     """Stability of an m-periodic schedule: radius of the period product.
 
-    The product is taken newest-applied-last, H_{m-1} ... H_1 H_0; its
-    spectral radius is order-invariant under cyclic shifts, which matches
-    the freedom in choosing the period's phase. stable is _radius_below on
-    the exact product of the rescaled rates' companions, rho < (1 - margin)^m
-    exactly; rho is a diagnostic.
+    The product is H_0 H_1 ... H_{m-1}, H_j the companion of slot j, whose
+    transpose the loop's envelope recursion steps by over a period (on its
+    pending partial sums); its radius is invariant under cyclic shifts of the
+    phase. stable is _radius_below on the exact product of the rescaled
+    rates' companions, rho < (1 - margin)^m exactly; rho is a diagnostic.
     """
     _check_margin(margin)
-    ws = [expansion_profile(q, p) for q in schedule_quantizers(p, sched, family)]
+    ws = [expansion_profile(q, p) for q in reversed(schedule_quantizers(p, sched, family))]
     rs = [_rescaled(w, margin) for w in ws]
     return StabilityTest(rho=_radius(_product(ws)), stable=_radius_below(_exact_product(p.n, rs)))
 
@@ -586,44 +586,47 @@ def _search_heuristic(
 ) -> ScheduleSearchResult | None:
     """Best-effort search for higher-order plants: small periods only.
 
-    Sizes up to static + 4, static = min_sufficient_N at the margin, and
-    periods up to 6 (a size with a rescaled rate past 2^1023, radius above
-    2^(1023/n), is left out). Depth-first over nondecreasing size sequences;
-    a node carries its exact period product, its parent's extended by the
-    new slot's rescaled rates, newest last, as periodic_sufficient_test
-    forms it. A node's verdict is _radius_below on that product, taken only
-    when the node would beat the incumbent. A child is skipped when the
-    product of per-size radii with the smallest radius in every remaining
-    slot is not below 1. Sizes never decrease along a path, so a child's
-    average rate bounds its whole subtree and every later sibling's from
-    below: the loop over children stops at the first child whose average
-    exceeds the incumbent's by more than rounding.
-    The incumbent starts as the static size, the cheapest single size the
-    sum rule certifies. Both shortcuts only skip nodes that cannot beat the
-    incumbent, so the winner and its tie order are those of the full search.
+    None when no single size up to N_max certifies. Else the incumbent
+    starts as static = min_sufficient_N at the margin, over sizes up to
+    static + 4 and periods up to 6 (a size with a rescaled rate past 2^1023
+    is left out). Depth-first over nondecreasing size sequences; a node
+    carries its exact period product H_{m-1} ... H_0, its parent's extended
+    by the new slot's rescaled rates: periodic_sufficient_test's order
+    reversed, with equal verdicts where the rates lie on one line per
+    coefficient over N, as the built-in families' do. A node's verdict is
+    _radius_below on it, taken only when the node would beat the incumbent.
+    A child is skipped when the product of per-size radii with the smallest
+    radius in every remaining slot is not below 1. Sizes never decrease
+    along a path, so a child's average rate bounds its subtree and every
+    later sibling's from below: the loop over children stops at the first
+    child whose average exceeds the incumbent's by more than rounding. Both
+    shortcuts only skip nodes that cannot beat the incumbent, so the winner
+    and its tie order are those of the full search.
     """
-    cap_m = min(m_max, 6)
     static = min_sufficient_N(p, family, N_max, margin)
-    cap_n = N_max if static is None else min(N_max, static + 4)
+    if static is None:
+        return None
+    cap_m = min(m_max, 6)
     cands = []
-    for N, c, w in _rate_table(p, family, cap_n, margin):
+    for N, c, w in _rate_table(p, family, min(N_max, static + 4), margin):
         if isinstance(w[0], float):
             cands.append((N, c, spectral_radius(HMatrix(p.n, w)), _slot(w)))
-    rho_min = min((r for _, _, r, _ in cands), default=0.0)
-    best = None if static is None else (math.log2(static), 1, (static,))
+    # static is a candidate: below 1 unless eigvals rounds it up, which skips every child
+    rho_min = min(r for _, _, r, _ in cands)
+    best = (math.log2(static), 1, (static,))
 
     def dfs(start: int, sizes: tuple, c_sum: float, rho_prod: float, prod: tuple) -> None:
         nonlocal best
         j = len(sizes)
         if j > 0:
             key = (c_sum / j, j, sizes)
-            if (best is None or key < best) and _radius_below(prod):
+            if key < best and _radius_below(prod):
                 best = key
         if j == cap_m:
             return
         for idx in range(start, len(cands)):
             N, c, rho, slot = cands[idx]
-            if best is not None and (c_sum + c) / (j + 1) > best[0] * (1.0 + 1e-12):
+            if (c_sum + c) / (j + 1) > best[0] * (1.0 + 1e-12):
                 break
             # coarse screen: even finishing every remaining slot at the best
             # per-step radius, the radius product stays expansive
@@ -631,10 +634,7 @@ def _search_heuristic(
                 continue
             dfs(idx, sizes + (N,), c_sum + c, rho_prod * rho, _extend(prod, slot))
 
-    if rho_min < 1.0:  # else the screen skips every child of the root
-        dfs(0, (), 0.0, 1.0, _exact_product(p.n, ()))
-    if best is None:
-        return None
+    dfs(0, (), 0.0, 1.0, _exact_product(p.n, ()))
     avg, _, sizes = best
     return ScheduleSearchResult(schedule=Schedule(sizes), avg_rate=avg, exact=False)
 

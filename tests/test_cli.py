@@ -12,7 +12,6 @@ from quantstab.cli import (
     ConfigError,
     RATES_CSV_HEADER,
     TRAJECTORY_CSV_HEADER,
-    canonical_cases,
     fmt,
     main,
     parse_config_text,
@@ -23,6 +22,7 @@ from quantstab.cli import (
 )
 from quantstab.quantizer import optimal_boundaries
 from quantstab.rates import necessary_rate
+from test_verify_frozen import FROZEN_CSV
 
 BOUNDS_CFG = """\
 # scalar plant sweep
@@ -462,30 +462,13 @@ def test_simulate_seed_determinism(tmp_path):
 # verification plumbing
 
 
-def test_run_verification_small_subset():
-    cases = [
-        {"kind": "boundary_synthesis", "lam": 3.0, "eps": 0.5, "N": 3},
-        {"kind": "equalization", "lam": 3.0, "eps": 0.5},
-        {"kind": "encode_decode", "lam": 3.0, "eps": 0.5, "N": 4},
-    ]
-    rows = run_verification(cases, resolution=1e-3, seed=0)
-    assert len(rows) == 4  # equalization yields optimal + uniform rows
+def test_run_verification_walks_the_frozen_grid():
+    # the frozen CSV lists every check of every kind, in grid order
+    rows = run_verification(resolution=1e-3, seed=0)
+    frozen = FROZEN_CSV["1e-3"].splitlines()[1:]
+    assert len(rows) == len(frozen) == 59
+    assert [name for name, *_ in rows] == [line.split(",")[0] for line in frozen]
     assert all(ok for *_, ok in rows)
-
-
-def test_run_verification_rejects_empty():
-    with pytest.raises(ValueError, match="no cases"):
-        run_verification([])
-
-
-def test_canonical_cases_cover_all_kinds():
-    kinds = {c["kind"] for c in canonical_cases()}
-    assert kinds == {
-        "boundary_synthesis",
-        "equalization",
-        "relaxation_kkt",
-        "encode_decode",
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -936,8 +919,8 @@ HUGE_SWEEP = "[sweep]\nlambda_min = 1e308\nlambda_max = 1e308\nlambda_step = 1e3
 
 @pytest.mark.parametrize("margin", ["0", "0.1"])
 def test_plant_at_the_float_range_finds_no_schedule(tmp_path, capsys, margin):
-    # rates near 1e308: the radius screen of the higher-order search skips
-    # every size instead of raising float pow overflow on the smallest radius
+    # rates near 1e308: no single size certifies, so the higher-order search
+    # returns None before it computes a radius a float pow could overflow on
     cfg = write(tmp_path, "huge.cfg", HUGE_PLANT + HUGE_SWEEP)
     out = tmp_path / "o.csv"
     argv = ["schedule", "--config", cfg, "--out", str(out), "--m-max", "4", "--n-max", "8"]

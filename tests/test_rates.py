@@ -6,6 +6,7 @@ hand where the arithmetic is short (quadratics, log ratios of small ints).
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from quantstab import rates
 from quantstab.plant import UncertainPlant
 from quantstab.quantizer import (
     Layouts,
+    QuantizerSpec,
     expansion_profile,
     optimal_boundaries,
     quantizer_for,
@@ -369,7 +371,18 @@ def exact_product(rate_list):
 
 
 def exact_radius_below(rate_list):
-    """Reference verdict: rho(P) < 1 by Fraction arithmetic on the rates.
+    """Reference verdict: rho(P) < 1 for P = H_m ... H_1, in Fraction arithmetic on the rates."""
+    n = len(rate_list[0])
+    prod = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for w in rate_list:
+        # the companion shifts rows up; its bottom row (w_n, ..., w_1) mixes them
+        bottom = [Fraction(v) for v in reversed(w)]
+        prod = prod[1:] + [[sum(b * row[k] for b, row in zip(bottom, prod)) for k in range(n)]]
+    return fraction_radius_below(prod)
+
+
+def fraction_radius_below(prod):
+    """rho(P) < 1 for a nonnegative matrix P of Fractions.
 
     For nonnegative P, I - P is a nonsingular M-matrix exactly when
     rho(P) < 1, and a Z-matrix is one exactly when its leading principal
@@ -377,12 +390,7 @@ def exact_radius_below(rate_list):
     Mathematical Sciences, ch. 6, Thm 2.3). Elimination without pivoting
     has the ratios of consecutive leading minors as its pivots.
     """
-    n = len(rate_list[0])
-    prod = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for w in rate_list:
-        # the companion shifts rows up; its bottom row (w_n, ..., w_1) mixes them
-        bottom = [Fraction(v) for v in reversed(w)]
-        prod = prod[1:] + [[sum(b * row[k] for b, row in zip(bottom, prod)) for k in range(n)]]
+    n = len(prod)
     a = [[int(i == j) - prod[i][j] for j in range(n)] for i in range(n)]
     for k in range(n):
         if a[k][k] <= 0:
@@ -535,6 +543,111 @@ def test_periodic_test_at_a_margin_next_to_one_is_exact(sizes):
         assert got.stable == exact_radius_below(scaled), (p.n, sizes)
 
 
+def envelope_period_map(rate_list):
+    """The loop's envelope recursion over one period, as a Fraction matrix.
+
+    run_closed_loop bounds the scaling by env_{k+1} = sum_i w_i(q_{k+1-i})
+    env_{k+1-i}: each coefficient takes its rate from the quantizer that
+    produced the estimate it multiplies, q_t the quantizer of slot t mod m.
+    On the state (env_k, ..., env_{k-n+1}), step k has those rates in its
+    first row and shifts the rest down; steps 0..m-1 make one period.
+    """
+    n, m = len(rate_list[0]), len(rate_list)
+    phi = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(m):
+        first = [Fraction(rate_list[(k - i) % m][i]) for i in range(n)]
+        phi = [[sum(map(operator.mul, first, col)) for col in zip(*phi)]] + phi[:-1]
+    return phi
+
+
+def random_explicit_layouts(seed, count):
+    """(plant, schedule, quantizers) with n = 2, 3, m = 3, 4 and random boundary halves."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n, m = int(rng.integers(2, 4)), int(rng.integers(3, 5))
+        a = tuple(rng.uniform(-1.0, 1.0, n - 1)) + (float(rng.uniform(1.5, 3.0)),)
+        p = UncertainPlant(n, a, tuple(rng.uniform(0.0, 0.3, n)), (1.0,) * n)
+        sizes = tuple(int(v) for v in rng.integers(4, 13, m))
+        qs = [
+            QuantizerSpec(N, (0.0, *np.sort(rng.uniform(0.0, 0.5, (N - 1) // 2)), 0.5))
+            for N in sizes
+        ]
+        yield p, Schedule(sizes), qs
+
+
+def test_periodic_test_certifies_the_loop_envelope_recursion():
+    # explicit layouts on which the loop's envelope expands, while the
+    # forward product H_2 H_1 H_0 has rho 0.99968 and would certify
+    p = UncertainPlant(2, (0.5326, 2.538), (0.191311, 0.2895), (1.0, 1.0))
+    qs = [
+        QuantizerSpec(6, (0.0, 0.1858, 0.2676, 0.5)),
+        QuantizerSpec(7, (0.0, 0.0442, 0.3609, 0.4694, 0.5)),
+        QuantizerSpec(12, (0.0, 0.1344, 0.147, 0.1477, 0.3108, 0.3798, 0.5)),
+    ]
+    ws = [expansion_profile(q, p) for q in qs]
+    got = periodic_sufficient_test(p, Schedule((6, 7, 12)), qs)
+    assert not got.stable and math.isclose(got.rho, 1.00698504995, rel_tol=1e-9)
+    assert not fraction_radius_below(envelope_period_map(ws))
+    assert rates._radius_below(exact_product(ws))
+    verdicts = []
+    for p, sched, qs in random_explicit_layouts(41, 300):
+        phi = envelope_period_map([expansion_profile(q, p) for q in qs])
+        got = periodic_sufficient_test(p, sched, qs)
+        assert got.stable == fraction_radius_below(phi), (p, sched)
+        rho = rates._radius(np.array(phi, dtype=float))
+        assert math.isclose(got.rho, rho, rel_tol=1e-9), (p, sched)
+        verdicts.append(got.stable)
+    assert 50 < sum(verdicts) < 250
+
+
+def random_builtin_plants(seed, count):
+    """n = 2..4 plants with |a_i*| <= 1.5 below an expanding last box, eps_i <= 0.4."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(2, 5))
+        lam = float(rng.uniform(1.1, 3.0))
+        eps_n = float(rng.uniform(0.0, min(0.4, lam - 1.001)))
+        a = tuple(rng.uniform(-1.5, 1.5, n - 1)) + (-lam if k % 2 else lam,)
+        eps = tuple(rng.uniform(0.0, 0.4, n - 1)) + (eps_n,)
+        yield UncertainPlant(n, a, eps, (1.0,) * n)
+
+
+@pytest.mark.parametrize("family", ["optimal", "uniform"])
+def test_builtin_rates_lie_on_one_line_per_coefficient(family):
+    # over every size N, (w_n(N), w_i(N)) lies on one line for each i: the
+    # companions of a family form one pencil, on which the forward product
+    # and the loop's reversed one give the same verdicts (next test)
+    worst = 0.0
+    for p in random_builtin_plants(43, 150):
+        ws = [w for _, _, w in rates._rate_table(p, family, 24, 0.0)]
+        lo = min(ws, key=lambda w: w[-1])
+        hi = max(ws, key=lambda w: w[-1])
+        for i in range(p.n - 1):
+            slope = (hi[i] - lo[i]) / (hi[-1] - lo[-1])
+            scale = max(w[i] for w in ws)
+            for w in ws:
+                worst = max(worst, abs(lo[i] + slope * (w[-1] - lo[-1]) - w[i]) / scale)
+    assert worst < 1e-11
+
+
+def test_forward_and_reversed_products_agree_on_builtin_schedules():
+    # why the higher-order search may extend its product forward, H_{m-1} ... H_0,
+    # while periodic_sufficient_test certifies the loop's H_0 ... H_{m-1}
+    rng = np.random.default_rng(47)
+    verdicts = []
+    for p in random_builtin_plants(53, 150):
+        for family in ("optimal", "uniform"):
+            table = {N: w for N, _, w in rates._rate_table(p, family, 24, 0.0)}
+            static = min_sufficient_N(p, family, 24) or 24
+            near = [N for N in table if static - 3 <= N <= static + 2]
+            for _ in range(3):
+                ws = [table[N] for N in rng.choice(near, int(rng.integers(2, 6)))]
+                forward = rates._radius_below(exact_product(ws))
+                assert rates._radius_below(exact_product(ws[::-1])) == forward, (p, family)
+                verdicts.append(forward)
+    assert 300 < sum(verdicts) < 600
+
+
 def test_eigvals_reaches_no_verdict(monkeypatch):
     p1 = scalar_plant(2.5, 0.3)
     p2 = UncertainPlant(2, (1.0, 3.0), (0.10, 0.35), (1.0, 1.0))
@@ -553,6 +666,11 @@ def test_eigvals_reaches_no_verdict(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
     assert search_periodic_schedule(p2, 4, 12, "optimal") is not None
     assert len(calls) == static + 3
+    # and not at all when no single size certifies: it returns None first
+    calls.clear()
+    assert min_sufficient_N(p2, "optimal", 5) is None
+    assert search_periodic_schedule(p2, 4, 5, "optimal") is None
+    assert calls == []
 
     def no_eigvals(a):
         raise AssertionError("np.linalg.eigvals reached a verdict")
