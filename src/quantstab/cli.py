@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .loop import INIT_MODES, run_closed_loop
+from .loop import CONVERGENCE_RATIO, INIT_MODES, InvariantViolation, run_closed_loop
 from .oracle import (
     exhaustive_encode_decode,
     grid_optimal_boundaries,
@@ -61,6 +61,10 @@ MAX_M_MAX = 256  # schedule period, likewise
 MAX_ORDER = 24  # plant order: a schedule row at the caps above takes ~2 s at n = 24
 MAX_STEPS = 200_000  # closed-loop steps of one simulate run, horizon x instances
 MIN_RESOLUTION = 2e-4  # verify grid step: the grid's memory grows as its inverse square
+# initial output bound b: the first scaling 2 b must be finite, and a run that
+# stabilizes stops under CONVERGENCE_RATIO * 2 b, which must be a normal float
+MAX_INIT_BOUND = sys.float_info.max / 2
+MIN_INIT_BOUND = sys.float_info.min / CONVERGENCE_RATIO
 
 
 def _at_least(low):
@@ -92,6 +96,11 @@ LIMITS = {
         (lambda v: MIN_RESOLUTION <= v <= 0.01, f"in [{MIN_RESOLUTION}, 0.01]"),
     ),
     "seed": (_at_least(0),),
+    # non-finite and nonpositive entries are left to UncertainPlant's checks
+    "init_bounds": (
+        (lambda v: not any(MAX_INIT_BOUND < b < math.inf for b in v), f"at most {MAX_INIT_BOUND} each"),
+        (lambda v: not any(0.0 < b < MIN_INIT_BOUND for b in v), f"at least {MIN_INIT_BOUND} each"),
+    ),
     "lambda_min": (_FINITE,),
     "lambda_max": (_FINITE,),
     "lambda_step": (_FINITE,),
@@ -365,6 +374,11 @@ def cmd_sweep(cfg: Config, opts) -> int:
 
 
 def _sim_one(p, sched, qs, horizon, mode, seed, i, init_mode):
+    """(verdict, diagnostic, trajectory) of instance i.
+
+    A run that raises has no trajectory: its verdict is "saturated" for a
+    SaturationError and "failed" for a malformed set or a broken invariant.
+    """
     inst = sample_instance(
         p,
         mode,
@@ -374,8 +388,10 @@ def _sim_one(p, sched, qs, horizon, mode, seed, i, init_mode):
     try:
         traj = run_closed_loop(p, inst, sched, qs, horizon, init_mode, init_seed=[seed, i, 1])
     except SaturationError as exc:
-        return (i, "saturated", str(exc), None)
-    return (i, traj.verdict, "", traj)
+        return "saturated", str(exc), None
+    except (ValueError, InvariantViolation) as exc:
+        return "failed", str(exc), None
+    return traj.verdict, "", traj
 
 
 def cmd_simulate(cfg: Config, opts) -> int:
@@ -400,29 +416,30 @@ def cmd_simulate(cfg: Config, opts) -> int:
         sizes_text = _listed(sched.sizes)
         raise ConfigError(f"no {family} quantizer layout for sizes {sizes_text}: {exc}") from None
 
-    results = [_sim_one(p, sched, qs, horizon, mode, seed, i, init_mode) for i in range(instances)]
     if instances == 1:
-        _, verdict, diag, traj = results[0]
-        if verdict == "saturated":
+        verdict, diag, traj = _sim_one(p, sched, qs, horizon, mode, seed, 0, init_mode)
+        if traj is None:
             print(f"run failed: {diag}", file=sys.stderr)
             return 1
         lines = [TRAJECTORY_CSV_HEADER] + [
             f"{k},{fmt(y)},{s},{fmt(sigma)},{fmt(e_lo)},{fmt(e_hi)},{fmt(u)}"
             for k, (y, s, sigma, e_lo, e_hi, _, _, u) in enumerate(traj.samples)
         ]
-        lines.append(f"# verdict={traj.verdict}")
+        lines.append(f"# verdict={verdict}")
         _emit(lines, opts.out)
-        print(f"verdict: {traj.verdict}")
+        print(f"verdict: {verdict}")
         return 0
 
+    # one summary row per instance; each trajectory is dropped once summarized
     lines = ["instance,verdict,steps,min_sigma_ratio"]
     counts: dict[str, int] = {}
     failed = 0
-    for i, verdict, diag, traj in results:
+    for i in range(instances):
+        verdict, diag, traj = _sim_one(p, sched, qs, horizon, mode, seed, i, init_mode)
         counts[verdict] = counts.get(verdict, 0) + 1
-        if verdict == "saturated":
+        if traj is None:
             failed += 1
-            lines.append(f"{i},saturated,,")
+            lines.append(f"{i},{verdict},,")
             print(f"instance {i} failed: {diag}", file=sys.stderr)
         else:
             lines.append(f"{i},{verdict},{traj.steps},{fmt(traj.min_sigma_ratio())}")

@@ -3,8 +3,9 @@
 A set is the float pair (lo, hi) of its endpoints; no class wraps it. Only
 the operations the estimator needs: exact products with an uncertain
 coefficient interval and Minkowski sums. Widths are additive under the sum,
-which is what makes the scaling recursion exact. The closed loop calls
-`interval_product` and `minkowski_sum` on every step.
+which is what makes the scaling recursion exact. The closed loop's step
+evaluates the expressions of `interval_product` and `minkowski_sum` inline,
+in their order; these functions are its reference route.
 """
 
 from __future__ import annotations

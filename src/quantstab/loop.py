@@ -18,25 +18,30 @@ symmetric box stretches more than any cell of a valid quantizer.
 Sets are float pairs (lo, hi), as in `intervals`. `run_closed_loop`
 computes what depends only on the plant and the schedule once before the
 first step: the coefficient-box endpoints and, per schedule slot, the
-quantizer's envelope factors and the coefficient-n expansion of each
-symbol's cell. The per-step state is a ring of the last n estimates, each a
-tuple (lo, hi, sigma, env, factors, rate_n), and the last n outputs. Each
-time index leaves one tuple in `Trajectory.samples`. The step calls
-`predict`, `control_input`, `intervals.interval_product`,
-`quantizer.encode`, `quantizer.decode` and `plant.step`; no other route
-computes those sets. The independent envelope route that the tests check
-the loop against is `oracle.sigma_envelope`.
+cell edges, the quantizer's envelope factors and the coefficient-n
+expansion of each symbol's cell. The per-step state is a ring of the last
+n estimates, newest first, each a tuple (lo, hi, sigma, env, factors,
+rate_n), and the last n outputs. Each time index leaves one tuple in
+`Trajectory.samples`.
+
+The step is one loop body in `run_closed_loop`. `predict`,
+`control_input`, `intervals.interval_product`, `intervals.minkowski_sum`,
+`quantizer.encode`, `quantizer.decode` and `plant.step` are its reference
+route: a step written against them gives the same samples bit for bit,
+and the same errors at the same step. The independent envelope route that
+the tests check the loop against is `oracle.sigma_envelope`.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .intervals import check_hull, hull_contains, interval_product, minkowski_sum
+from .intervals import check_hull, interval_product, minkowski_sum
 from .plant import PlantInstance, UncertainPlant, step
 from .quantizer import (
     QuantizerSpec,
@@ -145,6 +150,16 @@ def run_closed_loop(
     the prior boxes. Verdict "stabilized" once the scaling falls below
     CONVERGENCE_RATIO times its initial value, "diverged" past
     DIVERGENCE_RATIO times it, else "horizon_exhausted".
+
+    Step k is one loop body over local floats: it encodes y_k against the
+    scaling sigma_k and decodes its cell, checks the invariants, predicts
+    the next output set, records sample k, and steps the plant with the
+    input that cancels the predicted midpoint. Each expression is the one
+    of encode, decode, interval_product, minkowski_sum, predict,
+    control_input and plant.step, evaluated in the same order, so the
+    samples are bit for bit those of a step that calls them. Where a check
+    of one of those functions fails, the step calls that function to raise
+    its error.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -155,65 +170,130 @@ def run_closed_loop(
     box = p.parameter_intervals()
     box_n_lo, box_n_hi = box[-1]
     box_factors = tuple(abs(a) + e for a, e in zip(p.a_star, p.eps))
-    # per schedule slot: quantizer, envelope factors, and the exact
+    # per schedule slot: cell edges, size, envelope factors, and the exact
     # coefficient-n expansion of each symbol's cell (index s - 1)
     slots = []
     for q in qs:
         rates_n = coefficient_expansion_rates(q, abs(p.a_star[-1]), p.eps[-1])
         rate_of = tuple(rates_n[_cell_rate_index(q, s)] for s in range(1, q.N + 1))
-        slots.append((q, expansion_profile(q, p), rate_of))
+        slots.append((q.edges, q.N, expansion_profile(q, p), rate_of))
 
     rng = np.random.default_rng(init_seed)
-    # oldest first: times -n+1 .. 0
-    y_hist = [_init_mode_value(init_mode, b, rng) for b in p.init_bounds]
+    # y_{-n+1} .. y_0, drawn oldest first; the history is newest first
+    history = [_init_mode_value(init_mode, b, rng) for b in p.init_bounds][::-1]
+    a = inst.a
+    order = len(a)
 
-    # ring of the last n estimates, oldest first; each entry is
+    # ring of the last n estimates, newest first; each entry is
     # (lo, hi, sigma, env, factors, rate_n): the estimate, its scaling, its
     # envelope value, its per-coefficient envelope factors and the exact
-    # expansion of coefficient n over it. Prior boxes for times -n+1 .. -1:
+    # expansion of coefficient n over it. Prior boxes for times -1 .. -n+1:
     ring = [
         (-b, b, 2.0 * b, 2.0 * b, box_factors, box_factors[-1])
-        for b in p.init_bounds[:-1]
+        for b in reversed(p.init_bounds[:-1])
     ]
 
-    def transmit(k: int, y: float, sigma: float):
-        """Symbol, decoded cell, factors and rate_n of y at time k."""
-        q, factors, rate_of = slots[k % m]
+    up = 1.0 + REL_GUARD
+    clamp_below = 0.5 * up
+    sigma0 = 2.0 * p.init_bounds[-1]
+    stabilized_below = CONVERGENCE_RATIO * sigma0
+    diverged_above = DIVERGENCE_RATIO * sigma0
+    samples: list[tuple] = []
+    verdict = "horizon_exhausted"
+    y = history[0]
+    sigma = sigma0
+    lo = hi = u = 0.0  # the predicted set and input of step k - 1
+    k = 0
+    while True:
+        # transmit y_k: the symbol and its decoded cell (e_lo, e_hi)
+        edges, N, factors, rate_of = slots[k % m]
         x = y / sigma
         if abs(x) > 0.5:
-            if abs(x) <= 0.5 * (1.0 + REL_GUARD):
+            if abs(x) <= clamp_below:
                 x = math.copysign(0.5, x)
             else:
                 raise SaturationError(
                     f"step {k}: |y|/sigma = {abs(x)} exceeds 1/2 beyond roundoff"
                 )
-        s = encode(q, x)
-        return (s, *decode(q, s, sigma), factors, rate_of[s - 1])
+        if x < -0.5 or x > 0.5:
+            encode(qs[k % m], x)
+        s = bisect_right(edges, x)  # x in [edges[s-1], edges[s])
+        if s > N:
+            s = N  # x == +1/2 folds into the top cell
+        if not 1 <= s <= N or sigma <= 0:
+            decode(qs[k % m], s, sigma)
+        e_lo = sigma * edges[s - 1]
+        e_hi = sigma * edges[s]
+        if not e_lo <= e_hi:
+            check_hull(e_lo, e_hi)
 
-    sigma0 = 2.0 * p.init_bounds[-1]
-    stabilized_below = CONVERGENCE_RATIO * sigma0
-    diverged_above = DIVERGENCE_RATIO * sigma0
-    y_k = y_hist[-1]
-    s_k, e_lo, e_hi, factors, rate_n = transmit(0, y_k, sigma0)
-    ring.append((e_lo, e_hi, sigma0, sigma0, factors, rate_n))
-    if not hull_contains(e_lo, e_hi, y_k, REL_GUARD * sigma0):
-        raise InvariantViolation("initial output escaped its decoded cell")
+        slack = REL_GUARD * sigma
+        if k == 0:
+            ring.insert(0, (e_lo, e_hi, sigma, sigma, factors, rate_of[s - 1]))
+            if not e_lo - slack <= y <= e_hi + slack:
+                raise InvariantViolation("initial output escaped its decoded cell")
+        else:
+            # the exact lower bound on sigma_k: box_n times the oldest estimate
+            o_lo, o_hi, o_sigma, _, _, o_rate_n = ring[-1]
+            # min and max of the four products, in interval_product's order
+            l_lo = l_hi = box_n_lo * o_lo
+            for v in (box_n_lo * o_hi, box_n_hi * o_lo, box_n_hi * o_hi):
+                if v < l_lo:
+                    l_lo = v
+                if v > l_hi:
+                    l_hi = v
+            if not l_lo <= l_hi:
+                check_hull(l_lo, l_hi)
+            lower = l_hi - l_lo
+            guard = REL_GUARD * (sigma + abs(u))
+            if not lo + u - guard <= y <= hi + u + guard:
+                check_hull(lo + u, hi + u)  # a nan bound is a malformed set
+                raise InvariantViolation(f"step {k}: output escaped the predicted set")
+            if abs(y) > 0.5 * sigma * up:
+                raise InvariantViolation(f"step {k}: output exceeds half the scaling")
+            if not e_lo - slack <= y <= e_hi + slack:
+                raise InvariantViolation(f"step {k}: output escaped its decoded cell")
+            if sigma < lower - slack:
+                raise InvariantViolation(
+                    f"step {k}: scaling under its lower-bound recursion"
+                )
+            if abs(lower - o_rate_n * o_sigma) > REL_GUARD * (lower + sigma):
+                raise InvariantViolation(
+                    f"step {k}: scaling lower bound mismatches its rate form"
+                )
+            env = 0.0
+            for i, donor in enumerate(ring):
+                env += donor[4][i] * donor[3]
+            if sigma > env * up:
+                raise InvariantViolation(
+                    f"step {k}: scaling escaped the worst-case envelope"
+                )
+            ring = [(e_lo, e_hi, sigma, env, factors, rate_of[s - 1]), *ring[:-1]]
 
-    samples: list[tuple] = []
-    verdict = "horizon_exhausted"
-    history = list(reversed(y_hist))  # most recent first
-    k = 0
-    while True:
-        lo, hi = predict(box, reversed(ring))
+        # predict: the Minkowski sum from 0.0 of box_i * estimate, newest first
+        lo = hi = 0.0
+        for (a_lo, a_hi), est in zip(box, ring):
+            y_lo = est[0]
+            y_hi = est[1]
+            t_lo = t_hi = a_lo * y_lo  # as in interval_product
+            for v in (a_lo * y_hi, a_hi * y_lo, a_hi * y_hi):
+                if v < t_lo:
+                    t_lo = v
+                if v > t_hi:
+                    t_hi = v
+            if not t_lo <= t_hi:
+                check_hull(t_lo, t_hi)
+            lo += t_lo
+            hi += t_hi
+        if not lo <= hi:
+            check_hull(lo, hi)
         sigma_next = hi - lo
-        u = control_input(lo, hi)
-        newest = ring[-1]
-        sigma_k = newest[2]
-        samples.append((y_k, s_k, sigma_k, newest[0], newest[1], lo, hi, u))
-        if sigma_k < stabilized_below:
+        u = -(0.5 * (lo + hi))
+        samples.append((y, s, sigma, e_lo, e_hi, lo, hi, u))
+        if sigma < stabilized_below:
             verdict = "stabilized"
             break
-        if sigma_k > diverged_above:
+        if sigma > diverged_above:
             verdict = "diverged"
             break
         if k == horizon:
@@ -224,47 +304,14 @@ def run_closed_loop(
             verdict = "stabilized"
             break
 
-        y_next = step(inst, history, u)
-        s_next, e_lo, e_hi, factors, rate_n = transmit(k + 1, y_next, sigma_next)
-
-        o_lo, o_hi, o_sigma, _, _, o_rate_n = ring[0]  # oldest
-        l_lo, l_hi = interval_product(box_n_lo, box_n_hi, o_lo, o_hi)
-        lower = l_hi - l_lo
-        guard = REL_GUARD * (sigma_next + abs(u))
-        if not hull_contains(lo + u, hi + u, y_next, guard):
-            check_hull(lo + u, hi + u)  # a nan bound is a malformed set
-            raise InvariantViolation(
-                f"step {k + 1}: output escaped the predicted set"
-            )
-        if abs(y_next) > 0.5 * sigma_next * (1.0 + REL_GUARD):
-            raise InvariantViolation(
-                f"step {k + 1}: output exceeds half the scaling"
-            )
-        if not hull_contains(e_lo, e_hi, y_next, REL_GUARD * sigma_next):
-            raise InvariantViolation(
-                f"step {k + 1}: output escaped its decoded cell"
-            )
-        if sigma_next < lower - REL_GUARD * sigma_next:
-            raise InvariantViolation(
-                f"step {k + 1}: scaling under its lower-bound recursion"
-            )
-        if abs(lower - o_rate_n * o_sigma) > REL_GUARD * (lower + sigma_next):
-            raise InvariantViolation(
-                f"step {k + 1}: scaling lower bound mismatches its rate form"
-            )
-        env_next = 0.0
-        for i, donor in enumerate(reversed(ring)):
-            env_next += donor[4][i] * donor[3]
-        if sigma_next > env_next * (1.0 + REL_GUARD):
-            raise InvariantViolation(
-                f"step {k + 1}: scaling escaped the worst-case envelope"
-            )
-
-        ring.append((e_lo, e_hi, sigma_next, env_next, factors, rate_n))
-        ring.pop(0)
-        history.insert(0, y_next)
-        history.pop()
-        y_k, s_k = y_next, s_next
+        # plant.step: y_{k+1} = u + sum_i a_i y_{k-i+1}
+        if len(history) != order:
+            step(inst, history, u)
+        y = u
+        for ai, yi in zip(a, history):
+            y += ai * yi
+        history = [y, *history[:-1]]
+        sigma = sigma_next
         k += 1
 
     return Trajectory(samples, verdict, sigma0)

@@ -458,6 +458,31 @@ def test_simulate_seed_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+# a* = 1e300: the first products overflow, and their nan makes a malformed set
+OVERFLOW_PLANT = "[plant]\nn = 1\na_star = 1e300\neps = 0\ninit_bounds = 1e10\n\n"
+OVERFLOW_RUN = "[simulate]\nN = 4\nfamily = uniform\ninit_mode = endpoints\nhorizon = 50\n"
+
+
+def test_simulate_run_that_raises_exits_1_with_one_line(tmp_path, capsys):
+    cfg = write(tmp_path, "o.cfg", OVERFLOW_PLANT + OVERFLOW_RUN)
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "run failed: malformed interval: lo=nan > hi=nan\n")
+    assert not out.exists()
+
+
+def test_simulate_batch_marks_a_run_that_raises_failed(tmp_path, capsys):
+    cfg = write(tmp_path, "o.cfg", OVERFLOW_PLANT + OVERFLOW_RUN + "instances = 2\n")
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert out.read_text() == "instance,verdict,steps,min_sigma_ratio\n0,failed,,\n1,failed,,\n"
+    assert capsys.readouterr() == (
+        "instances=2 failed=2\n",
+        "instance 0 failed: malformed interval: lo=nan > hi=nan\n"
+        "instance 1 failed: malformed interval: lo=nan > hi=nan\n",
+    )
+
+
 # ---------------------------------------------------------------------------
 # verification plumbing
 
@@ -888,6 +913,12 @@ AT_LIMIT_CASES = {
         ZERO_PLANT + f"[simulate]\nN = 4\nfamily = uniform\nhorizon = {cli.MAX_STEPS}\n",
         "verdict: stabilized\n",
     ),
+    "init_bounds": (
+        "simulate",
+        ZERO_PLANT.replace("\n\n", f"\ninit_bounds = {cli.MAX_INIT_BOUND!r}\n\n")
+        + "[simulate]\nN = 4\nfamily = uniform\n",
+        "verdict: stabilized\n",
+    ),
 }
 
 
@@ -900,6 +931,56 @@ def test_value_at_its_limit_accepted(tmp_path, capsys, case):
     assert main([command, "--config", cfg, "--out", str(out)]) == 0
     assert capsys.readouterr() == (stdout, "")
     assert out.exists()
+
+
+INIT_BOUND_PLANTS = {
+    1: "[plant]\nn = 1\na_star = 3.0\neps = 0.5\ninit_bounds = {}\n\n",
+    2: "[plant]\nn = 2\na_star = 1.0, 3.0\neps = 0.1, 0.35\ninit_bounds = {}\n\n",
+}
+
+
+@pytest.mark.parametrize("init_mode", ["uniform", "endpoints"])
+def test_init_bound_whose_double_overflows_exits_2(tmp_path, capsys, init_mode):
+    # 2 b = inf: numpy's uniform draw overflows, and endpoints make a nan set
+    text = INIT_BOUND_PLANTS[1].format("1e308") + f"[simulate]\nN = 8\ninit_mode = {init_mode}\n"
+    assert main(["simulate", "--config", write(tmp_path, "b.cfg", text)]) == 2
+    message = f"'init_bounds' must be at most {cli.MAX_INIT_BOUND} each, got (1e+308,)"
+    assert capsys.readouterr() == ("", f"config error: config line 5: {message}\n")
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("bound", ["1e-320", "2.3e-308", "1e-307", "1e-305"])
+def test_init_bound_under_the_floor_exits_2(tmp_path, capsys, n, bound):
+    # a run from such a bound stabilizes into subnormal scalings, where the
+    # rate-form check of the lower bound fails
+    values = ", ".join([bound] * n)
+    text = INIT_BOUND_PLANTS[n].format(values) + "[simulate]\nN = 8\n"
+    assert main(["simulate", "--config", write(tmp_path, "b.cfg", text)]) == 2
+    got = (float(bound),) * n
+    message = f"'init_bounds' must be at least {cli.MIN_INIT_BOUND} each, got {got!r}"
+    assert capsys.readouterr() == ("", f"config error: config line 5: {message}\n")
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_init_bound_at_its_floor_stabilizes(tmp_path, capsys, n):
+    values = ", ".join([repr(cli.MIN_INIT_BOUND)] * n)
+    text = INIT_BOUND_PLANTS[n].format(values) + "[simulate]\nN = 8\ninstances = 20\n"
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--config", write(tmp_path, "b.cfg", text), "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("instances=20 stabilized=20\n", "")
+
+
+def test_init_bound_at_its_ceiling_fails_runs_without_a_traceback(tmp_path, capsys):
+    # the first scaling is finite; later ones overflow, and each such run is
+    # a failed or saturated row with one stderr line
+    text = INIT_BOUND_PLANTS[1].format(repr(cli.MAX_INIT_BOUND)) + "[simulate]\nN = 8\ninstances = 20\n"
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--config", write(tmp_path, "b.cfg", text), "--out", str(out)]) == 1
+    rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+    bad = [i for i, verdict, *_ in rows if verdict in ("failed", "saturated")]
+    assert bad
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(" ")[1] for line in err] == bad
 
 
 def test_resolution_at_its_floor_accepted():

@@ -30,6 +30,9 @@ WILD = [
     "nan", "inf", "-inf", "-0", "-0.0", "-1", "1e308", "-1e308", str(10**30),
     "", "garbage", "1, 2", "0x10", "1_0",
 ]
+# initial output bounds under the floor, where a stabilizing run's scaling
+# turns subnormal
+TINY_BOUNDS = ("1e-320", "2.3e-308", "1e-307", "1e-305")
 MALFORMED = ["no equals\n", "[]\n", "= 5\n", "[plant\n", "[extra]\nkey = x\n"]
 
 # the values each key draws besides WILD, including ones at and past its limit
@@ -96,9 +99,9 @@ def requests(draw) -> tuple[list[str], str]:
         order = value(("0", "24", "25", "10000000000000")) if wild and draw(st.booleans()) else n
         lines = [f"n = {order}"]
         for key, inner, lead in (
-            ("a_star", ("-0.3", "0.0", "0.2"), ("1.5", "2.0", "3.0", "-2.5", "4.0")),
+            ("a_star", ("-0.3", "0.0", "0.2"), ("1.5", "2.0", "3.0", "-2.5", "4.0", "1e300")),
             ("eps", ("0.0", "0.05", "0.1"), ("0.0", "0.1", "0.35", "0.6")),
-            ("init_bounds", ("1.0", "0.5"), ("1.0", "2.0")),
+            ("init_bounds", ("1.0", "0.5", *TINY_BOUNDS), ("1.0", "2.0", "1e10", "1e308", *TINY_BOUNDS)),
         ):
             size = draw(st.integers(0, 4)) if wild and draw(st.booleans()) else n
             entries = [value(inner) for _ in range(size - 1)] + [value(lead)] * (size > 0)

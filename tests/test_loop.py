@@ -1,15 +1,37 @@
 """Closed-loop simulator: prediction, control, invariants, envelopes, verdicts."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
-from quantstab.intervals import hull_contains, interval_product
-from quantstab.loop import InvariantViolation, control_input, predict, run_closed_loop
+from quantstab.intervals import check_hull, hull_contains, interval_product
+from quantstab.loop import (
+    CONVERGENCE_RATIO,
+    DIVERGENCE_RATIO,
+    INIT_MODES,
+    REL_GUARD,
+    InvariantViolation,
+    Trajectory,
+    _cell_rate_index,
+    _init_mode_value,
+    control_input,
+    predict,
+    run_closed_loop,
+)
 from quantstab.oracle import sigma_envelope
-from quantstab.plant import PlantInstance, UncertainPlant, sample_instance
-from quantstab.quantizer import SaturationError, encode, optimal_boundaries, v_rate
-from quantstab.rates import HMatrix, Schedule
+from quantstab.plant import SAMPLING_MODES, PlantInstance, UncertainPlant, sample_instance, step
+from quantstab.quantizer import (
+    SaturationError,
+    coefficient_expansion_rates,
+    decode,
+    encode,
+    expansion_profile,
+    optimal_boundaries,
+    v_rate,
+)
+from quantstab.rates import HMatrix, Schedule, schedule_quantizers
 
 REL = 1e-12
 GUARD = 1e-9
@@ -256,3 +278,229 @@ def test_trajectory_shape_and_first_row():
 
 def test_invariant_violation_type_is_runtime_error():
     assert issubclass(InvariantViolation, RuntimeError)
+
+
+# ---------------------------------------------------------------------------
+# bitwise replay against the reference route
+
+
+def reference_run(p, inst, sched, family="optimal", horizon=500, init_mode="uniform", init_seed=None):
+    """The closed loop with every step written against the public functions.
+
+    predict, control_input, interval_product, hull_contains, encode, decode
+    and plant.step each do their own part of a step; run_closed_loop must
+    give these samples bit for bit and raise these errors at the same step.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    if len(inst.a) != p.n:
+        raise ValueError("instance order does not match the plant")
+    qs = schedule_quantizers(p, sched, family)
+    m = len(qs)
+    box = p.parameter_intervals()
+    box_n_lo, box_n_hi = box[-1]
+    box_factors = tuple(abs(a) + e for a, e in zip(p.a_star, p.eps))
+    slots = []
+    for q in qs:
+        rates_n = coefficient_expansion_rates(q, abs(p.a_star[-1]), p.eps[-1])
+        rate_of = tuple(rates_n[_cell_rate_index(q, s)] for s in range(1, q.N + 1))
+        slots.append((q, expansion_profile(q, p), rate_of))
+
+    rng = np.random.default_rng(init_seed)
+    y_hist = [_init_mode_value(init_mode, b, rng) for b in p.init_bounds]  # oldest first
+    # oldest first: (lo, hi, sigma, env, factors, rate_n) of each estimate
+    ring = [(-b, b, 2.0 * b, 2.0 * b, box_factors, box_factors[-1]) for b in p.init_bounds[:-1]]
+
+    def transmit(k, y, sigma):
+        q, factors, rate_of = slots[k % m]
+        x = y / sigma
+        if abs(x) > 0.5:
+            if abs(x) <= 0.5 * (1.0 + REL_GUARD):
+                x = math.copysign(0.5, x)
+            else:
+                raise SaturationError(f"step {k}: |y|/sigma = {abs(x)} exceeds 1/2 beyond roundoff")
+        s = encode(q, x)
+        return (s, *decode(q, s, sigma), factors, rate_of[s - 1])
+
+    sigma0 = 2.0 * p.init_bounds[-1]
+    y_k = y_hist[-1]
+    s_k, e_lo, e_hi, factors, rate_n = transmit(0, y_k, sigma0)
+    ring.append((e_lo, e_hi, sigma0, sigma0, factors, rate_n))
+    if not hull_contains(e_lo, e_hi, y_k, REL_GUARD * sigma0):
+        raise InvariantViolation("initial output escaped its decoded cell")
+
+    samples = []
+    verdict = "horizon_exhausted"
+    history = list(reversed(y_hist))
+    k = 0
+    while True:
+        lo, hi = predict(box, reversed(ring))
+        sigma_next = hi - lo
+        u = control_input(lo, hi)
+        newest = ring[-1]
+        sigma_k = newest[2]
+        samples.append((y_k, s_k, sigma_k, newest[0], newest[1], lo, hi, u))
+        if sigma_k < CONVERGENCE_RATIO * sigma0:
+            verdict = "stabilized"
+            break
+        if sigma_k > DIVERGENCE_RATIO * sigma0:
+            verdict = "diverged"
+            break
+        if k == horizon:
+            break
+        if sigma_next == 0.0:
+            verdict = "stabilized"
+            break
+
+        y_next = step(inst, history, u)
+        s_next, e_lo, e_hi, factors, rate_n = transmit(k + 1, y_next, sigma_next)
+        o_lo, o_hi, o_sigma, _, _, o_rate_n = ring[0]
+        l_lo, l_hi = interval_product(box_n_lo, box_n_hi, o_lo, o_hi)
+        lower = l_hi - l_lo
+        guard = REL_GUARD * (sigma_next + abs(u))
+        if not hull_contains(lo + u, hi + u, y_next, guard):
+            check_hull(lo + u, hi + u)
+            raise InvariantViolation(f"step {k + 1}: output escaped the predicted set")
+        if abs(y_next) > 0.5 * sigma_next * (1.0 + REL_GUARD):
+            raise InvariantViolation(f"step {k + 1}: output exceeds half the scaling")
+        if not hull_contains(e_lo, e_hi, y_next, REL_GUARD * sigma_next):
+            raise InvariantViolation(f"step {k + 1}: output escaped its decoded cell")
+        if sigma_next < lower - REL_GUARD * sigma_next:
+            raise InvariantViolation(f"step {k + 1}: scaling under its lower-bound recursion")
+        if abs(lower - o_rate_n * o_sigma) > REL_GUARD * (lower + sigma_next):
+            raise InvariantViolation(f"step {k + 1}: scaling lower bound mismatches its rate form")
+        env_next = 0.0
+        for i, donor in enumerate(reversed(ring)):
+            env_next += donor[4][i] * donor[3]
+        if sigma_next > env_next * (1.0 + REL_GUARD):
+            raise InvariantViolation(f"step {k + 1}: scaling escaped the worst-case envelope")
+
+        ring.append((e_lo, e_hi, sigma_next, env_next, factors, rate_n))
+        ring.pop(0)
+        history.insert(0, y_next)
+        history.pop()
+        y_k, s_k = y_next, s_next
+        k += 1
+
+    return Trajectory(samples, verdict, sigma0)
+
+
+def bits(traj):
+    """Every sample field and sigma0 by its exact bits: -0.0 and 0.0 differ."""
+    def exact(v):
+        return v.hex() if isinstance(v, float) else repr(v)
+
+    return [tuple(map(exact, t)) for t in traj.samples], exact(traj.sigma0), traj.verdict
+
+
+def outcome(run, *args):
+    """bits of the run's trajectory, or the type and message it raised."""
+    try:
+        return bits(run(*args))
+    except (ValueError, InvariantViolation, SaturationError) as exc:
+        return type(exc), str(exc)
+
+
+def failing_horizon(run, args, top):
+    """Smallest horizon in 1..top at which the run raises: the step it raises at."""
+    def raises(h):
+        return not isinstance(outcome(run, *args[:4], h, *args[5:])[0], list)
+
+    lo, hi = 1, top
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if raises(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def random_case(rng):
+    """(plant, instance, schedule, family, horizon, init_mode, init_seed) drawn by rng."""
+    n = rng.randint(1, 4)
+    lead = rng.choice((-1.0, 1.0)) * rng.uniform(1.3, 4.0)
+    eps_n = rng.choice((0.0, rng.uniform(0.0, 0.25)))
+    a_star = tuple(rng.uniform(-0.6, 0.6) for _ in range(n - 1)) + (lead,)
+    eps = tuple(rng.choice((0.0, rng.uniform(0.0, 0.1))) for _ in range(n - 1)) + (eps_n,)
+    bounds = tuple(rng.choice((1.0, 0.5, 3.0, rng.uniform(0.01, 10.0))) for _ in range(n))
+    p = UncertainPlant(n, a_star, eps, bounds)
+    mode = rng.choice(SAMPLING_MODES)
+    inst = sample_instance(
+        p,
+        mode,
+        index=rng.randrange(2**n) if mode == "vertex" else None,
+        seed=rng.randrange(1000) if mode == "uniform" else None,
+    )
+    if rng.random() < 0.1:  # past the box: saturates or escapes the predicted set
+        inst = PlantInstance(inst.a[:-1] + (inst.a[-1] * 1.6,))
+    sched = Schedule(tuple(rng.randint(2, 12) for _ in range(rng.randint(1, 3))))
+    family = rng.choice(("optimal", "uniform"))
+    return p, inst, sched, family, rng.randint(1, 150), rng.choice(INIT_MODES), rng.randrange(100)
+
+
+def test_replay_random_plants_bit_for_bit():
+    rng = random.Random(20)
+    seen = set()
+    drawn = set()
+    for _ in range(160):
+        args = random_case(rng)
+        p, inst, sched, family, horizon, init_mode, _ = args
+        drawn |= {("n", p.n), ("m", sched.m), family, init_mode}
+        got = outcome(run_closed_loop, *args)
+        assert got == outcome(reference_run, *args), args
+        if isinstance(got[0], list):
+            seen.add(got[-1])
+        else:
+            seen.add(got[0])
+            assert failing_horizon(run_closed_loop, args, horizon) == failing_horizon(
+                reference_run, args, horizon
+            )
+    assert drawn >= {("n", 1), ("n", 2), ("n", 3), ("n", 4), ("m", 1), ("m", 2), ("m", 3)}
+    assert drawn >= {"optimal", "uniform", *INIT_MODES}
+    assert seen >= {"stabilized", "diverged", "horizon_exhausted", SaturationError}, seen
+
+
+@pytest.mark.parametrize(
+    "a_star, eps, bounds, a, sizes, family, init_mode, expected",
+    [
+        # a zero prediction: the input is -0.0, which == would not tell from 0.0
+        ((0.0,), (0.0,), (1.0,), (0.0,), (4,), "uniform", "uniform", "stabilized"),
+        # far outside the box
+        ((3.0,), (0.5,), (1.0,), (5.0,), (8,), "optimal", "endpoints", SaturationError),
+        # nan from overflowed products: a malformed set
+        ((1e300,), (0.0,), (1e10,), (1e300,), (3,), "uniform", "endpoints", ValueError),
+        (
+            (-4.0101475628117486e195, 1.6837717645009267e282),
+            (1.2030442688435245e195, 5.05131529350278e281),
+            (33184678.935814675, 9.50428202460076e51),
+            (-4.0101475628117486e195, 1.6837717645009267e282),
+            (3,),
+            "uniform",
+            "endpoints",
+            ValueError,
+        ),
+        # subnormal scalings: the lower bound loses its relative precision
+        ((3.0,), (0.5,), (1e-307,), (3.0,), (8,), "optimal", "uniform", InvariantViolation),
+        (
+            (1.0, 3.0),
+            (0.1, 0.35),
+            (1e-307, 1e-307),
+            (1.0, 3.0),
+            (6,),
+            "optimal",
+            "uniform",
+            "horizon_exhausted",
+        ),
+    ],
+)
+def test_replay_edge_cases_bit_for_bit(a_star, eps, bounds, a, sizes, family, init_mode, expected):
+    p = UncertainPlant(len(a_star), a_star, eps, bounds)
+    args = (p, PlantInstance(a), Schedule(sizes), family, 80, init_mode, 0)
+    got = outcome(run_closed_loop, *args)
+    assert got == outcome(reference_run, *args)
+    assert got[-1] == expected if isinstance(got[0], list) else got[0] is expected
+    if expected == "stabilized":
+        assert got[0][0][-1] == (-0.0).hex()
+    if not isinstance(got[0], list):
+        assert failing_horizon(run_closed_loop, args, 80) == failing_horizon(reference_run, args, 80)

@@ -49,32 +49,26 @@ def test_bench_trace_targets_resolve():
         assert callable(getattr(mod, fn_name)), f"{mod_name}.{fn_name}"
 
 
-def test_traced_simulate_counts_the_loop_work(tmp_path):
-    # each per-step rule the loop runs is a traced name, so a traced
-    # simulate run counts its calls
+def test_traced_simulate_records_one_loop_span_per_instance(tmp_path):
+    # the step runs inside run_closed_loop, so a traced simulate records one
+    # span per instance and writes the bytes an untraced run writes
     cfg = tmp_path / "s.cfg"
     cfg.write_text(
         "[plant]\nn = 2\na_star = 1.0, 3.0\neps = 0.1, 0.35\n"
-        "[simulate]\nN = 6\nhorizon = 40\ninstances = 2\n",
+        "[simulate]\nN = 6\nhorizon = 40\ninstances = 3\n",
         encoding="utf-8",
     )
+    plain, traced = tmp_path / "plain.csv", tmp_path / "traced.csv"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(plain)]) == 0
     recorder = load_spans().SpanRecorder()
     recorder.install()
     try:
-        rc = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+        rc = cli.main(["simulate", "--config", str(cfg), "--out", str(traced)])
     finally:
         recorder.uninstall()
     assert rc == 0
-    totals = recorder.layer_totals()
-    for name in (
-        "loop.predict",
-        "intervals.interval_product",
-        "intervals.minkowski_sum",
-        "quantizer.decode",
-        "quantizer.encode",
-        "plant.step",
-    ):
-        assert totals[name]["calls"] > 0, name
+    assert recorder.layer_totals()["loop.run_closed_loop"]["calls"] == 3
+    assert traced.read_bytes() == plain.read_bytes()
 
 
 def unused_imports(source: str) -> list[str]:
