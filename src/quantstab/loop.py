@@ -24,12 +24,14 @@ n estimates, newest first, each a tuple (lo, hi, sigma, env, factors,
 rate_n), and the last n outputs. Each time index leaves one tuple in
 `Trajectory.samples`.
 
-The step is one loop body in `run_closed_loop`. `predict`,
-`control_input`, `intervals.interval_product`, `intervals.minkowski_sum`,
-`quantizer.encode`, `quantizer.decode` and `plant.step` are its reference
-route: a step written against them gives the same samples bit for bit,
-and the same errors at the same step. The independent envelope route that
-the tests check the loop against is `oracle.sigma_envelope`.
+The step is one loop body in `run_closed_loop` that computes each
+quantity once: the lower bound on the next scaling is the last term of the
+prediction. `predict`, `control_input`, `intervals.interval_product`,
+`intervals.minkowski_sum`, `quantizer.encode`, `quantizer.decode` and
+`plant.step` stay its reference route, which `tests/test_loop.py` replays:
+a step written against them gives the same samples bit for bit, and the
+same errors at the same step. The independent envelope route that the
+tests check the loop against is `oracle.sigma_envelope`.
 """
 
 from __future__ import annotations
@@ -42,13 +44,11 @@ from typing import Sequence
 import numpy as np
 
 from .intervals import check_hull, interval_product, minkowski_sum
-from .plant import PlantInstance, UncertainPlant, step
+from .plant import PlantInstance, UncertainPlant
 from .quantizer import (
     QuantizerSpec,
     SaturationError,
     coefficient_expansion_rates,
-    decode,
-    encode,
     expansion_profile,
 )
 from .rates import Schedule, schedule_quantizers
@@ -112,15 +112,6 @@ def control_input(lo: float, hi: float) -> float:
     return -(0.5 * (lo + hi))
 
 
-def _cell_rate_index(q: QuantizerSpec, s: int) -> int:
-    """Distance-from-origin index l of cell s, matching the rate families."""
-    if q.N % 2 == 0:
-        half = q.N // 2
-        return s - half - 1 if s > half else half - s
-    center = (q.N + 1) // 2
-    return abs(s - center)
-
-
 INIT_MODES = ("endpoints", "zero", "uniform")
 """Initial-output modes that run_closed_loop accepts."""
 
@@ -157,9 +148,10 @@ def run_closed_loop(
     input that cancels the predicted midpoint. Each expression is the one
     of encode, decode, interval_product, minkowski_sum, predict,
     control_input and plant.step, evaluated in the same order, so the
-    samples are bit for bit those of a step that calls them. Where a check
-    of one of those functions fails, the step calls that function to raise
-    its error.
+    samples are bit for bit those of a step that calls them. A malformed
+    set raises through check_hull, as in those functions. An output that
+    overflowed to an infinity raises ValueError; a finite one past the
+    quantizer's range raises SaturationError.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -168,21 +160,20 @@ def run_closed_loop(
     qs = schedule_quantizers(p, sched, family)
     m = len(qs)
     box = p.parameter_intervals()
-    box_n_lo, box_n_hi = box[-1]
     box_factors = tuple(abs(a) + e for a, e in zip(p.a_star, p.eps))
     # per schedule slot: cell edges, size, envelope factors, and the exact
-    # coefficient-n expansion of each symbol's cell (index s - 1)
+    # coefficient-n expansion of each symbol's cell (index s - 1); the rates
+    # run outward from the origin, an odd N's center cell first
     slots = []
     for q in qs:
         rates_n = coefficient_expansion_rates(q, abs(p.a_star[-1]), p.eps[-1])
-        rate_of = tuple(rates_n[_cell_rate_index(q, s)] for s in range(1, q.N + 1))
+        rate_of = rates_n[:0:-1] + rates_n if q.N % 2 else rates_n[::-1] + rates_n
         slots.append((q.edges, q.N, expansion_profile(q, p), rate_of))
 
     rng = np.random.default_rng(init_seed)
     # y_{-n+1} .. y_0, drawn oldest first; the history is newest first
     history = [_init_mode_value(init_mode, b, rng) for b in p.init_bounds][::-1]
     a = inst.a
-    order = len(a)
 
     # ring of the last n estimates, newest first; each entry is
     # (lo, hi, sigma, env, factors, rate_n): the estimate, its scaling, its
@@ -202,7 +193,9 @@ def run_closed_loop(
     verdict = "horizon_exhausted"
     y = history[0]
     sigma = sigma0
-    lo = hi = u = 0.0  # the predicted set and input of step k - 1
+    # step k - 1's predicted set and input, and the exact lower bound on
+    # sigma_k: its last prediction term, box_n times the oldest estimate
+    lo = hi = u = lower = 0.0
     k = 0
     while True:
         # transmit y_k: the symbol and its decoded cell (e_lo, e_hi)
@@ -211,17 +204,15 @@ def run_closed_loop(
         if abs(x) > 0.5:
             if abs(x) <= clamp_below:
                 x = math.copysign(0.5, x)
+            elif math.isinf(y):
+                raise ValueError(f"step {k}: the output overflowed to {y}")
             else:
                 raise SaturationError(
                     f"step {k}: |y|/sigma = {abs(x)} exceeds 1/2 beyond roundoff"
                 )
-        if x < -0.5 or x > 0.5:
-            encode(qs[k % m], x)
         s = bisect_right(edges, x)  # x in [edges[s-1], edges[s])
         if s > N:
             s = N  # x == +1/2 folds into the top cell
-        if not 1 <= s <= N or sigma <= 0:
-            decode(qs[k % m], s, sigma)
         e_lo = sigma * edges[s - 1]
         e_hi = sigma * edges[s]
         if not e_lo <= e_hi:
@@ -233,18 +224,7 @@ def run_closed_loop(
             if not e_lo - slack <= y <= e_hi + slack:
                 raise InvariantViolation("initial output escaped its decoded cell")
         else:
-            # the exact lower bound on sigma_k: box_n times the oldest estimate
-            o_lo, o_hi, o_sigma, _, _, o_rate_n = ring[-1]
-            # min and max of the four products, in interval_product's order
-            l_lo = l_hi = box_n_lo * o_lo
-            for v in (box_n_lo * o_hi, box_n_hi * o_lo, box_n_hi * o_hi):
-                if v < l_lo:
-                    l_lo = v
-                if v > l_hi:
-                    l_hi = v
-            if not l_lo <= l_hi:
-                check_hull(l_lo, l_hi)
-            lower = l_hi - l_lo
+            _, _, o_sigma, _, _, o_rate_n = ring[-1]
             guard = REL_GUARD * (sigma + abs(u))
             if not lo + u - guard <= y <= hi + u + guard:
                 check_hull(lo + u, hi + u)  # a nan bound is a malformed set
@@ -287,6 +267,7 @@ def run_closed_loop(
             hi += t_hi
         if not lo <= hi:
             check_hull(lo, hi)
+        lower = t_hi - t_lo
         sigma_next = hi - lo
         u = -(0.5 * (lo + hi))
         samples.append((y, s, sigma, e_lo, e_hi, lo, hi, u))
@@ -305,8 +286,6 @@ def run_closed_loop(
             break
 
         # plant.step: y_{k+1} = u + sum_i a_i y_{k-i+1}
-        if len(history) != order:
-            step(inst, history, u)
         y = u
         for ai, yi in zip(a, history):
             y += ai * yi

@@ -259,13 +259,11 @@ def sufficient_test(
 ) -> StabilityTest:
     """Does the quantizer contract the scaling envelope for this plant?
 
-    Builds the companion matrix from worst-case expansion rates; the test
-    passes when its spectral radius is strictly below 1 - margin, decided
-    by the sum rule on the rescaled rates. rho is a diagnostic.
+    The one-slot periodic test: the companion matrix of the worst-case
+    expansion rates passes when its spectral radius is strictly below
+    1 - margin, decided exactly on the rescaled rates. rho is a diagnostic.
     """
-    _check_margin(margin)
-    h = HMatrix(p.n, expansion_profile(q, p))
-    return StabilityTest(rho=spectral_radius(h), stable=_contracts(_rescaled(h.w_bar, margin)))
+    return periodic_sufficient_test(p, Schedule((q.N,)), [q], margin)
 
 
 # The rate tables built so far, all for one plant: a table for another plant
@@ -596,12 +594,13 @@ def _search_heuristic(
     coefficient over N, as the built-in families' do. A node's verdict is
     _radius_below on it, taken only when the node would beat the incumbent.
     A child is skipped when the product of per-size radii with the smallest
-    radius in every remaining slot is not below 1. Sizes never decrease
-    along a path, so a child's average rate bounds its subtree and every
-    later sibling's from below: the loop over children stops at the first
-    child whose average exceeds the incumbent's by more than rounding. Both
-    shortcuts only skip nodes that cannot beat the incumbent, so the winner
-    and its tie order are those of the full search.
+    radius in every remaining slot is not below 1: a heuristic prune, since
+    that product does not bound the radius of the period product, so it can
+    skip a schedule that would win. Sizes never decrease along a path, so a
+    child's average rate bounds its subtree and every later sibling's from
+    below: the loop over children stops at the first child whose average
+    exceeds the incumbent's by more than rounding, which skips no node that
+    could beat the incumbent.
     """
     static = min_sufficient_N(p, family, N_max, margin)
     if static is None:

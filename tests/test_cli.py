@@ -558,6 +558,21 @@ def test_simulate_layout_error_exits_2(tmp_path, capsys, instances, plant, n_lev
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "sizes,message",
+    [
+        ("1", "every slot needs at least 2 levels"),
+        (",", "schedule must have at least one slot"),
+    ],
+)
+def test_simulate_bad_schedule_sizes_exit_2(tmp_path, capsys, sizes, message):
+    text = SIM_CFG.format(instances=1).replace("N = 8", f"sizes = {sizes}")
+    cfg = write(tmp_path, "s.cfg", text)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr() == ("", f"config error: bad schedule sizes: {message}\n")
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_layout_error_on_a_long_size_list_names_its_head_and_count(tmp_path, capsys):
     # at r = 1.1/1.5, 1 - r^l rounds to 1 long before l = 512, so the
     # 1024-level boundaries stop increasing; 8 of the 256 sizes are printed
@@ -773,6 +788,18 @@ def test_eps_rounding_r_to_one_takes_known_plant_limit(tmp_path, capsys, command
     assert capsys.readouterr() == (stdout, "")
 
 
+@pytest.mark.parametrize("command", sorted(TINY_EPS_CASES))
+def test_csv_without_out_goes_to_stdout(tmp_path, capsys, command):
+    # the same bytes as the --out file, then the command's own stdout lines
+    section, _, stdout = TINY_EPS_CASES[command]
+    cfg = write(tmp_path, "tiny.cfg", TINY_EPS_PLANT + section)
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main([command, "--config", cfg]) == 0
+    assert capsys.readouterr() == (out.read_text(encoding="utf-8") + stdout, "")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("key", ["a_star", "eps", "init_bounds"])
 def test_non_finite_plant_number_exits_2(tmp_path, capsys, key, value):
@@ -972,15 +999,18 @@ def test_init_bound_at_its_floor_stabilizes(tmp_path, capsys, n):
 
 def test_init_bound_at_its_ceiling_fails_runs_without_a_traceback(tmp_path, capsys):
     # the first scaling is finite; later ones overflow, and each such run is
-    # a failed or saturated row with one stderr line
+    # a failed row with one stderr line: an infinite output is an overflow,
+    # not a saturation
     text = INIT_BOUND_PLANTS[1].format(repr(cli.MAX_INIT_BOUND)) + "[simulate]\nN = 8\ninstances = 20\n"
     out = tmp_path / "o.csv"
     assert main(["simulate", "--config", write(tmp_path, "b.cfg", text), "--out", str(out)]) == 1
     rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
-    bad = [i for i, verdict, *_ in rows if verdict in ("failed", "saturated")]
-    assert bad
-    err = capsys.readouterr().err.splitlines()
+    bad = [i for i, verdict, *_ in rows if verdict == "failed"]
+    got = capsys.readouterr()
+    assert got.out == "instances=20 failed=13 stabilized=7\n"
+    err = got.err.splitlines()
     assert [line.split(" ")[1] for line in err] == bad
+    assert "instance 0 failed: step 2: the output overflowed to -inf" in err
 
 
 def test_resolution_at_its_floor_accepted():
@@ -1022,8 +1052,12 @@ def test_plant_at_the_float_range_finds_no_schedule(tmp_path, capsys, margin):
             "[plant]\nn = 1\na_star = 3.0\neps = 0.1\n\n[quantizer]\nN = 0\n",
             "a quantizer needs at least 2 levels",
         ),
+        (
+            "[plant]\nn = 0\na_star = 3.0\neps = 0.1\n\n[quantizer]\nN = 3\n",
+            "bad [plant] section: plant order must be at least 1",
+        ),
     ],
-    ids=["box_overflows", "zero_levels"],
+    ids=["box_overflows", "zero_levels", "zero_order"],
 )
 def test_quantizer_float_range_and_zero_levels_exit_2(tmp_path, capsys, text, message):
     assert main(["quantizer", "--config", write(tmp_path, "q.cfg", text)]) == 2

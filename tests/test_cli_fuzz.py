@@ -7,6 +7,11 @@ not numbers at all, and malformed lines. Unknown keys and sections ride
 along. Each of the five subcommands runs through cli.main in process and
 must exit 0, 1 or 2 without raising.
 
+A plant at the edge of the float range fails only deep in a run, so a
+second test draws those plants together with what reaches their failure:
+a simulate request with a stabilizing size, a long horizon and every
+family and init mode.
+
 Accepted runs are kept short: horizon x instances stays small, and a
 schedule request always sets m_max <= 4 and n_max <= 32, by flag or by key.
 The runtime ceiling of a schedule row at larger caps is ROADMAP item 5's
@@ -140,15 +145,57 @@ def requests(draw) -> tuple[list[str], str]:
     return argv, "\n".join(blocks)
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(requests())
-def test_every_generated_config_exits_0_1_or_2(request):
-    argv, text = request
+@st.composite
+def edge_runs(draw) -> tuple[list[str], str]:
+    """(argv, config text) of a simulate run on a plant at the float range's edge.
+
+    The plant has an init bound at or past either limit, or a lead
+    coefficient of 1e300 over a bound of 1e10. A huge bound or coefficient
+    overflows within a few steps. A tiny one fails only once a stabilizing
+    run's scaling turns subnormal: N = 8 stabilizes both plants, and the
+    scaling gets there after step 40 for n = 1 and after step 80 for n = 2.
+    """
+    n = draw(st.sampled_from([1, 2]))
+    inner_a, inner_eps = ("1.0, ", "0.1, ") if n == 2 else ("", "")
+    if draw(st.integers(0, 3)) == 0:
+        lead, lead_eps, bound = "1e300", "0.0", "1e10"
+    else:
+        lead, lead_eps = "3.0", ("0.5" if n == 1 else "0.35")
+        bound = draw(st.sampled_from(
+            ("1e308", repr(cli.MAX_INIT_BOUND), repr(cli.MIN_INIT_BOUND), *TINY_BOUNDS)
+        ))
+    lines = [
+        "[plant]", f"n = {n}", f"a_star = {inner_a}{lead}", f"eps = {inner_eps}{lead_eps}",
+        "init_bounds = " + ", ".join([bound] * n), "",
+        "[simulate]", "N = 8", f"horizon = {draw(st.sampled_from(('200', '1000')))}",
+        f"instances = {draw(st.integers(1, 4))}",
+        f"family = {draw(st.sampled_from(('optimal', 'uniform')))}",
+        f"instance_mode = {draw(st.sampled_from(('nominal', 'vertex', 'uniform')))}",
+        f"init_mode = {draw(st.sampled_from(('endpoints', 'zero', 'uniform')))}",
+    ]
+    return ["simulate"], "".join(f"{line}\n" for line in lines)
+
+
+def exit_code(argv: list[str], text: str) -> int:
+    """cli.main's exit code for the request, its output discarded."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "fuzz.cfg")
         with open(cfg, "w", encoding="utf-8") as fh:
             fh.write(text)
         args = [*argv, "--config", cfg, "--out", os.path.join(tmp, "o.csv"), "--jobs", "1"]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            rc = cli.main(args)
-    assert rc in (0, 1, 2), (argv, text)
+            return cli.main(args)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(requests())
+def test_every_generated_config_exits_0_1_or_2(request):
+    argv, text = request
+    assert exit_code(argv, text) in (0, 1, 2), (argv, text)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(edge_runs())
+def test_every_run_at_the_float_range_edge_exits_0_1_or_2(request):
+    argv, text = request
+    assert exit_code(argv, text) in (0, 1, 2), (argv, text)

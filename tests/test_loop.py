@@ -14,7 +14,6 @@ from quantstab.loop import (
     REL_GUARD,
     InvariantViolation,
     Trajectory,
-    _cell_rate_index,
     _init_mode_value,
     control_input,
     predict,
@@ -284,6 +283,15 @@ def test_invariant_violation_type_is_runtime_error():
 # bitwise replay against the reference route
 
 
+def cell_rate_index(q, s):
+    """Distance-from-origin index l of cell s, matching the rate families."""
+    if q.N % 2 == 0:
+        half = q.N // 2
+        return s - half - 1 if s > half else half - s
+    center = (q.N + 1) // 2
+    return abs(s - center)
+
+
 def reference_run(p, inst, sched, family="optimal", horizon=500, init_mode="uniform", init_seed=None):
     """The closed loop with every step written against the public functions.
 
@@ -303,7 +311,7 @@ def reference_run(p, inst, sched, family="optimal", horizon=500, init_mode="unif
     slots = []
     for q in qs:
         rates_n = coefficient_expansion_rates(q, abs(p.a_star[-1]), p.eps[-1])
-        rate_of = tuple(rates_n[_cell_rate_index(q, s)] for s in range(1, q.N + 1))
+        rate_of = tuple(rates_n[cell_rate_index(q, s)] for s in range(1, q.N + 1))
         slots.append((q, expansion_profile(q, p), rate_of))
 
     rng = np.random.default_rng(init_seed)
@@ -317,6 +325,8 @@ def reference_run(p, inst, sched, family="optimal", horizon=500, init_mode="unif
         if abs(x) > 0.5:
             if abs(x) <= 0.5 * (1.0 + REL_GUARD):
                 x = math.copysign(0.5, x)
+            elif math.isinf(y):
+                raise ValueError(f"step {k}: the output overflowed to {y}")
             else:
                 raise SaturationError(f"step {k}: |y|/sigma = {abs(x)} exceeds 1/2 beyond roundoff")
         s = encode(q, x)
@@ -492,6 +502,8 @@ def test_replay_random_plants_bit_for_bit():
             "uniform",
             "horizon_exhausted",
         ),
+        # a bound of half the largest float: the output itself overflows
+        ((3.0,), (0.5,), (8.988465674311579e307,), (3.0,), (8,), "uniform", "zero", ValueError),
     ],
 )
 def test_replay_edge_cases_bit_for_bit(a_star, eps, bounds, a, sizes, family, init_mode, expected):

@@ -79,6 +79,11 @@ def test_sample_vertex():
         sample_instance(p, "vertex", index=4)
 
 
+def test_sample_unknown_mode_rejected():
+    with pytest.raises(ValueError, match="unknown sampling mode 'bogus'"):
+        sample_instance(scalar_plant(), "bogus")
+
+
 def test_sample_uniform_seeded_and_admissible():
     p = UncertainPlant(2, (1.0, 3.0), (0.10, 0.35), (1.0, 1.0))
     a = sample_instance(p, "uniform", seed=7)

@@ -131,6 +131,13 @@ def test_v_rate_frozen():
     assert v_rate(2.0, 0.0, 4) == 0.5  # known plant: lam/N
 
 
+def test_v_rate_odd_layout_degenerates_when_r_rounds_to_one():
+    # r = (3 - 1e-17)/(3 + 1e-17) and t = 3/(3 - 1e-17) both round to 1.0,
+    # so the odd denominator 1 - t r^3 is 0
+    with pytest.raises(ValueError, match="degenerate layout for odd N=5"):
+        v_rate(3.0, 1e-17, 5)
+
+
 def test_v_rate_equals_worst_cell_rate():
     for lam, eps, n_level in [(3.0, 0.5, 8), (3.0, 0.35, 5), (2.0, 0.2, 4), (2.5, 0.35, 3)]:
         q = optimal_boundaries(lam, eps, n_level)

@@ -894,6 +894,10 @@ def test_scalar_search_builds_no_matrix_and_no_fraction(monkeypatch):
 
 def test_search_not_found_within_caps():
     assert search_periodic_schedule(scalar_plant(3.0, 0.35), 2, 3, "optimal") is None
+    # a* = eps = 0: every uniform rate is 0, which has no log, so the exact
+    # search keeps no size
+    zero = UncertainPlant(1, (0.0,), (0.0,), (1.0,))
+    assert search_periodic_schedule(zero, 4, 8, "uniform") is None
 
 
 def test_search_heuristic_n2_is_feasible_and_flagged():
@@ -1122,6 +1126,9 @@ def test_comparison_bounds_collapse_and_undefined():
     assert comparison_bounds(3.0, 0.35).r_suf is None  # denominator negative
     with pytest.raises(ValueError):
         comparison_bounds(1.05, 0.2)
+    # an expanding box, but eps_1 past the comparison bounds' domain
+    with pytest.raises(ValueError, match=r"eps_1 must be in \[0, 1\)"):
+        comparison_bounds(3.5, 1.5)
 
 
 @settings(max_examples=60)
