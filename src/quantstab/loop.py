@@ -41,8 +41,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .intervals import check_hull, interval_product, minkowski_sum
 from .plant import PlantInstance, UncertainPlant
 from .quantizer import (
@@ -169,6 +167,8 @@ def run_closed_loop(
         rates_n = coefficient_expansion_rates(q, abs(p.a_star[-1]), p.eps[-1])
         rate_of = rates_n[:0:-1] + rates_n if q.N % 2 else rates_n[::-1] + rates_n
         slots.append((q.edges, q.N, expansion_profile(q, p), rate_of))
+
+    import numpy as np
 
     rng = np.random.default_rng(init_seed)
     # y_{-n+1} .. y_0, drawn oldest first; the history is newest first

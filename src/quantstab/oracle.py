@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from .intervals import hull_contains
 from .plant import UncertainPlant
 from .quantizer import (
@@ -46,6 +44,8 @@ def _worst_rate(cols, lam: float, eps: float, odd: bool):
     builds the stacked boundary array. w_l = (lam+eps) h_{l+1} - (lam-eps) h_l,
     except that odd N replaces w_0 by the centre cell's 2 (lam+eps) h_1.
     """
+    import numpy as np
+
     up, down = lam + eps, lam - eps
     worst = 2.0 * up * cols[1] if odd else up * cols[1] - down * cols[0]
     for lo, hi in zip(cols[1:-1], cols[2:]):
@@ -59,6 +59,8 @@ def _grid_argmin(axes, lam: float, eps: float, odd: bool) -> list:
     Only points whose free boundaries increase strictly inside (0, 1/2)
     count; ties go to the first point in C order.
     """
+    import numpy as np
+
     grid = np.ix_(*axes)
     vals = _worst_rate((0.0, *grid, 0.5), lam, eps, odd)
     ok = (grid[0] > 0.0) & (grid[-1] < 0.5)
@@ -83,6 +85,8 @@ def grid_optimal_boundaries(
     the plain objective at every grid point as one array expression over
     open axes; no closed form or layout recursion enters.
     """
+    import numpy as np
+
     if not (0.0 < resolution <= 1e-2):
         raise ValueError("resolution must be in (0, 1e-2]")
     if not (2 <= N <= 6):
@@ -132,7 +136,7 @@ PROBE_BLOCK = 4096
 
 def relaxation_probes(
     lambda_abs: float, eps_n: float, m: int, trials: int = 10_000, seed: int = 0
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+) -> Iterator[tuple]:
     """Random probes of the relaxed-schedule optimum, projected onto its surface.
 
     Each probe perturbs the first m-1 equal components of the optimum by a
@@ -145,6 +149,8 @@ def relaxation_probes(
     rows of one array per block from default_rng(seed), so the stream is
     the one that per-probe draws of m-1 numbers would give.
     """
+    import numpy as np
+
     n_star = relaxed_min_rate(lambda_abs, eps_n, m).components[0]
     r = (lambda_abs - eps_n) / (lambda_abs + eps_n)
     log_r = math.log(r)
@@ -188,6 +194,8 @@ def verify_relaxation_kkt(
     probes are brute force: each is re-solved from the constraint itself,
     not from the closed-form optimum.
     """
+    import numpy as np
+
     sol = relaxed_min_rate(lambda_abs, eps_n, m)
     if abs(sol.psi) > 1e-10:
         return False
@@ -205,6 +213,8 @@ def exhaustive_encode_decode(q: QuantizerSpec, samples: int) -> bool:
     half-open cell it encodes to, and the decoded closed cell must contain
     it.
     """
+    import numpy as np
+
     if samples < q.N:
         raise ValueError("need at least one sample per cell")
     edges = q.edges

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class UncertainPlant:
@@ -101,6 +99,8 @@ def sample_instance(
         )
         return PlantInstance(a)
     if mode == "uniform":
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         a = tuple(
             float(rng.uniform(ai - ei, ai + ei)) for ai, ei in zip(p.a_star, p.eps)

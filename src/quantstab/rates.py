@@ -14,8 +14,9 @@ Three layers:
   sum_i w_i < 1 for one companion (_contracts, by one correctly rounded
   sum), and for a period product _radius_below, the signs of the leading
   principal minors of I - P from a fraction-free elimination of the
-  product carried exactly in integers. Radii from np.linalg.eigvals are
-  diagnostics (spectral_radius, StabilityTest.rho) and a search screen;
+  product carried exactly in integers. Radii from numpy's eigvals are
+  diagnostics (spectral_radius, StabilityTest.rho) and a search screen,
+  and the only use of numpy here, so numpy loads on the first of them;
 * time-varying alphabets: periodic schedules of quantizer sizes, their
   average rate, the minimum-average-rate search, and the convex relaxation
   whose optimum reproduces the necessary rate. Every size loop reads one
@@ -46,8 +47,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
-
-import numpy as np
 
 from .plant import UncertainPlant
 from .quantizer import (
@@ -117,7 +116,10 @@ class HMatrix:
         if any(v < 0 for v in self.w_bar):
             raise ValueError("expansion rates must be nonnegative")
 
-    def matrix(self) -> np.ndarray:
+    def matrix(self):
+        """The companion matrix as a numpy array."""
+        import numpy as np
+
         m = np.zeros((self.n, self.n))
         for j in range(self.n - 1):
             m[j, j + 1] = 1.0
@@ -125,8 +127,10 @@ class HMatrix:
         return m
 
 
-def _radius(m: np.ndarray) -> float:
+def _radius(m) -> float:
     """Spectral radius of a companion matrix or a period product of them."""
+    import numpy as np
+
     return float(max(abs(np.linalg.eigvals(m))))
 
 
@@ -170,8 +174,10 @@ def _contracts(w_bar: Sequence[float]) -> bool:
     return max(w_bar) < 1.0 and math.fsum((*w_bar, -1.0)) < 0.0
 
 
-def _product(rates: Sequence[Sequence[float]]) -> np.ndarray:
+def _product(rates: Sequence[Sequence[float]]):
     """Float period product H_m ... H_1 of the rates' companions, for the rho diagnostic."""
+    import numpy as np
+
     prod = np.eye(len(rates[0]))
     for w in rates:
         prod = HMatrix(len(w), w).matrix() @ prod
@@ -454,11 +460,23 @@ def _search_scalar_exact(
     exact product as num / 2^shift next to its verdict. A child's float log
     sum decides outside its rounding band, and num < 2^shift inside it.
     """
-    # the uniform family at a* = eps = 0 gives a zero rate, which has no log
-    table = _rate_table(p, family, N_max, margin)
-    vals = [(N, c, w) for N, c, (w,) in table if isinstance(w, float) and w > 0.0]
-    if not vals:
+    rated = [(N, c, w) for N, c, (w,) in _rate_table(p, family, N_max, margin)
+             if isinstance(w, float)]
+    if not rated:
         return None
+    # A zero rate (the uniform family at a* = eps = 0) has no log, but every
+    # schedule that holds it contracts. The cheapest of those is the first
+    # zero-rate size with m - 1 slots of the cheapest size: alone when it is
+    # the cheapest size, which nothing beats, else at m_max, as the seed.
+    zero = next((v for v in rated if v[2] == 0.0), None)
+    if zero is rated[0]:
+        return ScheduleSearchResult(schedule=Schedule((zero[0],)), avg_rate=zero[1], exact=True)
+    best: tuple[float, int, tuple[int, ...]] | None = None
+    if zero is not None:
+        N0, c0, _ = rated[0]
+        best = (sum([c0] * (m_max - 1) + [zero[1]]) / m_max, m_max,
+                (N0,) * (m_max - 1) + (zero[0],))
+    vals = [v for v in rated if v[2] > 0.0]
     cvec = [c for _, c, _ in vals]
     gvec = [math.log(w) for _, _, w in vals]
     # w = nums[i] / 2^shifts[i] exactly
@@ -467,7 +485,7 @@ def _search_scalar_exact(
     nvals = len(vals)
     # cheapest future feasibility credit for slots restricted to index >= i
     gmin = list(itertools.accumulate(reversed(gvec), min))[::-1]
-    if gmin[0] >= 0.0:
+    if gmin[0] >= 0.0 and best is None:
         return None  # nothing contracts, so no product ever can
     # Rounding band of a float log sum against 0. Each log errs by less than
     # one ulp (2u |g|), and each of the at most m_max - 1 additions by u times
@@ -477,7 +495,7 @@ def _search_scalar_exact(
 
     # Seeds only bound the search, so they keep at least the band below 0.
     seed_target = -max(band, 1e-9)
-    ub = cvec[-1] + 1.0  # above every average
+    ub = cvec[-1] + 1.0 if best is None else best[0]  # at or above the optimum
     for g, c in zip(gvec, cvec):
         if m_max * g < seed_target:  # uniform schedule, any feasible period
             ub = min(ub, c)
@@ -503,7 +521,6 @@ def _search_scalar_exact(
     rows: list = [None] * len(betas)
 
     tol = 1e-9  # keeps children that tie the incumbent
-    best: tuple[float, int, tuple[int, ...]] | None = None
     h = len(betas) - 1  # slope of the last bound evaluated: warm start for the next
     # nodes: (slots, c_sum, g_sum, last index, sizes, feasible, num, shift), with
     # num / 2^shift the exact rate product; the root's product 1 is not below 1

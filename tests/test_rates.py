@@ -882,7 +882,9 @@ class _Forbidden:
 
 
 def test_scalar_search_builds_no_matrix_and_no_fraction(monkeypatch):
-    for name in ("_radius_below", "_exact_product", "_extend", "_slot", "Fraction", "np"):
+    # that it loads no numpy either is checked in a fresh interpreter, in
+    # tests/test_cold_path.py
+    for name in ("_radius_below", "_exact_product", "_extend", "_slot", "Fraction"):
         monkeypatch.setattr(rates, name, _Forbidden())
     grid = [(1.40 + 0.05 * j, 0.35, 32) for j in range(53)]
     # at eps = 0, integer sizes whose product ties lambda^m fall inside the band
@@ -894,10 +896,39 @@ def test_scalar_search_builds_no_matrix_and_no_fraction(monkeypatch):
 
 def test_search_not_found_within_caps():
     assert search_periodic_schedule(scalar_plant(3.0, 0.35), 2, 3, "optimal") is None
-    # a* = eps = 0: every uniform rate is 0, which has no log, so the exact
-    # search keeps no size
+
+
+def test_search_zero_rate_plant_takes_the_smallest_size():
+    # a* = eps = 0: every uniform rate is 0, which has no log, yet every size
+    # contracts, so one 2-level slot wins as the static search finds
     zero = UncertainPlant(1, (0.0,), (0.0,), (1.0,))
-    assert search_periodic_schedule(zero, 4, 8, "uniform") is None
+    res = search_periodic_schedule(zero, 4, 8, "uniform")
+    assert res is not None and res.exact
+    assert res.schedule.sizes == (2,) and res.avg_rate == 1.0
+    assert min_sufficient_N(zero, "uniform") == 2
+    assert periodic_sufficient_test(zero, res.schedule, "uniform").stable
+
+
+def fake_rate_table_with_zero(p, family, N_max, margin):
+    """A zero rate at a size dearer than two positive ones."""
+    return iter([(2, 1.0, (1.5,)), (3, math.log2(3.0), (0.5,)), (4, 2.0, (0.0,))])
+
+
+@pytest.mark.parametrize("m_max", [1, 2, 3, 4, 5])
+def test_search_with_a_zero_rate_matches_brute_force(monkeypatch, m_max):
+    # a zero rate seeds the incumbent and mixes without it still compete:
+    # (3,) wins at m_max 1, (2, 3) at 2 and 3, (2, 2, 2, 4) at 4, (2, 2, 2, 2, 4) at 5
+    table = list(fake_rate_table_with_zero(None, None, None, None))
+    monkeypatch.setattr(rates, "_rate_table", fake_rate_table_with_zero)
+    want = None
+    for m in range(1, m_max + 1):
+        for pick in itertools.combinations_with_replacement(table, m):
+            if math.prod(Fraction(w) for _, _, (w,) in pick) < 1:
+                key = (sum(c for _, c, _ in pick) / m, m, tuple(N for N, _, _ in pick))
+                want = key if want is None or key < want else want
+    res = search_periodic_schedule(scalar_plant(2.0, 0.35), m_max, 4)
+    assert res is not None and res.exact
+    assert (res.avg_rate, res.schedule.m, res.schedule.sizes) == want
 
 
 def test_search_heuristic_n2_is_feasible_and_flagged():
