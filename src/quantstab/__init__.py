@@ -22,7 +22,6 @@ from .oracle import (
     verify_relaxation_kkt,
 )
 from .plant import (
-    PlantInstance,
     UncertainPlant,
     sample_instance,
     step,
@@ -42,7 +41,6 @@ from .quantizer import (
 from .rates import (
     INFEASIBLE,
     ComparisonBounds,
-    HMatrix,
     RelaxedRateSolution,
     Schedule,
     ScheduleSearchResult,
@@ -64,10 +62,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ComparisonBounds",
     "GridSearchResult",
-    "HMatrix",
     "INFEASIBLE",
     "InvariantViolation",
-    "PlantInstance",
     "QuantizerSpec",
     "RelaxedRateSolution",
     "SaturationError",

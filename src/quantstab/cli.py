@@ -379,14 +379,14 @@ def _sim_one(p, sched, qs, horizon, mode, seed, i, init_mode):
     A run that raises has no trajectory: its verdict is "saturated" for a
     SaturationError and "failed" for a malformed set or a broken invariant.
     """
-    inst = sample_instance(
+    a = sample_instance(
         p,
         mode,
         index=i % (2**p.n) if mode == "vertex" else None,
         seed=[seed, i, 0] if mode == "uniform" else None,
     )
     try:
-        traj = run_closed_loop(p, inst, sched, qs, horizon, init_mode, init_seed=[seed, i, 1])
+        traj = run_closed_loop(p, a, sched, qs, horizon, init_mode, init_seed=[seed, i, 1])
     except SaturationError as exc:
         return "saturated", str(exc), None
     except (ValueError, InvariantViolation) as exc:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .intervals import check_hull, interval_product, minkowski_sum
-from .plant import PlantInstance, UncertainPlant
+from .plant import UncertainPlant
 from .quantizer import (
     QuantizerSpec,
     SaturationError,
@@ -126,7 +126,7 @@ def _init_mode_value(mode: str, bound: float, rng) -> float:
 
 def run_closed_loop(
     p: UncertainPlant,
-    inst: PlantInstance,
+    a: Sequence[float],
     sched: Schedule,
     family: str | Sequence[QuantizerSpec] = "optimal",
     horizon: int = 500,
@@ -135,10 +135,11 @@ def run_closed_loop(
 ) -> Trajectory:
     """Simulate the loop from seeded initial outputs until verdict or horizon.
 
-    The channel transmits from time 0 on; estimates for earlier times are
-    the prior boxes. Verdict "stabilized" once the scaling falls below
-    CONVERGENCE_RATIO times its initial value, "diverged" past
-    DIVERGENCE_RATIO times it, else "horizon_exhausted".
+    The plant steps the instance a = (a_1, ..., a_n). The channel transmits
+    from time 0 on; estimates for earlier times are the prior boxes.
+    Verdict "stabilized" once the scaling falls below CONVERGENCE_RATIO
+    times its initial value, "diverged" past DIVERGENCE_RATIO times it,
+    else "horizon_exhausted".
 
     Step k is one loop body over local floats: it encodes y_k against the
     scaling sigma_k and decodes its cell, checks the invariants, predicts
@@ -153,12 +154,12 @@ def run_closed_loop(
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    if len(inst.a) != p.n:
+    if len(a) != p.n:
         raise ValueError("instance order does not match the plant")
     qs = schedule_quantizers(p, sched, family)
     m = len(qs)
     box = p.parameter_intervals()
-    box_factors = tuple(abs(a) + e for a, e in zip(p.a_star, p.eps))
+    box_factors = tuple(abs(ai) + e for ai, e in zip(p.a_star, p.eps))
     # per schedule slot: cell edges, size, envelope factors, and the exact
     # coefficient-n expansion of each symbol's cell (index s - 1); the rates
     # run outward from the origin, an odd N's center cell first
@@ -173,7 +174,6 @@ def run_closed_loop(
     rng = np.random.default_rng(init_seed)
     # y_{-n+1} .. y_0, drawn oldest first; the history is newest first
     history = [_init_mode_value(init_mode, b, rng) for b in p.init_bounds][::-1]
-    a = inst.a
 
     # ring of the last n estimates, newest first; each entry is
     # (lo, hi, sigma, env, factors, rate_n): the estimate, its scaling, its

@@ -4,7 +4,7 @@ Everything here recomputes a quantity the library derives analytically, by
 grid search, exhaustive enumeration, random probing, or plain iteration, so
 tests can compare the two routes. Nothing in this module reuses the closed
 forms it checks: `sigma_envelope` iterates the companion recursion of a rate
-matrix step by step, with no closed form for its powers or its radius.
+vector step by step, with no closed form for its powers or its radius.
 
 The grid search and the relaxation probes are array programs: every grid
 point, and every probe of a block, is evaluated by the same plain
@@ -27,7 +27,7 @@ from .quantizer import (
     decode,
     encode,
 )
-from .rates import HMatrix, relaxed_min_rate
+from .rates import relaxed_min_rate
 
 
 @dataclass(frozen=True)
@@ -117,17 +117,20 @@ def grid_optimal_boundaries(
     return GridSearchResult(h=(0.0, *map(float, best), 0.5), value=float(value))
 
 
-def verify_equalization(
-    q: QuantizerSpec, p: UncertainPlant, tol: float = 1e-12
-) -> bool:
+_EQUALIZATION_TOL = 1e-12
+"""Relative spread of cell rates below which `verify_equalization` calls them equal."""
+
+
+def verify_equalization(q: QuantizerSpec, p: UncertainPlant) -> bool:
     """Are all cell expansion rates of the leading coefficient equal?
 
-    Relative spread of the rate row across cells, compared against tol. A
-    two-level quantizer has a single rate and is trivially equalized.
+    Relative spread of the rate row across cells, compared against
+    _EQUALIZATION_TOL. A two-level quantizer has a single rate and is
+    trivially equalized.
     """
     rates = coefficient_expansion_rates(q, abs(p.a_star[-1]), p.eps[-1])
     mx, mn = max(rates), min(rates)
-    return mx - mn <= tol * mx
+    return mx - mn <= _EQUALIZATION_TOL * mx
 
 
 PROBE_BLOCK = 4096
@@ -178,18 +181,17 @@ def relaxation_probes(
         yield kept, np.where(kept, phi, np.nan)
 
 
+_KKT_SLACK = 1e-9
+"""How far a probe must beat the relaxed optimum for `verify_relaxation_kkt` to fail."""
+
+
 def verify_relaxation_kkt(
-    lambda_abs: float,
-    eps_n: float,
-    m: int,
-    trials: int = 10_000,
-    seed: int = 0,
-    slack: float = 1e-9,
+    lambda_abs: float, eps_n: float, m: int, trials: int = 10_000, seed: int = 0
 ) -> bool:
     """Probe the relaxed-schedule optimum for local optimality.
 
     Reports False if any of the `trials` probes of `relaxation_probes`
-    beats the optimum's geometric mean by more than slack, or if the
+    beats the optimum's geometric mean by more than _KKT_SLACK, or if the
     claimed optimum is not on the feasibility surface to begin with. The
     probes are brute force: each is re-solved from the constraint itself,
     not from the closed-form optimum.
@@ -200,7 +202,7 @@ def verify_relaxation_kkt(
     if abs(sol.psi) > 1e-10:
         return False
     for kept, phi in relaxation_probes(lambda_abs, eps_n, m, trials, seed):
-        if np.any(kept & (phi < sol.phi - slack)):
+        if np.any(kept & (phi < sol.phi - _KKT_SLACK)):
             return False
     return True
 
@@ -241,24 +243,25 @@ def exhaustive_encode_decode(q: QuantizerSpec, samples: int) -> bool:
 
 
 def sigma_envelope(
-    H: HMatrix, init_sigmas: Sequence[float], K: int
+    w_bar: Sequence[float], init_sigmas: Sequence[float], K: int
 ) -> list[float]:
-    """Worst-case scaling bounds for the next K steps under a static rate matrix.
+    """Worst-case scaling bounds for the next K steps under static rates w_bar.
 
-    Iterates the companion recursion from the given n most recent scalings
-    (oldest first) and returns the newest component per step.
+    Iterates the companion recursion of w_bar = (w_1, ..., w_n) from the
+    given n most recent scalings (oldest first) and returns the newest
+    component per step.
     """
-    if len(init_sigmas) != H.n:
-        raise ValueError(f"need {H.n} initial scalings, got {len(init_sigmas)}")
+    n = len(w_bar)
+    if len(init_sigmas) != n:
+        raise ValueError(f"need {n} initial scalings, got {len(init_sigmas)}")
     if K < 0:
         raise ValueError("K must be nonnegative")
     ring = list(init_sigmas)
-    w = H.w_bar
     out = []
     for _ in range(K):
         nxt = 0.0
-        for i in range(1, H.n + 1):
-            nxt += w[i - 1] * ring[-i]
+        for i in range(1, n + 1):
+            nxt += w_bar[i - 1] * ring[-i]
         out.append(nxt)
         ring.append(nxt)
         ring.pop(0)

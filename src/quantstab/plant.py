@@ -1,9 +1,9 @@
 """Uncertain autoregressive plant models and concrete instances.
 
 The plant is y_{k+1} = sum_i a_i y_{k-i+1} + u_k with each coefficient a_i
-known only to lie in a box [a_i* - eps_i, a_i* + eps_i]. A PlantInstance is
-one admissible coefficient draw; the simulator steps instances while the
-estimator only ever sees the boxes.
+known only to lie in a box [a_i* - eps_i, a_i* + eps_i]. An instance is one
+admissible coefficient tuple (a_1, ..., a_n); the simulator steps instances
+while the estimator only ever sees the boxes.
 """
 
 from __future__ import annotations
@@ -49,24 +49,17 @@ class UncertainPlant:
         return tuple((a - e, a + e) for a, e in zip(self.a_star, self.eps))
 
 
-@dataclass(frozen=True)
-class PlantInstance:
-    """One admissible coefficient vector."""
+def step(a: Sequence[float], history: Sequence[float], u: float) -> float:
+    """Advance the instance a = (a_1, ..., a_n) one step.
 
-    a: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", tuple(float(v) for v in self.a))
-
-
-def step(inst: PlantInstance, history: Sequence[float], u: float) -> float:
-    """Advance one step: history is most-recent-first (y_k, y_{k-1}, ...)."""
-    if len(history) != len(inst.a):
+    history is most-recent-first (y_k, y_{k-1}, ...).
+    """
+    if len(history) != len(a):
         raise ValueError(
-            f"history length {len(history)} does not match plant order {len(inst.a)}"
+            f"history length {len(history)} does not match plant order {len(a)}"
         )
     acc = u
-    for ai, yi in zip(inst.a, history):
+    for ai, yi in zip(a, history):
         acc += ai * yi
     return acc
 
@@ -81,29 +74,27 @@ def sample_instance(
     *,
     index: int | None = None,
     seed: int | None = None,
-) -> PlantInstance:
-    """Draw an admissible instance.
+) -> tuple[float, ...]:
+    """Draw an admissible instance, the coefficient tuple (a_1, ..., a_n).
 
-    mode "nominal": a = a_star. mode "vertex": bit i-1 of index picks
+    mode "nominal": a_star itself. mode "vertex": bit i-1 of index picks
     a_i* + eps_i (set) or a_i* - eps_i (clear). mode "uniform": seeded uniform
     draw inside the box.
     """
     if mode == "nominal":
-        return PlantInstance(p.a_star)
+        return p.a_star
     if mode == "vertex":
         if index is None or not (0 <= index < 2**p.n):
             raise ValueError(f"vertex index must be in [0, {2**p.n}), got {index}")
-        a = tuple(
+        return tuple(
             ai + ei if (index >> i) & 1 else ai - ei
             for i, (ai, ei) in enumerate(zip(p.a_star, p.eps))
         )
-        return PlantInstance(a)
     if mode == "uniform":
         import numpy as np
 
         rng = np.random.default_rng(seed)
-        a = tuple(
+        return tuple(
             float(rng.uniform(ai - ei, ai + ei)) for ai, ei in zip(p.a_star, p.eps)
         )
-        return PlantInstance(a)
     raise ValueError(f"unknown sampling mode {mode!r}")

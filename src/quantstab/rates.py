@@ -97,34 +97,18 @@ def conservative_known_plant_rate(lambda_abs: float, eps_n: float) -> float:
 # companion-matrix stability test
 
 
-@dataclass(frozen=True)
-class HMatrix:
-    """Nonnegative companion matrix of worst-case expansion rates.
+def _companion(w_bar: Sequence[float]):
+    """Nonnegative companion matrix of worst-case expansion rates w_bar = (w_1, ..., w_n).
 
-    w_bar is ordered (w_1, ..., w_n); the matrix has an identity
-    superdiagonal and bottom row (w_n, ..., w_1), so iterating it drives the
-    envelope of the scaling sequence.
+    An identity superdiagonal and bottom row (w_n, ..., w_1), so iterating
+    it drives the envelope of the scaling sequence.
     """
+    import numpy as np
 
-    n: int
-    w_bar: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 1 or len(self.w_bar) != self.n:
-            raise ValueError("w_bar length must equal n >= 1")
-        object.__setattr__(self, "w_bar", tuple(float(v) for v in self.w_bar))
-        if any(v < 0 for v in self.w_bar):
-            raise ValueError("expansion rates must be nonnegative")
-
-    def matrix(self):
-        """The companion matrix as a numpy array."""
-        import numpy as np
-
-        m = np.zeros((self.n, self.n))
-        for j in range(self.n - 1):
-            m[j, j + 1] = 1.0
-        m[self.n - 1, :] = self.w_bar[::-1]
-        return m
+    n = len(w_bar)
+    m = np.eye(n, k=1)
+    m[n - 1, :] = w_bar[::-1]
+    return m
 
 
 def _radius(m) -> float:
@@ -134,9 +118,9 @@ def _radius(m) -> float:
     return float(max(abs(np.linalg.eigvals(m))))
 
 
-def spectral_radius(H: HMatrix) -> float:
-    """Spectral radius of the companion matrix by eigvals, 0 when every rate is 0."""
-    return _radius(H.matrix())
+def spectral_radius(w_bar: Sequence[float]) -> float:
+    """Spectral radius of the companion matrix of w_bar by eigvals, 0 when every rate is 0."""
+    return _radius(_companion(w_bar))
 
 
 _U = 2.0**-53
@@ -149,7 +133,7 @@ def _rescaled(w_bar: tuple[float, ...], margin: float) -> tuple:
     H(w)/z = D H(w') D^-1, D = diag(1, z, ..., z^(n-1)). Verdicts are exact
     for these floats, w_i / z^i or, where z^n nears underflow, the exact
     quotient rounded once; a rate past 2^1023 stays an exact rational, which
-    the verdicts read exactly and the searches leave out. At margin 0, w_bar
+    the verdicts read exactly and _rate_table leaves out. At margin 0, w_bar
     itself.
     """
     if margin == 0.0:
@@ -180,7 +164,7 @@ def _product(rates: Sequence[Sequence[float]]):
 
     prod = np.eye(len(rates[0]))
     for w in rates:
-        prod = HMatrix(len(w), w).matrix() @ prod
+        prod = _companion(w) @ prod
     return prod
 
 
@@ -308,7 +292,10 @@ def _rate_table(p: UncertainPlant, family: str, N_max: int, margin: float) -> It
     the powers r^l its table's layouts share, the QuantizerSpec checks and
     its worst cell rates; no QuantizerSpec is built. A size without a valid
     layout is skipped: for large N the float boundaries stop increasing
-    once 1 - r^l rounds to 1. An unknown family name still raises.
+    once 1 - r^l rounds to 1. So is a size whose rescaled rates _rescaled
+    keeps as exact rationals, past 2^1023 at a margin next to 1: such a
+    size never contracts, and the searches read float rates only. An
+    unknown family name still raises.
     """
     layouts, ws = _table_of(family, p)
     for N in range(2, N_max + 1):
@@ -325,7 +312,9 @@ def _rate_table(p: UncertainPlant, family: str, N_max: int, margin: float) -> It
             ws.append(w)
         w = ws[N - 2]
         if w is not None:
-            yield N, math.log2(N), _rescaled(w, margin)
+            w = _rescaled(w, margin)
+            if isinstance(w[0], float):
+                yield N, math.log2(N), w
 
 
 def min_sufficient_N(
@@ -455,13 +444,12 @@ def _search_scalar_exact(
     fewer slots, then lexicographically smaller sizes.
 
     Feasibility means the exact product of the rescaled float rates is
-    below 1 (a rate past 2^1023, at a margin next to 1, is left out). Each
-    float rate is an integer over a power of two, so every node carries its
-    exact product as num / 2^shift next to its verdict. A child's float log
-    sum decides outside its rounding band, and num < 2^shift inside it.
+    below 1. Each float rate is an integer over a power of two, so every
+    node carries its exact product as num / 2^shift next to its verdict. A
+    child's float log sum decides outside its rounding band, and
+    num < 2^shift inside it.
     """
-    rated = [(N, c, w) for N, c, (w,) in _rate_table(p, family, N_max, margin)
-             if isinstance(w, float)]
+    rated = [(N, c, w) for N, c, (w,) in _rate_table(p, family, N_max, margin)]
     if not rated:
         return None
     # A zero rate (the uniform family at a* = eps = 0) has no log, but every
@@ -602,14 +590,14 @@ def _search_heuristic(
     """Best-effort search for higher-order plants: small periods only.
 
     None when no single size up to N_max certifies. Else the incumbent
-    starts as static = min_sufficient_N at the margin, over sizes up to
-    static + 4 and periods up to 6 (a size with a rescaled rate past 2^1023
-    is left out). Depth-first over nondecreasing size sequences; a node
-    carries its exact period product H_{m-1} ... H_0, its parent's extended
-    by the new slot's rescaled rates: periodic_sufficient_test's order
-    reversed, with equal verdicts where the rates lie on one line per
-    coefficient over N, as the built-in families' do. A node's verdict is
-    _radius_below on it, taken only when the node would beat the incumbent.
+    starts as static = min_sufficient_N at the margin, over the rate
+    table's sizes up to static + 4 and periods up to 6. Depth-first over
+    nondecreasing size sequences; a node carries its exact period product
+    H_{m-1} ... H_0, its parent's extended by the new slot's rescaled
+    rates: periodic_sufficient_test's order reversed, with equal verdicts
+    where the rates lie on one line per coefficient over N, as the
+    built-in families' do. A node's verdict is _radius_below on it, taken
+    only when the node would beat the incumbent.
     A child is skipped when the product of per-size radii with the smallest
     radius in every remaining slot is not below 1: a heuristic prune, since
     that product does not bound the radius of the period product, so it can
@@ -623,10 +611,8 @@ def _search_heuristic(
     if static is None:
         return None
     cap_m = min(m_max, 6)
-    cands = []
-    for N, c, w in _rate_table(p, family, min(N_max, static + 4), margin):
-        if isinstance(w[0], float):
-            cands.append((N, c, spectral_radius(HMatrix(p.n, w)), _slot(w)))
+    cands = [(N, c, spectral_radius(w), _slot(w))
+             for N, c, w in _rate_table(p, family, min(N_max, static + 4), margin)]
     # static is a candidate: below 1 unless eigvals rounds it up, which skips every child
     rho_min = min(r for _, _, r, _ in cands)
     best = (math.log2(static), 1, (static,))

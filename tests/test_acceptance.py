@@ -26,7 +26,6 @@ from quantstab.quantizer import (
     v_rate,
 )
 from quantstab.rates import (
-    HMatrix,
     Schedule,
     necessary_rate,
     relaxed_min_rate,
@@ -335,7 +334,7 @@ def test_criterion_10_spectral_radius_vs_root_bracketing():
         w[rng.random(n) < 0.3] = 0.0
         if not w.any():
             w[int(rng.integers(n))] = float(rng.uniform(0.1, 1.0))
-        got = spectral_radius(HMatrix(n, tuple(w)))
+        got = spectral_radius(tuple(w))
         ref = _positive_root(w)
         rel = abs(got - ref) / max(ref, 1e-12)
         worst = max(worst, rel)
@@ -345,7 +344,7 @@ def test_criterion_10_spectral_radius_vs_root_bracketing():
     # matrix itself converges slowly
     near_cyclic = [(1e-12, 0.0, 0.0, 0.0, 0.0, 0.9), (1e-6, 0.0, 1.0), (1e-9, 1.0)]
     t0 = time.perf_counter()
-    radii = [spectral_radius(HMatrix(len(w), w)) for w in near_cyclic]
+    radii = [spectral_radius(w) for w in near_cyclic]
     elapsed = time.perf_counter() - t0
     for w, got in zip(near_cyclic, radii):
         ref = _positive_root(np.array(w))

@@ -200,12 +200,36 @@ def test_bounds_reruns_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_bounds_parallel_matches_serial(tmp_path):
-    cfg = write(tmp_path, "b.cfg", BOUNDS_CFG)
-    out1, out2 = tmp_path / "serial.csv", tmp_path / "par.csv"
-    main(["bounds", "--config", cfg, "--out", str(out1), "--jobs", "1"])
-    main(["bounds", "--config", cfg, "--out", str(out2), "--jobs", "2"])
-    assert out1.read_bytes() == out2.read_bytes()
+# an n = 2 sweep whose every schedule row comes from the heuristic search
+SCHEDULE_N2_CFG = """\
+[plant]
+n = 2
+a_star = 0.3, 2.0
+eps = 0.02, 0.2
+
+[sweep]
+lambda_min = 2.0
+lambda_max = 2.6
+lambda_step = 0.1
+"""
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [("bounds", BOUNDS_CFG), ("schedule", SCHEDULE_N2_CFG)],
+    ids=["bounds", "schedule"],
+)
+def test_sweep_parallel_matches_serial(tmp_path, capsys, command, text):
+    # --jobs 2 takes the process pool, which must give the same rows and notes
+    cfg = write(tmp_path, "s.cfg", text)
+    got = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.csv"
+        assert main([command, "--config", cfg, "--out", str(out), "--jobs", jobs]) == 0
+        got.append((out.read_bytes(), capsys.readouterr()))
+    assert got[0] == got[1]
+    if command == "schedule":
+        assert got[0][1].out.count("(heuristic)") == 7
 
 
 def test_main_reuses_one_parser_across_requests(tmp_path, capsys):

@@ -20,7 +20,7 @@ from quantstab.loop import (
     run_closed_loop,
 )
 from quantstab.oracle import sigma_envelope
-from quantstab.plant import SAMPLING_MODES, PlantInstance, UncertainPlant, sample_instance, step
+from quantstab.plant import SAMPLING_MODES, UncertainPlant, sample_instance, step
 from quantstab.quantizer import (
     SaturationError,
     coefficient_expansion_rates,
@@ -30,7 +30,7 @@ from quantstab.quantizer import (
     optimal_boundaries,
     v_rate,
 )
-from quantstab.rates import HMatrix, Schedule, schedule_quantizers
+from quantstab.rates import Schedule, schedule_quantizers
 
 REL = 1e-12
 GUARD = 1e-9
@@ -77,13 +77,13 @@ def test_control_examples():
 
 
 def test_sigma_envelope_frozen_geometric():
-    env = sigma_envelope(HMatrix(1, (0.5,)), [2.0], 3)
+    env = sigma_envelope((0.5,), [2.0], 3)
     assert env == [1.0, 0.5, 0.25]
 
 
 def test_sigma_envelope_second_order():
     # by hand: next = w2*oldest + w1*newest
-    env = sigma_envelope(HMatrix(2, (0.5, 0.25)), [2.0, 1.0], 3)
+    env = sigma_envelope((0.5, 0.25), [2.0, 1.0], 3)
     assert math.isclose(env[0], 0.25 * 2.0 + 0.5 * 1.0, rel_tol=REL)
     assert math.isclose(env[1], 0.25 * 1.0 + 0.5 * env[0], rel_tol=REL)
     assert math.isclose(env[2], 0.25 * env[0] + 0.5 * env[1], rel_tol=REL)
@@ -91,10 +91,10 @@ def test_sigma_envelope_second_order():
 
 def test_sigma_envelope_validation():
     with pytest.raises(ValueError):
-        sigma_envelope(HMatrix(2, (0.5, 0.25)), [1.0], 3)
+        sigma_envelope((0.5, 0.25), [1.0], 3)
     with pytest.raises(ValueError):
-        sigma_envelope(HMatrix(1, (0.5,)), [1.0], -1)
-    assert sigma_envelope(HMatrix(1, (0.5,)), [1.0], 0) == []
+        sigma_envelope((0.5,), [1.0], -1)
+    assert sigma_envelope((0.5,), [1.0], 0) == []
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +105,7 @@ def test_scalar_sigma_recursion_exact():
     # sigma_{k+1} equals the width of the coefficient box times the estimate
     p = scalar_plant(3.0, 0.5)
     traj = run_closed_loop(
-        p, PlantInstance((3.2,)), Schedule((8,)), "optimal", 200, "endpoints"
+        p, (3.2,), Schedule((8,)), "optimal", 200, "endpoints"
     )
     box = p.parameter_intervals()[0]
     for prev, cur in zip(traj.samples, traj.samples[1:]):
@@ -117,7 +117,7 @@ def test_scalar_geometric_decay_bound():
     p = scalar_plant(3.0, 0.5)
     wbar = v_rate(3.0, 0.5, 8)
     traj = run_closed_loop(
-        p, PlantInstance((3.2,)), Schedule((8,)), "optimal", 200, "endpoints"
+        p, (3.2,), Schedule((8,)), "optimal", 200, "endpoints"
     )
     assert traj.verdict == "stabilized"
     sigma0 = traj.sigma0
@@ -129,7 +129,7 @@ def test_critical_rate_flat_sigma():
     # worst rate exactly 1: the scaling must neither grow nor decay
     p = scalar_plant(2.0, 0.0)
     traj = run_closed_loop(
-        p, PlantInstance((2.0,)), Schedule((2,)), "uniform", 500, "uniform", 11
+        p, (2.0,), Schedule((2,)), "uniform", 500, "uniform", 11
     )
     assert traj.verdict == "horizon_exhausted"
     assert len(traj.samples) == 501
@@ -140,7 +140,7 @@ def test_divergence_verdict():
     # two levels cannot hold a worst rate of 1.675
     p = scalar_plant(3.0, 0.35)
     traj = run_closed_loop(
-        p, PlantInstance((3.0,)), Schedule((2,)), "optimal", 500, "uniform", 5
+        p, (3.0,), Schedule((2,)), "optimal", 500, "uniform", 5
     )
     assert traj.verdict == "diverged"
     assert traj.sigmas()[-1] > 1e12 * traj.sigma0
@@ -150,7 +150,7 @@ def test_zero_width_prediction_ends_stabilized():
     # every coefficient 0 and known: the first prediction is the point {0}
     p = UncertainPlant(2, (0.0, 0.0), (0.0, 0.0), (1.0, 1.0))
     traj = run_closed_loop(
-        p, PlantInstance((0.0, 0.0)), Schedule((4,)), "uniform", 50, "uniform", 3
+        p, (0.0, 0.0), Schedule((4,)), "uniform", 50, "uniform", 3
     )
     assert traj.verdict == "stabilized"
     assert traj.steps == 0
@@ -163,10 +163,10 @@ def test_envelope_dominates_run():
     p = scalar_plant(3.0, 0.5)
     wbar = v_rate(3.0, 0.5, 8)
     traj = run_closed_loop(
-        p, PlantInstance((2.6,)), Schedule((8,)), "optimal", 100, "uniform", 3
+        p, (2.6,), Schedule((8,)), "optimal", 100, "uniform", 3
     )
     sig = traj.sigmas()
-    env = sigma_envelope(HMatrix(1, (wbar,)), [traj.sigma0], len(sig))
+    env = sigma_envelope((wbar,), [traj.sigma0], len(sig))
     for k in range(1, len(sig)):
         assert sig[k] <= env[k - 1] * (1.0 + GUARD)
 
@@ -194,7 +194,7 @@ def test_periodic_schedule_contracts_per_period():
     p = scalar_plant(3.0, 0.35)
     rho = v_rate(3.0, 0.35, 2) * v_rate(3.0, 0.35, 8)
     traj = run_closed_loop(
-        p, PlantInstance((3.1,)), Schedule((2, 8)), "optimal", 400, "uniform", 23
+        p, (3.1,), Schedule((2, 8)), "optimal", 400, "uniform", 23
     )
     sig = traj.sigmas()
     for k in range(0, len(sig) - 2, 2):
@@ -205,8 +205,8 @@ def test_periodic_schedule_contracts_per_period():
 def test_custom_quantizer_list_family():
     p = scalar_plant(3.0, 0.35)
     qs = [optimal_boundaries(3.0, 0.35, 2), optimal_boundaries(3.0, 0.35, 8)]
-    a = run_closed_loop(p, PlantInstance((3.1,)), Schedule((2, 8)), qs, 100, "zero")
-    b = run_closed_loop(p, PlantInstance((3.1,)), Schedule((2, 8)), "optimal", 100, "zero")
+    a = run_closed_loop(p, (3.1,), Schedule((2, 8)), qs, 100, "zero")
+    b = run_closed_loop(p, (3.1,), Schedule((2, 8)), "optimal", 100, "zero")
     assert a.samples == b.samples
 
 
@@ -223,7 +223,7 @@ def test_saturation_on_inadmissible_instance():
     p = scalar_plant(3.0, 0.5)
     with pytest.raises(SaturationError):
         run_closed_loop(
-            p, PlantInstance((5.0,)), Schedule((8,)), "optimal", 50, "endpoints"
+            p, (5.0,), Schedule((8,)), "optimal", 50, "endpoints"
         )
 
 
@@ -247,26 +247,26 @@ def test_overflow_to_nan_raises_malformed_interval(a_star, eps, bounds):
     p = UncertainPlant(len(a_star), a_star, eps, bounds)
     with pytest.raises(ValueError, match="malformed interval"):
         run_closed_loop(
-            p, PlantInstance(a_star), Schedule((3,)), "uniform", 60, "endpoints", 0
+            p, a_star, Schedule((3,)), "uniform", 60, "endpoints", 0
         )
 
 
 def test_run_validations():
     p = scalar_plant()
     with pytest.raises(ValueError):
-        run_closed_loop(p, PlantInstance((3.0,)), Schedule((8,)), "optimal", 0)
+        run_closed_loop(p, (3.0,), Schedule((8,)), "optimal", 0)
     with pytest.raises(ValueError):
-        run_closed_loop(p, PlantInstance((3.0, 1.0)), Schedule((8,)), "optimal", 10)
+        run_closed_loop(p, (3.0, 1.0), Schedule((8,)), "optimal", 10)
     with pytest.raises(ValueError):
         run_closed_loop(
-            p, PlantInstance((3.0,)), Schedule((8,)), "optimal", 10, "sideways"
+            p, (3.0,), Schedule((8,)), "optimal", 10, "sideways"
         )
 
 
 def test_trajectory_shape_and_first_row():
     p = scalar_plant(3.0, 0.5, bound=0.7)
     traj = run_closed_loop(
-        p, PlantInstance((3.0,)), Schedule((8,)), "optimal", 40, "zero"
+        p, (3.0,), Schedule((8,)), "optimal", 40, "zero"
     )
     assert traj.sigma0 == 1.4  # twice the newest initial bound
     q = optimal_boundaries(3.0, 0.5, 8)
@@ -301,7 +301,7 @@ def reference_run(p, inst, sched, family="optimal", horizon=500, init_mode="unif
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    if len(inst.a) != p.n:
+    if len(inst) != p.n:
         raise ValueError("instance order does not match the plant")
     qs = schedule_quantizers(p, sched, family)
     m = len(qs)
@@ -443,7 +443,7 @@ def random_case(rng):
         seed=rng.randrange(1000) if mode == "uniform" else None,
     )
     if rng.random() < 0.1:  # past the box: saturates or escapes the predicted set
-        inst = PlantInstance(inst.a[:-1] + (inst.a[-1] * 1.6,))
+        inst = inst[:-1] + (inst[-1] * 1.6,)
     sched = Schedule(tuple(rng.randint(2, 12) for _ in range(rng.randint(1, 3))))
     family = rng.choice(("optimal", "uniform"))
     return p, inst, sched, family, rng.randint(1, 150), rng.choice(INIT_MODES), rng.randrange(100)
@@ -508,7 +508,7 @@ def test_replay_random_plants_bit_for_bit():
 )
 def test_replay_edge_cases_bit_for_bit(a_star, eps, bounds, a, sizes, family, init_mode, expected):
     p = UncertainPlant(len(a_star), a_star, eps, bounds)
-    args = (p, PlantInstance(a), Schedule(sizes), family, 80, init_mode, 0)
+    args = (p, a, Schedule(sizes), family, 80, init_mode, 0)
     got = outcome(run_closed_loop, *args)
     assert got == outcome(reference_run, *args)
     assert got[-1] == expected if isinstance(got[0], list) else got[0] is expected

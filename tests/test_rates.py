@@ -26,7 +26,6 @@ from quantstab.quantizer import (
 )
 from quantstab.rates import (
     INFEASIBLE,
-    HMatrix,
     Schedule,
     comparison_bounds,
     conservative_known_plant_rate,
@@ -103,26 +102,19 @@ def test_conservative_known_plant_rate():
 
 
 def test_hmatrix_layout():
-    m = HMatrix(3, (0.1, 0.2, 0.3)).matrix()
+    m = rates._companion((0.1, 0.2, 0.3))
     expect = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.3, 0.2, 0.1]])
     assert np.array_equal(m, expect)
-    assert np.array_equal(HMatrix(1, (0.7,)).matrix(), np.array([[0.7]]))
-
-
-def test_hmatrix_validation():
-    with pytest.raises(ValueError):
-        HMatrix(2, (0.5,))
-    with pytest.raises(ValueError):
-        HMatrix(1, (-0.1,))
+    assert np.array_equal(rates._companion((0.7,)), np.array([[0.7]]))
 
 
 def test_spectral_radius_frozen():
-    assert math.isclose(spectral_radius(HMatrix(1, (0.676,))), 0.676, rel_tol=REL)
+    assert math.isclose(spectral_radius((0.676,)), 0.676, rel_tol=REL)
     # z^2 = 0.64 -> 0.8 (cyclic pattern, exercised via the polynomial route)
-    assert math.isclose(spectral_radius(HMatrix(2, (0.0, 0.64))), 0.8, rel_tol=1e-9)
+    assert math.isclose(spectral_radius((0.0, 0.64)), 0.8, rel_tol=1e-9)
     # z^2 = 0.5 z + 0.5 -> z = 1 by the quadratic formula
-    assert math.isclose(spectral_radius(HMatrix(2, (0.5, 0.5))), 1.0, rel_tol=1e-9)
-    assert spectral_radius(HMatrix(3, (0.0, 0.0, 0.0))) == 0.0
+    assert math.isclose(spectral_radius((0.5, 0.5)), 1.0, rel_tol=1e-9)
+    assert spectral_radius((0.0, 0.0, 0.0)) == 0.0
 
 
 def test_spectral_radius_matches_eigvals():
@@ -133,16 +125,16 @@ def test_spectral_radius_matches_eigvals():
         w[rng.uniform(size=n) < 0.3] = 0.0
         if not w.any():
             w[0] = 0.5
-        h = HMatrix(n, tuple(w))
-        want = float(max(abs(np.linalg.eigvals(h.matrix()))))
-        assert math.isclose(spectral_radius(h), want, rel_tol=1e-9, abs_tol=1e-12)
+        w = tuple(w)
+        want = float(max(abs(np.linalg.eigvals(rates._companion(w)))))
+        assert math.isclose(spectral_radius(w), want, rel_tol=1e-9, abs_tol=1e-12)
 
 
 def test_spectral_radius_below_one_iff_sum_below_one():
     for w in [(0.3, 0.699), (0.1, 0.2, 0.3), (0.99,)]:
-        assert spectral_radius(HMatrix(len(w), w)) < 1.0
+        assert spectral_radius(w) < 1.0
     for w in [(0.3, 0.7), (0.5, 0.5), (1.0,), (0.2, 0.9)]:
-        assert spectral_radius(HMatrix(len(w), w)) >= 1.0 - 1e-12
+        assert spectral_radius(w) >= 1.0 - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +226,9 @@ def _table_plants() -> list:
         ((1.3,), (0.2,), 1024),  # 1 - r^l rounds to 1 before l = K for large N
         ((0.0, -0.1, 2.5), (0.3, 0.2, 0.9), 1024),
         ((1.1,), (0.3,), 16),  # not expanding: no optimal layout at all
+        # at margin 1 - 2^-53, z^21 nears underflow and every rescaled rate
+        # passes 2^1023: those sizes never contract, and the table drops them
+        ((0.1,) * 20 + (3.0,), (0.01,) * 20 + (0.2,), 16),
     ]
     for a, eps, n_max in edges:
         plants.append((UncertainPlant(len(a), a, eps, (1.0,) * len(a)), n_max))
@@ -247,7 +242,9 @@ TABLE_PLANTS = _table_plants()
 def test_rate_table_matches_the_quantizer_route_bit_for_bit(family):
     # the one-pass table builds no QuantizerSpec, yet every row it yields is
     # the object route's, and it skips exactly the sizes quantizer_for rejects
+    # and those whose rescaled rates stay exact rationals past 2^1023
     skipped_any = set()
+    dropped_any = False
     for p, n_max in TABLE_PLANTS:
         ws = {}
         for N in range(2, n_max + 1):
@@ -257,12 +254,18 @@ def test_rate_table_matches_the_quantizer_route_bit_for_bit(family):
                 pass
         skipped_any |= set(range(2, n_max + 1)) - set(ws)
         for margin in (0.0, 0.02, 1.0 - 2.0**-53):
-            want = [(N, math.log2(N), rates._rescaled(w, margin)) for N, w in ws.items()]
+            rows = [(N, math.log2(N), rates._rescaled(w, margin)) for N, w in ws.items()]
+            want = [row for row in rows if isinstance(row[2][0], float)]
+            dropped_any |= len(want) < len(rows)
             # a prefix first, as min_sufficient_N reads it; the rest grows the
             # table; repr tells -0.0 from 0.0 and every float bit
             prefix = list(rates._rate_table(p, family, n_max // 3, margin))
             assert repr(prefix) == repr([row for row in want if row[0] <= n_max // 3])
             assert repr(list(rates._rate_table(p, family, n_max, margin))) == repr(want)
+            # the dropped rows never contract: the same answer as over every row
+            first = next((N for N, _, w in rows if rates._contracts(w)), None)
+            assert min_sufficient_N(p, family, n_max, margin) == first
+    assert dropped_any
     if family == "optimal":
         assert {3, 5, 1023} <= skipped_any  # den = 0 and stalled boundaries seen
     else:
@@ -361,7 +364,7 @@ def float_product(rate_list):
     n = len(rate_list[0])
     prod = np.eye(n)
     for w in rate_list:
-        prod = HMatrix(n, w).matrix() @ prod
+        prod = rates._companion(w) @ prod
     return prod
 
 
@@ -424,7 +427,7 @@ def test_verdict_near_tie_n2_pins_exact_answer():
     # but Fraction(0.7) + Fraction(0.3) is 1 - 2^-54
     w = (0.7, 0.3)
     assert Fraction(0.7) + Fraction(0.3) < 1
-    assert not rates._radius(HMatrix(2, w).matrix()) < 1.0
+    assert not rates._radius(rates._companion(w)) < 1.0
     assert not w[0] + w[1] < 1.0
     assert rates._radius_below(exact_product([w]))
     assert rates._radius_below(exact_product([w, w]))
@@ -958,7 +961,7 @@ def reference_heuristic(p, m_max, n_max, margin):
         except ValueError:
             continue
         w = rates._rescaled(expansion_profile(q, p), margin)
-        cands.append((n_level, spectral_radius(HMatrix(p.n, w))))
+        cands.append((n_level, spectral_radius(w)))
     rho_min = min(r for _, r in cands)
     best = None
 
