@@ -16,7 +16,7 @@ Each step has one route. `Layouts.half` gives a size's boundary half h,
 gives a layout's per-cell rates (`worst_rates`, their maxima).
 uniform_boundaries, optimal_boundaries, quantizer_for, QuantizerSpec,
 coefficient_expansion_rates and expansion_profile call them on one size.
-The rate table in `rates` calls them on every size of a row, with one
+The rate table in `rates` calls them on every size it reads, with one
 Layouts whose powers r^l all sizes share, and builds no QuantizerSpec.
 """
 
@@ -70,6 +70,7 @@ class QuantizerSpec:
     h: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "N", operator.index(self.N))  # an int, or TypeError
         _check_levels(self.N)
         object.__setattr__(self, "h", tuple(float(v) for v in self.h))
         check_half(self.N, self.h)

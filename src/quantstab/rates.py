@@ -19,21 +19,17 @@ Three layers:
   and the only use of numpy here, so numpy loads on the first of them;
 * time-varying alphabets: periodic schedules of quantizer sizes, their
   average rate, the minimum-average-rate search, and the convex relaxation
-  whose optimum reproduces the necessary rate. Every size loop reads one
-  rate table per plant and family, built in one pass over the sizes and
-  only as far as a reader has gone: each size takes its boundary half from
-  a prefix of powers r^l shared by all sizes, the QuantizerSpec checks and
-  its worst cell rates, through the same helpers as a QuantizerSpec, but
-  builds none. The memo holds the tables of one plant, so the N_suf
-  columns and the search of a sweep row share one build, and the next
-  row's plant drops them. For scalar plants the search
-  is exact: a knapsack with exactly m items, solved by depth-first branch
-  and bound with the Lagrangian bound of the lower convex hull of the
-  (log rate, log2 size) points. Each node is decided exactly, by the float
-  log sum outside its rounding band and inside it by the rate product,
-  carried as an integer over a power of two.
-  Higher-order plants get a flagged heuristic: a depth-first search over
-  short nondecreasing schedules that extends the period product from
+  whose optimum reproduces the necessary rate. Every size loop reads a
+  rate table of one plant and family (_rate_table), built in one pass
+  over the sizes, as far as its reader goes, from powers r^l that all
+  sizes share; no QuantizerSpec is built and no table is kept between
+  reads. For scalar plants the search is exact: a knapsack with exactly m
+  items, solved by depth-first branch and bound with the Lagrangian bound
+  of the lower convex hull of the (log rate, log2 size) points. Each node
+  is decided exactly, by the float log sum outside its rounding band and
+  inside it by the rate product, carried as an integer over a power of
+  two. Higher-order plants get a flagged heuristic: a depth-first search
+  over short nondecreasing schedules that extends the period product from
   parent to child, stops a node's children at the first one whose average
   rate exceeds the incumbent, and starts from the cheapest certified
   single size; without one it returns None.
@@ -51,7 +47,6 @@ from typing import Iterator, Sequence
 from .plant import UncertainPlant
 from .quantizer import (
     FAMILIES,
-    Layouts,
     QuantizerSpec,
     check_half,
     expansion_profile,
@@ -256,65 +251,34 @@ def sufficient_test(
     return periodic_sufficient_test(p, Schedule((q.N,)), [q], margin)
 
 
-# The rate tables built so far, all for one plant: a table for another plant
-# drops them, so a sweep holds the tables of one row at a time.
-_TABLES: dict[tuple[str, UncertainPlant], tuple[Layouts | None, list]] = {}
-
-
-def _table_of(family: str, p: UncertainPlant) -> tuple[Layouts | None, list]:
-    """The family's layouts for p (None when its box admits none) and the w_bar built so far.
-
-    Entry N - 2 of the list is w_bar of the N-level layout, None when that
-    layout does not build; _rate_table appends to it. An unknown family
-    name raises.
-    """
-    table = _TABLES.get((family, p))
-    if table is None:
-        if any(q != p for _, q in _TABLES):
-            _TABLES.clear()
-        try:
-            layouts = layouts_for(family, p)
-        except ValueError:
-            if family not in FAMILIES:
-                raise
-            layouts = None
-        table = _TABLES[family, p] = (layouts, [])
-    return table
-
-
 def _rate_table(p: UncertainPlant, family: str, N_max: int, margin: float) -> Iterator[tuple]:
     """(N, log2 N, _rescaled w_bar) for each size N in 2..N_max whose layout builds.
 
-    Every size loop reads this table. It is built in one pass over N, only
-    as far as a reader has gone, and kept for the plant until another
-    plant's is read, so the N_suf columns and the schedule search of one
-    sweep row build each size once. A size costs its boundary half from
-    the powers r^l its table's layouts share, the QuantizerSpec checks and
-    its worst cell rates; no QuantizerSpec is built. A size without a valid
-    layout is skipped: for large N the float boundaries stop increasing
-    once 1 - r^l rounds to 1. So is a size whose rescaled rates _rescaled
-    keeps as exact rationals, past 2^1023 at a margin next to 1: such a
-    size never contracts, and the searches read float rates only. An
-    unknown family name still raises.
+    Every size loop reads this table, built in one pass over N from one
+    Layouts, so each size costs its boundary half from the powers r^l the
+    sizes share, the QuantizerSpec checks and its worst cell rates; no
+    QuantizerSpec is built. A size without a valid layout is skipped: for
+    large N the float boundaries stop increasing once 1 - r^l rounds to 1.
+    So is a size whose rescaled rates _rescaled keeps as exact rationals,
+    past 2^1023 at a margin next to 1: such a size never contracts, and the
+    searches read float rates only. A box that admits no layout yields
+    nothing; an unknown family name raises on the first read.
     """
-    layouts, ws = _table_of(family, p)
+    try:
+        layouts = layouts_for(family, p)
+    except ValueError:
+        if family not in FAMILIES:
+            raise
+        return
     for N in range(2, N_max + 1):
-        if len(ws) == N - 2:
-            w = None
-            if layouts is not None:
-                try:
-                    h = layouts.half(N)
-                    check_half(N, h)
-                except ValueError:
-                    pass
-                else:
-                    w = worst_rates(h, N, p)
-            ws.append(w)
-        w = ws[N - 2]
-        if w is not None:
-            w = _rescaled(w, margin)
-            if isinstance(w[0], float):
-                yield N, math.log2(N), w
+        try:
+            h = layouts.half(N)
+            check_half(N, h)
+        except ValueError:
+            continue
+        w = _rescaled(worst_rates(h, N, p), margin)
+        if isinstance(w[0], float):
+            yield N, math.log2(N), w
 
 
 def min_sufficient_N(
@@ -341,7 +305,7 @@ class Schedule:
     def __post_init__(self) -> None:
         if not self.sizes:
             raise ValueError("schedule must have at least one slot")
-        object.__setattr__(self, "sizes", tuple(int(v) for v in self.sizes))
+        object.__setattr__(self, "sizes", tuple(map(operator.index, self.sizes)))
         if any(v < 2 for v in self.sizes):
             raise ValueError("every slot needs at least 2 levels")
 

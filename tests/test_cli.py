@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from quantstab import cli, quantizer, rates
+from quantstab import cli, quantizer
 from quantstab.cli import (
     Config,
     ConfigError,
@@ -738,13 +738,20 @@ def test_schedule_known_integer_pole_exits_0(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "plant",
-    ["n = 1\na_star = 2.0\neps = 0.35", "n = 2\na_star = 0.3, 2.2\neps = 0.02, 0.2"],
+    "plant, optimal",
+    [
+        # N_suf_opt = 3, then the exact search reads the table to N_max = 64
+        ("n = 1\na_star = 2.0\neps = 0.35", {2: 2, 3: 2, **dict.fromkeys(range(4, 65), 1)}),
+        # N_suf_opt = 3, the heuristic's own min_sufficient_N, then its
+        # candidates up to static + 4 = 7
+        ("n = 2\na_star = 0.3, 2.2\neps = 0.02, 0.2", {2: 3, 3: 3, 4: 1, 5: 1, 6: 1, 7: 1}),
+    ],
     ids=["n1", "n2"],
 )
-def test_schedule_row_builds_each_quantizer_once(tmp_path, monkeypatch, plant):
-    # the bounds columns and the search read one memoized rate table, whose
-    # every size takes its boundary half from the one shared layout helper
+def test_schedule_row_builds_each_quantizer_once(tmp_path, monkeypatch, plant, optimal):
+    # each rate-table read builds the sizes it reads once, every boundary
+    # half from the one shared layout helper: N_suf_uni = 3 reads the uniform
+    # sizes 2..3, and each read of the optimal table pays for its own prefix
     built = {}
     real = quantizer.Layouts.half
 
@@ -753,14 +760,14 @@ def test_schedule_row_builds_each_quantizer_once(tmp_path, monkeypatch, plant):
         built[family, n_level] = built.get((family, n_level), 0) + 1
         return real(layouts, n_level)
 
-    rates._TABLES.clear()
     monkeypatch.setattr(quantizer.Layouts, "half", counting_half)
     sweep = "[sweep]\nlambda_min = 2.2\nlambda_max = 2.2\nlambda_step = 0.1\n"
     cfg = write(tmp_path, "one.cfg", f"[plant]\n{plant}\n\n{sweep}")
     argv = ["schedule", "--config", cfg, "--out", str(tmp_path / "one.csv"), "--m-max", "4"]
     assert main(argv) == 0
-    assert built and max(built.values()) == 1
-    assert {f for f, _ in built} == {"optimal", "uniform"}
+    want = {("uniform", 2): 1, ("uniform", 3): 1}
+    want.update((("optimal", N), k) for N, k in optimal.items())
+    assert built == want
 
 
 def test_unknown_command_rejected(tmp_path):

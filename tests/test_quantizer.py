@@ -7,6 +7,7 @@ geometric closed form implemented by the package.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -41,6 +42,15 @@ def test_spec_validation():
         QuantizerSpec(4, (0.0, 0.3, 0.3, 0.5))  # wrong count again
     with pytest.raises(ValueError):
         QuantizerSpec(6, (0.0, 0.3, 0.2, 0.5))  # not increasing
+
+
+def test_spec_size_must_be_an_integer():
+    # numpy integers are sizes too; a float is refused, never kept as N
+    q = QuantizerSpec(np.int64(4), (0.0, 0.25, 0.5))
+    assert q.N == 4 and type(q.N) is int
+    for N in (4.5, 4.0):
+        with pytest.raises(TypeError):
+            QuantizerSpec(N, (0.0, 0.25, 0.5))
 
 
 def test_uniform_boundaries():

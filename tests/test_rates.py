@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from quantstab import rates
 from quantstab.plant import UncertainPlant
 from quantstab.quantizer import (
-    Layouts,
     QuantizerSpec,
     expansion_profile,
     optimal_boundaries,
@@ -118,6 +117,8 @@ def test_spectral_radius_frozen():
 
 
 def test_spectral_radius_matches_eigvals():
+    # the eigvals radius against an independent reference: the positive root
+    # r of sum_i w_i r^-i = 1, which decreases in r, found by bisection
     rng = np.random.default_rng(1)
     for _ in range(50):
         n = int(rng.integers(1, 7))
@@ -125,9 +126,15 @@ def test_spectral_radius_matches_eigvals():
         w[rng.uniform(size=n) < 0.3] = 0.0
         if not w.any():
             w[0] = 0.5
-        w = tuple(w)
-        want = float(max(abs(np.linalg.eigvals(rates._companion(w)))))
-        assert math.isclose(spectral_radius(w), want, rel_tol=1e-9, abs_tol=1e-12)
+        w = tuple(map(float, w))
+        lo, hi = 0.0, 1.0 + sum(w)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if sum(wi * mid ** -i for i, wi in enumerate(w, 1)) > 1.0:
+                lo = mid
+            else:
+                hi = mid
+        assert math.isclose(spectral_radius(w), hi, rel_tol=1e-9, abs_tol=1e-12)
 
 
 def test_spectral_radius_below_one_iff_sum_below_one():
@@ -257,8 +264,8 @@ def test_rate_table_matches_the_quantizer_route_bit_for_bit(family):
             rows = [(N, math.log2(N), rates._rescaled(w, margin)) for N, w in ws.items()]
             want = [row for row in rows if isinstance(row[2][0], float)]
             dropped_any |= len(want) < len(rows)
-            # a prefix first, as min_sufficient_N reads it; the rest grows the
-            # table; repr tells -0.0 from 0.0 and every float bit
+            # a prefix, as min_sufficient_N reads it, and the full table; repr
+            # tells -0.0 from 0.0 and every float bit
             prefix = list(rates._rate_table(p, family, n_max // 3, margin))
             assert repr(prefix) == repr([row for row in want if row[0] <= n_max // 3])
             assert repr(list(rates._rate_table(p, family, n_max, margin))) == repr(want)
@@ -272,32 +279,17 @@ def test_rate_table_matches_the_quantizer_route_bit_for_bit(family):
         assert not skipped_any
 
 
-def test_rate_table_memo_drops_a_plant_after_two_later_rows(monkeypatch):
-    # the memo holds one plant's tables: a row replayed after two others
-    # builds every size again
-    built = []
-    real = Layouts.half
-
-    def counting_half(layouts, n_level):
-        built.append(n_level)
-        return real(layouts, n_level)
-
-    monkeypatch.setattr(Layouts, "half", counting_half)
-    rates._TABLES.clear()
-    first, later = scalar_plant(2.0, 0.35), [scalar_plant(2.1, 0.35), scalar_plant(2.2, 0.35)]
-
-    def row(p):
-        return [min_sufficient_N(p, family, 64) for family in ("optimal", "uniform")]
-
-    want = row(first)
-    cost = len(built)
-    assert cost > 0 and {q for _, q in rates._TABLES} == {first}
-    for p in later:
-        row(p)
-    assert {q for _, q in rates._TABLES} == {later[-1]}
-    built.clear()
-    assert row(first) == want
-    assert len(built) == cost
+def test_rate_table_reads_a_signed_zero_twin_afresh():
+    # the two plants compare and hash equal, yet the twin read after the
+    # first plant gets its own rows, where eps_1 = -0.0 gives a rate of -0.0
+    p = UncertainPlant(2, (0.0, 2.0), (0.0, 0.3), (1.0, 1.0))
+    twin = UncertainPlant(2, (0.0, 2.0), (-0.0, 0.3), (1.0, 1.0))
+    assert p == twin and hash(p) == hash(twin)
+    list(rates._rate_table(p, "optimal", 8, 0.0))
+    got = repr(list(rates._rate_table(twin, "optimal", 8, 0.0)))
+    fresh = [(N, math.log2(N), expansion_profile(quantizer_for("optimal", twin, N), twin))
+             for N in range(2, 9)]
+    assert got == repr(fresh) and "(-0.0, " in got
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +304,15 @@ def test_schedule_validation_and_rate():
     s = Schedule((2, 8))
     assert s.m == 2
     assert math.isclose(s.average_rate, 2.0, rel_tol=REL)  # (1 + 3)/2 bits
+
+
+def test_schedule_sizes_must_be_integers():
+    # numpy integers are sizes too; a float is refused, never truncated
+    s = Schedule((np.int64(2), 3))
+    assert s.sizes == (2, 3) and type(s.sizes[0]) is int
+    for sizes in [(2.7, 3), (2, 3.0)]:
+        with pytest.raises(TypeError):
+            Schedule(sizes)
 
 
 def test_schedule_quantizers_custom_list_checked():
