@@ -54,6 +54,8 @@ RATES_CSV_HEADER = (
     "R_suf_phat,R_suf_martins,avg_rate_best,m_best"
 )
 TRAJECTORY_CSV_HEADER = "k,y,s,sigma,Y_lo,Y_hi,u"
+# a trajectory row in one format call; "%.12g" is fmt's float format
+_TRAJECTORY_ROW = "%d,%.12g,%d,%.12g,%.12g,%.12g,%.12g"
 MAX_SWEEP_ROWS = 100_000  # most lambda values one [sweep] may hold
 # Caps on the work one request may ask for; the library takes any value.
 MAX_N_MAX = 1024  # alphabet size: the rate searches grow faster than linearly
@@ -422,7 +424,7 @@ def cmd_simulate(cfg: Config, opts) -> int:
             print(f"run failed: {diag}", file=sys.stderr)
             return 1
         lines = [TRAJECTORY_CSV_HEADER] + [
-            f"{k},{fmt(y)},{s},{fmt(sigma)},{fmt(e_lo)},{fmt(e_hi)},{fmt(u)}"
+            _TRAJECTORY_ROW % (k, y, s, sigma, e_lo, e_hi, u)
             for k, (y, s, sigma, e_lo, e_hi, _, _, u) in enumerate(traj.samples)
         ]
         lines.append(f"# verdict={verdict}")

@@ -21,7 +21,9 @@ first step: the coefficient-box endpoints and, per schedule slot, the
 cell edges, the quantizer's envelope factors and the coefficient-n
 expansion of each symbol's cell. The per-step state is a ring of the last
 n estimates, newest first, each a tuple (lo, hi, sigma, env, factors,
-rate_n), and the last n outputs. Each time index leaves one tuple in
+rate_n), and a history of the last n outputs. Both are deques of length n
+that a step updates in place, so a step allocates only its sample tuple
+and its ring entry, besides floats. Each time index leaves one tuple in
 `Trajectory.samples`.
 
 The step is one loop body in `run_closed_loop` that computes each
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -144,13 +147,16 @@ def run_closed_loop(
     Step k is one loop body over local floats: it encodes y_k against the
     scaling sigma_k and decodes its cell, checks the invariants, predicts
     the next output set, records sample k, and steps the plant with the
-    input that cancels the predicted midpoint. Each expression is the one
-    of encode, decode, interval_product, minkowski_sum, predict,
-    control_input and plant.step, evaluated in the same order, so the
-    samples are bit for bit those of a step that calls them. A malformed
-    set raises through check_hull, as in those functions. An output that
-    overflowed to an infinity raises ValueError; a finite one past the
-    quantizer's range raises SaturationError.
+    input that cancels the predicted midpoint. It pushes its estimate onto
+    the ring and its output onto the history in place, each dropping its
+    oldest entry; each call builds both afresh and writes to no argument.
+    Each expression is the one of encode, decode, interval_product,
+    minkowski_sum, predict, control_input and plant.step, evaluated in the
+    same order, so the samples are bit for bit those of a step that calls
+    them; the interval product's min and max are the same comparisons,
+    written out. A malformed set raises through check_hull, as in those
+    functions. An output that overflowed to an infinity raises ValueError;
+    a finite one past the quantizer's range raises SaturationError.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -172,17 +178,18 @@ def run_closed_loop(
     import numpy as np
 
     rng = np.random.default_rng(init_seed)
-    # y_{-n+1} .. y_0, drawn oldest first; the history is newest first
-    history = [_init_mode_value(init_mode, b, rng) for b in p.init_bounds][::-1]
+    # y_{-n+1} .. y_0, drawn oldest first into the history, newest first
+    history = deque(maxlen=p.n)
+    for b in p.init_bounds:
+        history.appendleft(_init_mode_value(init_mode, b, rng))
 
     # ring of the last n estimates, newest first; each entry is
     # (lo, hi, sigma, env, factors, rate_n): the estimate, its scaling, its
     # envelope value, its per-coefficient envelope factors and the exact
-    # expansion of coefficient n over it. Prior boxes for times -1 .. -n+1:
-    ring = [
-        (-b, b, 2.0 * b, 2.0 * b, box_factors, box_factors[-1])
-        for b in reversed(p.init_bounds[:-1])
-    ]
+    # expansion of coefficient n over it. Prior boxes for times -n+1 .. -1:
+    ring = deque(maxlen=p.n)
+    for b in p.init_bounds[:-1]:
+        ring.appendleft((-b, b, 2.0 * b, 2.0 * b, box_factors, box_factors[-1]))
 
     up = 1.0 + REL_GUARD
     clamp_below = 0.5 * up
@@ -220,7 +227,7 @@ def run_closed_loop(
 
         slack = REL_GUARD * sigma
         if k == 0:
-            ring.insert(0, (e_lo, e_hi, sigma, sigma, factors, rate_of[s - 1]))
+            ring.appendleft((e_lo, e_hi, sigma, sigma, factors, rate_of[s - 1]))
             if not e_lo - slack <= y <= e_hi + slack:
                 raise InvariantViolation("initial output escaped its decoded cell")
         else:
@@ -248,19 +255,30 @@ def run_closed_loop(
                 raise InvariantViolation(
                     f"step {k}: scaling escaped the worst-case envelope"
                 )
-            ring = [(e_lo, e_hi, sigma, env, factors, rate_of[s - 1]), *ring[:-1]]
+            ring.appendleft((e_lo, e_hi, sigma, env, factors, rate_of[s - 1]))
 
         # predict: the Minkowski sum from 0.0 of box_i * estimate, newest first
         lo = hi = 0.0
         for (a_lo, a_hi), est in zip(box, ring):
             y_lo = est[0]
             y_hi = est[1]
-            t_lo = t_hi = a_lo * y_lo  # as in interval_product
-            for v in (a_lo * y_hi, a_hi * y_lo, a_hi * y_hi):
-                if v < t_lo:
-                    t_lo = v
-                if v > t_hi:
-                    t_hi = v
+            # interval_product's min and max, the same comparisons in order
+            t_lo = t_hi = a_lo * y_lo
+            v = a_lo * y_hi
+            if v < t_lo:
+                t_lo = v
+            if v > t_hi:
+                t_hi = v
+            v = a_hi * y_lo
+            if v < t_lo:
+                t_lo = v
+            if v > t_hi:
+                t_hi = v
+            v = a_hi * y_hi
+            if v < t_lo:
+                t_lo = v
+            if v > t_hi:
+                t_hi = v
             if not t_lo <= t_hi:
                 check_hull(t_lo, t_hi)
             lo += t_lo
@@ -289,7 +307,7 @@ def run_closed_loop(
         y = u
         for ai, yi in zip(a, history):
             y += ai * yi
-        history = [y, *history[:-1]]
+        history.appendleft(y)
         sigma = sigma_next
         k += 1
 

@@ -555,10 +555,11 @@ def _search_heuristic(
 
     None when no single size up to N_max certifies. Else the incumbent
     starts as static = min_sufficient_N at the margin, over the rate
-    table's sizes up to static + 4 and periods up to 6. Depth-first over
-    nondecreasing size sequences; a node carries its exact period product
-    H_{m-1} ... H_0, its parent's extended by the new slot's rescaled
-    rates: periodic_sufficient_test's order reversed, with equal verdicts
+    table's sizes up to static + 4 and periods up to 6; one read of the
+    table gives both. Depth-first over nondecreasing size sequences; a
+    node carries its exact period product H_{m-1} ... H_0, its parent's
+    extended by the new slot's rescaled rates:
+    periodic_sufficient_test's order reversed, with equal verdicts
     where the rates lie on one line per coefficient over N, as the
     built-in families' do. A node's verdict is _radius_below on it, taken
     only when the node would beat the incumbent.
@@ -571,12 +572,24 @@ def _search_heuristic(
     exceeds the incumbent's by more than rounding, which skips no node that
     could beat the incumbent.
     """
-    static = min_sufficient_N(p, family, N_max, margin)
+    # one table read finds static, as min_sufficient_N does, and keeps the
+    # rows up to static + 4, building no size past the last one kept
+    static = None
+    last = N_max
+    rows = []
+    for N, c, w in _rate_table(p, family, N_max, margin):
+        if N > last:
+            break
+        rows.append((N, c, w))
+        if static is None and _contracts(w):
+            static = N
+            last = N + 4
+        if N == last:
+            break
     if static is None:
         return None
     cap_m = min(m_max, 6)
-    cands = [(N, c, spectral_radius(w), _slot(w))
-             for N, c, w in _rate_table(p, family, min(N_max, static + 4), margin)]
+    cands = [(N, c, spectral_radius(w), _slot(w)) for N, c, w in rows]
     # static is a candidate: below 1 unless eigvals rounds it up, which skips every child
     rho_min = min(r for _, _, r, _ in cands)
     best = (math.log2(static), 1, (static,))

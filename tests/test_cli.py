@@ -742,9 +742,9 @@ def test_schedule_known_integer_pole_exits_0(tmp_path, capsys):
     [
         # N_suf_opt = 3, then the exact search reads the table to N_max = 64
         ("n = 1\na_star = 2.0\neps = 0.35", {2: 2, 3: 2, **dict.fromkeys(range(4, 65), 1)}),
-        # N_suf_opt = 3, the heuristic's own min_sufficient_N, then its
-        # candidates up to static + 4 = 7
-        ("n = 2\na_star = 0.3, 2.2\neps = 0.02, 0.2", {2: 3, 3: 3, 4: 1, 5: 1, 6: 1, 7: 1}),
+        # N_suf_opt = 3, then the heuristic's one read finds static = 3 and
+        # its candidates up to static + 4 = 7
+        ("n = 2\na_star = 0.3, 2.2\neps = 0.02, 0.2", {2: 2, 3: 2, 4: 1, 5: 1, 6: 1, 7: 1}),
     ],
     ids=["n1", "n2"],
 )
@@ -768,6 +768,32 @@ def test_schedule_row_builds_each_quantizer_once(tmp_path, monkeypatch, plant, o
     want = {("uniform", 2): 1, ("uniform", 3): 1}
     want.update((("optimal", N), k) for N, k in optimal.items())
     assert built == want
+
+
+def test_trajectory_row_format_matches_fmt():
+    # a simulate row is one %-format call; it must give fmt's text on every float
+    edges = [
+        -0.0,
+        0.0,
+        math.inf,
+        -math.inf,
+        math.nan,
+        5e-324,
+        1e300,
+        0.1 + 0.2,
+        1.9999999999995,  # rounds up at the 12th significant digit
+        -123456789012.5,  # a tie at the 12th significant digit
+        3.0,  # integer-valued
+        -1e15,
+    ]
+    for k, y in enumerate(edges):
+        sigma, e_lo, e_hi, u = (edges[(k + j) % len(edges)] for j in (3, 5, 7, 9))
+        s = k % 4 + 1
+        want = f"{k},{fmt(y)},{s},{fmt(sigma)},{fmt(e_lo)},{fmt(e_hi)},{fmt(u)}"
+        assert cli._TRAJECTORY_ROW % (k, y, s, sigma, e_lo, e_hi, u) == want
+    assert cli._TRAJECTORY_ROW % (0, -0.0, 2, 0.1 + 0.2, 5e-324, 1.9999999999995, 3.0) == (
+        "0,-0,2,0.3,4.94065645841e-324,2,3"
+    )
 
 
 def test_unknown_command_rejected(tmp_path):

@@ -211,11 +211,32 @@ def test_custom_quantizer_list_family():
 
 
 def test_determinism():
-    p = UncertainPlant(2, (1.0, 3.0), (0.10, 0.35), (1.0, 1.0))
-    inst = sample_instance(p, "uniform", seed=2)
-    a = run_closed_loop(p, inst, Schedule((6,)), "optimal", 150, "uniform", 9)
-    b = run_closed_loop(p, inst, Schedule((6,)), "optimal", 150, "uniform", 9)
-    assert a.samples == b.samples and a.verdict == b.verdict
+    # the loop updates its estimate ring and output history in place: each
+    # call builds its own, and none of its arguments is written to
+    cases = [
+        ((3.0,), (0.35,), (8,)),
+        ((1.0, 3.0), (0.1, 0.35), (6,)),
+        ((0.1, -0.2, 0.3, 2.0), (0.01, 0.01, 0.01, 0.1), (8,)),
+        ((1.0, 3.0), (0.1, 0.35), (4, 8, 16)),
+    ]
+    for a_star, eps, sizes in cases:
+        n = len(a_star)
+        p = UncertainPlant(n, a_star, eps, (1.0,) * n)
+        sched = Schedule(sizes)
+        qs = schedule_quantizers(p, sched, "optimal")
+        specs = list(qs)
+        inst = sample_instance(p, "uniform", seed=3)
+        runs = []
+        for a in (list(inst), tuple(inst)):
+            for _ in range(2):
+                traj = run_closed_loop(p, a, sched, qs, 120, "uniform", 5)
+                runs.append((traj.samples, traj.verdict))
+            assert a == type(a)(inst)
+        assert len(runs[0][0]) > 50
+        assert all(run == runs[0] for run in runs[1:])
+        assert len(qs) == len(specs) and all(q is spec for q, spec in zip(qs, specs))
+        assert qs == schedule_quantizers(p, sched, "optimal")
+        assert p == UncertainPlant(n, a_star, eps, (1.0,) * n)
 
 
 def test_saturation_on_inadmissible_instance():
