@@ -13,7 +13,8 @@ closed-form worst rate is `v_rate`.
 
 Each step has one route. `Layouts.half` gives a size's boundary half h,
 `check_half` runs the checks a QuantizerSpec makes of h, and `cell_rates`
-gives a layout's per-cell rates (`worst_rates`, their maxima).
+gives a layout's per-cell rates (`worst_rates`, their maxima;
+`rate_floor`, a bound below every layout's worst rate).
 uniform_boundaries, optimal_boundaries, quantizer_for, QuantizerSpec,
 coefficient_expansion_rates and expansion_profile call them on one size.
 The rate table in `rates` calls them on every size it reads, with one
@@ -226,6 +227,18 @@ def cell_rates(h: Sequence[float], odd: int, a_abs: float, eps: float) -> list[f
             out.append(hi * b - lo * a)
             a = b
     return out
+
+
+def rate_floor(a_abs: float, eps: float) -> float:
+    """A lower bound on the worst of cell_rates over every boundary half that check_half passes.
+
+    The last cell [h_(K-1), 1/2] has rate hi/2 - lo h_(K-1) >= hi/2 - lo/2,
+    as h_(K-1) < 1/2, and so it has in floats, since each rounding is
+    monotone; with 0 in the box its rate is eps exactly.
+    """
+    if a_abs <= eps:
+        return eps
+    return (a_abs + eps) * 0.5 - (a_abs - eps) * 0.5
 
 
 def worst_rates(h: Sequence[float], N: int, p: UncertainPlant) -> tuple[float, ...]:

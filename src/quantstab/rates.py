@@ -25,7 +25,12 @@ Three layers:
   sizes share; no QuantizerSpec is built and no table is kept between
   reads. For scalar plants the search is exact: a knapsack with exactly m
   items, solved by depth-first branch and bound with the Lagrangian bound
-  of the lower convex hull of the (log rate, log2 size) points. Each node
+  of the lower convex hull of the (log rate, log2 size) points. It reads
+  the table only as far as a size can still be in a schedule that ties an
+  incumbent: no layout's worst rate is below the floor of its last cell
+  (quantizer.rate_floor), so the hull's LP value and that floor bound the
+  price of every unread size. At a zero floor (eps = 0) no such bound
+  exists and the whole table is read. Each node
   is decided exactly, by the float log sum outside its rounding band and
   inside it by the rate product, carried as an integer over a power of
   two. Higher-order plants get a flagged heuristic: a depth-first search
@@ -53,6 +58,7 @@ from .quantizer import (
     layouts_for,
     quantizer_for,
     r_ratio,
+    rate_floor,
     worst_rates,
 )
 
@@ -373,6 +379,105 @@ def _lower_hull(points: list[tuple[float, float]]) -> list[int]:
     return hull
 
 
+def _seeds(gvec: list[float], cvec: list[float], m_max: int, band: float) -> tuple[float, list[float]]:
+    """The cheapest seed average (inf without one) and the sorted slopes of the items' hull.
+
+    Seeds are the uniform schedules and the closed-form mixes of adjacent
+    lower-hull points of (g, c) = (ln w, log2 N), as _search_scalar_exact
+    describes. They only bound the search, so each keeps its float log sum at
+    least the rounding band below 0: it is certified. The slopes are the
+    negative ones of the hull's segments, and 0.
+    """
+    seed_target = -max(band, 1e-9)
+    ub = math.inf
+    for g, c in zip(gvec, cvec):
+        if m_max * g < seed_target:  # uniform schedule, any feasible period
+            ub = min(ub, c)
+    order = sorted(range(len(gvec)), key=lambda i: (gvec[i], cvec[i]))
+    hull = [order[h] for h in _lower_hull([(gvec[i], cvec[i]) for i in order])]
+    betas = [0.0]
+    for a, b in zip(hull, hull[1:]):
+        ga, gb, ca, cb = gvec[a], gvec[b], cvec[a], cvec[b]
+        if not (ga < gb and ca > cb):
+            continue
+        betas.append((cb - ca) / (gb - ga))
+        if not ga < 0.0 <= gb - seed_target:  # no mix of the pair beats the seeds
+            continue
+        # k slots of a and m - k of b: the cheapest feasible k in closed form
+        for m in range(2, m_max + 1):
+            k = max(1, math.floor((m * gb - seed_target) / (gb - ga)) + 1)
+            if k * ga + (m - k) * gb >= seed_target:
+                k += 1
+            if k < m and k * ga + (m - k) * gb < seed_target:
+                ub = min(ub, (k * ca + (m - k) * cb) / m)
+    betas.sort()
+    return ub, betas
+
+
+def _band(m_max: int, gvec: list[float]) -> float:
+    """Rounding band of a float log sum of at most m_max of the items' logs against 0.
+
+    Each log errs by less than one ulp (2u |g|), and each of the at most
+    m_max - 1 additions by u times a partial sum of at most k G, G = max |g|,
+    so a sum lies within u G m_max (m_max + 5) / 2 of the exact log of the
+    rates' product.
+    """
+    return (m_max + 2) ** 2 * _U * max(map(abs, gvec))
+
+
+def _scalar_rows(
+    p: UncertainPlant, m_max: int, N_max: int, family: str, margin: float
+) -> list[tuple[int, float, float]]:
+    """(N, log2 N, w) for the sizes of the rate table that a schedule within the caps can use.
+
+    Every rescaled rate is at least w_floor = rate_floor(|a*|, eps), as
+    w / z >= w, so an unread size N has g = ln w >= ln w_floor and, for a
+    slope beta <= 0, a price c - beta g of at least log2 N - beta ln w_floor.
+    The rows are read up to the first contracting size. From them come a
+    certified incumbent average ub (_seeds) and beta, the most negative hull
+    slope (0 for a single row), that of the segment straddling g = 0. A
+    schedule of m <= m_max items with sum g < 0 costs at least the sum of
+    its prices, so at least price_i + (m - 1) F for each of its items i, F
+    the smallest price, and its average stays above ub once
+    price_i > m_max ub - (m_max - 1) F, which is at least F since ub is the
+    average of such a schedule. So reading stops before the first size whose
+    price bound exceeds that, plus 1e-9 of the magnitudes compared for
+    rounding: no later size's bound is smaller, and F, the smallest price
+    read, is then the smallest of all. At a zero floor (eps = 0, or a zero-rate uniform plant)
+    ln w_floor does not exist and the whole table is read, as it is when
+    nothing contracts or the prefix holds no seed.
+    """
+    table = _rate_table(p, family, N_max, margin)
+    floor = rate_floor(abs(p.a_star[0]), p.eps[0])
+    rows: list[tuple[int, float, float]] = []
+    for N, c, (w,) in table:
+        rows.append((N, c, w))
+        if floor > 0.0 and w < 1.0:
+            break
+    else:
+        return rows  # a zero floor, or nothing contracts: the whole table
+    gvec = [math.log(w) for _, _, w in rows]
+    cvec = [c for _, c, _ in rows]
+    ub, betas = _seeds(gvec, cvec, m_max, _band(m_max, gvec))
+    if ub == math.inf:  # no incumbent to cap with
+        return rows + [(N, c, w) for N, c, (w,) in table]
+    beta, lnf = betas[0], math.log(floor)
+    F = min(c - beta * g for c, g in zip(cvec, gvec))
+    mag = max(c + abs(beta * g) for c, g in zip(cvec, gvec))  # scale of F's rounding
+    while True:
+        tol = 1e-9 * (m_max * (ub + mag) + abs(beta * lnf))
+        if math.log2(rows[-1][0] + 1) - beta * lnf > m_max * ub - (m_max - 1) * F + tol:
+            return rows  # before building the next size
+        row = next(table, None)
+        if row is None:
+            return rows
+        N, c, (w,) = row
+        g = math.log(w)
+        rows.append((N, c, w))
+        F = min(F, c - beta * g)
+        mag = max(mag, c + abs(beta * g))
+
+
 def _search_scalar_exact(
     p: UncertainPlant, m_max: int, N_max: int, family: str, margin: float
 ) -> ScheduleSearchResult | None:
@@ -412,8 +517,15 @@ def _search_scalar_exact(
     node carries its exact product as num / 2^shift next to its verdict. A
     child's float log sum decides outside its rounding band, and
     num < 2^shift inside it.
+
+    The items are the rows _scalar_rows reads: the table up to the first
+    contracting size, then further only while a size's price bound from the
+    rate floor can still tie the seeds of that prefix. A size left out is in no
+    schedule that ties the optimum, so the answer is the one the whole table
+    gives. The floor is 0 at eps = 0 and on a zero-rate uniform plant, where
+    its log does not exist; those rows read the whole table.
     """
-    rated = [(N, c, w) for N, c, (w,) in _rate_table(p, family, N_max, margin)]
+    rated = _scalar_rows(p, m_max, N_max, family, margin)
     if not rated:
         return None
     # A zero rate (the uniform family at a* = eps = 0) has no log, but every
@@ -439,36 +551,9 @@ def _search_scalar_exact(
     gmin = list(itertools.accumulate(reversed(gvec), min))[::-1]
     if gmin[0] >= 0.0 and best is None:
         return None  # nothing contracts, so no product ever can
-    # Rounding band of a float log sum against 0. Each log errs by less than
-    # one ulp (2u |g|), and each of the at most m_max - 1 additions by u times
-    # a partial sum of at most k G, G = max |g|, so a sum lies within
-    # u G m_max (m_max + 5) / 2 of the exact log of the rates' product.
-    band = (m_max + 2) ** 2 * _U * max(map(abs, gvec))
-
-    # Seeds only bound the search, so they keep at least the band below 0.
-    seed_target = -max(band, 1e-9)
-    ub = cvec[-1] + 1.0 if best is None else best[0]  # at or above the optimum
-    for g, c in zip(gvec, cvec):
-        if m_max * g < seed_target:  # uniform schedule, any feasible period
-            ub = min(ub, c)
-    order = sorted(range(nvals), key=lambda i: (gvec[i], cvec[i]))
-    hull = [order[h] for h in _lower_hull([(gvec[i], cvec[i]) for i in order])]
-    betas = [0.0]
-    for a, b in zip(hull, hull[1:]):
-        ga, gb, ca, cb = gvec[a], gvec[b], cvec[a], cvec[b]
-        if not (ga < gb and ca > cb):
-            continue
-        betas.append((cb - ca) / (gb - ga))
-        if not ga < 0.0 <= gb - seed_target:  # no mix of the pair beats the seeds
-            continue
-        # k slots of a and m - k of b: the cheapest feasible k in closed form
-        for m in range(2, m_max + 1):
-            k = max(1, math.floor((m * gb - seed_target) / (gb - ga)) + 1)
-            if k * ga + (m - k) * gb >= seed_target:
-                k += 1
-            if k < m and k * ga + (m - k) * gb < seed_target:
-                ub = min(ub, (k * ca + (m - k) * cb) / m)
-    betas.sort()
+    band = _band(m_max, gvec)
+    seeded, betas = _seeds(gvec, cvec, m_max, band)
+    ub = min(seeded, cvec[-1] + 1.0 if best is None else best[0])  # at or above the optimum
     # per slope, built on first use: item prices c_k - beta g_k and their suffix minima
     rows: list = [None] * len(betas)
 

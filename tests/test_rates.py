@@ -7,13 +7,14 @@ hand where the arithmetic is short (quadratics, log ratios of small ints).
 import itertools
 import math
 import operator
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quantstab import rates
+from quantstab import quantizer, rates
 from quantstab.plant import UncertainPlant
 from quantstab.quantizer import (
     QuantizerSpec,
@@ -930,9 +931,130 @@ def test_search_with_a_zero_rate_matches_brute_force(monkeypatch, m_max):
             if math.prod(Fraction(w) for _, _, (w,) in pick) < 1:
                 key = (sum(c for _, c, _ in pick) / m, m, tuple(N for N, _, _ in pick))
                 want = key if want is None or key < want else want
-    res = search_periodic_schedule(scalar_plant(2.0, 0.35), m_max, 4)
+    # a plant whose rate floor is 0, as a zero rate needs; the table stands in for its rates
+    res = search_periodic_schedule(scalar_plant(2.0, 0.0), m_max, 4)
     assert res is not None and res.exact
     assert (res.avg_rate, res.schedule.m, res.schedule.sizes) == want
+
+
+@pytest.mark.parametrize(
+    "a_star,eps",
+    [
+        (2.0, 0.35),
+        (-1.4, 0.35),
+        (3.0, 1e-15),
+        (3.0, 1e-16),  # r rounds to 1.0 and the floor to 0
+        (0.2, 0.5),  # 0 inside the coefficient box
+        (-0.5, 0.5),
+        (0.0, 0.3),
+        (3e-300, 1e-300),
+        (1e-300, 2e-300),
+        (1e300, 3e299),
+        (-2e300, 1e300),
+    ],
+)
+def test_rate_floor_bounds_every_worst_rate(a_star, eps):
+    # the exact search caps its table on this floor: every size's worst rate
+    # in either family, and every rescaling of it, is at least rate_floor
+    p = scalar_plant(a_star, eps)
+    floor = quantizer.rate_floor(abs(a_star), eps)
+    margins = (0.0, 0.3, 0.999, 1.0 - 2.0**-53)
+    for family in ("optimal", "uniform"):
+        try:
+            layouts = quantizer.layouts_for(family, p)
+        except ValueError:
+            continue  # the optimal family needs an expanding box
+        for n_level in range(2, 1025):
+            try:
+                h = layouts.half(n_level)
+                quantizer.check_half(n_level, h)
+            except ValueError:
+                continue
+            w = quantizer.worst_rates(h, n_level, p)
+            for margin in margins:
+                assert rates._rescaled(w, margin)[0] >= floor, (family, n_level, margin)
+
+
+def search_case(rng):
+    """Random scalar search inputs: plant, caps, family and margin.
+
+    Small eps keeps its caps small: those rows cap little and search long.
+    """
+    eps = rng.choice([0.0, 1e-9, 1e-6, 1e-4, 0.01, 0.05, 0.1, 0.2, 0.35, 0.5, 0.7, 0.9])
+    family = rng.choice(["optimal", "uniform"])
+    if family == "uniform" and rng.random() < 0.2:
+        lam = rng.uniform(0.0, 2.0)  # 0 may lie inside the box
+    else:
+        lam = eps + 1.0 + rng.uniform(0.01, 4.0)
+    lam = rng.choice([1, -1]) * round(lam, rng.choice([2, 4, 17]))
+    small = eps < 0.01
+    m_max = rng.randint(1, 4 if small else 32)
+    n_max = rng.randint(2, 32 if small else 64)
+    margin = rng.choice([0.0, 0.0, round(rng.uniform(0.0, 0.3), 3)])
+    return scalar_plant(lam, eps), m_max, n_max, family, margin
+
+
+def test_capped_table_search_matches_the_full_table(monkeypatch):
+    # with the floor forced to 0 the search reads every size, as without a cap
+    rng = random.Random(20261019)
+    cases = [search_case(rng) for _ in range(600)]
+    capped = [(rates._scalar_rows(*c), search_periodic_schedule(*c)) for c in cases]
+    monkeypatch.setattr(rates, "rate_floor", lambda a_abs, eps: 0.0)
+    shorter = 0
+    for case, (rows, res) in zip(cases, capped):
+        full = rates._scalar_rows(*case)
+        assert rows == full[: len(rows)], case
+        shorter += len(rows) < len(full)
+        want = search_periodic_schedule(*case)
+        if want is None:
+            assert res is None, case
+        else:
+            assert res is not None, case
+            assert (res.schedule.sizes, repr(res.avg_rate), res.exact) == (
+                want.schedule.sizes, repr(want.avg_rate), want.exact), case
+    assert shorter >= len(cases) // 3  # the cap reads less on a good share
+
+
+def test_cap_keeps_a_dear_size_that_closes_the_winner(monkeypatch):
+    # a winner can hold a size whose price is above the incumbent, such as the
+    # closing 5 of (2, 2, 2, 2, 3, 3, 5) at lambda = 2.05, m_max 8; the cap's
+    # (m_max - 1) F term keeps it. Make the floor tight there: the criterion-9
+    # table ends at the winner's largest size, and the plant's floor is that
+    # size's rate, within an ulp, so the floor bounds the size's price exactly
+    table = rates._rate_table
+    for j in range(53):
+        lam = 1.40 + 0.05 * j
+        for m_max in (8, 16):
+            want = search_periodic_schedule(scalar_plant(lam, 0.35), m_max, 64).schedule.sizes
+            rows = list(table(scalar_plant(lam, 0.35), "optimal", max(want), 0.0))
+            (w,) = rows[-1][2]
+            eps = w
+            while quantizer.rate_floor(lam, eps) > w:  # the floor may round above eps
+                eps = math.nextafter(eps, 0.0)
+            monkeypatch.setattr(rates, "_rate_table", lambda *args: iter(rows))
+            got = search_periodic_schedule(scalar_plant(lam, eps), m_max, max(want))
+            monkeypatch.setattr(rates, "_rate_table", table)
+            assert got is not None and got.schedule.sizes == want, (lam, m_max)
+
+
+def test_criterion_9_searches_build_few_layouts(monkeypatch):
+    # the cap stops each row's table early: the 53 criterion-9 searches build
+    # under 1 000 boundary halves, where reading sizes 2..64 built 3 339;
+    # a known plant has a zero floor, so its search still reads every size
+    built = [0]
+    real = quantizer.Layouts.half
+
+    def counting_half(layouts, n_level):
+        built[0] += 1
+        return real(layouts, n_level)
+
+    monkeypatch.setattr(quantizer.Layouts, "half", counting_half)
+    for j in range(53):
+        assert search_periodic_schedule(scalar_plant(1.40 + 0.05 * j, 0.35), 32, 64) is not None
+    assert built[0] <= 1000
+    built[0] = 0
+    assert search_periodic_schedule(scalar_plant(2.75, 0.0), 2, 64) is not None
+    assert built[0] == 63
 
 
 def test_search_heuristic_n2_is_feasible_and_flagged():
