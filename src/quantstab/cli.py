@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 failed verification or failed run, 2 bad config.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -62,7 +63,8 @@ MAX_N_MAX = 1024  # alphabet size: the rate searches grow faster than linearly
 MAX_M_MAX = 256  # schedule period, likewise
 MAX_ORDER = 24  # plant order: a schedule row at the caps above takes ~2 s at n = 24
 MAX_STEPS = 200_000  # closed-loop steps of one simulate run, horizon x instances
-MIN_RESOLUTION = 2e-4  # verify grid step: the grid's memory grows as its inverse square
+MIN_RESOLUTION = 2e-4  # verify grid step: time grows as its inverse square, memory stays one tile
+CSV_CHUNK_ROWS = 1024  # trajectory rows formatted and written at a time
 # initial output bound b: the first scaling 2 b must be finite, and a run that
 # stabilizes stops under CONVERGENCE_RATIO * 2 b, which must be a normal float
 MAX_INIT_BOUND = sys.float_info.max / 2
@@ -326,13 +328,15 @@ def _bounds_row(args) -> list[str]:
     return [",".join(row), note]
 
 
-def _emit(lines: list[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
+def _emit(chunks, out: str | None) -> None:
+    """Write each chunk, a nonempty list of CSV lines, in one call, to out or stdout."""
     if out is None:
-        sys.stdout.write(text)
+        sink = contextlib.nullcontext(sys.stdout)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        sink = open(out, "w", encoding="utf-8", newline="")
+    with sink as fh:
+        for lines in chunks:
+            fh.write("\n".join(lines) + "\n")
 
 
 def worker_count(jobs: int) -> int:
@@ -364,7 +368,7 @@ def cmd_sweep(cfg: Config, opts) -> int:
         rows = _run_rows(_bounds_row, opts.jobs, args)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    _emit([RATES_CSV_HEADER] + [r[0] for r in rows], opts.out)
+    _emit([[RATES_CSV_HEADER] + [r[0] for r in rows]], opts.out)
     for _, note in rows:
         if note:
             print(note)
@@ -396,6 +400,23 @@ def _sim_one(p, sched, qs, horizon, mode, seed, i, init_mode):
     return traj.verdict, "", traj
 
 
+def _trajectory_chunks(samples, verdict: str):
+    """The single-run CSV as line lists of at most CSV_CHUNK_ROWS sample rows,
+    the header on the first list and the verdict on the last."""
+    lines = [TRAJECTORY_CSV_HEADER]
+    for i in range(0, len(samples), CSV_CHUNK_ROWS):
+        if i:
+            yield lines
+            lines = []
+        chunk = samples[i : i + CSV_CHUNK_ROWS]
+        lines += [
+            _TRAJECTORY_ROW % (k, y, s, sigma, e_lo, e_hi, u)
+            for k, (y, s, sigma, e_lo, e_hi, _, _, u) in enumerate(chunk, i)
+        ]
+    lines.append(f"# verdict={verdict}")
+    yield lines
+
+
 def cmd_simulate(cfg: Config, opts) -> int:
     p = plant_from_config(cfg)
     sizes = cfg.get_ints("simulate", "sizes", None)
@@ -423,12 +444,7 @@ def cmd_simulate(cfg: Config, opts) -> int:
         if traj is None:
             print(f"run failed: {diag}", file=sys.stderr)
             return 1
-        lines = [TRAJECTORY_CSV_HEADER] + [
-            _TRAJECTORY_ROW % (k, y, s, sigma, e_lo, e_hi, u)
-            for k, (y, s, sigma, e_lo, e_hi, _, _, u) in enumerate(traj.samples)
-        ]
-        lines.append(f"# verdict={verdict}")
-        _emit(lines, opts.out)
+        _emit(_trajectory_chunks(traj.samples, verdict), opts.out)
         print(f"verdict: {verdict}")
         return 0
 
@@ -445,7 +461,7 @@ def cmd_simulate(cfg: Config, opts) -> int:
             print(f"instance {i} failed: {diag}", file=sys.stderr)
         else:
             lines.append(f"{i},{verdict},{traj.steps},{fmt(traj.min_sigma_ratio())}")
-    _emit(lines, opts.out)
+    _emit([lines], opts.out)
     summary = " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
     print(f"instances={instances} {summary}")
     return 1 if failed else 0
@@ -464,7 +480,7 @@ def cmd_quantizer(cfg: Config, opts) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     lines = ["l,h_l"] + [f"{l},{fmt(hv)}" for l, hv in enumerate(q.h)]
-    _emit(lines, opts.out)
+    _emit([lines], opts.out)
     return 0
 
 
@@ -512,7 +528,7 @@ def cmd_verify(cfg: Config, opts) -> int:
     lines = ["case,closed_form,oracle,abs_diff,pass"]
     lines += [f"{name},{fmt(c)},{fmt(g)},{fmt(d)},{int(ok)}" for name, c, g, d, ok in rows]
     passed = sum(ok for *_, ok in rows)
-    _emit(lines, opts.out)
+    _emit([lines], opts.out)
     print(f"verify: {passed}/{len(rows)} checks passed")
     return 0 if passed == len(rows) else 1
 

@@ -53,21 +53,43 @@ def _worst_rate(cols, lam: float, eps: float, odd: bool):
     return worst
 
 
+_TILE_POINTS = 1 << 14
+"""Most grid points `_grid_argmin` evaluates at once: each float64 temporary
+takes at most 128 KiB, glibc's default mmap threshold, at any resolution."""
+
+
 def _grid_argmin(axes, lam: float, eps: float, odd: bool) -> list:
     """Point of the grid axes[0] x axes[1] x ... with the least worst rate.
 
     Only points whose free boundaries increase strictly inside (0, 1/2)
-    count; ties go to the first point in C order.
+    count; ties go to the first point in C order. The axes are increasing,
+    so the entries outside (0, 1/2) are dropped first. The grid is then
+    evaluated in tiles of rows of axes[0], in order, of at most _TILE_POINTS
+    points each; a tile spans only the entries of axes[1] above its first
+    row, since no other entry increases from any of its rows. A later tile
+    wins only when strictly lower, so the answer is the whole grid's first
+    minimum.
     """
     import numpy as np
 
-    grid = np.ix_(*axes)
-    vals = _worst_rate((0.0, *grid, 0.5), lam, eps, odd)
-    ok = (grid[0] > 0.0) & (grid[-1] < 0.5)
-    for lo, hi in zip(grid, grid[1:]):
-        ok = ok & (lo < hi)
-    idx = np.unravel_index(int(np.argmin(np.where(ok, vals, np.inf))), vals.shape)
-    return [ax[i] for ax, i in zip(axes, idx)]
+    axes = [ax[(ax > 0.0) & (ax < 0.5)] for ax in axes]
+    rows = max(1, _TILE_POINTS // math.prod(len(ax) for ax in axes[1:]))
+    best, least = None, math.inf
+    for i in range(0, len(axes[0]), rows):
+        tile = [axes[0][i : i + rows], *axes[1:]]
+        if len(axes) > 1:
+            tile[1] = tile[1][np.searchsorted(tile[1], tile[0][0], side="right") :]
+            if not len(tile[1]):
+                break
+        grid = np.ix_(*tile)
+        vals = _worst_rate((0.0, *grid, 0.5), lam, eps, odd)
+        for lo, hi in zip(grid, grid[1:]):
+            vals = np.where(lo < hi, vals, np.inf)
+        at = int(np.argmin(vals))
+        if best is None or vals.flat[at] < least:
+            least = vals.flat[at]
+            best = [ax[j] for ax, j in zip(tile, np.unravel_index(at, vals.shape))]
+    return best
 
 
 def grid_optimal_boundaries(
@@ -224,7 +246,7 @@ def exhaustive_encode_decode(q: QuantizerSpec, samples: int) -> bool:
         return False
     if any(not (a < b) for a, b in zip(edges, edges[1:])):
         return False
-    pts = list(np.linspace(-0.5, 0.5, samples))
+    pts = np.linspace(-0.5, 0.5, samples).tolist()
     for e in edges:
         pts.append(e)
         pts.append(min(0.5, e + 1e-12))

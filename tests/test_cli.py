@@ -460,6 +460,44 @@ def test_simulate_zero_width_prediction_stabilizes(tmp_path, capsys):
     assert capsys.readouterr() == ("verdict: stabilized\n", "")
 
 
+# a* = 3 and N = 3 keep the scaling level, so a run takes every step of its
+# horizon and writes horizon + 1 sample rows
+LEVEL_RUN = "[plant]\nn = 1\na_star = 3.0\neps = 0.0\n\n[simulate]\nN = 3\nhorizon = {horizon}\n"
+
+
+CHUNK = cli.CSV_CHUNK_ROWS
+
+
+# lines per write: the header rides on the first chunk and the verdict on the last
+@pytest.mark.parametrize(
+    "extra,writes",
+    [(-1, [1 + CHUNK, CHUNK - 1 + 1]), (0, [1 + CHUNK, CHUNK + 1]), (1, [1 + CHUNK, CHUNK, 1 + 1])],
+)
+def test_chunked_trajectory_csv_equals_one_join(tmp_path, capsys, extra, writes):
+    rows = 2 * CHUNK + extra
+    cfg = write(tmp_path, "t.cfg", LEVEL_RUN.format(horizon=rows - 1))
+    p = plant_from_config(cli.load_config(cfg))
+    sched = cli.Schedule((3,))
+    qs = cli.schedule_quantizers(p, sched, "optimal")
+    verdict, _, traj = cli._sim_one(p, sched, qs, rows - 1, "uniform", 0, 0, "uniform")
+    assert len(traj.samples) == rows
+    want = "\n".join(
+        [TRAJECTORY_CSV_HEADER]
+        + [
+            f"{k},{fmt(y)},{s},{fmt(sigma)},{fmt(e_lo)},{fmt(e_hi)},{fmt(u)}"
+            for k, (y, s, sigma, e_lo, e_hi, _, _, u) in enumerate(traj.samples)
+        ]
+        + [f"# verdict={verdict}"]
+    ) + "\n"
+    assert [len(c) for c in cli._trajectory_chunks(traj.samples, verdict)] == writes
+    out = tmp_path / "t.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert out.read_bytes() == want.encode()
+    assert capsys.readouterr() == (f"verdict: {verdict}\n", "")
+    assert main(["simulate", "--config", cfg]) == 0
+    assert capsys.readouterr() == (want + f"verdict: {verdict}\n", "")
+
+
 def test_simulate_monte_carlo_summary(tmp_path, capsys):
     cfg = write(tmp_path, "s.cfg", SIM_CFG.format(instances=4))
     out = tmp_path / "runs.csv"

@@ -3,19 +3,23 @@
 `grid_optimal_boundaries` and `relaxation_probes` evaluate every grid point
 or probe of a block as one array expression. The references below are the
 earlier per-point formulations: the grid search over a stacked boundary
-array with a max along its last axis, and the relaxation probes as a
-scalar loop, one probe at a time. The grid route must return the same
-floats bit for bit; the probe route the same acceptance mask, with each
+array with a max along its last axis, in one shot, and the relaxation
+probes as a scalar loop, one probe at a time. The grid route, which
+evaluates the grid in tiles of rows, must return the same floats bit for
+bit; the probe route the same acceptance mask, with each
 probe's geometric mean within 1e-14 relative (numpy's log, exp and power
 may differ from the C library's in the last unit).
 """
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from quantstab import oracle
+from quantstab.cli import MIN_RESOLUTION
 from quantstab.oracle import (
     PROBE_BLOCK,
     grid_optimal_boundaries,
@@ -93,13 +97,71 @@ def _random_cases(count=30, seed=20):
     return cases
 
 
-@pytest.mark.parametrize("lam,eps,N,resolution", CANONICAL + _random_cases())
+def _tile_rows(resolution):
+    """(axis length, rows per tile) of the N = 5, 6 coarse grid."""
+    n = len(np.arange(resolution, 0.5, resolution))
+    return n, max(1, oracle._TILE_POINTS // n)
+
+
+# N = 5 and 6 at resolutions where the coarse grid's axis is cut into tiles
+# with a short last tile, a last tile with no column above its first row,
+# and whole tiles only
+TILED = [
+    (lam, eps, N, resolution)
+    for lam, eps in ((3.0, 0.35), (2.0, 0.5), (2.5, 0.0))
+    for N in (5, 6)
+    for resolution in (5e-4, 7e-4, 9.05e-4, 8e-4)
+]
+
+
+def test_tiled_resolutions_cover_every_last_tile():
+    # a remainder of 1 puts the last tile on the last row, with no column above it
+    shapes = [_tile_rows(r) for r in (5e-4, 7e-4, 9.05e-4, 8e-4)]
+    assert all(n > rows for n, rows in shapes)
+    assert [n % rows for n, rows in shapes] == [7, 10, 1, 0]
+
+
+@pytest.mark.parametrize("lam,eps,N,resolution", CANONICAL + _random_cases() + TILED)
 def test_grid_equals_stacked_reference_bit_for_bit(lam, eps, N, resolution):
     got = grid_optimal_boundaries(lam, eps, N, resolution)
     h, value = _stacked_grid(lam, eps, N, resolution)
     assert got.h == h
     assert got.value == value
     assert all(type(x) is float for x in got.h) and type(got.value) is float
+
+
+# eps = 0 points whose coarse minimum is met exactly in two rows on either
+# side of a tile boundary
+TIES = [(2.0, 5, 5.33e-4), (3.0, 5, 6.22e-4), (2.0, 6, 5.44e-4)]
+
+
+@pytest.mark.parametrize("lam,N,resolution", TIES)
+def test_coarse_tie_across_tiles_goes_to_the_first_point(lam, N, resolution):
+    axis = np.arange(resolution, 0.5, resolution)
+    odd = N % 2 == 1
+    h1, h2 = axis[:, None], axis[None, :]
+    full = np.stack(np.broadcast_arrays(0.0 * h1, h1, h2, 0.5 + 0.0 * h2), axis=-1)
+    vals = np.where(h1 < h2, _stacked_worst_rate(full, lam, 0.0, odd), np.inf)
+    rows_at_min = np.nonzero(vals == vals.min())[0]
+    tiles = set(rows_at_min // _tile_rows(resolution)[1])
+    assert len(tiles) > 1
+    i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
+    assert oracle._grid_argmin([axis, axis], lam, 0.0, odd) == [axis[i], axis[j]]
+    h, value = _stacked_grid(lam, 0.0, N, resolution)
+    got = grid_optimal_boundaries(lam, 0.0, N, resolution)
+    assert (got.h, got.value) == (h, value)
+
+
+@pytest.mark.parametrize("N", [5, 6])
+def test_grid_at_the_cli_floor_stays_in_a_few_tiles_of_memory(N):
+    # the one-shot grid traced 101 MB here
+    tracemalloc.start()
+    try:
+        grid_optimal_boundaries(3.0, 0.35, N, MIN_RESOLUTION)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 # ---------------------------------------------------------------------------
