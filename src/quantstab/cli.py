@@ -379,8 +379,9 @@ def cmd_sweep(cfg: Config, opts) -> int:
 # simulate
 
 
-def _sim_one(p, sched, qs, horizon, mode, seed, i, init_mode):
-    """(verdict, diagnostic, trajectory) of instance i.
+def _sim_one(p, sched, qs, horizon, mode, seed, i, init_mode, record=True):
+    """(verdict, diagnostic, trajectory) of instance i; record=False keeps
+    no samples in the trajectory.
 
     A run that raises has no trajectory: its verdict is "saturated" for a
     SaturationError and "failed" for a malformed set or a broken invariant.
@@ -392,7 +393,9 @@ def _sim_one(p, sched, qs, horizon, mode, seed, i, init_mode):
         seed=[seed, i, 0] if mode == "uniform" else None,
     )
     try:
-        traj = run_closed_loop(p, a, sched, qs, horizon, init_mode, init_seed=[seed, i, 1])
+        traj = run_closed_loop(
+            p, a, sched, qs, horizon, init_mode, init_seed=[seed, i, 1], record=record
+        )
     except SaturationError as exc:
         return "saturated", str(exc), None
     except (ValueError, InvariantViolation) as exc:
@@ -453,7 +456,7 @@ def cmd_simulate(cfg: Config, opts) -> int:
     counts: dict[str, int] = {}
     failed = 0
     for i in range(instances):
-        verdict, diag, traj = _sim_one(p, sched, qs, horizon, mode, seed, i, init_mode)
+        verdict, diag, traj = _sim_one(p, sched, qs, horizon, mode, seed, i, init_mode, False)
         counts[verdict] = counts.get(verdict, 0) + 1
         if traj is None:
             failed += 1

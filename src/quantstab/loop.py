@@ -23,8 +23,15 @@ expansion of each symbol's cell. The per-step state is a ring of the last
 n estimates, newest first, each a tuple (lo, hi, sigma, env, factors,
 rate_n), and a history of the last n outputs. Both are deques of length n
 that a step updates in place, so a step allocates only its sample tuple
-and its ring entry, besides floats. Each time index leaves one tuple in
-`Trajectory.samples`.
+and its ring entry, besides floats. A recorded run leaves one tuple per
+time index in `Trajectory.samples`; a run with record=False, as each
+instance of a Monte-Carlo batch is, keeps no sample and tracks only the
+step count and the smallest scaling, which are all a summary row reads.
+
+The uniform initial outputs are the draws of
+`np.random.default_rng(init_seed).uniform(-b, b)`, oldest output first,
+which `plant._uniform_draws` reproduces bit for bit without numpy, so a
+run loads no numpy; the `zero` and `endpoints` modes draw nothing.
 
 The step is one loop body in `run_closed_loop` that computes each
 quantity once: the lower bound on the next scaling is the last term of the
@@ -45,7 +52,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .intervals import check_hull, interval_product, minkowski_sum
-from .plant import UncertainPlant
+from .plant import UncertainPlant, _uniform_draws
 from .quantizer import (
     QuantizerSpec,
     SaturationError,
@@ -67,29 +74,28 @@ class InvariantViolation(RuntimeError):
 
 @dataclass
 class Trajectory:
-    """Verdict, initial scaling and the state of every simulated time index.
+    """Verdict, initial scaling, loop steps taken after time 0, the smallest
+    scaling, and the state of every simulated time index if recorded.
 
     samples[k] is the plain tuple (y, s, sigma, est_lo, est_hi, pred_lo,
     pred_hi, u) of time k: the output, the transmitted symbol (1..N), the
     scaling, the decoded estimate, the predicted set for the next output
     and the input cancelling its midpoint, the last two recorded on the row
-    of the time they were computed at.
+    of the time they were computed at. A run with record=False leaves
+    samples empty.
     """
 
     samples: list[tuple]
     verdict: str
     sigma0: float
-
-    @property
-    def steps(self) -> int:
-        """Loop steps taken after time 0."""
-        return len(self.samples) - 1
+    steps: int
+    min_sigma: float
 
     def sigmas(self) -> list[float]:
         return [t[2] for t in self.samples]
 
     def min_sigma_ratio(self) -> float:
-        return min(t[2] for t in self.samples) / self.sigma0
+        return self.min_sigma / self.sigma0
 
 
 def predict(box, ests) -> tuple[float, float]:
@@ -117,16 +123,6 @@ INIT_MODES = ("endpoints", "zero", "uniform")
 """Initial-output modes that run_closed_loop accepts."""
 
 
-def _init_mode_value(mode: str, bound: float, rng) -> float:
-    if mode == "endpoints":
-        return bound
-    if mode == "zero":
-        return 0.0
-    if mode == "uniform":
-        return float(rng.uniform(-bound, bound))
-    raise ValueError(f"unknown init mode {mode!r}")
-
-
 def run_closed_loop(
     p: UncertainPlant,
     a: Sequence[float],
@@ -135,6 +131,7 @@ def run_closed_loop(
     horizon: int = 500,
     init_mode: str = "uniform",
     init_seed: int | None = None,
+    record: bool = True,
 ) -> Trajectory:
     """Simulate the loop from seeded initial outputs until verdict or horizon.
 
@@ -144,9 +141,16 @@ def run_closed_loop(
     times its initial value, "diverged" past DIVERGENCE_RATIO times it,
     else "horizon_exhausted".
 
+    The initial outputs y_{-n+1} .. y_0 are the init_bounds b themselves
+    ("endpoints"), zero, or ("uniform") the draws of
+    np.random.default_rng(init_seed).uniform(-b, b), oldest first, bit for
+    bit, made without numpy. With record=False the run keeps no samples;
+    its verdict, steps and min_sigma_ratio() are those of the recorded run.
+
     Step k is one loop body over local floats: it encodes y_k against the
     scaling sigma_k and decodes its cell, checks the invariants, predicts
-    the next output set, records sample k, and steps the plant with the
+    the next output set, keeps the smallest scaling so far and records
+    sample k (unless record=False), and steps the plant with the
     input that cancels the predicted midpoint. It pushes its estimate onto
     the ring and its output onto the history in place, each dropping its
     oldest entry; each call builds both afresh and writes to no argument.
@@ -175,13 +179,16 @@ def run_closed_loop(
         rate_of = rates_n[:0:-1] + rates_n if q.N % 2 else rates_n[::-1] + rates_n
         slots.append((q.edges, q.N, expansion_profile(q, p), rate_of))
 
-    import numpy as np
-
-    rng = np.random.default_rng(init_seed)
-    # y_{-n+1} .. y_0, drawn oldest first into the history, newest first
-    history = deque(maxlen=p.n)
-    for b in p.init_bounds:
-        history.appendleft(_init_mode_value(init_mode, b, rng))
+    if init_mode == "uniform":
+        init = _uniform_draws(init_seed, [(-b, b) for b in p.init_bounds])
+    elif init_mode == "endpoints":
+        init = p.init_bounds
+    elif init_mode == "zero":
+        init = (0.0,) * p.n
+    else:
+        raise ValueError(f"unknown init mode {init_mode!r}")
+    # y_{-n+1} .. y_0, oldest first, into the history, newest first
+    history = deque(reversed(init), maxlen=p.n)
 
     # ring of the last n estimates, newest first; each entry is
     # (lo, hi, sigma, env, factors, rate_n): the estimate, its scaling, its
@@ -199,7 +206,7 @@ def run_closed_loop(
     samples: list[tuple] = []
     verdict = "horizon_exhausted"
     y = history[0]
-    sigma = sigma0
+    sigma = min_sigma = sigma0
     # step k - 1's predicted set and input, and the exact lower bound on
     # sigma_k: its last prediction term, box_n times the oldest estimate
     lo = hi = u = lower = 0.0
@@ -288,7 +295,10 @@ def run_closed_loop(
         lower = t_hi - t_lo
         sigma_next = hi - lo
         u = -(0.5 * (lo + hi))
-        samples.append((y, s, sigma, e_lo, e_hi, lo, hi, u))
+        if sigma < min_sigma:
+            min_sigma = sigma
+        if record:
+            samples.append((y, s, sigma, e_lo, e_hi, lo, hi, u))
         if sigma < stabilized_below:
             verdict = "stabilized"
             break
@@ -311,4 +321,4 @@ def run_closed_loop(
         sigma = sigma_next
         k += 1
 
-    return Trajectory(samples, verdict, sigma0)
+    return Trajectory(samples, verdict, sigma0, k, min_sigma)

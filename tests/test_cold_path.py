@@ -2,8 +2,9 @@
 
 Each test runs a fresh interpreter with sys.modules["numpy"] = None, so any
 import of numpy, from any module, raises at the line that makes it. Only the
-eigvals diagnostics, the random streams and the oracles load numpy, on first
-use: `simulate`, `verify` and n >= 2 `schedule` rows.
+eigvals diagnostics and the oracles load numpy, on first use: `verify` and
+n >= 2 `schedule` rows. `simulate` draws its seeded uniform instances and
+initial outputs without numpy, bit for bit as numpy's default_rng would.
 """
 
 import os
@@ -93,4 +94,33 @@ def test_command_without_numpy_writes_the_same_bytes(command, text, tmp_path):
     res = run_cli_blocked([command, "--config", str(cfg), "--out", str(blocked)], tmp_path)
     assert (res.returncode, res.stderr) == (0, "")
     assert main([command, "--config", str(cfg), "--out", str(ref)]) == 0
+    assert blocked.read_bytes() == ref.read_bytes()
+
+
+SIMULATE_CFG = """\
+[plant]
+n = 2
+a_star = 0.3, 2.2
+eps = 0.02, 0.2
+init_bounds = 1.0, 0.5
+
+[simulate]
+N = 6
+horizon = 60
+instances = {instances}
+instance_mode = uniform
+init_mode = uniform
+seed = 11
+"""
+
+
+@pytest.mark.parametrize("instances", [1, 24], ids=["single", "batch"])
+def test_simulate_without_numpy_writes_the_same_bytes(instances, tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(SIMULATE_CFG.format(instances=instances), encoding="utf-8")
+    blocked, ref = tmp_path / "blocked.csv", tmp_path / "ref.csv"
+    res = run_cli_blocked(["simulate", "--config", str(cfg), "--out", str(blocked)], tmp_path)
+    code = main(["simulate", "--config", str(cfg), "--out", str(ref)])
+    out, err = capsys.readouterr()
+    assert (res.returncode, res.stdout, res.stderr) == (code, out, err)
     assert blocked.read_bytes() == ref.read_bytes()

@@ -14,7 +14,6 @@ from quantstab.loop import (
     REL_GUARD,
     InvariantViolation,
     Trajectory,
-    _init_mode_value,
     control_input,
     predict,
     run_closed_loop,
@@ -313,6 +312,17 @@ def cell_rate_index(q, s):
     return abs(s - center)
 
 
+def init_mode_value(mode, bound, rng):
+    """Initial output of one init mode, uniform ones drawn from numpy's rng."""
+    if mode == "endpoints":
+        return bound
+    if mode == "zero":
+        return 0.0
+    if mode == "uniform":
+        return float(rng.uniform(-bound, bound))
+    raise ValueError(f"unknown init mode {mode!r}")
+
+
 def reference_run(p, inst, sched, family="optimal", horizon=500, init_mode="uniform", init_seed=None):
     """The closed loop with every step written against the public functions.
 
@@ -336,7 +346,7 @@ def reference_run(p, inst, sched, family="optimal", horizon=500, init_mode="unif
         slots.append((q, expansion_profile(q, p), rate_of))
 
     rng = np.random.default_rng(init_seed)
-    y_hist = [_init_mode_value(init_mode, b, rng) for b in p.init_bounds]  # oldest first
+    y_hist = [init_mode_value(init_mode, b, rng) for b in p.init_bounds]  # oldest first
     # oldest first: (lo, hi, sigma, env, factors, rate_n) of each estimate
     ring = [(-b, b, 2.0 * b, 2.0 * b, box_factors, box_factors[-1]) for b in p.init_bounds[:-1]]
 
@@ -413,7 +423,7 @@ def reference_run(p, inst, sched, family="optimal", horizon=500, init_mode="unif
         y_k, s_k = y_next, s_next
         k += 1
 
-    return Trajectory(samples, verdict, sigma0)
+    return Trajectory(samples, verdict, sigma0, len(samples) - 1, min(t[2] for t in samples))
 
 
 def bits(traj):
@@ -537,3 +547,57 @@ def test_replay_edge_cases_bit_for_bit(a_star, eps, bounds, a, sizes, family, in
         assert got[0][0][-1] == (-0.0).hex()
     if not isinstance(got[0], list):
         assert failing_horizon(run_closed_loop, args, 80) == failing_horizon(reference_run, args, 80)
+
+
+# ---------------------------------------------------------------------------
+# an unrecorded run, as each Monte-Carlo batch instance is, against a recorded one
+
+
+def summary(args, record):
+    """(verdict, steps, min_sigma_ratio bits) of the run, or what it raised."""
+    try:
+        traj = run_closed_loop(*args, record=record)
+    except (ValueError, InvariantViolation, SaturationError) as exc:
+        return type(exc), str(exc)
+    if record:
+        assert traj.steps == len(traj.samples) - 1
+        assert traj.min_sigma == min(traj.sigmas())
+    else:
+        assert traj.samples == []
+    return traj.verdict, traj.steps, traj.min_sigma_ratio().hex()
+
+
+# the edge cases' failing runs: a malformed set and a broken invariant
+FAILING = [
+    ((1e300,), (0.0,), (1e10,), (1e300,), (3,), "uniform", "endpoints"),
+    ((3.0,), (0.5,), (1e-307,), (3.0,), (8,), "optimal", "uniform"),
+]
+
+
+def test_unrecorded_run_summarizes_as_the_recorded_one():
+    rng = random.Random(29)
+    cases = []
+    while len(cases) < 150:
+        p, inst, sched, family, horizon, init_mode, init_seed = random_case(rng)
+        if p.n <= 3:
+            cases.append((p, inst, sched, family, horizon, init_mode, [init_seed, len(cases), 1]))
+    for a_star, eps, bounds, a, sizes, family, init_mode in FAILING:
+        p = UncertainPlant(len(a_star), a_star, eps, bounds)
+        cases.append((p, a, Schedule(sizes), family, 80, init_mode, 0))
+    seen = set()
+    drawn = set()
+    for args in cases:
+        p, _, _, family, _, init_mode, _ = args
+        drawn |= {("n", p.n), family, init_mode}
+        got = summary(args, False)
+        assert got == summary(args, True), args
+        seen.add(got[0])
+    assert drawn >= {("n", 1), ("n", 2), ("n", 3), "optimal", "uniform", *INIT_MODES}
+    assert seen >= {
+        "stabilized",
+        "diverged",
+        "horizon_exhausted",
+        SaturationError,
+        ValueError,
+        InvariantViolation,
+    }, seen

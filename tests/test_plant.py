@@ -1,13 +1,17 @@
 """Uncertain plant model: parameter boxes, stepping, instance sampling."""
 
 import math
+import random
+import secrets
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from quantstab.intervals import hull_contains
 from quantstab.plant import (
     UncertainPlant,
+    _uniform_draws,
     sample_instance,
     step,
 )
@@ -107,3 +111,57 @@ def test_vertex_and_uniform_always_admissible(idx, seed):
     p = UncertainPlant(2, (1.0, 3.0), (0.10, 0.35), (1.0, 1.0))
     assert is_admissible(p, sample_instance(p, "vertex", index=idx))
     assert is_admissible(p, sample_instance(p, "uniform", seed=seed))
+
+
+# ---------------------------------------------------------------------------
+# the pure-Python draws against numpy's default_rng
+
+
+def numpy_draws(entropy, boxes):
+    rng = np.random.default_rng(entropy)
+    return [float(rng.uniform(lo, hi)) for lo, hi in boxes]
+
+
+def random_entropy(rng):
+    """A plain int, a [seed, i, k] list, or a list with zero words and words
+    at and past 2**32 and 2**64."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.choice((0, rng.randrange(2**32), rng.getrandbits(200)))
+    if kind == 1:
+        return [rng.randrange(10**6), rng.randrange(5000), rng.randrange(2)]
+    word = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 5)
+    return [rng.choice(word) if rng.random() < 0.5 else rng.getrandbits(70) for _ in range(rng.randint(1, 7))]
+
+
+def test_uniform_draws_equal_default_rng_bit_for_bit():
+    rng = random.Random(15)
+    for _ in range(2000):
+        entropy = random_entropy(rng)
+        boxes = [(rng.uniform(-1e3, 0.0), rng.uniform(0.0, 1e3)) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.2:  # lo == hi
+            boxes[rng.randrange(len(boxes))] = (2.5, 2.5)
+        want = [v.hex() for v in numpy_draws(entropy, boxes)]
+        assert [v.hex() for v in _uniform_draws(entropy, boxes)] == want, entropy
+
+
+def test_sample_instance_uniform_equals_default_rng():
+    p = UncertainPlant(3, (0.2, -0.4, 3.0), (0.05, 0.0, 0.35), (1.0, 1.0, 1.0))
+    for seed in (0, 7, [3, 11, 0], 2**64 + 1, np.int64(5), np.array([3, 11, 0])):
+        boxes = p.parameter_intervals()
+        assert sample_instance(p, "uniform", seed=seed) == tuple(numpy_draws(seed, boxes))
+
+
+@pytest.mark.parametrize("entropy", [-1, [3, -2, 0]])
+def test_uniform_draws_reject_a_negative_entry(entropy):
+    with pytest.raises(ValueError):
+        np.random.default_rng(entropy)
+    with pytest.raises(ValueError):
+        _uniform_draws(entropy, [(0.0, 1.0)])
+
+
+def test_uniform_draws_without_entropy_take_128_random_bits(monkeypatch):
+    fixed = 0x1234_5678_9ABC_DEF0_0FED_CBA9_8765_4321
+    monkeypatch.setattr(secrets, "randbits", lambda k: fixed if k == 128 else None)
+    boxes = [(-1.0, 1.0), (2.0, 5.0)]
+    assert _uniform_draws(None, boxes) == numpy_draws(fixed, boxes)
