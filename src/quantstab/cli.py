@@ -441,6 +441,14 @@ def cmd_simulate(cfg: Config, opts) -> int:
     except ValueError as exc:
         sizes_text = _listed(sched.sizes)
         raise ConfigError(f"no {family} quantizer layout for sizes {sizes_text}: {exc}") from None
+    if mode == "uniform":
+        # a uniform draw scales by hi - lo, which must not overflow
+        for i, (lo, hi) in enumerate(p.parameter_intervals(), 1):
+            if not math.isfinite(hi - lo):
+                raise ConfigError(
+                    f"instance_mode = uniform needs each coefficient box narrower than "
+                    f"the float range; the box of a_{i} is [{fmt(lo)}, {fmt(hi)}]"
+                )
 
     if instances == 1:
         verdict, diag, traj = _sim_one(p, sched, qs, horizon, mode, seed, 0, init_mode)

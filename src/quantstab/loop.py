@@ -20,36 +20,43 @@ computes what depends only on the plant and the schedule once before the
 first step: the coefficient-box endpoints and, per schedule slot, the
 cell edges, the quantizer's envelope factors and the coefficient-n
 expansion of each symbol's cell. The per-step state is a ring of the last
-n estimates, newest first, each a tuple (lo, hi, sigma, env, factors,
-rate_n), and a history of the last n outputs. Both are deques of length n
-that a step updates in place, so a step allocates only its sample tuple
-and its ring entry, besides floats. A recorded run leaves one tuple per
-time index in `Trajectory.samples`; a run with record=False, as each
-instance of a Monte-Carlo batch is, keeps no sample and tracks only the
-step count and the smallest scaling, which are all a summary row reads.
+n estimates, newest first, and a history of the last n outputs. A
+recorded run leaves one tuple per time index in `Trajectory.samples`; a
+run with record=False, as each instance of a Monte-Carlo batch is, keeps
+no sample and tracks only the step count and the smallest scaling, which
+are all a summary row reads.
 
 The uniform initial outputs are the draws of
 `np.random.default_rng(init_seed).uniform(-b, b)`, oldest output first,
 which `plant._uniform_draws` reproduces bit for bit without numpy, so a
 run loads no numpy; the `zero` and `endpoints` modes draw nothing.
 
-The step is one loop body in `run_closed_loop` that computes each
-quantity once: the lower bound on the next scaling is the last term of the
-prediction. `predict`, `control_input`, `intervals.interval_product`,
+The steps run in a kernel generated for the plant order n: one template,
+`_KERNEL`, whose per-coefficient parts (the instance, the boxes, the ring
+and history, the envelope sum, the n terms of the prediction and the plant
+step) are written out for i = 0..n-1. The ring entries and the outputs are
+its local variables, shifted by one tuple assignment per step, so a step
+builds no ring entry, deque or iterator, and keeps no object but its
+sample tuple. The kernel of an order is compiled on the first
+run of that order, under a filename that names n, and cached by
+`_kernel`; importing the module builds none. The kernel computes each quantity once:
+the lower bound on the next scaling is the last term of the prediction.
+`predict`, `control_input`, `intervals.interval_product`,
 `intervals.minkowski_sum`, `quantizer.encode`, `quantizer.decode` and
-`plant.step` stay its reference route, which `tests/test_loop.py` replays:
-a step written against them gives the same samples bit for bit, and the
-same errors at the same step. The independent envelope route that the
-tests check the loop against is `oracle.sigma_envelope`.
+`plant.step` stay its reference route, which `tests/test_loop.py` replays
+for orders 1 to 4 and for 5, 8 and 24: a step written against them gives
+the same samples bit for bit, and the same errors at the same step. The
+independent envelope route that the tests check the loop against is
+`oracle.sigma_envelope`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .intervals import check_hull, interval_product, minkowski_sum
 from .plant import UncertainPlant, _uniform_draws
@@ -147,27 +154,27 @@ def run_closed_loop(
     bit, made without numpy. With record=False the run keeps no samples;
     its verdict, steps and min_sigma_ratio() are those of the recorded run.
 
-    Step k is one loop body over local floats: it encodes y_k against the
-    scaling sigma_k and decodes its cell, checks the invariants, predicts
-    the next output set, keeps the smallest scaling so far and records
-    sample k (unless record=False), and steps the plant with the
-    input that cancels the predicted midpoint. It pushes its estimate onto
-    the ring and its output onto the history in place, each dropping its
-    oldest entry; each call builds both afresh and writes to no argument.
-    Each expression is the one of encode, decode, interval_product,
-    minkowski_sum, predict, control_input and plant.step, evaluated in the
-    same order, so the samples are bit for bit those of a step that calls
-    them; the interval product's min and max are the same comparisons,
-    written out. A malformed set raises through check_hull, as in those
-    functions. An output that overflowed to an infinity raises ValueError;
-    a finite one past the quantizer's range raises SaturationError.
+    Step k, in the kernel of order n that the first run of that order
+    builds: it encodes y_k against the scaling sigma_k and decodes its
+    cell, checks the invariants, predicts the next output set, keeps the
+    smallest scaling so far and records sample k (unless record=False),
+    and steps the plant with the input that cancels the predicted midpoint.
+    The ring of estimates and the history of outputs are the kernel's
+    local variables; a call writes to no argument. Each expression is the
+    one of encode, decode, interval_product, minkowski_sum, predict,
+    control_input and plant.step, evaluated in the same order, sums from
+    0.0 over i = 0..n-1, so the samples are bit for bit those of a step
+    that calls them; the interval product's min and max are the same
+    comparisons, written out. A malformed set raises through check_hull,
+    as in those functions. An output that overflowed to an infinity raises
+    ValueError; a finite one past the quantizer's range raises
+    SaturationError.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if len(a) != p.n:
         raise ValueError("instance order does not match the plant")
     qs = schedule_quantizers(p, sched, family)
-    m = len(qs)
     box = p.parameter_intervals()
     box_factors = tuple(abs(ai) + e for ai, e in zip(p.a_star, p.eps))
     # per schedule slot: cell edges, size, envelope factors, and the exact
@@ -187,25 +194,43 @@ def run_closed_loop(
         init = (0.0,) * p.n
     else:
         raise ValueError(f"unknown init mode {init_mode!r}")
-    # y_{-n+1} .. y_0, oldest first, into the history, newest first
-    history = deque(reversed(init), maxlen=p.n)
 
-    # ring of the last n estimates, newest first; each entry is
-    # (lo, hi, sigma, env, factors, rate_n): the estimate, its scaling, its
-    # envelope value, its per-coefficient envelope factors and the exact
-    # expansion of coefficient n over it. Prior boxes for times -n+1 .. -1:
-    ring = deque(maxlen=p.n)
-    for b in p.init_bounds[:-1]:
-        ring.appendleft((-b, b, 2.0 * b, 2.0 * b, box_factors, box_factors[-1]))
+    # the prior boxes of times -1 .. -n+1, newest first, as ring entries
+    # (lo, hi, env, factors, rate_n * sigma) with sigma = env = 2 b
+    prior = [
+        (-b, b, 2.0 * b, box_factors, box_factors[-1] * (2.0 * b))
+        for b in reversed(p.init_bounds[:-1])
+    ]
+    sigma0 = 2.0 * p.init_bounds[-1]
+    samples, verdict, steps, min_sigma = _kernel(p.n)(
+        a, box, slots, init, prior, sigma0, horizon, record
+    )
+    return Trajectory(samples, verdict, sigma0, steps, min_sigma)
 
+
+# The steps of run_closed_loop for plant order n: this template with each
+# $name replaced by its part written out for i = 0..n-1 (_kernel_source).
+# A local name ending in i is the instance coefficient a<i> = a_{i+1}, its
+# box (a_lo<i>, a_hi<i>), the output y<i> = y_{k-i}, or a field of ring
+# entry i, newest first: its estimate (est_lo<i>, est_hi<i>), its envelope
+# value env<i>, its quantizer's envelope factors fac<i>, and low<i>, the
+# exact coefficient-n expansion of its cell times its scaling. The ring
+# and the outputs each shift by one tuple assignment per step, which drops
+# the oldest entry. Each sum adds one term per statement: written as one
+# expression, its n nested additions stop compiling near n = 3000.
+_KERNEL = """\
+def run(a, box, slots, init, prior, sigma0, horizon, record):
+    $instance = a
+    $boxes = box
+    $outputs_oldest_first = init
+    $prior = prior
+    m = len(slots)
     up = 1.0 + REL_GUARD
     clamp_below = 0.5 * up
-    sigma0 = 2.0 * p.init_bounds[-1]
     stabilized_below = CONVERGENCE_RATIO * sigma0
     diverged_above = DIVERGENCE_RATIO * sigma0
-    samples: list[tuple] = []
+    samples = []
     verdict = "horizon_exhausted"
-    y = history[0]
     sigma = min_sigma = sigma0
     # step k - 1's predicted set and input, and the exact lower bound on
     # sigma_k: its last prediction term, box_n times the oldest estimate
@@ -214,12 +239,12 @@ def run_closed_loop(
     while True:
         # transmit y_k: the symbol and its decoded cell (e_lo, e_hi)
         edges, N, factors, rate_of = slots[k % m]
-        x = y / sigma
+        x = y0 / sigma
         if abs(x) > 0.5:
             if abs(x) <= clamp_below:
-                x = math.copysign(0.5, x)
-            elif math.isinf(y):
-                raise ValueError(f"step {k}: the output overflowed to {y}")
+                x = copysign(0.5, x)
+            elif isinf(y0):
+                raise ValueError(f"step {k}: the output overflowed to {y0}")
             else:
                 raise SaturationError(
                     f"step {k}: |y|/sigma = {abs(x)} exceeds 1/2 beyond roundoff"
@@ -234,62 +259,37 @@ def run_closed_loop(
 
         slack = REL_GUARD * sigma
         if k == 0:
-            ring.appendleft((e_lo, e_hi, sigma, sigma, factors, rate_of[s - 1]))
-            if not e_lo - slack <= y <= e_hi + slack:
+            env = sigma
+            if not e_lo - slack <= y0 <= e_hi + slack:
                 raise InvariantViolation("initial output escaped its decoded cell")
         else:
-            _, _, o_sigma, _, _, o_rate_n = ring[-1]
             guard = REL_GUARD * (sigma + abs(u))
-            if not lo + u - guard <= y <= hi + u + guard:
+            if not lo + u - guard <= y0 <= hi + u + guard:
                 check_hull(lo + u, hi + u)  # a nan bound is a malformed set
                 raise InvariantViolation(f"step {k}: output escaped the predicted set")
-            if abs(y) > 0.5 * sigma * up:
+            if abs(y0) > 0.5 * sigma * up:
                 raise InvariantViolation(f"step {k}: output exceeds half the scaling")
-            if not e_lo - slack <= y <= e_hi + slack:
+            if not e_lo - slack <= y0 <= e_hi + slack:
                 raise InvariantViolation(f"step {k}: output escaped its decoded cell")
             if sigma < lower - slack:
                 raise InvariantViolation(
                     f"step {k}: scaling under its lower-bound recursion"
                 )
-            if abs(lower - o_rate_n * o_sigma) > REL_GUARD * (lower + sigma):
+            if abs(lower - $low_oldest) > REL_GUARD * (lower + sigma):
                 raise InvariantViolation(
                     f"step {k}: scaling lower bound mismatches its rate form"
                 )
             env = 0.0
-            for i, donor in enumerate(ring):
-                env += donor[4][i] * donor[3]
+$env_terms
             if sigma > env * up:
                 raise InvariantViolation(
                     f"step {k}: scaling escaped the worst-case envelope"
                 )
-            ring.appendleft((e_lo, e_hi, sigma, env, factors, rate_of[s - 1]))
+        $ring = $pushed
 
         # predict: the Minkowski sum from 0.0 of box_i * estimate, newest first
         lo = hi = 0.0
-        for (a_lo, a_hi), est in zip(box, ring):
-            y_lo = est[0]
-            y_hi = est[1]
-            # interval_product's min and max, the same comparisons in order
-            t_lo = t_hi = a_lo * y_lo
-            v = a_lo * y_hi
-            if v < t_lo:
-                t_lo = v
-            if v > t_hi:
-                t_hi = v
-            v = a_hi * y_lo
-            if v < t_lo:
-                t_lo = v
-            if v > t_hi:
-                t_hi = v
-            v = a_hi * y_hi
-            if v < t_lo:
-                t_lo = v
-            if v > t_hi:
-                t_hi = v
-            if not t_lo <= t_hi:
-                check_hull(t_lo, t_hi)
-            lo += t_lo
-            hi += t_hi
+$predict_terms
         if not lo <= hi:
             check_hull(lo, hi)
         lower = t_hi - t_lo
@@ -298,7 +298,7 @@ def run_closed_loop(
         if sigma < min_sigma:
             min_sigma = sigma
         if record:
-            samples.append((y, s, sigma, e_lo, e_hi, lo, hi, u))
+            samples.append((y0, s, sigma, e_lo, e_hi, lo, hi, u))
         if sigma < stabilized_below:
             verdict = "stabilized"
             break
@@ -313,12 +313,98 @@ def run_closed_loop(
             verdict = "stabilized"
             break
 
-        # plant.step: y_{k+1} = u + sum_i a_i y_{k-i+1}
+        # plant.step: y_{k+1} = u + sum_i a_i y_{k-i}
         y = u
-        for ai, yi in zip(a, history):
-            y += ai * yi
-        history.appendleft(y)
+$plant_terms
+        $outputs = $stepped
         sigma = sigma_next
         k += 1
 
-    return Trajectory(samples, verdict, sigma0, k, min_sigma)
+    return samples, verdict, k, min_sigma
+"""
+
+# term i of the prediction: interval_product's min and max, the same
+# comparisons in order, then its check and its share of the sum
+_PREDICT_TERM = """\
+        t_lo = t_hi = a_lo$i * est_lo$i
+        v = a_lo$i * est_hi$i
+        if v < t_lo:
+            t_lo = v
+        if v > t_hi:
+            t_hi = v
+        v = a_hi$i * est_lo$i
+        if v < t_lo:
+            t_lo = v
+        if v > t_hi:
+            t_hi = v
+        v = a_hi$i * est_hi$i
+        if v < t_lo:
+            t_lo = v
+        if v > t_hi:
+            t_hi = v
+        if not t_lo <= t_hi:
+            check_hull(t_lo, t_hi)
+        lo += t_lo
+        hi += t_hi
+"""
+
+
+_RING_FIELDS = ("est_lo", "est_hi", "env", "fac", "low")
+
+
+def _kernel_source(n: int) -> str:
+    """The source of the closed-loop kernel of plant order n."""
+    from string import Template  # imported here: importing builds no kernel
+
+    older = range(n - 1)  # the entries and outputs that move back one place
+
+    def names(*stems: str, at=range(n)) -> str:
+        """'(stem<i>, ...)' of each stem in turn over the indices at."""
+        return _tuple(f"{stem}{i}" for stem in stems for i in at)
+
+    # the fields of y_k's ring entry, each pushed in front of entries 0..n-2
+    new_entry = ("e_lo", "e_hi", "env", "factors", "rate_of[s - 1] * sigma")
+    pushed = [
+        v
+        for new, stem in zip(new_entry, _RING_FIELDS)
+        for v in (new, *(f"{stem}{i}" for i in older))
+    ]
+    return Template(_KERNEL).substitute(
+        instance=names("a"),
+        boxes=_tuple(f"(a_lo{i}, a_hi{i})" for i in range(n)),
+        outputs_oldest_first=names("y", at=range(n - 1, -1, -1)),
+        prior=_tuple(names(*_RING_FIELDS, at=(i,)) for i in older),
+        low_oldest=f"low{n - 1}",
+        env_terms="\n".join(f"            env += fac{i}[{i}] * env{i}" for i in range(n)),
+        ring=names(*_RING_FIELDS),
+        pushed=_tuple(pushed),
+        predict_terms="".join(Template(_PREDICT_TERM).substitute(i=i) for i in range(n)),
+        outputs=names("y"),
+        plant_terms="\n".join(f"        y += a{i} * y{i}" for i in range(n)),
+        stepped=_tuple(["y", *(f"y{i}" for i in older)]),
+    )
+
+
+def _tuple(items) -> str:
+    """Source of the tuple display or target of items."""
+    items = list(items)
+    return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
+
+
+@functools.cache
+def _kernel(n: int) -> Callable:
+    """The closed-loop kernel of plant order n, compiled on its first use
+    under a filename that names n."""
+    namespace = {
+        "REL_GUARD": REL_GUARD,
+        "CONVERGENCE_RATIO": CONVERGENCE_RATIO,
+        "DIVERGENCE_RATIO": DIVERGENCE_RATIO,
+        "InvariantViolation": InvariantViolation,
+        "SaturationError": SaturationError,
+        "bisect_right": bisect_right,
+        "check_hull": check_hull,
+        "copysign": math.copysign,
+        "isinf": math.isinf,
+    }
+    exec(compile(_kernel_source(n), f"<quantstab.loop kernel n={n}>", "exec"), namespace)
+    return namespace["run"]

@@ -620,6 +620,32 @@ def test_simulate_layout_error_exits_2(tmp_path, capsys, instances, plant, n_lev
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("instances", [1, 3], ids=["single", "batch"])
+@pytest.mark.parametrize(
+    "plant,box",
+    [
+        # |a*| + eps is finite, but the box width hi - lo overflows
+        ("n = 1\na_star = 0.0\neps = 1e308", "a_1 is [-1e+308, 1e+308]"),
+        ("n = 2\na_star = 0.0, 3.0\neps = 1e308, 0.5", "a_1 is [-1e+308, 1e+308]"),
+    ],
+    ids=["n1", "n2"],
+)
+def test_simulate_uniform_draw_from_a_box_wider_than_floats_exits_2(
+    tmp_path, capsys, instances, plant, box
+):
+    text = SIM_CFG.format(instances=instances)
+    text = text.replace("n = 1\na_star = 3.0\neps = 0.5", plant).replace("N = 8", "N = 4")
+    text += "family = uniform\ninstance_mode = uniform\n"
+    cfg = write(tmp_path, "s.cfg", text)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+    message = (
+        "instance_mode = uniform needs each coefficient box narrower than the float "
+        f"range; the box of {box}"
+    )
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert not (tmp_path / "o.csv").exists()
+
+
 @pytest.mark.parametrize(
     "sizes,message",
     [

@@ -1,10 +1,12 @@
-"""The commands whose answers are closed forms run without numpy.
+"""The commands whose answers are closed forms run without numpy, and a
+fresh interpreter builds nothing at import that a command does not use.
 
 Each test runs a fresh interpreter with sys.modules["numpy"] = None, so any
 import of numpy, from any module, raises at the line that makes it. Only the
 eigvals diagnostics and the oracles load numpy, on first use: `verify` and
 n >= 2 `schedule` rows. `simulate` draws its seeded uniform instances and
 initial outputs without numpy, bit for bit as numpy's default_rng would.
+The closed-loop kernel of a plant order is generated on its first run.
 """
 
 import os
@@ -124,3 +126,25 @@ def test_simulate_without_numpy_writes_the_same_bytes(instances, tmp_path, capsy
     out, err = capsys.readouterr()
     assert (res.returncode, res.stdout, res.stderr) == (code, out, err)
     assert blocked.read_bytes() == ref.read_bytes()
+
+
+def test_import_builds_no_kernel_and_a_batch_builds_one(tmp_path):
+    # the kernel of an order is built on its first run, not at import, so
+    # set-up pays for none; every instance of a batch shares its one kernel
+    cfg = tmp_path / "batch.cfg"
+    cfg.write_text(SIMULATE_CFG.format(instances=24), encoding="utf-8")
+    argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "batch.csv")]
+    code = f"""\
+import quantstab.cli
+from quantstab import loop
+print(loop._kernel.cache_info().currsize)
+status = quantstab.cli.main({argv!r})
+info = loop._kernel.cache_info()
+print(status, info.misses, info.hits, info.currsize)
+"""
+    res = run_blocked(code, tmp_path)
+    assert (res.returncode, res.stderr) == (0, "")
+    lines = res.stdout.splitlines()
+    # one build for the 24 instances, which the other 23 reuse
+    assert (lines[0], lines[-1]) == ("0", "0 1 23 1")
+    assert lines[-2].startswith("instances=24 ")

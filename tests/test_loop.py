@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from quantstab.cli import MAX_ORDER
 from quantstab.intervals import check_hull, hull_contains, interval_product
 from quantstab.loop import (
     CONVERGENCE_RATIO,
@@ -210,8 +211,9 @@ def test_custom_quantizer_list_family():
 
 
 def test_determinism():
-    # the loop updates its estimate ring and output history in place: each
-    # call builds its own, and none of its arguments is written to
+    # the kernel of each order is built once and shared by every run: each
+    # call keeps its ring and history in its own locals, and none of its
+    # arguments is written to
     cases = [
         ((3.0,), (0.35,), (8,)),
         ((1.0, 3.0), (0.1, 0.35), (6,)),
@@ -457,9 +459,11 @@ def failing_horizon(run, args, top):
     return lo
 
 
-def random_case(rng):
-    """(plant, instance, schedule, family, horizon, init_mode, init_seed) drawn by rng."""
-    n = rng.randint(1, 4)
+def random_case(rng, n=None):
+    """(plant, instance, schedule, family, horizon, init_mode, init_seed) drawn
+    by rng, at plant order n if given, else at an order drawn from 1..4."""
+    if n is None:
+        n = rng.randint(1, 4)
     lead = rng.choice((-1.0, 1.0)) * rng.uniform(1.3, 4.0)
     eps_n = rng.choice((0.0, rng.uniform(0.0, 0.25)))
     a_star = tuple(rng.uniform(-0.6, 0.6) for _ in range(n - 1)) + (lead,)
@@ -500,6 +504,54 @@ def test_replay_random_plants_bit_for_bit():
     assert drawn >= {("n", 1), ("n", 2), ("n", 3), ("n", 4), ("m", 1), ("m", 2), ("m", 3)}
     assert drawn >= {"optimal", "uniform", *INIT_MODES}
     assert seen >= {"stabilized", "diverged", "horizon_exhausted", SaturationError}, seen
+
+
+def high_order_cases(n):
+    """Replay cases of order n, one per verdict and error type, each as
+    (a_star, eps, init_bounds, instance or None for a_star, sizes, family,
+    init_mode); only coefficient n is nonzero but in one case."""
+    z = (0.0,) * (n - 1)
+    lower = tuple(0.05 * (-1) ** i for i in range(n - 1))
+    return [
+        (z + (3.0,), z + (0.35,), (1.0,) * n, z + (3.1,), (8,), "optimal", "uniform"),
+        (lower + (3.0,), (0.01,) * (n - 1) + (0.35,), (1.0,) * n, None, (8, 16), "optimal", "uniform"),
+        (z + (3.0,), z + (0.35,), (1.0,) * n, None, (2,), "optimal", "uniform"),
+        (z + (3.0,), z + (0.5,), (1.0,) * n, z + (5.0,), (8,), "optimal", "endpoints"),
+        # subnormal scalings: an invariant breaks hundreds of steps in
+        (z + (3.0,), z + (0.5,), (1e-307,) * n, None, (8,), "optimal", "uniform"),
+        (z + (1e300,), z + (0.0,), (1e10,) * n, None, (3,), "uniform", "endpoints"),
+    ]
+
+
+@pytest.mark.parametrize("n", [5, 8, MAX_ORDER])
+def test_replay_orders_past_the_random_draw_bit_for_bit(n):
+    # random_case draws orders 1..4; each order runs its own generated
+    # kernel, so these orders, with two-digit local names at MAX_ORDER, are
+    # replayed here: 40 random plants and the cases above
+    rng = random.Random(30 + n)
+    cases = [random_case(rng, n) for _ in range(40)]
+    for a_star, eps, bounds, a, sizes, family, init_mode in high_order_cases(n):
+        p = UncertainPlant(n, a_star, eps, bounds)
+        cases.append((p, a or a_star, Schedule(sizes), family, 60 * n, init_mode, 0))
+    seen = set()
+    for args in cases:
+        got = outcome(run_closed_loop, *args)
+        assert got == outcome(reference_run, *args), args
+        if isinstance(got[0], list):
+            seen.add(got[-1])
+        else:
+            seen.add(got[0])
+            assert failing_horizon(run_closed_loop, args, args[4]) == failing_horizon(
+                reference_run, args, args[4]
+            )
+    assert seen >= {
+        "stabilized",
+        "diverged",
+        "horizon_exhausted",
+        SaturationError,
+        InvariantViolation,
+        ValueError,
+    }, seen
 
 
 @pytest.mark.parametrize(
