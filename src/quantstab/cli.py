@@ -10,7 +10,8 @@ Subcommands:
 
 All inputs come from one key-value config file with [section] headers.
 Output is CSV with 12 significant digits, so reruns are byte identical.
-Exit codes: 0 success, 1 failed verification or failed run, 2 bad config.
+Exit codes: 0 success, 1 failed verification or failed run, 2 bad config
+or an output that cannot be written.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .quantizer import (
 )
 from .rates import (
     Schedule,
+    _Table,
     comparison_bounds,
     conservative_known_plant_rate,
     min_sufficient_N,
@@ -114,7 +116,7 @@ LIMITS = {
 
 
 class ConfigError(Exception):
-    """Malformed or inconsistent configuration; exits with code 2."""
+    """Malformed or inconsistent configuration, or an unwritable output; exits with code 2."""
 
 
 def _config_error(line: int | None, message: str) -> ConfigError:
@@ -295,7 +297,8 @@ def _bounds_row(args) -> list[str]:
     eps_n = p.eps[-1]
     r_nec = necessary_rate(lam, eps_n)
     r_known = conservative_known_plant_rate(lam, eps_n)
-    n_opt = min_sufficient_N(p, "optimal", n_max, margin)
+    table = _Table(p, "optimal", n_max, margin)  # one read for N_suf_opt and the search
+    n_opt = min_sufficient_N(p, "optimal", n_max, margin, table=table)
     n_uni = min_sufficient_N(p, "uniform", n_max, margin)
     r_suf = r_suf_prime = None
     if p.n == 1 and eps_n < 1.0:
@@ -305,7 +308,7 @@ def _bounds_row(args) -> list[str]:
     avg_best = m_best = None
     note = ""
     if m_max is not None:
-        res = search_periodic_schedule(p, m_max, n_max, "optimal", margin)
+        res = search_periodic_schedule(p, m_max, n_max, "optimal", margin, table=table)
         if res is None:
             note = f"lambda={fmt(lam)} schedule=not-found"
         else:
@@ -329,14 +332,17 @@ def _bounds_row(args) -> list[str]:
 
 
 def _emit(chunks, out: str | None) -> None:
-    """Write each chunk, a nonempty list of CSV lines, in one call, to out or stdout."""
-    if out is None:
-        sink = contextlib.nullcontext(sys.stdout)
-    else:
-        sink = open(out, "w", encoding="utf-8", newline="")
-    with sink as fh:
-        for lines in chunks:
-            fh.write("\n".join(lines) + "\n")
+    """Write each chunk, a nonempty list of CSV lines, in one call, to out or
+    stdout; an OSError opening, writing or closing out is a ConfigError."""
+    sink = contextlib.nullcontext(sys.stdout)
+    try:
+        with sink if out is None else open(out, "w", encoding="utf-8", newline="") as fh:
+            for lines in chunks:
+                fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        if out is None:
+            raise
+        raise ConfigError(f"cannot write output {out}: {exc}") from None
 
 
 def worker_count(jobs: int) -> int:

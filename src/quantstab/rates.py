@@ -22,16 +22,16 @@ Three layers:
   whose optimum reproduces the necessary rate. Every size loop reads a
   rate table of one plant and family (_rate_table), built in one pass
   over the sizes, as far as its reader goes, from powers r^l that all
-  sizes share; no QuantizerSpec is built and no table is kept between
-  reads. For scalar plants the search is exact: a knapsack with exactly m
-  items, solved by depth-first branch and bound with the Lagrangian bound
-  of the lower convex hull of the (log rate, log2 size) points. It reads
-  the table only as far as a size can still be in a schedule that ties an
-  incumbent: no layout's worst rate is below the floor of its last cell
-  (quantizer.rate_floor), so the hull's LP value and that floor bound the
-  price of every unread size. At a zero floor (eps = 0) no such bound
-  exists and the whole table is read. Each node
-  is decided exactly, by the float log sum outside its rounding band and
+  sizes share; no QuantizerSpec is built. The readers of one CLI row share
+  one _Table, which lives in the row's call. For scalar plants the search
+  is exact: a knapsack with exactly m items, solved by depth-first branch
+  and bound with the Lagrangian bound of the lower convex hull of the (log
+  rate, log2 size) points. It reads the table only as far as a size can
+  still be in a schedule that ties an incumbent: no layout's worst rate is
+  below the floor of its last cell (quantizer.rate_floor), so the hull's
+  LP value and that floor bound the price of every unread size. At a zero
+  floor (eps = 0) no such bound exists and the whole table is read. Each
+  node is decided exactly, by the float log sum outside its rounding band and
   inside it by the rate product, carried as an integer over a power of
   two. Higher-order plants get a flagged heuristic: a depth-first search
   over short nondecreasing schedules that extends the period product from
@@ -46,7 +46,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .plant import UncertainPlant
@@ -144,6 +143,8 @@ def _rescaled(w_bar: tuple[float, ...], margin: float) -> tuple:
         out = tuple(wi / z**i for i, wi in enumerate(w_bar, 1))
         if max(out) < 2.0**1023:
             return out
+    from fractions import Fraction  # imported only here: few rows reach this branch
+
     exact = tuple(Fraction(wi) / Fraction(z) ** i for i, wi in enumerate(w_bar, 1))
     return exact if max(exact) >= 2**1023 else tuple(map(float, exact))
 
@@ -287,15 +288,42 @@ def _rate_table(p: UncertainPlant, family: str, N_max: int, margin: float) -> It
             yield N, math.log2(N), w
 
 
+class _Table:
+    """_rate_table(p, family, N_max, margin) read once, however many readers iterate it.
+
+    Iterating yields the rows read so far, then reads on only as far as it
+    goes; the call that builds a table holds it, and none is kept between rows.
+    """
+
+    def __init__(self, p: UncertainPlant, family: str, N_max: int, margin: float) -> None:
+        self.p = p
+        self._rows: list[tuple] = []
+        self._unread = _rate_table(p, family, N_max, margin)
+
+    def __iter__(self) -> Iterator[tuple]:
+        for i in itertools.count():
+            if i == len(self._rows):
+                row = next(self._unread, None)
+                if row is None:
+                    return
+                self._rows.append(row)
+            yield self._rows[i]
+
+    def first_certified(self) -> int | None:
+        """The first size the sum rule certifies, reading up to it; None when none does."""
+        return next((N for N, _, w in self if _contracts(w)), None)
+
+
 def min_sufficient_N(
-    p: UncertainPlant, family: str, N_max: int = 64, margin: float = 0.0
+    p: UncertainPlant, family: str, N_max: int = 64, margin: float = 0.0,
+    *, table: _Table | None = None,
 ) -> int | None:
-    """Smallest alphabet size the sum rule certifies at margin, or None within the cap."""
+    """Smallest alphabet size the sum rule certifies at margin, or None within the cap.
+
+    table, the _Table of these arguments, shares its reads; it never changes the answer.
+    """
     _check_margin(margin)
-    for N, _, w in _rate_table(p, family, N_max, margin):
-        if _contracts(w):
-            return N
-    return None
+    return (_Table(p, family, N_max, margin) if table is None else table).first_certified()
 
 
 # ---------------------------------------------------------------------------
@@ -425,17 +453,16 @@ def _band(m_max: int, gvec: list[float]) -> float:
     return (m_max + 2) ** 2 * _U * max(map(abs, gvec))
 
 
-def _scalar_rows(
-    p: UncertainPlant, m_max: int, N_max: int, family: str, margin: float
-) -> list[tuple[int, float, float]]:
+def _scalar_rows(table: _Table, m_max: int) -> list[tuple[int, float, float]]:
     """(N, log2 N, w) for the sizes of the rate table that a schedule within the caps can use.
 
     Every rescaled rate is at least w_floor = rate_floor(|a*|, eps), as
     w / z >= w, so an unread size N has g = ln w >= ln w_floor and, for a
     slope beta <= 0, a price c - beta g of at least log2 N - beta ln w_floor.
-    The rows are read up to the first contracting size. From them come a
-    certified incumbent average ub (_seeds) and beta, the most negative hull
-    slope (0 for a single row), that of the segment straddling g = 0. A
+    The rows start as the table up to its first certified size, as
+    min_sufficient_N reads it. From them come a certified incumbent
+    average ub (_seeds) and beta, the most negative hull slope (0 for a
+    single row), that of the segment straddling g = 0. A
     schedule of m <= m_max items with sum g < 0 costs at least the sum of
     its prices, so at least price_i + (m - 1) F for each of its items i, F
     the smallest price, and its average stays above ub once
@@ -447,20 +474,21 @@ def _scalar_rows(
     ln w_floor does not exist and the whole table is read, as it is when
     nothing contracts or the prefix holds no seed.
     """
-    table = _rate_table(p, family, N_max, margin)
-    floor = rate_floor(abs(p.a_star[0]), p.eps[0])
+    static = table.first_certified()
+    floor = rate_floor(abs(table.p.a_star[0]), table.p.eps[0])
+    reader = iter(table)
     rows: list[tuple[int, float, float]] = []
-    for N, c, (w,) in table:
+    for N, c, (w,) in reader:
         rows.append((N, c, w))
-        if floor > 0.0 and w < 1.0:
+        if N == static:
             break
-    else:
-        return rows  # a zero floor, or nothing contracts: the whole table
+    if static is None or not floor > 0.0:  # nothing contracts, or a zero floor
+        return rows + [(N, c, w) for N, c, (w,) in reader]
     gvec = [math.log(w) for _, _, w in rows]
     cvec = [c for _, c, _ in rows]
     ub, betas = _seeds(gvec, cvec, m_max, _band(m_max, gvec))
     if ub == math.inf:  # no incumbent to cap with
-        return rows + [(N, c, w) for N, c, (w,) in table]
+        return rows + [(N, c, w) for N, c, (w,) in reader]
     beta, lnf = betas[0], math.log(floor)
     F = min(c - beta * g for c, g in zip(cvec, gvec))
     mag = max(c + abs(beta * g) for c, g in zip(cvec, gvec))  # scale of F's rounding
@@ -468,7 +496,7 @@ def _scalar_rows(
         tol = 1e-9 * (m_max * (ub + mag) + abs(beta * lnf))
         if math.log2(rows[-1][0] + 1) - beta * lnf > m_max * ub - (m_max - 1) * F + tol:
             return rows  # before building the next size
-        row = next(table, None)
+        row = next(reader, None)
         if row is None:
             return rows
         N, c, (w,) = row
@@ -478,9 +506,7 @@ def _scalar_rows(
         mag = max(mag, c + abs(beta * g))
 
 
-def _search_scalar_exact(
-    p: UncertainPlant, m_max: int, N_max: int, family: str, margin: float
-) -> ScheduleSearchResult | None:
+def _search_scalar_exact(table: _Table, m_max: int) -> ScheduleSearchResult | None:
     """Exact minimum-average-rate schedule for n = 1.
 
     The period product of scalar rates commutes, so schedules are multisets
@@ -525,7 +551,7 @@ def _search_scalar_exact(
     gives. The floor is 0 at eps = 0 and on a zero-rate uniform plant, where
     its log does not exist; those rows read the whole table.
     """
-    rated = _scalar_rows(p, m_max, N_max, family, margin)
+    rated = _scalar_rows(table, m_max)
     if not rated:
         return None
     # A zero rate (the uniform family at a* = eps = 0) has no log, but every
@@ -633,15 +659,13 @@ def _search_scalar_exact(
     return ScheduleSearchResult(schedule=Schedule(sizes), avg_rate=avg, exact=True)
 
 
-def _search_heuristic(
-    p: UncertainPlant, m_max: int, N_max: int, family: str, margin: float
-) -> ScheduleSearchResult | None:
+def _search_heuristic(table: _Table, m_max: int) -> ScheduleSearchResult | None:
     """Best-effort search for higher-order plants: small periods only.
 
-    None when no single size up to N_max certifies. Else the incumbent
-    starts as static = min_sufficient_N at the margin, over the rate
-    table's sizes up to static + 4 and periods up to 6; one read of the
-    table gives both. Depth-first over nondecreasing size sequences; a
+    None when no single size of the table certifies. Else the incumbent
+    starts as static = the table's first certified size, as
+    min_sufficient_N finds it, over the table's sizes up to static + 4 and
+    periods up to 6. Depth-first over nondecreasing size sequences; a
     node carries its exact period product H_{m-1} ... H_0, its parent's
     extended by the new slot's rescaled rates:
     periodic_sufficient_test's order reversed, with equal verdicts
@@ -657,22 +681,16 @@ def _search_heuristic(
     exceeds the incumbent's by more than rounding, which skips no node that
     could beat the incumbent.
     """
-    # one table read finds static, as min_sufficient_N does, and keeps the
-    # rows up to static + 4, building no size past the last one kept
-    static = None
-    last = N_max
-    rows = []
-    for N, c, w in _rate_table(p, family, N_max, margin):
-        if N > last:
-            break
-        rows.append((N, c, w))
-        if static is None and _contracts(w):
-            static = N
-            last = N + 4
-        if N == last:
-            break
+    static = table.first_certified()
     if static is None:
         return None
+    rows = []
+    for row in table:  # up to static + 4, building no size past the last one kept
+        if row[0] > static + 4:
+            break
+        rows.append(row)
+        if row[0] == static + 4:
+            break
     cap_m = min(m_max, 6)
     cands = [(N, c, spectral_radius(w), _slot(w)) for N, c, w in rows]
     # static is a candidate: below 1 unless eigvals rounds it up, which skips every child
@@ -698,7 +716,7 @@ def _search_heuristic(
                 continue
             dfs(idx, sizes + (N,), c_sum + c, rho_prod * rho, _extend(prod, slot))
 
-    dfs(0, (), 0.0, 1.0, _exact_product(p.n, ()))
+    dfs(0, (), 0.0, 1.0, _exact_product(table.p.n, ()))
     avg, _, sizes = best
     return ScheduleSearchResult(schedule=Schedule(sizes), avg_rate=avg, exact=False)
 
@@ -709,6 +727,7 @@ def search_periodic_schedule(
     N_max: int,
     family: str = "optimal",
     margin: float = 0.0,
+    *, table: _Table | None = None,
 ) -> ScheduleSearchResult | None:
     """Minimum average-rate periodic schedule within the given caps.
 
@@ -716,15 +735,15 @@ def search_periodic_schedule(
     m-slot period. Exact for first-order plants: each candidate is decided
     exactly for the rescaled float rates, by the float log sum outside its
     rounding band and by the integer rate product inside it. A flagged
-    heuristic otherwise. Both read one rate table per plant and family.
+    heuristic otherwise. Both read one rate table per plant and family:
+    table, the _Table of these arguments, which never changes the answer.
     None when no schedule within the caps is found.
     """
     if m_max < 1 or N_max < 2:
         raise ValueError("need m_max >= 1 and N_max >= 2")
     _check_margin(margin)
-    if p.n == 1:
-        return _search_scalar_exact(p, m_max, N_max, family, margin)
-    return _search_heuristic(p, m_max, N_max, family, margin)
+    table = _Table(p, family, N_max, margin) if table is None else table
+    return (_search_scalar_exact if p.n == 1 else _search_heuristic)(table, m_max)
 
 
 # ---------------------------------------------------------------------------

@@ -567,6 +567,39 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+UNWRITABLE_OUT_RUNS = {
+    "bounds": ("bounds", BOUNDS_CFG),
+    "schedule": ("schedule", BOUNDS_CFG),
+    "simulate": ("simulate", SIM_CFG.format(instances=1)),
+    "simulate_batch": ("simulate", SIM_CFG.format(instances=4)),
+    "quantizer": ("quantizer", "[plant]\nn = 1\na_star = 3.0\neps = 0.5\n\n[quantizer]\nN = 8\n"),
+    "verify": ("verify", "[verify]\nresolution = 0.01\n"),
+}
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        "missing/o.csv",
+        ".",
+        pytest.param("/dev/full", marks=pytest.mark.skipif(
+            not os.path.exists("/dev/full"), reason="no /dev/full here")),
+    ],
+    ids=["missing_dir", "directory", "dev_full"],
+)
+@pytest.mark.parametrize("run", sorted(UNWRITABLE_OUT_RUNS))
+def test_unwritable_out_exits_2(tmp_path, capsys, run, target):
+    # opening, writing or closing --out fails after the run: one stderr line
+    # names the path, as a config file that cannot be read does
+    command, text = UNWRITABLE_OUT_RUNS[run]
+    cfg = write(tmp_path, "run.cfg", text)
+    out = str(tmp_path / target)
+    assert main([command, "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write output {out}: ")
+    assert err.count("\n") == 1
+
+
 def test_invalid_plant_exits_2(tmp_path, capsys):
     cfg = write(
         tmp_path,
@@ -804,20 +837,20 @@ def test_schedule_known_integer_pole_exits_0(tmp_path, capsys):
 @pytest.mark.parametrize(
     "plant, optimal",
     [
-        # N_suf_opt = 3, then the exact search reads the table to 16: at
-        # --m-max 4 no size past 16 can be in a schedule that ties the
-        # seed (3,), so size 17 is never built
-        ("n = 1\na_star = 2.0\neps = 0.35", {2: 2, 3: 2, **dict.fromkeys(range(4, 17), 1)}),
-        # N_suf_opt = 3, then the heuristic's one read finds static = 3 and
-        # its candidates up to static + 4 = 7
-        ("n = 2\na_star = 0.3, 2.2\neps = 0.02, 0.2", {2: 2, 3: 2, 4: 1, 5: 1, 6: 1, 7: 1}),
+        # N_suf_opt = 3, then the exact search reads the same table on to
+        # 16: at --m-max 4 no size past 16 can be in a schedule that ties
+        # the seed (3,), so size 17 is never built
+        ("n = 1\na_star = 2.0\neps = 0.35", range(2, 17)),
+        # N_suf_opt = 3, then the heuristic reads the same table on to its
+        # candidates up to static + 4 = 7
+        ("n = 2\na_star = 0.3, 2.2\neps = 0.02, 0.2", range(2, 8)),
     ],
     ids=["n1", "n2"],
 )
 def test_schedule_row_builds_each_quantizer_once(tmp_path, monkeypatch, plant, optimal):
-    # each rate-table read builds the sizes it reads once, every boundary
-    # half from the one shared layout helper: N_suf_uni = 3 reads the uniform
-    # sizes 2..3, and each read of the optimal table pays for its own prefix
+    # a row builds each size it reads once, every boundary half from the one
+    # shared layout helper: N_suf_uni = 3 reads the uniform sizes 2..3, and
+    # N_suf_opt and the search share one read of the optimal table
     built = {}
     real = quantizer.Layouts.half
 
@@ -832,7 +865,7 @@ def test_schedule_row_builds_each_quantizer_once(tmp_path, monkeypatch, plant, o
     argv = ["schedule", "--config", cfg, "--out", str(tmp_path / "one.csv"), "--m-max", "4"]
     assert main(argv) == 0
     want = {("uniform", 2): 1, ("uniform", 3): 1}
-    want.update((("optimal", N), k) for N, k in optimal.items())
+    want.update((("optimal", N), 1) for N in optimal)
     assert built == want
 
 

@@ -7,6 +7,8 @@ eigvals diagnostics and the oracles load numpy, on first use: `verify` and
 n >= 2 `schedule` rows. `simulate` draws its seeded uniform instances and
 initial outputs without numpy, bit for bit as numpy's default_rng would.
 The closed-loop kernel of a plant order is generated on its first run.
+fractions is blocked the same way where a test says so: only the rescale's
+exact-rational branch imports it.
 """
 
 import os
@@ -33,8 +35,9 @@ def run_blocked(code: str, cwd: Path) -> subprocess.CompletedProcess:
     )
 
 
-def run_cli_blocked(argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
-    return run_blocked(f"from quantstab.cli import main\nsys.exit(main({argv!r}))\n", cwd)
+def run_cli_blocked(argv: list[str], cwd: Path, block: str = "") -> subprocess.CompletedProcess:
+    """main(argv) with numpy blocked, after the lines block."""
+    return run_blocked(f"{block}from quantstab.cli import main\nsys.exit(main({argv!r}))\n", cwd)
 
 
 def test_import_loads_no_numpy(tmp_path):
@@ -47,6 +50,18 @@ def test_scalar_schedule_sweep_without_numpy(tmp_path):
     cfg.write_text(CONFIG, encoding="utf-8")
     argv = ["schedule", "--config", str(cfg), "--out", str(out), "--m-max", "32", "--n-max", "64"]
     res = run_cli_blocked(argv, tmp_path)
+    assert (res.returncode, res.stderr) == (0, "")
+    assert out.read_text(encoding="utf-8") == FROZEN_CSV
+    assert res.stdout == FROZEN_NOTES
+
+
+def test_import_and_scalar_schedule_sweep_without_fractions(tmp_path):
+    # the import and a criterion-9 sweep at margin 0 never reach the
+    # exact-rational rescale, so they load no fractions (nor decimal)
+    cfg, out = tmp_path / "c9.cfg", tmp_path / "c9.csv"
+    cfg.write_text(CONFIG, encoding="utf-8")
+    argv = ["schedule", "--config", str(cfg), "--out", str(out), "--m-max", "32", "--n-max", "64"]
+    res = run_cli_blocked(argv, tmp_path, block='sys.modules["fractions"] = None\n')
     assert (res.returncode, res.stderr) == (0, "")
     assert out.read_text(encoding="utf-8") == FROZEN_CSV
     assert res.stdout == FROZEN_NOTES

@@ -8,6 +8,7 @@ import itertools
 import math
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -247,10 +248,18 @@ TABLE_PLANTS = _table_plants()
 
 
 @pytest.mark.parametrize("family", ["optimal", "uniform"])
-def test_rate_table_matches_the_quantizer_route_bit_for_bit(family):
+def test_rate_table_matches_the_quantizer_route_bit_for_bit(family, monkeypatch):
     # the one-pass table builds no QuantizerSpec, yet every row it yields is
     # the object route's, and it skips exactly the sizes quantizer_for rejects
     # and those whose rescaled rates stay exact rationals past 2^1023
+    built = {}
+    real = quantizer.Layouts.half
+
+    def counting_half(layouts, n_level):
+        built[n_level] = built.get(n_level, 0) + 1
+        return real(layouts, n_level)
+
+    monkeypatch.setattr(quantizer.Layouts, "half", counting_half)
     skipped_any = set()
     dropped_any = False
     for p, n_max in TABLE_PLANTS:
@@ -273,6 +282,14 @@ def test_rate_table_matches_the_quantizer_route_bit_for_bit(family):
             # the dropped rows never contract: the same answer as over every row
             first = next((N for N, _, w in rows if rates._contracts(w)), None)
             assert min_sufficient_N(p, family, n_max, margin) == first
+            # one table read by min_sufficient_N, then by the search, as a
+            # CLI row reads it: each size built once, the answers of fresh reads
+            built.clear()
+            table = rates._Table(p, family, n_max, margin)
+            assert min_sufficient_N(p, family, n_max, margin, table=table) == first
+            got = search_periodic_schedule(p, 3, n_max, family, margin, table=table)
+            assert set(built.values()) <= {1} and (built or not want), (p, margin)
+            assert repr(got) == repr(search_periodic_schedule(p, 3, n_max, family, margin))
     assert dropped_any
     if family == "optimal":
         assert {3, 5, 1023} <= skipped_any  # den = 0 and stalled boundaries seen
@@ -291,6 +308,10 @@ def test_rate_table_reads_a_signed_zero_twin_afresh():
     fresh = [(N, math.log2(N), expansion_profile(quantizer_for("optimal", twin, N), twin))
              for N in range(2, 9)]
     assert got == repr(fresh) and "(-0.0, " in got
+    # so do two tables, one per twin, as two rows of one sweep would build them
+    mine, theirs = (repr(list(rates._Table(q, "optimal", 8, 0.0))) for q in (p, twin))
+    assert theirs == got and "(-0.0, " in theirs
+    assert mine == repr(list(rates._rate_table(p, "optimal", 8, 0.0))) and "-0.0" not in mine
 
 
 # ---------------------------------------------------------------------------
@@ -889,8 +910,10 @@ class _Forbidden:
 def test_scalar_search_builds_no_matrix_and_no_fraction(monkeypatch):
     # that it loads no numpy either is checked in a fresh interpreter, in
     # tests/test_cold_path.py
-    for name in ("_radius_below", "_exact_product", "_extend", "_slot", "Fraction"):
+    for name in ("_radius_below", "_exact_product", "_extend", "_slot"):
         monkeypatch.setattr(rates, name, _Forbidden())
+    # _rescaled imports Fraction where it reads it: that import now fails
+    monkeypatch.setitem(sys.modules, "fractions", None)
     grid = [(1.40 + 0.05 * j, 0.35, 32) for j in range(53)]
     # at eps = 0, integer sizes whose product ties lambda^m fall inside the band
     ties = [(lam, 0.0, 6) for lam in (4.0, 6.0, 8.0)]
@@ -998,11 +1021,14 @@ def test_capped_table_search_matches_the_full_table(monkeypatch):
     # with the floor forced to 0 the search reads every size, as without a cap
     rng = random.Random(20261019)
     cases = [search_case(rng) for _ in range(600)]
-    capped = [(rates._scalar_rows(*c), search_periodic_schedule(*c)) for c in cases]
+    def scalar_rows(p, m_max, n_max, family, margin):
+        return rates._scalar_rows(rates._Table(p, family, n_max, margin), m_max)
+
+    capped = [(scalar_rows(*c), search_periodic_schedule(*c)) for c in cases]
     monkeypatch.setattr(rates, "rate_floor", lambda a_abs, eps: 0.0)
     shorter = 0
     for case, (rows, res) in zip(cases, capped):
-        full = rates._scalar_rows(*case)
+        full = scalar_rows(*case)
         assert rows == full[: len(rows)], case
         shorter += len(rows) < len(full)
         want = search_periodic_schedule(*case)
