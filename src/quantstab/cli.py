@@ -332,17 +332,17 @@ def _bounds_row(args) -> list[str]:
 
 
 def _emit(chunks, out: str | None) -> None:
-    """Write each chunk, a nonempty list of CSV lines, in one call, to out or
-    stdout; an OSError opening, writing or closing out is a ConfigError."""
+    """Write each chunk, a nonempty list of lines, in one call, to out or to
+    stdout, flushed; an OSError opening, writing, flushing or closing either
+    is a ConfigError, so the interpreter's exit flush finds nothing left."""
     sink = contextlib.nullcontext(sys.stdout)
     try:
         with sink if out is None else open(out, "w", encoding="utf-8", newline="") as fh:
             for lines in chunks:
                 fh.write("\n".join(lines) + "\n")
+            fh.flush()
     except OSError as exc:
-        if out is None:
-            raise
-        raise ConfigError(f"cannot write output {out}: {exc}") from None
+        raise ConfigError(f"cannot write output {out or '<stdout>'}: {exc}") from None
 
 
 def worker_count(jobs: int) -> int:
@@ -375,9 +375,9 @@ def cmd_sweep(cfg: Config, opts) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     _emit([[RATES_CSV_HEADER] + [r[0] for r in rows]], opts.out)
-    for _, note in rows:
-        if note:
-            print(note)
+    notes = [note for _, note in rows if note]
+    if notes:
+        _emit([notes], None)
     return 0
 
 
@@ -462,7 +462,7 @@ def cmd_simulate(cfg: Config, opts) -> int:
             print(f"run failed: {diag}", file=sys.stderr)
             return 1
         _emit(_trajectory_chunks(traj.samples, verdict), opts.out)
-        print(f"verdict: {verdict}")
+        _emit([[f"verdict: {verdict}"]], None)
         return 0
 
     # one summary row per instance; each trajectory is dropped once summarized
@@ -480,7 +480,7 @@ def cmd_simulate(cfg: Config, opts) -> int:
             lines.append(f"{i},{verdict},{traj.steps},{fmt(traj.min_sigma_ratio())}")
     _emit([lines], opts.out)
     summary = " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-    print(f"instances={instances} {summary}")
+    _emit([[f"instances={instances} {summary}"]], None)
     return 1 if failed else 0
 
 
@@ -546,7 +546,7 @@ def cmd_verify(cfg: Config, opts) -> int:
     lines += [f"{name},{fmt(c)},{fmt(g)},{fmt(d)},{int(ok)}" for name, c, g, d, ok in rows]
     passed = sum(ok for *_, ok in rows)
     _emit([lines], opts.out)
-    print(f"verify: {passed}/{len(rows)} checks passed")
+    _emit([[f"verify: {passed}/{len(rows)} checks passed"]], None)
     return 0 if passed == len(rows) else 1
 
 

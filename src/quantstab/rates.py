@@ -26,10 +26,12 @@ Three layers:
   one _Table, which lives in the row's call. For scalar plants the search
   is exact: a knapsack with exactly m items, solved by depth-first branch
   and bound with the Lagrangian bound of the lower convex hull of the (log
-  rate, log2 size) points. It reads the table only as far as a size can
-  still be in a schedule that ties an incumbent: no layout's worst rate is
-  below the floor of its last cell (quantizer.rate_floor), so the hull's
-  LP value and that floor bound the price of every unread size. At a zero
+  rate, log2 size) points, one node per multiset of the sizes above the
+  smallest, whose count is carried as a range. It reads the table only as
+  far as a size can still be in a schedule that ties an incumbent: no
+  layout's worst rate is below the floor of its last cell
+  (quantizer.rate_floor), so the hull's LP value and that floor bound the
+  price of every unread size. At a zero
   floor (eps = 0) no such bound exists and the whole table is read. Each
   node is decided exactly, by the float log sum outside its rounding band and
   inside it by the rate product, carried as an integer over a power of
@@ -506,43 +508,89 @@ def _scalar_rows(table: _Table, m_max: int) -> list[tuple[int, float, float]]:
         mag = max(mag, c + abs(beta * g))
 
 
+def _within(lo: int, hi: int, a: float, b: float, t: float) -> tuple[int, int]:
+    """The integers x of lo..hi with a + b x <= t, as (lo, hi): empty when lo > hi."""
+    if b > 0.0:
+        q = (t - a) / b
+        if q < hi:
+            hi = math.floor(q) if q >= lo else lo - 1
+    elif b < 0.0:
+        q = (t - a) / b
+        if q > lo:
+            lo = math.ceil(q) if q <= hi else hi + 1
+    elif a > t:
+        hi = lo - 1
+    return lo, hi
+
+
+def _prices(beta: float, cvec: list[float], gvec: list[float]) -> tuple[list, list]:
+    """The items' prices c - beta g at a hull slope beta, and their suffix minima."""
+    pr = [c - beta * g for c, g in zip(cvec, gvec)]
+    return pr, list(itertools.accumulate(reversed(pr), min))[::-1]
+
+
+def _most_copies(lo: int, hi: int, g: float, num: int, shift: int,
+                 g0: float, n0: int, s0: int, band: float) -> int:
+    """The largest x in lo..hi with num n0^x < 2^(shift + s0 x), of log g + x g0 and
+    g0 >= 0, by the float log sum outside the rounding band; below lo when none."""
+    x = hi
+    if g + hi * g0 > band:  # infeasible at hi: start at the top of the band
+        if g0 == 0.0:
+            return lo - 1
+        x = min(hi, math.floor((band - g) / g0) + 1)
+    while x >= lo:
+        d = -(g + x * g0)
+        if d > band or d > -band and num * n0**x < 1 << (shift + s0 * x):
+            return x
+        if g0 == 0.0:
+            break
+        x -= 1
+    return lo - 1
+
+
 def _search_scalar_exact(table: _Table, m_max: int) -> ScheduleSearchResult | None:
     """Exact minimum-average-rate schedule for n = 1.
 
     The period product of scalar rates commutes, so schedules are multisets
     of sizes: pick m <= m_max items (g, c) = (ln w_N, log2 N) of the rescaled
     rates minimizing sum(c)/m subject to sum(g) < 0, a knapsack with exactly
-    m items. The search is a depth-first branch and bound over nondecreasing
-    size indices, larger indices first so that feasible incumbents appear
-    early. The incumbent average starts from uniform schedules and from the
-    cheapest feasible mixes of the adjacent lower-hull points (a, b) in
+    m items. Slots of the first size that contracts alone beat every schedule
+    of larger sizes; their best count is found in closed form, as their float
+    averages differ in the last bits. The rest is a depth-first branch and
+    bound over the schedules whose smallest size N0 does not contract. A
+    node is one N0 slot and S, a multiset of larger sizes, and carries x, the
+    count of further N0 slots, as a range. Each N0 slot lowers the average
+    and raises the log sum, so the node's best schedule is at the largest x
+    in range whose exact product is below 1 (_most_copies): each rate is an
+    integer over a power of two, so a node carries its exact product as num /
+    2^shift. The incumbent average ub starts from uniform schedules and from
+    the cheapest feasible mixes of the adjacent lower-hull points (a, b) in
     (g, c) that straddle the seed target, g_a < 0 <= g_b - target: a pair
     with g_a >= 0 never mixes below 0, and a pair of two feasible sizes mixes
     dearer than its cheaper size, which the uniform seed already holds.
 
-    A child is pruned when a Lagrangian bound shows that no completion
-    reaches the incumbent average: for beta = 0 and for each negative slope
-    beta of the hull, an added item k costs at least
-    min_{k' >= k}(c_k' - beta g_k') + beta g_k, and the added g sum stays
-    below the remaining budget d. For a child adding item i to a node of
-    j - 1 items, with e_min to e_max more items to come, the bound is
-    C + beta d + min(e_min s(beta), e_max s(beta)), where C = c_sum + c_i -
-    ub j and s(beta) = min_{k >= i}(c_k - beta g_k) - ub is a minimum of lines
-    in beta. So the bound is concave in beta: over the sorted slopes it
-    rises, then falls. Each child evaluates it at the slope that served the
-    previous child, steps to a neighbour only while it rises, and is pruned
-    at the first value above the tolerance; a local maximum is the maximum,
-    so the climb keeps exactly the children a scan of every slope keeps, and
-    each prune rests on a value that scan computes too. A slope's prices and
-    suffix minima are built when the climb first reaches it. A small
-    tolerance keeps children that tie the incumbent, so ties still prefer
-    fewer slots, then lexicographically smaller sizes.
+    A child adding item i at count x, with e_min to e_max more items to
+    come, is pruned when a Lagrangian bound shows that no completion reaches
+    ub: for beta = 0 and each negative slope beta of the hull, an added item
+    k costs at least min_{k' >= k}(c_k' - beta g_k') + beta g_k, and the
+    added g sum stays below the remaining budget d. The bound is C + beta d
+    + min(e_min s(beta), e_max s(beta)), with C = c_sum + c_i - ub j and
+    s(beta) = min_{k >= i}(c_k - beta g_k) - ub. At one count it is concave
+    in beta: a climb over the sorted slopes from the slope that served last
+    finds its maximum, pruning at the first value above the tolerance. At
+    one slope it is affine in x but for e_min's floor. So a failed climb
+    cuts the child's range from the top at its slope's line, e_min relaxed
+    to its unfloored linear form, then walks down that slope with e_min as
+    is, a count, or where the bound rises below x an e_min step, at a time.
+    Counts below a top that passes are kept unclimbed; relaxing only keeps
+    more. A count that fails on a slope's price floor (s(beta) >= 0) fails
+    for every later item too, and leaves the node's range.
 
-    Feasibility means the exact product of the rescaled float rates is
-    below 1. Each float rate is an integer over a power of two, so every
-    node carries its exact product as num / 2^shift next to its verdict. A
-    child's float log sum decides outside its rounding band, and
-    num < 2^shift inside it.
+    First slots come largest size first, each with x = 0, then 1..3, then
+    the rest: short schedules set an incumbent that cuts the long ones. Below
+    them, larger items come first. A small tolerance keeps children that tie
+    ub, so ties still prefer fewer slots, then lexicographically smaller
+    sizes; a key's average adds log2 N over its sorted sizes.
 
     The items are the rows _scalar_rows reads: the table up to the first
     contracting size, then further only while a size's price bound from the
@@ -575,86 +623,180 @@ def _search_scalar_exact(table: _Table, m_max: int) -> ScheduleSearchResult | No
     nvals = len(vals)
     # cheapest future feasibility credit for slots restricted to index >= i
     gmin = list(itertools.accumulate(reversed(gvec), min))[::-1]
-    if gmin[0] >= 0.0 and best is None:
-        return None  # nothing contracts, so no product ever can
+    first = next((i for i, g in enumerate(gvec) if g < 0.0), None)  # contracts alone
+    if first is not None:  # x slots of it, each x summed as a path of sizes adds it
+        cx = list(itertools.accumulate([cvec[first]] * m_max, initial=0.0))
+        avg, x = min((cx[x] / x, x) for x in range(1, m_max + 1))
+        best = min(best or (math.inf,), (avg, x, (vals[first][0],) * x))
+    if not first:  # nothing contracts, or the cheapest size does: nothing is left to search
+        return None if best is None else ScheduleSearchResult(Schedule(best[2]), best[0], True)
     band = _band(m_max, gvec)
     seeded, betas = _seeds(gvec, cvec, m_max, band)
-    ub = min(seeded, cvec[-1] + 1.0 if best is None else best[0])  # at or above the optimum
+    ub = min(seeded, best[0])  # at or above the optimum
     # per slope, built on first use: item prices c_k - beta g_k and their suffix minima
     rows: list = [None] * len(betas)
-
     tol = 1e-9  # keeps children that tie the incumbent
-    h = len(betas) - 1  # slope of the last bound evaluated: warm start for the next
-    # nodes: (slots, c_sum, g_sum, last index, sizes, feasible, num, shift), with
-    # num / 2^shift the exact rate product; the root's product 1 is not below 1
-    stack: list[tuple] = [(0, 0.0, 0.0, 0, (), False, 1, 0)]
+    nb, inf = len(betas), math.inf
+    h = nb - 1  # slope of the last bound evaluated: warm start for the next
+    # e_min > e_max at item i where the g sum with e_max more of gmin[i] passes this;
+    # band comes in as a loop value so that it is no closure cell for the hot loop
+    sheer = [b - 1e-9 * gm for b in (band,) for gm in gmin]
+    # nodes: (slots, c sum, g sum, last index, indices, num, shift, lo, hi) of an N0
+    # slot and S, num / 2^shift their exact product, lo..hi the further N0 slots
+    c0 = g0 = 0.0
+    y1s = [0.0] * nvals
+    stack: list[tuple] = [(0, 0.0, 0.0, 0, (), 1, 0, 0, 0)]
     while stack:
-        j, c_sum, g_sum, last, sizes, feas, num, shift = stack.pop()
-        if feas:
-            key = (c_sum / j, j, sizes)
-            if best is None or key < best:
-                best = key
-                ub = min(ub, key[0])
-        if j == m_max:
-            continue
-        j2 = j + 1
-        e_max = m_max - j2
-        c0 = c_sum - ub * j2
+        k, c_sum, g_sum, last, items, num, shift, alo, ahi = stack.pop()
+        if k == 1:  # a new N0: x further slots of it, summed as a path of sizes adds them
+            N0, c0, _ = vals[last]
+            g0, n0, s0 = gvec[last], nums[last], shifts[last]
+            cx = list(itertools.accumulate([c0] * m_max, initial=0.0))
+            y1s = [s / gm if gm < 0.0 else 0.0 for s in (-g0,) for gm in gmin]  # e_min's step in x
+        if k and g_sum + alo * g0 <= band:  # not infeasible at every count
+            x = _most_copies(alo, ahi, g_sum, num, shift, g0, n0, s0, band)
+            if x >= alo and (c_sum + x * c0) / (k + x) <= best[0] + tol:  # may tie: sum exactly
+                cost = cx[x]
+                for i in items:
+                    cost += cvec[i]
+                key = (cost / (k + x), k + x, (N0,) * x + tuple(vals[i][0] for i in items))
+                if key < best:
+                    best, ub = key, min(ub, key[0])
+        e_top = m_max - k - 1  # e_max at x = 0
+        if ahi > e_top:  # alo..ahi: the counts whose children are still looked at
+            ahi = e_top
+        base, cu = c_sum - ub * (k + 1), c0 - ub  # C - c_i at x = 0, and its step in x
+        glo, elo = g_sum + alo * g0, e_top - alo  # the g sum and e_max at alo
+        ctop, gtop = base + ahi * cu, g_sum + ahi * g0  # C - c_i and the g sum at ahi
         children = []
-        for i in range(last, nvals):
+        for i in range(last + (k == 1), nvals if k else first):
+            if not k:  # a first slot of N_i: the counts are of further N_i slots
+                if alo > 0 or ahi < 0:  # x = 0 failed on a price floor, as every later one does
+                    break
+                c0, g0 = cvec[i], gvec[i]
+                cu, ahi, y1s[i] = c0 - ub, e_top, -g0 / gmin[i]
+                ctop, gtop = base + ahi * cu, g_sum + ahi * g0
+            if alo > ahi:
+                break
+            gm = gmin[i]
+            if gm < 0.0 and glo + gvec[i] + elo * gm > sheer[i]:  # e_min > e_max from alo on
+                continue
             g2 = g_sum + gvec[i]
-            d = -g2
-            if d > band:
-                feas2 = True
-            elif d <= -band:
-                feas2 = False
-            else:
-                feas2 = num * nums[i] < 1 << (shift + shifts[i])
-            e_min = 0
-            if not feas2:
-                if gmin[i] >= 0.0:
+            if gm >= 0.0:  # no item from i on contracts: only feasible counts stay
+                lo, hi = alo, _most_copies(alo, ahi, g2, num * nums[i], shift + shifts[i],
+                                           g0, n0, s0, band)
+                y0, y1 = -1.0, 0.0
+            else:  # e_min = floor(y0 + y1 x) + 1 from (d + band) / gmin - 1e-9, d = -g2 - x g0:
+                # d + band bounds the budget from above and 1e-9 the quotient's rounding
+                lo, hi = alo, ahi
+                y0, y1 = (band - g2) / gm - 1e-9, y1s[i]
+                if hi > lo and y0 + y1 * hi > e_top - hi:  # cut where e_min passes e_max
+                    q = (e_top - y0) / (y1 + 1.0)
+                    if q < hi:
+                        hi = math.floor(q)
+            x = hi  # the top count
+            while lo <= hi:
+                if x == ahi:
+                    cc, gg, e_max = ctop, gtop, e_top - x
+                else:
+                    cc, gg, e_max = base + x * cu, g_sum + x * g0, e_top - x
+                e_min = y0 + y1 * x
+                e_min = e_min // 1.0 + 1.0 if e_min >= 0.0 else 0.0
+                if e_min > e_max:  # too few slots left: cut at y0 + y1 x <= e_top - x
+                    q = (e_top - y0) / (y1 + 1.0)
+                    x = hi = lo - 1 if q < lo else x - 1 if q >= x else math.floor(q)
                     continue
-                # d + band bounds the exact budget from above and the 1e-9 covers
-                # the relative rounding of the quotient, so never above the true count
-                e_min = math.floor((d + band) / gmin[i] - 1e-9) + 1
-                if e_min > e_max:
-                    continue
-            # A completion adding e items from index i on, with g sum below the
-            # budget d, exceeds ub * (j2 + e) in cost by at least
-            # c_sum - ub j2 - beta g_sum + price_i + e (floor_i - ub) for every
-            # beta <= 0: climb that concave bound from the warm start.
-            start, k, step, lb = h, h, 1, -math.inf
-            while True:
-                if 0 <= k < len(betas):
-                    if rows[k] is None:
-                        pr = [c - betas[k] * g for c, g in zip(cvec, gvec)]
-                        rows[k] = (pr, list(itertools.accumulate(reversed(pr), min))[::-1])
-                    pr, fl = rows[k]
-                    bb = c0 - betas[k] * g_sum
-                    slack = fl[i] - ub
-                    if slack >= 0.0 and bb + fl[i] > tol:
-                        lb = math.inf  # floors grow with i: every later i fails too
-                        break
-                    val = bb + pr[i] + (e_min if slack >= 0.0 else e_max) * slack
-                    if val > lb:  # the bound rose: move there and go on
-                        h, lb = k, val
-                        if lb > tol:
+                start = j = h  # climb the concave bound at x from the warm start
+                step, lb = 1, -inf
+                fail = brk = None
+                while True:
+                    if 0 <= j < nb:
+                        if rows[j] is None:
+                            rows[j] = _prices(betas[j], cvec, gvec)
+                        pr, fl = rows[j]
+                        bb = cc - betas[j] * gg
+                        slack = fl[i] - ub
+                        if slack >= 0.0 and bb + fl[i] > tol:
+                            fail, brk = j, True
                             break
-                        k += step
+                        val = bb + pr[i] + (e_min if slack >= 0.0 else e_max) * slack
+                        if val > lb:  # the bound rose: move there and go on
+                            h, lb = j, val
+                            if lb > tol:
+                                fail = j
+                                break
+                            j += step
+                            continue
+                    if step == 1 and h == start:  # no rise upward: try downward
+                        step, j = -1, h - 1
                         continue
-                if step == 1 and h == start:  # no rise upward: try downward
-                    step, k = -1, h - 1
-                    continue
-                break
-            if lb == math.inf:
-                break
-            if lb <= tol:
-                children.append((j2, c_sum + cvec[i], g2, i, sizes + (vals[i][0],), feas2,
-                                 num * nums[i], shift + shifts[i]))
+                    break
+                if fail is None:
+                    break
+                hi = x - 1
+                if lo > hi and not brk:
+                    break
+                if brk and alo == ahi:  # the one count left fails for every later item too
+                    alo += 1
+                    break
+                # the failing slope's bound as a line a + b x at or below it, then one x at a
+                # time: bb, pr, fl and slack are still the climb's at that slope
+                b = cu - betas[fail] * g0
+                a = bb - b * x
+                if brk:  # fails for every later item: cut the counts they look at, and these
+                    alo, ahi = _within(alo, ahi, a + fl[i], b, tol)
+                    ctop, gtop = base + ahi * cu, g_sum + ahi * g0
+                    glo, elo = g_sum + alo * g0, e_top - alo
+                    lo, hi = (lo if lo > alo else alo), (hi if hi < ahi else ahi)
+                    if lo > hi:
+                        break
+                a += pr[i]
+                if slack < 0.0 or b > 0.0:  # the bound falls below x: cut at a line under it
+                    if slack < 0.0:  # exact: e_max = e_top - x
+                        a2, b2 = a + e_top * slack, b - slack
+                    elif y0 + y1 * x > 0.0:  # e_min relaxed to y0 + y1 x
+                        a2, b2 = a + y0 * slack, b + y1 * slack
+                    else:  # e_min relaxed to 0
+                        a2, b2 = a, b
+                    if b2 > 0.0:
+                        q = (tol - a2) / b2
+                        if q < hi:
+                            hi = math.floor(q) if q >= lo else lo - 1
+                    elif a2 + b2 * hi > tol:  # no fall with x: no count below passes
+                        hi = lo - 1
+                    while slack >= 0.0 and lo <= hi:  # then with e_min as is, count by count
+                        e = y0 + y1 * hi
+                        if a + b * hi + (e // 1.0 + 1.0 if e >= 0.0 else 0.0) * slack <= tol:
+                            break
+                        hi -= 1
+                else:  # it rises below x until e_min steps down: go one step at a time
+                    e = y0 + y1 * lo
+                    e_lo, e = (e // 1.0 + 1.0 if e >= 0.0 else 0.0), e_min  # e_min's least, its now
+                    while lo <= hi:
+                        if e == e_lo or a + b * hi + e_lo * slack > tol:  # no count below passes
+                            hi = lo - 1
+                            break
+                        c = math.ceil((e - 1.0 - y0) / y1)  # the lowest count at this e_min
+                        while (y0 + y1 * c) // 1.0 + 1.0 < e:
+                            c += 1
+                        if hi >= c:
+                            hi = c - 1
+                        e = y0 + y1 * hi
+                        e = e // 1.0 + 1.0 if e >= 0.0 else 0.0
+                        if a + b * hi + e * slack <= tol:
+                            break
+                x = hi
+            if lo > hi:
+                continue
+            node = (k + 1, c_sum + cvec[i], g2, i, items + (i,), num * nums[i], shift + shifts[i])
+            if not k:  # few N_i slots first: short schedules set an incumbent for long ones
+                for s in (4, 1):
+                    if lo < s <= hi:
+                        children.append(node + (s, hi))
+                        hi = s - 1
+            children.append(node + (lo, hi))
         stack.extend(children)  # largest index first: feasible incumbents early
 
-    if best is None:
-        return None
     avg, _, sizes = best
     return ScheduleSearchResult(schedule=Schedule(sizes), avg_rate=avg, exact=True)
 

@@ -3,6 +3,8 @@
 import math
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -598,6 +600,59 @@ def test_unwritable_out_exits_2(tmp_path, capsys, run, target):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot write output {out}: ")
     assert err.count("\n") == 1
+
+
+class _FullStdout:
+    """A stdout that fails as /dev/full does: on write, or only on flush."""
+
+    def __init__(self, on_write):
+        self.on_write, self.written = on_write, []
+
+    def write(self, text):
+        if self.on_write:
+            raise OSError(28, "No space left on device")
+        self.written.append(text)
+        return len(text)
+
+    def flush(self):
+        if self.written:
+            raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("on_write", [True, False], ids=["write", "flush"])
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("run", sorted(UNWRITABLE_OUT_RUNS))
+def test_unwritable_stdout_exits_2(tmp_path, capsys, monkeypatch, run, out, on_write):
+    # the CSV goes to stdout, or only the notes and summary lines do: a write or
+    # flush that fails there gives one stderr line, as an unwritable --out does
+    command, text = UNWRITABLE_OUT_RUNS[run]
+    argv = [command, "--config", write(tmp_path, "run.cfg", text)]
+    argv += ["--out", str(tmp_path / "o.csv")] if out else []
+    assert main(argv) == 0
+    if not capsys.readouterr().out:
+        assert out  # this run writes nothing else to stdout
+        return
+    monkeypatch.setattr(sys, "stdout", _FullStdout(on_write))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "config error: cannot write output <stdout>: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+@pytest.mark.parametrize("run,out", [("bounds", False), ("schedule", False), ("schedule", True)])
+def test_stdout_on_dev_full_exits_2_with_no_traceback(tmp_path, run, out):
+    # in a fresh interpreter, whose exit flush must find nothing left to write:
+    # no "Exception ignored" line and no exit code 120
+    command, text = UNWRITABLE_OUT_RUNS[run]
+    argv = [command, "--config", write(tmp_path, "run.cfg", text)]
+    argv += ["--out", str(tmp_path / "o.csv")] if out else []
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "quantstab.cli", *argv],
+                              stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == (
+        "config error: cannot write output <stdout>: [Errno 28] No space left on device\n")
 
 
 def test_invalid_plant_exits_2(tmp_path, capsys):

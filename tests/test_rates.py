@@ -1041,6 +1041,148 @@ def test_capped_table_search_matches_the_full_table(monkeypatch):
     assert shorter >= len(cases) // 3  # the cap reads less on a good share
 
 
+def reference_scalar_search(table, m_max):
+    """The n = 1 search with one node per path of sizes, each slot its own node.
+
+    A depth-first branch and bound over nondecreasing size indices, larger
+    indices first, from the same seeds and with the same Lagrangian bound,
+    climbed at every node with e_min's floor as is: rates._search_scalar_exact
+    must give its (sizes, repr(avg_rate), exact), and its None.
+    """
+    rated = rates._scalar_rows(table, m_max)
+    if not rated:
+        return None
+    zero = next((v for v in rated if v[2] == 0.0), None)
+    if zero is rated[0]:
+        return rates.ScheduleSearchResult(Schedule((zero[0],)), zero[1], True)
+    best = None
+    if zero is not None:
+        N0, c0, _ = rated[0]
+        best = (sum([c0] * (m_max - 1) + [zero[1]]) / m_max, m_max,
+                (N0,) * (m_max - 1) + (zero[0],))
+    vals = [v for v in rated if v[2] > 0.0]
+    cvec = [c for _, c, _ in vals]
+    gvec = [math.log(w) for _, _, w in vals]
+    nums, dens = zip(*(w.as_integer_ratio() for _, _, w in vals))
+    shifts = [den.bit_length() - 1 for den in dens]
+    gmin = list(itertools.accumulate(reversed(gvec), min))[::-1]
+    if gmin[0] >= 0.0 and best is None:
+        return None
+    band = rates._band(m_max, gvec)
+    seeded, betas = rates._seeds(gvec, cvec, m_max, band)
+    ub = min(seeded, cvec[-1] + 1.0 if best is None else best[0])
+    rows = [None] * len(betas)
+    tol, h = 1e-9, len(betas) - 1
+    # nodes: (slots, c_sum, g_sum, last index, sizes, feasible, num, shift)
+    stack = [(0, 0.0, 0.0, 0, (), False, 1, 0)]
+    while stack:
+        j, c_sum, g_sum, last, sizes, feas, num, shift = stack.pop()
+        if feas and (best is None or (c_sum / j, j, sizes) < best):
+            best = (c_sum / j, j, sizes)
+            ub = min(ub, best[0])
+        if j == m_max:
+            continue
+        j2 = j + 1
+        e_max, c0 = m_max - j2, c_sum - ub * j2
+        children = []
+        for i in range(last, len(vals)):
+            g2 = g_sum + gvec[i]
+            d = -g2
+            feas2 = d > band or d > -band and num * nums[i] < 1 << (shift + shifts[i])
+            e_min = 0
+            if not feas2:
+                if gmin[i] >= 0.0:
+                    continue
+                e_min = math.floor((d + band) / gmin[i] - 1e-9) + 1
+                if e_min > e_max:
+                    continue
+            start, k, step, lb = h, h, 1, -math.inf
+            while True:
+                if 0 <= k < len(betas):
+                    if rows[k] is None:
+                        pr = [c - betas[k] * g for c, g in zip(cvec, gvec)]
+                        rows[k] = (pr, list(itertools.accumulate(reversed(pr), min))[::-1])
+                    pr, fl = rows[k]
+                    bb = c0 - betas[k] * g_sum
+                    slack = fl[i] - ub
+                    if slack >= 0.0 and bb + fl[i] > tol:
+                        lb = math.inf  # floors grow with i: every later i fails too
+                        break
+                    val = bb + pr[i] + (e_min if slack >= 0.0 else e_max) * slack
+                    if val > lb:
+                        h, lb = k, val
+                        if lb > tol:
+                            break
+                        k += step
+                        continue
+                if step == 1 and h == start:
+                    step, k = -1, h - 1
+                    continue
+                break
+            if lb == math.inf:
+                break
+            if lb <= tol:
+                children.append((j2, c_sum + cvec[i], g2, i, sizes + (vals[i][0],), feas2,
+                                 num * nums[i], shift + shifts[i]))
+        stack.extend(children)
+    if best is None:
+        return None
+    return rates.ScheduleSearchResult(Schedule(best[2]), best[0], True)
+
+
+def scalar_outcome(res):
+    return None if res is None else (res.schedule.sizes, repr(res.avg_rate), res.exact)
+
+
+def fake_rate_table_cheapest_contracts(p, family, N_max, margin):
+    """A cheapest size that contracts alone, and whose log2 is not dyadic: its
+    slots' float averages differ in the last bits, as (3,) * 22 shows."""
+    return iter([(3, math.log2(3.0), (0.5,)), (4, 2.0, (0.25,))])
+
+
+def fake_rate_table_unit(p, family, N_max, margin):
+    """A cheapest size of rate exactly 1, whose slots neither help nor hurt."""
+    return iter([(2, 1.0, (1.0,)), (3, math.log2(3.0), (0.75,)), (5, math.log2(5.0), (0.3,))])
+
+
+def test_grouped_search_matches_the_per_path_reference(monkeypatch):
+    # random plants at every eps of search_case, both families, margins, then
+    # the criterion-9 rows at two period caps; then tables with in-band
+    # leaves, a zero rate, a contracting cheapest size and a rate of 1
+    rng = random.Random(20261020)
+    cases = [search_case(rng) for _ in range(2000)]
+    cases += [(scalar_plant(1.40 + 0.05 * j, 0.35), m_max, 64, "optimal", 0.0)
+              for j in range(53) for m_max in (8, 32)]
+    for p, m_max, n_max, family, margin in cases:
+        table = rates._Table(p, family, n_max, margin)
+        want = scalar_outcome(reference_scalar_search(table, m_max))
+        got = scalar_outcome(rates._search_scalar_exact(table, m_max))
+        assert got == want, (p, m_max, n_max, family, margin)
+    fakes = (fake_rate_table, fake_rate_table_in_band_feasible, fake_rate_table_with_zero,
+             fake_rate_table_cheapest_contracts, fake_rate_table_unit)
+    for fake in fakes:
+        monkeypatch.setattr(rates, "_rate_table", fake)
+        for m_max in range(1, 33):
+            table = rates._Table(scalar_plant(2.0, 0.0), "optimal", 8, 0.0)  # floor 0: all rows
+            want = scalar_outcome(reference_scalar_search(table, m_max))
+            assert scalar_outcome(rates._search_scalar_exact(table, m_max)) == want, (fake, m_max)
+    monkeypatch.setattr(rates, "_rate_table", fake_rate_table_cheapest_contracts)
+    for m_max, count in ((12, 1), (13, 13), (22, 22), (32, 28)):
+        res = rates._search_scalar_exact(rates._Table(scalar_plant(2.0, 0.0), "optimal", 8, 0.0), m_max)
+        assert res.schedule.sizes == (3,) * count, m_max
+
+
+def test_cheapest_size_that_contracts_alone_needs_no_search(monkeypatch):
+    # the lowest criterion-9 points, as the benchmark moves them: size 2
+    # contracts alone, and its slots' averages are all exactly 1
+    for name in ("_prices", "_most_copies", "_within"):
+        monkeypatch.setattr(rates, name, _Forbidden())
+    for lam in (1.394, 1.40, 1.45, 1.50, 1.55, 1.60, 1.606):
+        res = search_periodic_schedule(scalar_plant(lam, 0.35), 32, 64)
+        assert res is not None and res.exact, lam
+        assert (res.schedule.sizes, res.avg_rate) == ((2,), 1.0), lam
+
+
 def test_cap_keeps_a_dear_size_that_closes_the_winner(monkeypatch):
     # a winner can hold a size whose price is above the incumbent, such as the
     # closing 5 of (2, 2, 2, 2, 3, 3, 5) at lambda = 2.05, m_max 8; the cap's
