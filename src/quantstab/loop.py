@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -170,6 +171,7 @@ def run_closed_loop(
     ValueError; a finite one past the quantizer's range raises
     SaturationError.
     """
+    horizon = operator.index(horizon)
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if len(a) != p.n:

@@ -28,6 +28,7 @@ class UncertainPlant:
     init_bounds: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", operator.index(self.n))
         if self.n < 1:
             raise ValueError("plant order must be at least 1")
         for name in ("a_star", "eps", "init_bounds"):

@@ -23,6 +23,7 @@ Layouts whose powers r^l all sizes share, and builds no QuantizerSpec.
 
 from __future__ import annotations
 
+import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -116,11 +117,12 @@ def r_ratio(lambda_abs: float, eps_n: float) -> float:
     """Contraction ratio r = (lambda - eps)/(lambda + eps) of the layout recursion.
 
     The one check of the expanding box: every bound and rate-equalizing
-    layout needs eps_n >= 0 and lambda_abs - eps_n > 1.
+    layout needs eps_n >= 0 and lambda_abs - eps_n > 1, with lambda_abs +
+    eps_n finite; NaN fails both checks.
     """
-    if eps_n < 0:
+    if not eps_n >= 0:
         raise ValueError("eps_n must be nonnegative")
-    if lambda_abs - eps_n <= 1.0:
+    if not (lambda_abs - eps_n > 1.0 and math.isfinite(lambda_abs + eps_n)):
         raise ValueError(f"need lambda_abs - eps_n > 1, got {lambda_abs} - {eps_n}")
     return (lambda_abs - eps_n) / (lambda_abs + eps_n)
 

@@ -14,9 +14,10 @@ Three layers:
   sum_i w_i < 1 for one companion (_contracts, by one correctly rounded
   sum), and for a period product _radius_below, the signs of the leading
   principal minors of I - P from a fraction-free elimination of the
-  product carried exactly in integers. Radii from numpy's eigvals are
-  diagnostics (spectral_radius, StabilityTest.rho) and a search screen,
-  and the only use of numpy here, so numpy loads on the first of them;
+  product carried exactly in integers. A stability test returns that
+  verdict alone. spectral_radius, numpy's eigvals radius of one companion
+  and the n >= 2 search's screen, is the one function here that imports
+  numpy, on its first call;
 * time-varying alphabets: periodic schedules of quantizer sizes, their
   average rate, the minimum-average-rate search, and the convex relaxation
   whose optimum reproduces the necessary rate. Every size loop reads a
@@ -99,30 +100,19 @@ def conservative_known_plant_rate(lambda_abs: float, eps_n: float) -> float:
 # companion-matrix stability test
 
 
-def _companion(w_bar: Sequence[float]):
-    """Nonnegative companion matrix of worst-case expansion rates w_bar = (w_1, ..., w_n).
+def spectral_radius(w_bar: Sequence[float]) -> float:
+    """Spectral radius of the companion matrix of w_bar by eigvals, 0 when every rate is 0.
 
-    An identity superdiagonal and bottom row (w_n, ..., w_1), so iterating
-    it drives the envelope of the scaling sequence.
+    The companion of w_bar = (w_1, ..., w_n) has an identity superdiagonal
+    and bottom row (w_n, ..., w_1), so iterating it drives the envelope of
+    the scaling sequence. The one function here that imports numpy.
     """
     import numpy as np
 
     n = len(w_bar)
     m = np.eye(n, k=1)
     m[n - 1, :] = w_bar[::-1]
-    return m
-
-
-def _radius(m) -> float:
-    """Spectral radius of a companion matrix or a period product of them."""
-    import numpy as np
-
     return float(max(abs(np.linalg.eigvals(m))))
-
-
-def spectral_radius(w_bar: Sequence[float]) -> float:
-    """Spectral radius of the companion matrix of w_bar by eigvals, 0 when every rate is 0."""
-    return _radius(_companion(w_bar))
 
 
 _U = 2.0**-53
@@ -160,16 +150,6 @@ def _contracts(w_bar: Sequence[float]) -> bool:
     settles the exact rationals _rescaled keeps, all past 2^1023.
     """
     return max(w_bar) < 1.0 and math.fsum((*w_bar, -1.0)) < 0.0
-
-
-def _product(rates: Sequence[Sequence[float]]):
-    """Float period product H_m ... H_1 of the rates' companions, for the rho diagnostic."""
-    import numpy as np
-
-    prod = np.eye(len(rates[0]))
-    for w in rates:
-        prod = _companion(w) @ prod
-    return prod
 
 
 def _slot(w_bar: Sequence[float]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -239,7 +219,6 @@ def _radius_below(prod: tuple) -> bool:
 
 @dataclass(frozen=True)
 class StabilityTest:
-    rho: float
     stable: bool
 
 
@@ -255,7 +234,8 @@ def sufficient_test(
 
     The one-slot periodic test: the companion matrix of the worst-case
     expansion rates passes when its spectral radius is strictly below
-    1 - margin, decided exactly on the rescaled rates. rho is a diagnostic.
+    1 - margin, decided exactly on the rescaled rates. No numpy: only
+    spectral_radius imports it here.
     """
     return periodic_sufficient_test(p, Schedule((q.N,)), [q], margin)
 
@@ -339,9 +319,9 @@ class Schedule:
     sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "sizes", tuple(map(operator.index, self.sizes)))
         if not self.sizes:
             raise ValueError("schedule must have at least one slot")
-        object.__setattr__(self, "sizes", tuple(map(operator.index, self.sizes)))
         if any(v < 2 for v in self.sizes):
             raise ValueError("every slot needs at least 2 levels")
 
@@ -378,12 +358,13 @@ def periodic_sufficient_test(
     transpose the loop's envelope recursion steps by over a period (on its
     pending partial sums); its radius is invariant under cyclic shifts of the
     phase. stable is _radius_below on the exact product of the rescaled
-    rates' companions, rho < (1 - margin)^m exactly; rho is a diagnostic.
+    rates' companions, rho < (1 - margin)^m exactly, and the whole answer:
+    no float radius is computed, and only spectral_radius imports numpy here.
     """
     _check_margin(margin)
-    ws = [expansion_profile(q, p) for q in reversed(schedule_quantizers(p, sched, family))]
-    rs = [_rescaled(w, margin) for w in ws]
-    return StabilityTest(rho=_radius(_product(ws)), stable=_radius_below(_exact_product(p.n, rs)))
+    qs = reversed(schedule_quantizers(p, sched, family))
+    rs = [_rescaled(expansion_profile(q, p), margin) for q in qs]
+    return StabilityTest(stable=_radius_below(_exact_product(p.n, rs)))
 
 
 @dataclass(frozen=True)

@@ -569,6 +569,14 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"[plant]\nn = 1\na_star = 2.0\xff\neps = 0.1\n")
+    assert main(["bounds", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config {cfg}: ") and err.count("\n") == 1
+
+
 UNWRITABLE_OUT_RUNS = {
     "bounds": ("bounds", BOUNDS_CFG),
     "schedule": ("schedule", BOUNDS_CFG),

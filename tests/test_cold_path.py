@@ -2,9 +2,11 @@
 fresh interpreter builds nothing at import that a command does not use.
 
 Each test runs a fresh interpreter with sys.modules["numpy"] = None, so any
-import of numpy, from any module, raises at the line that makes it. Only the
-eigvals diagnostics and the oracles load numpy, on first use: `verify` and
-n >= 2 `schedule` rows. `simulate` draws its seeded uniform instances and
+import of numpy, from any module, raises at the line that makes it. Only
+`rates.spectral_radius`, the eigvals radius that the n >= 2 schedule search
+screens with, and the oracles load numpy, on first use: `verify` and n >= 2
+`schedule` rows. The stability tests return only their exact verdict and
+load no numpy. `simulate` draws its seeded uniform instances and
 initial outputs without numpy, bit for bit as numpy's default_rng would.
 The closed-loop kernel of a plant order is generated on its first run.
 fractions is blocked the same way where a test says so: only the rescale's
@@ -12,6 +14,7 @@ exact-rational branch imports it.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +25,8 @@ from quantstab.cli import main
 from test_cli import BOUNDS_CFG
 from test_schedule_frozen import CONFIG, FROZEN_CSV, FROZEN_NOTES
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 BLOCK = 'import sys\nsys.modules["numpy"] = None\n'
 
@@ -82,6 +86,46 @@ print(len(grid + ties))
 """
     res = run_blocked(code, tmp_path)
     assert (res.returncode, res.stderr, res.stdout) == (0, "", "56\n")
+
+
+STABILITY_VERDICTS = """\
+from quantstab.plant import UncertainPlant
+from quantstab.quantizer import QuantizerSpec, quantizer_for
+from quantstab.rates import Schedule, periodic_sufficient_test, sufficient_test
+
+def explicit(N):  # a layout no family builds: half-boundaries spaced as l^0.8
+    K = (N + 1) // 2
+    return QuantizerSpec(N, (0.0, *(0.5 * (l / K) ** 0.8 for l in range(1, K)), 0.5))
+
+verdicts = []
+for p in (UncertainPlant(1, (3.0,), (0.35,), (1.0,)),
+          UncertainPlant(3, (0.3, -0.2, 2.2), (0.02, 0.05, 0.2), (1.0,) * 3)):
+    for margin in (0.0, 0.05):
+        for N in range(2, 13):
+            verdicts.append(sufficient_test(p, quantizer_for("optimal", p, N), margin).stable)
+            verdicts.append(sufficient_test(p, explicit(N), margin).stable)
+        for sizes in ((2, 8), (3, 9), (5, 6, 7, 12)):
+            sched = Schedule(sizes)
+            verdicts.append(periodic_sufficient_test(p, sched, "optimal", margin).stable)
+            verdicts.append(periodic_sufficient_test(p, sched, list(map(explicit, sizes)), margin).stable)
+"""
+
+
+def test_stability_tests_and_readme_quick_start_without_numpy(tmp_path):
+    # the verdicts of both stability tests with numpy blocked are those of
+    # this process, where numpy loads; then the README quick start runs
+    ns: dict = {}
+    exec(STABILITY_VERDICTS, ns)
+    want = ns["verdicts"]
+    assert any(want) and not all(want)
+    res = run_blocked(STABILITY_VERDICTS + "print(verdicts)\n", tmp_path)
+    assert (res.returncode, res.stderr, res.stdout) == (0, "", f"{want}\n")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start (API)", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    check = 'print(sufficient_test(p, q).stable, min_sufficient_N(p, "optimal"), traj.verdict)\n'
+    res = run_blocked(block + check, tmp_path)
+    assert (res.returncode, res.stderr, res.stdout) == (0, "", "True 5 stabilized\n")
 
 
 N2_BOUNDS_CFG = """\

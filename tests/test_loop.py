@@ -285,6 +285,14 @@ def test_run_validations():
         )
 
 
+@pytest.mark.parametrize("horizon", [3.5, 3.0, math.inf])
+def test_horizon_must_be_an_integer(horizon):
+    # the loop stops on k == horizon, which a non-integer never meets; this
+    # plant diverges within 60 steps, so a run that is not refused still ends
+    with pytest.raises(TypeError):
+        run_closed_loop(scalar_plant(), (3.0,), Schedule((2,)), "optimal", horizon, record=False)
+
+
 def test_trajectory_shape_and_first_row():
     p = scalar_plant(3.0, 0.5, bound=0.7)
     traj = run_closed_loop(

@@ -37,6 +37,14 @@ def test_constructor_validation():
         UncertainPlant(1, (2.0,), (0.1,), (0.0,))
 
 
+def test_order_must_be_an_integer():
+    # numpy integers are orders too; a float is refused, as a schedule's sizes are
+    p = UncertainPlant(np.int64(2), (1.0, 3.0), (0.1, 0.35), (1.0, 1.0))
+    assert p.n == 2 and type(p.n) is int
+    with pytest.raises(TypeError):
+        UncertainPlant(2.0, (1.0, 3.0), (0.1, 0.35), (1.0, 1.0))
+
+
 @pytest.mark.parametrize("a_star,eps", [((1e308,), (1e308,)), ((-1.7e308,), (2e307,))])
 def test_box_past_the_float_range_rejected(a_star, eps):
     # |a*| + eps overflows, so the expansion rates of the box would be inf

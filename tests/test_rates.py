@@ -60,6 +60,28 @@ def test_r_ratio():
         r_ratio(1.3, 0.35)
 
 
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (r_ratio, (math.inf, 0.1)),
+        (necessary_rate, (math.nan, 0.1)),
+        (necessary_rate, (3.0, math.nan)),
+        (necessary_rate, (math.inf, 0.1)),
+        (conservative_known_plant_rate, (math.nan, 0.1)),
+        (conservative_known_plant_rate, (math.inf, 0.1)),
+        (v_rate, (math.nan, 0.1, 4)),
+        (v_rate, (3.0, math.nan, 4)),
+        (relaxed_min_rate, (math.nan, 0.1, 3)),
+        (comparison_bounds, (math.nan, 0.1)),
+        (comparison_bounds, (math.inf, 0.1)),
+    ],
+)
+def test_closed_forms_reject_nan_and_infinite_boxes(fn, args):
+    # r_ratio's checks fail for NaN, and lambda + eps must be finite, as a plant's box is
+    with pytest.raises(ValueError):
+        fn(*args)
+
+
 def test_necessary_rate_frozen():
     assert necessary_rate(2.0, 0.0) == 1.0
     assert math.isclose(necessary_rate(3.0, 0.35), 1.8779841228086502, rel_tol=REL)
@@ -100,13 +122,6 @@ def test_conservative_known_plant_rate():
 
 # ---------------------------------------------------------------------------
 # companion matrix and spectral radius
-
-
-def test_hmatrix_layout():
-    m = rates._companion((0.1, 0.2, 0.3))
-    expect = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.3, 0.2, 0.1]])
-    assert np.array_equal(m, expect)
-    assert np.array_equal(rates._companion((0.7,)), np.array([[0.7]]))
 
 
 def test_spectral_radius_frozen():
@@ -151,16 +166,17 @@ def test_spectral_radius_below_one_iff_sum_below_one():
 
 
 def test_sufficient_test_frozen():
+    # for n = 1 the radius is the one worst rate
     p = scalar_plant(3.0, 0.5)
-    res = sufficient_test(p, optimal_boundaries(3.0, 0.5, 8))
-    assert math.isclose(res.rho, 0.6759572072072072, rel_tol=REL)
-    assert res.stable
-    res_u = sufficient_test(p, uniform_boundaries(8))
-    assert math.isclose(res_u.rho, 0.8125, rel_tol=REL)
-    assert res_u.stable
-    res2 = sufficient_test(scalar_plant(3.0, 0.35), optimal_boundaries(3.0, 0.35, 2))
-    assert math.isclose(res2.rho, 1.675, rel_tol=REL)
-    assert not res2.stable
+    q = optimal_boundaries(3.0, 0.5, 8)
+    assert math.isclose(expansion_profile(q, p)[0], 0.6759572072072072, rel_tol=REL)
+    assert sufficient_test(p, q).stable
+    q_u = uniform_boundaries(8)
+    assert math.isclose(expansion_profile(q_u, p)[0], 0.8125, rel_tol=REL)
+    assert sufficient_test(p, q_u).stable
+    p2, q2 = scalar_plant(3.0, 0.35), optimal_boundaries(3.0, 0.35, 2)
+    assert math.isclose(expansion_profile(q2, p2)[0], 1.675, rel_tol=REL)
+    assert not sufficient_test(p2, q2).stable
 
 
 def test_sufficient_test_margin():
@@ -321,6 +337,9 @@ def test_rate_table_reads_a_signed_zero_twin_afresh():
 def test_schedule_validation_and_rate():
     with pytest.raises(ValueError):
         Schedule(())
+    with pytest.raises(ValueError):  # the sizes are read before the check
+        Schedule(iter([]))
+    assert Schedule(iter([2, 8])).sizes == (2, 8)
     with pytest.raises(ValueError):
         Schedule((2, 1))
     s = Schedule((2, 8))
@@ -349,37 +368,58 @@ def test_schedule_quantizers_custom_list_checked():
 
 
 def test_periodic_reduces_to_static_at_m1():
+    # the radius is 0.938: stable below a margin of 0.062, unstable above
     p = UncertainPlant(2, (1.0, 3.0), (0.10, 0.35), (1.0, 1.0))
-    stat = sufficient_test(p, uniform_boundaries(8))
-    per = periodic_sufficient_test(p, Schedule((8,)), "uniform")
-    assert math.isclose(per.rho, stat.rho, rel_tol=1e-9)
-    assert per.stable == stat.stable
+    verdicts = []
+    for margin in (0.0, 0.05, 0.1):
+        stat = sufficient_test(p, uniform_boundaries(8), margin)
+        per = periodic_sufficient_test(p, Schedule((8,)), "uniform", margin)
+        assert per.stable == stat.stable
+        verdicts.append(stat.stable)
+    assert verdicts == [True, True, False]
 
 
 def test_periodic_two_eight_frozen():
     # scalar product of the two worst rates: 1.675 * 0.575246671... (mpmath)
     p = scalar_plant(3.0, 0.35)
-    res = periodic_sufficient_test(p, Schedule((2, 8)), "optimal")
-    assert math.isclose(res.rho, 0.9635381746996894, rel_tol=1e-10)
-    assert res.stable
+    qs = schedule_quantizers(p, Schedule((2, 8)), "optimal")
+    product = math.prod(expansion_profile(q, p)[0] for q in qs)
+    assert math.isclose(product, 0.9635381746996894, rel_tol=1e-10)
+    assert periodic_sufficient_test(p, Schedule((2, 8)), "optimal").stable
     assert math.isclose(Schedule((2, 8)).average_rate, 2.0, rel_tol=REL)
 
 
 def test_periodic_all_expanding_slots_unstable():
     p = scalar_plant(3.0, 0.35)
-    res = periodic_sufficient_test(p, Schedule((2, 2, 3)), "optimal")
-    assert res.rho >= 1.0 and not res.stable
+    qs = schedule_quantizers(p, Schedule((2, 2, 3)), "optimal")
+    assert all(expansion_profile(q, p)[0] >= 1.0 for q in qs)
+    assert not periodic_sufficient_test(p, Schedule((2, 2, 3)), "optimal").stable
 
 
 def test_periodic_power_consistency():
+    # one slot passes iff rho < 1 - margin, three iff rho^3 < (1 - margin)^3
     p = UncertainPlant(2, (1.0, 3.0), (0.10, 0.35), (1.0, 1.0))
-    one = sufficient_test(p, uniform_boundaries(6)).rho
-    three = periodic_sufficient_test(p, Schedule((6, 6, 6)), "uniform").rho
-    assert math.isclose(three, one**3, rel_tol=1e-9)
+    q = quantizer_for("optimal", p, 6)
+    tie = 1.0 - spectral_radius(expansion_profile(q, p))  # about 0.046
+    verdicts = []
+    for margin in (0.0, tie - 1e-3, tie - 1e-6, tie + 1e-6, tie + 1e-3, 0.2):
+        one = sufficient_test(p, q, margin).stable
+        assert periodic_sufficient_test(p, Schedule((6, 6, 6)), "optimal", margin).stable == one
+        assert one == (margin < tie), margin
+        verdicts.append(one)
+    assert any(verdicts) and not all(verdicts)
 
 
 # ---------------------------------------------------------------------------
 # exact verdicts: rho(P) < 1 for P the exact product of float companions
+
+
+def companion(w):
+    """Companion matrix of w = (w_1, ..., w_n): identity superdiagonal, bottom row (w_n, ..., w_1)."""
+    n = len(w)
+    m = np.eye(n, k=1)
+    m[n - 1, :] = w[::-1]
+    return m
 
 
 def float_product(rate_list):
@@ -387,8 +427,13 @@ def float_product(rate_list):
     n = len(rate_list[0])
     prod = np.eye(n)
     for w in rate_list:
-        prod = rates._companion(w) @ prod
+        prod = companion(w) @ prod
     return prod
+
+
+def eig_radius(m):
+    """Spectral radius of a square matrix by numpy's eigvals."""
+    return float(max(abs(np.linalg.eigvals(np.asarray(m, dtype=float)))))
 
 
 def exact_product(rate_list):
@@ -450,7 +495,7 @@ def test_verdict_near_tie_n2_pins_exact_answer():
     # but Fraction(0.7) + Fraction(0.3) is 1 - 2^-54
     w = (0.7, 0.3)
     assert Fraction(0.7) + Fraction(0.3) < 1
-    assert not rates._radius(rates._companion(w)) < 1.0
+    assert not eig_radius(companion(w)) < 1.0
     assert not w[0] + w[1] < 1.0
     assert rates._radius_below(exact_product([w]))
     assert rates._radius_below(exact_product([w, w]))
@@ -461,7 +506,7 @@ def test_verdict_near_tie_n2_pins_exact_answer():
     rate_list = [rates._rescaled(w, 0.09096392832975031) for w in [(0.536, 0.324), (0.555, 0.337)]]
     (a1, a2), (b1, b2) = [[Fraction(v) for v in w] for w in rate_list]
     tr, det = a2 + b2 + b1 * a1, a2 * b2  # of [[a2, a1], [b1 a2, b2 + b1 a1]]
-    assert not rates._radius(float_product(rate_list)) < 1.0
+    assert not eig_radius(float_product(rate_list)) < 1.0
     assert 2 > tr and 1 - tr + det > 0
     assert rates._radius_below(exact_product(rate_list))
     # 0.1 + 0.9 exceeds 1 exactly
@@ -525,8 +570,7 @@ def test_radius_below_agrees_with_exact_path():
     cases.append([(0.003, 1.176), (0.003 / 1.176, 0.85 - 0.003 * 0.003 / 1.176)])
     checked = 0
     for rate_list in cases:
-        prod = float_product(rate_list)
-        rho = rates._radius(prod)
+        rho = eig_radius(float_product(rate_list))
         if rho == 0.0:
             continue
         for f in (1.0 - 1e-9, 1.0 + 1e-9, 1.0 - 1e-6, 1.0 + 1e-6, 0.9, 1.1, 1.0):
@@ -612,16 +656,19 @@ def test_periodic_test_certifies_the_loop_envelope_recursion():
     ]
     ws = [expansion_profile(q, p) for q in qs]
     got = periodic_sufficient_test(p, Schedule((6, 7, 12)), qs)
-    assert not got.stable and math.isclose(got.rho, 1.00698504995, rel_tol=1e-9)
+    assert not got.stable
+    # the test's product H_0 H_1 H_2, slot 0 leftmost
+    assert math.isclose(eig_radius(float_product(ws[::-1])), 1.00698504995, rel_tol=1e-9)
     assert not fraction_radius_below(envelope_period_map(ws))
     assert rates._radius_below(exact_product(ws))
     verdicts = []
     for p, sched, qs in random_explicit_layouts(41, 300):
-        phi = envelope_period_map([expansion_profile(q, p) for q in qs])
+        ws = [expansion_profile(q, p) for q in qs]
+        phi = envelope_period_map(ws)
         got = periodic_sufficient_test(p, sched, qs)
         assert got.stable == fraction_radius_below(phi), (p, sched)
-        rho = rates._radius(np.array(phi, dtype=float))
-        assert math.isclose(got.rho, rho, rel_tol=1e-9), (p, sched)
+        rho = eig_radius(float_product(ws[::-1]))
+        assert math.isclose(eig_radius(phi), rho, rel_tol=1e-9), (p, sched)
         verdicts.append(got.stable)
     assert 50 < sum(verdicts) < 250
 
@@ -1361,8 +1408,8 @@ def test_rescale_is_a_similarity_per_step():
         margin = float(rng.uniform(0.0, 0.5))
         rate_list = [tuple(float(v) for v in rng.uniform(0.05, 0.8, n)) for _ in range(m)]
         scaled = [rates._rescaled(w, margin) for w in rate_list]
-        want = rates._radius(float_product(rate_list)) / (1.0 - margin) ** m
-        assert math.isclose(rates._radius(float_product(scaled)), want, rel_tol=1e-12)
+        want = eig_radius(float_product(rate_list)) / (1.0 - margin) ** m
+        assert math.isclose(eig_radius(float_product(scaled)), want, rel_tol=1e-12)
 
 
 def test_search_validates_caps():
