@@ -42,6 +42,7 @@ from .quantizer import (
     v_rate,
 )
 from .rates import (
+    MAX_ORDER,
     Schedule,
     _Table,
     comparison_bounds,
@@ -63,7 +64,9 @@ MAX_SWEEP_ROWS = 100_000  # most lambda values one [sweep] may hold
 # Caps on the work one request may ask for; the library takes any value.
 MAX_N_MAX = 1024  # alphabet size: the rate searches grow faster than linearly
 MAX_M_MAX = 256  # schedule period, likewise
-MAX_ORDER = 24  # plant order: a schedule row at the caps above takes ~2 s at n = 24
+# plant order: MAX_ORDER, from rates, the highest order whose verdict code is
+# generated; a schedule row at the caps above took up to 0.6 s on six random
+# n = 24 plants (2 vCPU), its order's build included
 MAX_STEPS = 200_000  # closed-loop steps of one simulate run, horizon x instances
 MIN_RESOLUTION = 2e-4  # verify grid step: time grows as its inverse square, memory stays one tile
 CSV_CHUNK_ROWS = 1024  # trajectory rows formatted and written at a time

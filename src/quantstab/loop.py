@@ -67,7 +67,7 @@ from .quantizer import (
     coefficient_expansion_rates,
     expansion_profile,
 )
-from .rates import Schedule, schedule_quantizers
+from .rates import Schedule, _tuple, schedule_quantizers
 
 REL_GUARD = 1e-9
 """Relative slack for float roundoff in invariant checks and saturation."""
@@ -385,12 +385,6 @@ def _kernel_source(n: int) -> str:
         plant_terms="\n".join(f"        y += a{i} * y{i}" for i in range(n)),
         stepped=_tuple(["y", *(f"y{i}" for i in older)]),
     )
-
-
-def _tuple(items) -> str:
-    """Source of the tuple display or target of items."""
-    items = list(items)
-    return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
 
 
 @functools.cache

@@ -118,12 +118,14 @@ def r_ratio(lambda_abs: float, eps_n: float) -> float:
 
     The one check of the expanding box: every bound and rate-equalizing
     layout needs eps_n >= 0 and lambda_abs - eps_n > 1, with lambda_abs +
-    eps_n finite; NaN fails both checks.
+    eps_n finite, each checked on its own; NaN fails the first two checks.
     """
     if not eps_n >= 0:
         raise ValueError("eps_n must be nonnegative")
-    if not (lambda_abs - eps_n > 1.0 and math.isfinite(lambda_abs + eps_n)):
+    if not lambda_abs - eps_n > 1.0:
         raise ValueError(f"need lambda_abs - eps_n > 1, got {lambda_abs} - {eps_n}")
+    if not math.isfinite(lambda_abs + eps_n):
+        raise ValueError(f"lambda_abs + eps_n must be finite, got {lambda_abs} + {eps_n}")
     return (lambda_abs - eps_n) / (lambda_abs + eps_n)
 
 

@@ -41,8 +41,9 @@ def csv_digest(req, tmp_path: Path) -> str:
     return hashlib.sha256(csv.encode("utf-8")).hexdigest()[:16]
 
 
-# round 0 of every workload, and the whole first cycle of the exact scalar search
-ROUNDS = {"scalar_schedule": 7, "ho_design": 1, "mc_batch": 1, "single_shot": 1}
+# round 0 of every workload, and the whole first cycle of the exact scalar
+# search and of the n >= 2 heuristic search (105 requests, 35 searches)
+ROUNDS = {"scalar_schedule": 7, "ho_design": 5, "mc_batch": 1, "single_shot": 1}
 
 
 @pytest.mark.parametrize("workload", sorted(ROUNDS))

@@ -8,7 +8,8 @@ screens with, and the oracles load numpy, on first use: `verify` and n >= 2
 `schedule` rows. The stability tests return only their exact verdict and
 load no numpy. `simulate` draws its seeded uniform instances and
 initial outputs without numpy, bit for bit as numpy's default_rng would.
-The closed-loop kernel of a plant order is generated on its first run.
+The closed-loop kernel of a plant order is generated on its first run, and
+the exact verdict code of an order on its first product.
 fractions is blocked the same way where a test says so: only the rescale's
 exact-rational branch imports it.
 """
@@ -207,3 +208,48 @@ print(status, info.misses, info.hits, info.currsize)
     # one build for the 24 instances, which the other 23 reuse
     assert (lines[0], lines[-1]) == ("0", "0 1 23 1")
     assert lines[-2].startswith("instances=24 ")
+
+
+N1_ROW_CFG = CONFIG.replace("lambda_min = 1.40", "lambda_min = 1.95").replace(
+    "lambda_max = 4.00", "lambda_max = 1.95"
+)
+N2_ROW_CFG = """\
+[plant]
+n = 2
+a_star = 0.3, 2.3
+eps = 0.02, 0.2
+
+[sweep]
+lambda_min = 2.3
+lambda_max = 2.3
+lambda_step = 0.1
+"""
+
+
+def test_import_builds_no_verdict_code_and_a_row_builds_its_order(tmp_path):
+    # the verdict code of an order is built on its first use: the import and
+    # an n = 1 criterion-9 row build none, an n = 2 schedule row order 2 alone
+    argv = []
+    for name, text in (("n1", N1_ROW_CFG), ("n2", N2_ROW_CFG)):
+        (tmp_path / f"{name}.cfg").write_text(text, encoding="utf-8")
+        argv.append(["schedule", "--config", f"{name}.cfg", "--out", f"{name}.csv"])
+    code = f"""\
+import quantstab.cli
+from quantstab import rates
+built = rates._verdict_code.cache_info
+print("built", built().currsize)
+quantstab.cli.main({argv[0]!r})
+print("built", built().currsize)
+quantstab.cli.main({argv[1]!r})
+info = built()
+rates._verdict_code(2)
+print("built", info.currsize, built().misses - info.misses)
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert (res.returncode, res.stderr) == (0, "")
+    lines = res.stdout.splitlines()
+    assert [line for line in lines if line.startswith("built")] == ["built 0", "built 0", "built 1 0"]
+    assert "lambda=1.95 schedule=[2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3, 4, 4, 4, 4, 4] (exact)" in lines
+    assert any(line.startswith("lambda=2.3 ") and line.endswith("(heuristic)") for line in lines)

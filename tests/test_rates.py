@@ -56,8 +56,13 @@ def test_r_ratio():
     assert math.isclose(r_ratio(3.0, 0.35), 2.65 / 3.35, rel_tol=REL)
     assert math.isclose(r_ratio(3.0, 0.5), 5.0 / 7.0, rel_tol=REL)
     assert r_ratio(3.0, 0.0) == 1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need lambda_abs - eps_n > 1, got 1\.3 - 0\.35$"):
         r_ratio(1.3, 0.35)
+    with pytest.raises(ValueError, match=r"^need lambda_abs - eps_n > 1, got nan - 0\.1$"):
+        r_ratio(math.nan, 0.1)
+    # an infinite box meets the first condition: it fails on its own check
+    with pytest.raises(ValueError, match=r"^lambda_abs \+ eps_n must be finite, got inf \+ 0\.1$"):
+        r_ratio(math.inf, 0.1)
 
 
 @pytest.mark.parametrize(
@@ -596,6 +601,72 @@ def test_exact_path_matches_sum_rule_on_one_companion():
             assert rates._contracts(scaled) == want
 
 
+def generated_and_loop_agree(n, rate_list):
+    """The product and verdict of the verdict code of order n, after checking
+    them against the loop reference: the product after every slot, bit for bit."""
+    extend, radius_below = rates._verdict_code(n)
+    prod = ref = rates._exact_product(n, ())  # the identity
+    for w in rate_list:
+        slot = rates._slot(w)
+        prod, ref = extend(prod, slot), rates._extend_loop(ref, slot)
+        assert prod == ref, (n, rate_list)
+    verdict = radius_below(prod)
+    assert verdict == rates._radius_below_loop(prod) == rates._radius_below(prod), (n, rate_list)
+    return prod, verdict
+
+
+def fraction_matrix(prod):
+    """P = diag(d)^-1 M of prod = (d, M) as Fractions."""
+    d, M = prod
+    return [[Fraction(x, di) for x in row] for di, row in zip(d, M)]
+
+
+def test_generated_verdict_code_matches_the_loops_and_fractions():
+    # every generated order, every period the n >= 2 search reaches
+    rng = np.random.default_rng(29)
+    verdicts = []
+    for n in range(1, rates.MAX_ORDER + 1):
+        for m in range(1, 7):
+            rate_list = []
+            for _ in range(m):
+                w = rng.dirichlet(np.ones(n))
+                w[rng.uniform(size=n) < 0.2] = 0.0
+                w *= rng.uniform(0.85, 1.15) / max(w.sum(), 1e-300)  # sums near 1
+                rate_list.append(tuple(map(float, w)))
+            prod, verdict = generated_and_loop_agree(n, rate_list)
+            assert verdict == fraction_radius_below(fraction_matrix(prod)), (n, rate_list)
+            verdicts.append(verdict)
+    assert 0.2 < sum(verdicts) / len(verdicts) < 0.8
+
+
+def test_generated_verdict_code_edge_cases():
+    for n in range(1, rates.MAX_ORDER + 1):
+        # (1/2, 1/4, ..., 2^-(n-1), 2^-(n-1)) sums to exactly 1: rho = 1 for
+        # every power of its primitive companion, whose leading minors of I - P
+        # are positive up to order n - 1 and whose last one, the last pivot, is 0
+        w = tuple(2.0 ** -min(i, n - 1) for i in range(1, n + 1))
+        for m in (1, 2, 3):
+            prod, verdict = generated_and_loop_agree(n, [w] * m)
+            P = fraction_matrix(prod)
+            assert not verdict and not fraction_radius_below(P), (n, m)
+            assert n == 1 or fraction_radius_below([row[: n - 1] for row in P[: n - 1]]), (n, m)
+        # all-zero rates: rho = 0
+        assert generated_and_loop_agree(n, [(0.0,) * n] * 2)[1]
+    # at a margin next to 1, z = 3 * 2^-53: past order 19 the rescaled rates
+    # w_i 2^(53 i) / 3^i pass 2^1023 and stay exact rationals over powers of 3
+    rng = np.random.default_rng(31)
+    margin = 1.0 - 3 * 2.0**-53
+    for n in range(20, rates.MAX_ORDER + 1):
+        rate_list = [rates._rescaled(tuple(map(float, rng.uniform(0.01, 0.2, n))), margin)
+                     for _ in range(2)]
+        assert all(isinstance(v, Fraction) for w in rate_list for v in w)
+        assert any(v.denominator & (v.denominator - 1) for w in rate_list for v in w)
+        prod, verdict = generated_and_loop_agree(n, rate_list)
+        assert verdict == fraction_radius_below(fraction_matrix(prod)) == exact_radius_below(rate_list)
+    # above MAX_ORDER the loops are the route
+    assert rates._verdict_code(rates.MAX_ORDER + 1) == (rates._extend_loop, rates._radius_below_loop)
+
+
 @pytest.mark.parametrize("sizes", [(2,), (64,), (2, 64), (64, 64, 2)])
 def test_periodic_test_at_a_margin_next_to_one_is_exact(sizes):
     margin = 1.0 - 2.0**-53
@@ -957,7 +1028,7 @@ class _Forbidden:
 def test_scalar_search_builds_no_matrix_and_no_fraction(monkeypatch):
     # that it loads no numpy either is checked in a fresh interpreter, in
     # tests/test_cold_path.py
-    for name in ("_radius_below", "_exact_product", "_extend", "_slot"):
+    for name in ("_radius_below", "_exact_product", "_extend_loop", "_slot", "_verdict_code"):
         monkeypatch.setattr(rates, name, _Forbidden())
     # _rescaled imports Fraction where it reads it: that import now fails
     monkeypatch.setitem(sys.modules, "fractions", None)
