@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .loop import CONVERGENCE_RATIO, INIT_MODES, InvariantViolation, run_closed_loop
+from .loop import CONVERGENCE_RATIO, INIT_MODES, InvariantViolation, _Setup, run_closed_loop
 from .oracle import (
     exhaustive_encode_decode,
     grid_optimal_boundaries,
@@ -49,7 +49,6 @@ from .rates import (
     conservative_known_plant_rate,
     min_sufficient_N,
     necessary_rate,
-    schedule_quantizers,
     search_periodic_schedule,
 )
 
@@ -388,13 +387,14 @@ def cmd_sweep(cfg: Config, opts) -> int:
 # simulate
 
 
-def _sim_one(p, sched, qs, horizon, mode, seed, i, init_mode, record=True):
-    """(verdict, diagnostic, trajectory) of instance i; record=False keeps
-    no samples in the trajectory.
+def _sim_one(setup, horizon, mode, seed, i, init_mode, record=True):
+    """(verdict, diagnostic, trajectory) of instance i of the setup's plant,
+    schedule and family; record=False keeps no samples in the trajectory.
 
     A run that raises has no trajectory: its verdict is "saturated" for a
     SaturationError and "failed" for a malformed set or a broken invariant.
     """
+    p = setup.p
     a = sample_instance(
         p,
         mode,
@@ -403,7 +403,8 @@ def _sim_one(p, sched, qs, horizon, mode, seed, i, init_mode, record=True):
     )
     try:
         traj = run_closed_loop(
-            p, a, sched, qs, horizon, init_mode, init_seed=[seed, i, 1], record=record
+            p, a, setup.sched, setup.family, horizon, init_mode, init_seed=[seed, i, 1],
+            record=record, setup=setup,
         )
     except SaturationError as exc:
         return "saturated", str(exc), None
@@ -446,7 +447,7 @@ def cmd_simulate(cfg: Config, opts) -> int:
     init_mode = cfg.get_choice("simulate", "init_mode", INIT_MODES, "uniform")
     seed = cfg.get_int("simulate", "seed", 0, opts.seed)
     try:
-        qs = schedule_quantizers(p, sched, family)
+        setup = _Setup(p, sched, family)  # one set-up that every instance shares
     except ValueError as exc:
         sizes_text = _listed(sched.sizes)
         raise ConfigError(f"no {family} quantizer layout for sizes {sizes_text}: {exc}") from None
@@ -460,7 +461,7 @@ def cmd_simulate(cfg: Config, opts) -> int:
                 )
 
     if instances == 1:
-        verdict, diag, traj = _sim_one(p, sched, qs, horizon, mode, seed, 0, init_mode)
+        verdict, diag, traj = _sim_one(setup, horizon, mode, seed, 0, init_mode)
         if traj is None:
             print(f"run failed: {diag}", file=sys.stderr)
             return 1
@@ -473,7 +474,7 @@ def cmd_simulate(cfg: Config, opts) -> int:
     counts: dict[str, int] = {}
     failed = 0
     for i in range(instances):
-        verdict, diag, traj = _sim_one(p, sched, qs, horizon, mode, seed, i, init_mode, False)
+        verdict, diag, traj = _sim_one(setup, horizon, mode, seed, i, init_mode, False)
         counts[verdict] = counts.get(verdict, 0) + 1
         if traj is None:
             failed += 1

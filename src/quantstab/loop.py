@@ -15,16 +15,20 @@ produced each contributing estimate; estimates from the pre-transmission
 prior boxes contribute their exact box expansion factor instead, since a
 symmetric box stretches more than any cell of a valid quantizer.
 
-Sets are float pairs (lo, hi), as in `intervals`. `run_closed_loop`
-computes what depends only on the plant and the schedule once before the
-first step: the coefficient-box endpoints and, per schedule slot, the
-cell edges, the quantizer's envelope factors and the coefficient-n
-expansion of each symbol's cell. The per-step state is a ring of the last
-n estimates, newest first, and a history of the last n outputs. A
-recorded run leaves one tuple per time index in `Trajectory.samples`; a
-run with record=False, as each instance of a Monte-Carlo batch is, keeps
-no sample and tracks only the step count and the smallest scaling, which
-are all a summary row reads.
+Sets are float pairs (lo, hi), as in `intervals`. What depends only on
+the plant, the schedule and the family is a `_Setup`, built before the
+first step: the resolved quantizers, the coefficient-box endpoints, per
+schedule slot the cell edges, the quantizer's envelope factors and the
+coefficient-n expansion of each symbol's cell, the prior ring entries,
+the initial scaling and the kernel of the plant order. A run builds its
+own unless one is passed in; a Monte-Carlo batch builds one per request
+and passes it to every instance, so an instance pays for its draws and
+its steps, not for work that grows with the schedule's slots and sizes.
+The per-step state is a ring of the last n estimates, newest first, and
+a history of the last n outputs. A recorded run leaves one tuple per
+time index in `Trajectory.samples`; a run with record=False, as each
+instance of a Monte-Carlo batch is, keeps no sample and tracks only the
+step count and the smallest scaling, which are all a summary row reads.
 
 The uniform initial outputs are the draws of
 `np.random.default_rng(init_seed).uniform(-b, b)`, oldest output first,
@@ -131,6 +135,42 @@ INIT_MODES = ("endpoints", "zero", "uniform")
 """Initial-output modes that run_closed_loop accepts."""
 
 
+class _Setup:
+    """What run_closed_loop needs of the plant, the schedule and the family
+    alone, built once for any number of runs.
+
+    It resolves the family (schedule_quantizers) and holds the coefficient
+    boxes, per schedule slot the cell edges, the size, the quantizer's
+    envelope factors and the coefficient-n expansion of each symbol's cell,
+    the prior ring entries, sigma0 and the kernel of the plant order. A
+    Monte-Carlo batch builds one per request and passes it to every run.
+    """
+
+    def __init__(
+        self, p: UncertainPlant, sched: Schedule, family: str | Sequence[QuantizerSpec]
+    ) -> None:
+        qs = schedule_quantizers(p, sched, family)
+        self.p, self.sched, self.family = p, sched, family
+        self.box = p.parameter_intervals()
+        box_factors = tuple(abs(ai) + e for ai, e in zip(p.a_star, p.eps))
+        # per schedule slot: cell edges, size, envelope factors, and the exact
+        # coefficient-n expansion of each symbol's cell (index s - 1); the rates
+        # run outward from the origin, an odd N's center cell first
+        self.slots = []
+        for q in qs:
+            rates_n = coefficient_expansion_rates(q, abs(p.a_star[-1]), p.eps[-1])
+            rate_of = rates_n[:0:-1] + rates_n if q.N % 2 else rates_n[::-1] + rates_n
+            self.slots.append((q.edges, q.N, expansion_profile(q, p), rate_of))
+        # the prior boxes of times -1 .. -n+1, newest first, as ring entries
+        # (lo, hi, env, factors, rate_n * sigma) with sigma = env = 2 b
+        self.prior = [
+            (-b, b, 2.0 * b, box_factors, box_factors[-1] * (2.0 * b))
+            for b in reversed(p.init_bounds[:-1])
+        ]
+        self.sigma0 = 2.0 * p.init_bounds[-1]
+        self.kernel = _kernel(p.n)
+
+
 def run_closed_loop(
     p: UncertainPlant,
     a: Sequence[float],
@@ -140,6 +180,8 @@ def run_closed_loop(
     init_mode: str = "uniform",
     init_seed: int | None = None,
     record: bool = True,
+    *,
+    setup: _Setup | None = None,
 ) -> Trajectory:
     """Simulate the loop from seeded initial outputs until verdict or horizon.
 
@@ -154,6 +196,11 @@ def run_closed_loop(
     np.random.default_rng(init_seed).uniform(-b, b), oldest first, bit for
     bit, made without numpy. With record=False the run keeps no samples;
     its verdict, steps and min_sigma_ratio() are those of the recorded run.
+
+    setup is the _Setup of (p, sched, family), which many runs may share;
+    without it the run builds its own, and one built for another plant,
+    schedule or family raises ValueError. Either way the run is the same,
+    bit for bit.
 
     Step k, in the kernel of order n that the first run of that order
     builds: it encodes y_k against the scaling sigma_k and decodes its
@@ -176,17 +223,10 @@ def run_closed_loop(
         raise ValueError("horizon must be at least 1")
     if len(a) != p.n:
         raise ValueError("instance order does not match the plant")
-    qs = schedule_quantizers(p, sched, family)
-    box = p.parameter_intervals()
-    box_factors = tuple(abs(ai) + e for ai, e in zip(p.a_star, p.eps))
-    # per schedule slot: cell edges, size, envelope factors, and the exact
-    # coefficient-n expansion of each symbol's cell (index s - 1); the rates
-    # run outward from the origin, an odd N's center cell first
-    slots = []
-    for q in qs:
-        rates_n = coefficient_expansion_rates(q, abs(p.a_star[-1]), p.eps[-1])
-        rate_of = rates_n[:0:-1] + rates_n if q.N % 2 else rates_n[::-1] + rates_n
-        slots.append((q.edges, q.N, expansion_profile(q, p), rate_of))
+    if setup is None:
+        setup = _Setup(p, sched, family)
+    elif (setup.p, setup.sched, setup.family) != (p, sched, family):
+        raise ValueError("setup was built for another plant, schedule or family")
 
     if init_mode == "uniform":
         init = _uniform_draws(init_seed, [(-b, b) for b in p.init_bounds])
@@ -197,15 +237,9 @@ def run_closed_loop(
     else:
         raise ValueError(f"unknown init mode {init_mode!r}")
 
-    # the prior boxes of times -1 .. -n+1, newest first, as ring entries
-    # (lo, hi, env, factors, rate_n * sigma) with sigma = env = 2 b
-    prior = [
-        (-b, b, 2.0 * b, box_factors, box_factors[-1] * (2.0 * b))
-        for b in reversed(p.init_bounds[:-1])
-    ]
-    sigma0 = 2.0 * p.init_bounds[-1]
-    samples, verdict, steps, min_sigma = _kernel(p.n)(
-        a, box, slots, init, prior, sigma0, horizon, record
+    sigma0 = setup.sigma0
+    samples, verdict, steps, min_sigma = setup.kernel(
+        a, setup.box, setup.slots, init, setup.prior, sigma0, horizon, record
     )
     return Trajectory(samples, verdict, sigma0, steps, min_sigma)
 

@@ -8,10 +8,11 @@ while the estimator only ever sees the boxes.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 
 @dataclass(frozen=True)
@@ -128,17 +129,73 @@ _POOL_MIX = [
 _STATE_HASH = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
 
 
+def _mix_past_four(pool: list[int], rest: Sequence[int]) -> list[int]:
+    """The pool after SeedSequence mixes each entropy word past the fourth
+    into every pool word, in turn; its hash constants run on from the 16
+    that the pool hashes and the mixes took."""
+    hashes = iter(_hash_consts(0x43B0D7E5, 0x931E8875, 16 + 4 * len(rest))[16:])
+    for w in rest:
+        for dst in range(4):
+            xor, mult = next(hashes)
+            v = (w ^ xor) * mult & _M32
+            v = (0xCA01F9DD * pool[dst] - 0x4973F715 * (v ^ v >> 16)) & _M32
+            pool[dst] = v ^ v >> 16
+    return pool
+
+
+def _seeding_source() -> str:
+    """The source of seed(w0, w1, w2, w3, rest): PCG64's (state, inc) from the
+    entropy words w0..w3 and the words past them, each hash of _POOL_HASH,
+    _POOL_MIX and _STATE_HASH one statement with its constants written in."""
+    lines = ["def seed(w0, w1, w2, w3, rest):"]
+    for i, (xor, mult) in enumerate(_POOL_HASH[:4]):
+        lines += [f"    v = (w{i} ^ {xor:#x}) * {mult:#x} & {_M32:#x}", f"    p{i} = v ^ v >> 16"]
+    for src, dst, xor, mult in _POOL_MIX:
+        lines += [
+            f"    v = (p{src} ^ {xor:#x}) * {mult:#x} & {_M32:#x}",
+            f"    v = (0xca01f9dd * p{dst} - 0x4973f715 * (v ^ v >> 16)) & {_M32:#x}",
+            f"    p{dst} = v ^ v >> 16",
+        ]
+    lines += [
+        "    if rest:",
+        "        p0, p1, p2, p3 = _mix_past_four([p0, p1, p2, p3], rest)",
+    ]
+    for i, (xor, mult) in enumerate(_STATE_HASH):
+        lines += [f"    v = (p{i & 3} ^ {xor:#x}) * {mult:#x} & {_M32:#x}", f"    s{i} = v ^ v >> 16"]
+    # generate_state(4, uint64) is the words s0 | s1 << 32, ..., s6 | s7 << 32;
+    # PCG64's state is the first two, its increment the last two shifted
+    # left by one with the low bit set, each pair high word first
+    lines += [
+        "    init = s1 << 96 | s0 << 64 | s3 << 32 | s2",
+        f"    inc = (s5 << 97 | s4 << 65 | s7 << 33 | s6 << 1) & {_M128:#x} | 1",
+        f"    return ((inc + init) * {_PCG_MULT:#x} + inc) & {_M128:#x}, inc",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def _seeding() -> Callable:
+    """seed(w0, w1, w2, w3, rest) of _seeding_source, compiled on first use."""
+    namespace = {"_mix_past_four": _mix_past_four}
+    exec(compile(_seeding_source(), "<quantstab.plant seeding>", "exec"), namespace)
+    return namespace["seed"]
+
+
 def _uniform_draws(entropy, boxes) -> list[float]:
     """What np.random.default_rng(entropy).uniform(lo, hi) gives for each
     (lo, hi) of boxes in turn, bit for bit, without numpy.
 
     entropy is None, a nonnegative int or an iterable of them. Each int
-    becomes its little-endian 32-bit words (0 is one word 0); numpy's
-    SeedSequence hashes them into a four-word pool and the pool into
-    PCG64's 128-bit state and increment. A draw steps PCG64, takes its
-    XSL-RR output x and returns lo + (hi - lo) * (x >> 11) * 2**-53.
-    A negative int raises ValueError and a non-finite hi - lo
-    OverflowError, as numpy does; None takes secrets.randbits(128).
+    becomes its little-endian 32-bit words (0 is one word 0), padded with
+    zeros to four; numpy's SeedSequence hashes the first four into a
+    four-word pool, mixes the pool, mixes in each word past the fourth and
+    hashes the pool into PCG64's 128-bit state and increment. The first
+    use generates that hashing as straight-line code (_seeding), so
+    importing compiles none of it; only the words past the fourth run
+    through a loop. A draw steps PCG64, takes its XSL-RR output x and
+    returns lo + (hi - lo) * (x >> 11) * 2**-53. A negative int raises
+    ValueError and a non-finite hi - lo OverflowError, as numpy does; None
+    takes secrets.randbits(128).
     """
     if entropy is None:
         import secrets
@@ -153,33 +210,8 @@ def _uniform_draws(entropy, boxes) -> list[float]:
         while e > _M32:
             e >>= 32
             words.append(e & _M32)
-    pool = []
-    for i in range(4):
-        xor, mult = _POOL_HASH[i]
-        v = ((words[i] if i < len(words) else 0) ^ xor) * mult & _M32
-        pool.append(v ^ v >> 16)
-    for src, dst, xor, mult in _POOL_MIX:
-        v = (pool[src] ^ xor) * mult & _M32
-        v = (0xCA01F9DD * pool[dst] - 0x4973F715 * (v ^ v >> 16)) & _M32
-        pool[dst] = v ^ v >> 16
-    if len(words) > 4:
-        # words past the pool: each mixed into every pool word
-        hashes = iter(_hash_consts(0x43B0D7E5, 0x931E8875, 4 * len(words))[16:])
-        for w in words[4:]:
-            for dst in range(4):
-                xor, mult = next(hashes)
-                v = (w ^ xor) * mult & _M32
-                v = (0xCA01F9DD * pool[dst] - 0x4973F715 * (v ^ v >> 16)) & _M32
-                pool[dst] = v ^ v >> 16
-    # generate_state(4, uint64) as 8 little-endian words s0..s3
-    seed = 0
-    for i, (xor, mult) in enumerate(_STATE_HASH):
-        v = (pool[i & 3] ^ xor) * mult & _M32
-        seed |= (v ^ v >> 16) << 32 * i
-    # PCG64 seeding: state from (s0, s1), increment from (s2, s3), high word first
-    init = (seed & _M64) << 64 | seed >> 64 & _M64
-    inc = ((seed >> 128 & _M64) << 64 | seed >> 192) << 1 & _M128 | 1
-    state = ((inc + init) * _PCG_MULT + inc) & _M128
+    words += [0] * (4 - len(words))
+    state, inc = _seeding()(words[0], words[1], words[2], words[3], words[4:])
     draws = []
     for lo, hi in boxes:
         span = hi - lo

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from quantstab import cli, quantizer
+from quantstab import cli, loop, quantizer
 from quantstab.cli import (
     Config,
     ConfigError,
@@ -479,9 +479,8 @@ def test_chunked_trajectory_csv_equals_one_join(tmp_path, capsys, extra, writes)
     rows = 2 * CHUNK + extra
     cfg = write(tmp_path, "t.cfg", LEVEL_RUN.format(horizon=rows - 1))
     p = plant_from_config(cli.load_config(cfg))
-    sched = cli.Schedule((3,))
-    qs = cli.schedule_quantizers(p, sched, "optimal")
-    verdict, _, traj = cli._sim_one(p, sched, qs, rows - 1, "uniform", 0, 0, "uniform")
+    setup = cli._Setup(p, cli.Schedule((3,)), "optimal")
+    verdict, _, traj = cli._sim_one(setup, rows - 1, "uniform", 0, 0, "uniform")
     assert len(traj.samples) == rows
     want = "\n".join(
         [TRAJECTORY_CSV_HEADER]
@@ -545,6 +544,26 @@ def test_simulate_batch_marks_a_run_that_raises_failed(tmp_path, capsys):
         "instance 0 failed: malformed interval: lo=nan > hi=nan\n"
         "instance 1 failed: malformed interval: lo=nan > hi=nan\n",
     )
+
+
+def test_simulate_batch_builds_its_loop_set_up_once(tmp_path, monkeypatch):
+    # the quantizers' expansion rates depend only on the plant and the
+    # schedule, so a 24-instance batch computes them once per schedule slot
+    calls = {}
+
+    def counting(fn):
+        def wrapped(*args):
+            calls[fn.__name__] = calls.get(fn.__name__, 0) + 1
+            return fn(*args)
+
+        return wrapped
+
+    for name in ("expansion_profile", "coefficient_expansion_rates"):
+        monkeypatch.setattr(loop, name, counting(getattr(loop, name)))
+    text = SIM_CFG.format(instances=24).replace("N = 8", "sizes = 8, 4, 16")
+    cfg = write(tmp_path, "s.cfg", text)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "runs.csv")]) == 0
+    assert calls == {"expansion_profile": 3, "coefficient_expansion_rates": 3}
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ screens with, and the oracles load numpy, on first use: `verify` and n >= 2
 `schedule` rows. The stability tests return only their exact verdict and
 load no numpy. `simulate` draws its seeded uniform instances and
 initial outputs without numpy, bit for bit as numpy's default_rng would.
-The closed-loop kernel of a plant order is generated on its first run, and
-the exact verdict code of an order on its first product.
+The closed-loop kernel of a plant order is generated on its first run, the
+seed hashing of the uniform draws on the first draw, and the exact verdict
+code of an order on its first product.
 fractions is blocked the same way where a test says so: only the rescale's
 exact-rational branch imports it.
 """
@@ -190,7 +191,8 @@ def test_simulate_without_numpy_writes_the_same_bytes(instances, tmp_path, capsy
 
 def test_import_builds_no_kernel_and_a_batch_builds_one(tmp_path):
     # the kernel of an order is built on its first run, not at import, so
-    # set-up pays for none; every instance of a batch shares its one kernel
+    # set-up pays for none; a batch looks it up once, in the one loop
+    # set-up that every instance shares
     cfg = tmp_path / "batch.cfg"
     cfg.write_text(SIMULATE_CFG.format(instances=24), encoding="utf-8")
     argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "batch.csv")]
@@ -205,9 +207,28 @@ print(status, info.misses, info.hits, info.currsize)
     res = run_blocked(code, tmp_path)
     assert (res.returncode, res.stderr) == (0, "")
     lines = res.stdout.splitlines()
-    # one build for the 24 instances, which the other 23 reuse
-    assert (lines[0], lines[-1]) == ("0", "0 1 23 1")
+    # one build, in the set-up of the batch; its 24 instances look up none
+    assert (lines[0], lines[-1]) == ("0", "0 1 0 1")
     assert lines[-2].startswith("instances=24 ")
+
+
+def test_import_compiles_no_draw_code_and_the_first_draw_compiles_it(tmp_path):
+    # the straight-line seed hashing is generated on the first uniform draw,
+    # and only then; every later draw, with any number of words, reuses it
+    code = """\
+import quantstab.cli
+from quantstab import plant
+info = plant._seeding.cache_info
+print(info().currsize)
+plant.sample_instance(plant.UncertainPlant(1, (2.0,), (0.1,), (1.0,)), "uniform", seed=3)
+print(info().misses, info().hits)
+plant._uniform_draws([5, 1, 0, 7, 9], [(0.0, 1.0)])
+plant._uniform_draws([], [(0.0, 1.0)])
+print(info().misses, info().hits, info().currsize)
+"""
+    res = run_blocked(code, tmp_path)
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout.splitlines() == ["0", "1 0", "1 2 1"]
 
 
 N1_ROW_CFG = CONFIG.replace("lambda_min = 1.40", "lambda_min = 1.95").replace(

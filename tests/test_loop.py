@@ -1,5 +1,6 @@
 """Closed-loop simulator: prediction, control, invariants, envelopes, verdicts."""
 
+import functools
 import math
 import random
 
@@ -15,6 +16,7 @@ from quantstab.loop import (
     REL_GUARD,
     InvariantViolation,
     Trajectory,
+    _Setup,
     control_input,
     predict,
     run_closed_loop,
@@ -607,6 +609,72 @@ def test_replay_edge_cases_bit_for_bit(a_star, eps, bounds, a, sizes, family, in
         assert got[0][0][-1] == (-0.0).hex()
     if not isinstance(got[0], list):
         assert failing_horizon(run_closed_loop, args, 80) == failing_horizon(reference_run, args, 80)
+
+
+# ---------------------------------------------------------------------------
+# one set-up shared by a batch's runs, against a set-up built per run
+
+
+def shared_setup_batches():
+    """(plant, family, instances) of batches at orders 1, 2 and 5, both
+    families, unit and subnormal initial bounds; instance 4 of each lies past
+    the box, and most runs at subnormal bounds break an invariant."""
+    lower = (0.05, -0.05, 0.05, -0.05)
+    for bound in (1.0, 1e-307):
+        for a_star, eps in (((3.0,), (0.35,)), ((1.0, 3.0), (0.1, 0.35)), (lower + (3.0,), (0.01,) * 4 + (0.35,))):
+            n = len(a_star)
+            p = UncertainPlant(n, a_star, eps, (bound,) * n)
+            instances = [sample_instance(p, "uniform", seed=[5, i, 0]) for i in range(9)]
+            instances[4] = instances[4][:-1] + (instances[4][-1] * 1.6,)
+            for family in ("optimal", "uniform"):
+                yield p, family, instances
+    # the first products overflow to a malformed set
+    yield UncertainPlant(1, (1e300,), (0.0,), (1e10,)), "uniform", [(1e300,), (2.0,), (1e300,)]
+
+
+def every_field(run, *args):
+    """bits of the run's trajectory with its steps and smallest scaling, or
+    the type and message it raised."""
+    try:
+        traj = run(*args)
+    except (ValueError, InvariantViolation, SaturationError) as exc:
+        return type(exc), str(exc)
+    return bits(traj), traj.steps, traj.min_sigma.hex()
+
+
+def test_shared_setup_runs_as_a_fresh_one():
+    # every instance of a batch runs on the batch's one _Setup: each run, and
+    # each error with the step it is raised at, must be that of a run that
+    # builds its own set-up, also for the runs after an instance that raised
+    sched = Schedule((8, 4, 16))
+    seen = set()
+    for p, family, instances in shared_setup_batches():
+        shared = functools.partial(run_closed_loop, setup=_Setup(p, sched, family))
+        for i, a in enumerate(instances):
+            args = (p, a, sched, family, 200, INIT_MODES[i % 3], [5, i, 1])
+            for record in (True, False):
+                got = every_field(functools.partial(shared, record=record), *args)
+                assert got == every_field(functools.partial(run_closed_loop, record=record), *args), args
+            if isinstance(got[0], type):
+                seen.add(got[0])
+                assert failing_horizon(shared, args, 200) == failing_horizon(run_closed_loop, args, 200)
+            else:
+                seen.add(got[0][-1])
+    assert seen >= {"stabilized", "horizon_exhausted", SaturationError, InvariantViolation, ValueError}, seen
+
+
+def test_setup_of_another_plant_schedule_or_family_is_refused():
+    p = UncertainPlant(2, (1.0, 3.0), (0.1, 0.35), (1.0, 1.0))
+    sched = Schedule((4, 8, 6))
+    setup = _Setup(p, sched, "optimal")
+    other = UncertainPlant(2, (1.0, 3.0), (0.1, 0.3), (1.0, 1.0))
+    for q, sizes, family in ((other, (4, 8, 6), "optimal"), (p, (4, 8), "optimal"), (p, (4, 8, 6), "uniform")):
+        with pytest.raises(ValueError, match="another plant, schedule or family"):
+            run_closed_loop(q, (1.0, 3.0), Schedule(sizes), family, 40, setup=setup)
+    # an equal plant and schedule, built anew, may share it
+    twin = UncertainPlant(2, (1.0, 3.0), (0.1, 0.35), (1.0, 1.0))
+    got = run_closed_loop(twin, (1.0, 3.0), Schedule((4, 8, 6)), "optimal", 40, "uniform", 3, setup=setup)
+    assert got == run_closed_loop(p, (1.0, 3.0), sched, "optimal", 40, "uniform", 3)
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,30 @@ def test_uniform_draws_equal_default_rng_bit_for_bit():
         assert [v.hex() for v in _uniform_draws(entropy, boxes)] == want, entropy
 
 
+@pytest.mark.parametrize(
+    "entropy",
+    [
+        # no word: the pool hashes four zeros
+        [],
+        # exactly four words: the straight-line hashing alone
+        [0, 0, 0, 0],
+        [1, 2, 3, 4],
+        [2**32 - 1, 0, 7, 2**31],
+        2**96 + 5,
+        [3, 2**64],
+        # exactly five words: the fifth runs through the loop past the pool
+        [0, 0, 0, 0, 0],
+        [1, 2, 3, 4, 5],
+        2**128,
+        [2**64 - 1, 2**64 - 1, 1],
+    ],
+)
+def test_uniform_draws_at_the_four_word_boundary_equal_default_rng(entropy):
+    boxes = [(-1.0, 1.0), (0.0, 3.0), (2.5, 2.5)]
+    want = [v.hex() for v in numpy_draws(entropy, boxes)]
+    assert [v.hex() for v in _uniform_draws(entropy, boxes)] == want
+
+
 def test_sample_instance_uniform_equals_default_rng():
     p = UncertainPlant(3, (0.2, -0.4, 3.0), (0.05, 0.0, 0.35), (1.0, 1.0, 1.0))
     for seed in (0, 7, [3, 11, 0], 2**64 + 1, np.int64(5), np.array([3, 11, 0])):
