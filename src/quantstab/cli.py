@@ -6,7 +6,7 @@ Subcommands:
 * schedule   the same rows with the best periodic schedule filled in
 * simulate   closed-loop runs, single trajectory or seeded Monte-Carlo
 * quantizer  boundary export for one quantizer
-* verify     brute-force oracle checks of the closed forms
+* verify     brute-force oracle checks of the closed forms (needs numpy)
 
 All inputs come from one key-value config file with [section] headers.
 Output is CSV with 12 significant digits, so reruns are byte identical.
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import importlib.util
 import math
 import os
 import sys
@@ -545,6 +546,9 @@ def run_verification(resolution: float = 1e-3, seed: int = 0):
 def cmd_verify(cfg: Config, opts) -> int:
     resolution = cfg.get_float("verify", "resolution", 1e-3)
     seed = cfg.get_int("verify", "seed", 0, opts.seed)
+    if importlib.util.find_spec("numpy") is None:  # the oracles' array programs need it
+        print("verify needs numpy: install quantstab[oracle]", file=sys.stderr)
+        return 1
     rows = run_verification(resolution, seed)
     lines = ["case,closed_form,oracle,abs_diff,pass"]
     lines += [f"{name},{fmt(c)},{fmt(g)},{fmt(d)},{int(ok)}" for name, c, g, d, ok in rows]

@@ -3,11 +3,13 @@ fresh interpreter builds nothing at import that a command does not use.
 
 Each test runs a fresh interpreter with sys.modules["numpy"] = None, so any
 import of numpy, from any module, raises at the line that makes it. Only
-`rates.spectral_radius`, the eigvals radius that the n >= 2 schedule search
-screens with, and the oracles load numpy, on first use: `verify` and n >= 2
-`schedule` rows. The stability tests return only their exact verdict and
-load no numpy. `simulate` draws its seeded uniform instances and
-initial outputs without numpy, bit for bit as numpy's default_rng would.
+the oracles load numpy, on first use, so `verify` alone needs it: without
+it, `verify` exits 1 with a one-line message. `bounds` and `schedule` rows
+of any order, `quantizer` exports and `simulate` load no numpy. The
+stability tests return only their exact verdict, and the n >= 2 schedule
+search screens with a Newton root in plain floats. `simulate` draws its
+seeded uniform instances and initial outputs without numpy, bit for bit as
+numpy's default_rng would.
 The closed-loop kernel of a plant order is generated on its first run, the
 seed hashing of the uniform draws on the first draw, and the exact verdict
 code of an order on its first product.
@@ -146,18 +148,33 @@ QUANTIZER_CFG = "[plant]\nn = 1\na_star = 3.0\neps = 0.5\n\n[quantizer]\nN = 8\n
 
 
 @pytest.mark.parametrize(
-    "command, text",
-    [("bounds", BOUNDS_CFG), ("bounds", N2_BOUNDS_CFG), ("quantizer", QUANTIZER_CFG)],
-    ids=["bounds_n1", "bounds_n2", "quantizer"],
+    "command, text, args",
+    [
+        ("bounds", BOUNDS_CFG, []),
+        ("bounds", N2_BOUNDS_CFG, []),
+        ("schedule", N2_BOUNDS_CFG, ["--m-max", "6"]),
+        ("quantizer", QUANTIZER_CFG, []),
+    ],
+    ids=["bounds_n1", "bounds_n2", "schedule_n2", "quantizer"],
 )
-def test_command_without_numpy_writes_the_same_bytes(command, text, tmp_path):
+def test_command_without_numpy_writes_the_same_bytes(command, text, args, tmp_path, capsys):
     cfg = tmp_path / "in.cfg"
     cfg.write_text(text, encoding="utf-8")
     blocked, ref = tmp_path / "blocked.csv", tmp_path / "ref.csv"
-    res = run_cli_blocked([command, "--config", str(cfg), "--out", str(blocked)], tmp_path)
+    res = run_cli_blocked([command, "--config", str(cfg), "--out", str(blocked), *args], tmp_path)
     assert (res.returncode, res.stderr) == (0, "")
-    assert main([command, "--config", str(cfg), "--out", str(ref)]) == 0
+    assert main([command, "--config", str(cfg), "--out", str(ref), *args]) == 0
     assert blocked.read_bytes() == ref.read_bytes()
+    assert res.stdout == capsys.readouterr().out
+
+
+def test_verify_without_numpy_exits_1_naming_the_oracle_extra(tmp_path):
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("[verify]\nresolution = 1e-3\n", encoding="utf-8")
+    res = run_cli_blocked(["verify", "--config", str(cfg), "--out", str(tmp_path / "v.csv")], tmp_path)
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr == "verify needs numpy: install quantstab[oracle]\n"
+    assert not (tmp_path / "v.csv").exists()
 
 
 SIMULATE_CFG = """\
