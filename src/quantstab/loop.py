@@ -39,11 +39,13 @@ The steps run in a kernel generated for the plant order n: one template,
 `_KERNEL`, whose per-coefficient parts (the instance, the boxes, the ring
 and history, the envelope sum, the n terms of the prediction and the plant
 step) are written out for i = 0..n-1. The ring entries and the outputs are
-its local variables, shifted by one tuple assignment per step, so a step
-builds no ring entry, deque or iterator, and keeps no object but its
-sample tuple. The kernel of an order is compiled on the first
-run of that order, under a filename that names n, and cached by
-`_kernel`; importing the module builds none. The kernel computes each quantity once:
+its local variables, moved back one place per step by plain assignments,
+oldest first, so a step builds no ring entry, tuple, deque or iterator,
+and keeps no object but its sample tuple. A one-slot schedule's slot is
+read once per run, and a step tests |x| > c as x > c or x < -c, calling
+no abs. The kernel of an order is compiled on the first run of that
+order, under a filename that names n, and cached by `_kernel`; importing
+the module builds none. The kernel computes each quantity once:
 the lower bound on the next scaling is the last term of the prediction.
 `predict`, `control_input`, `intervals.interval_product`,
 `intervals.minkowski_sum`, `quantizer.encode`, `quantizer.decode` and
@@ -251,9 +253,12 @@ def run_closed_loop(
 # entry i, newest first: its estimate (est_lo<i>, est_hi<i>), its envelope
 # value env<i>, its quantizer's envelope factors fac<i>, and low<i>, the
 # exact coefficient-n expansion of its cell times its scaling. The ring
-# and the outputs each shift by one tuple assignment per step, which drops
-# the oldest entry. Each sum adds one term per statement: written as one
-# expression, its n nested additions stop compiling near n = 3000.
+# and the outputs shift by one plain assignment per field and place, oldest
+# first, which drops the oldest entry. Each sum starts in one expression
+# from its first term (0.0 + t, or u + a_1 y_k for the plant step) and adds
+# one term per statement: written as one expression, its n nested additions
+# stop compiling near n = 3000. A step calls no abs: the two compares
+# x > c or x < -c give abs(x) > c, false for a nan alike.
 _KERNEL = """\
 def run(a, box, slots, init, prior, sigma0, horizon, record):
     $instance = a
@@ -261,6 +266,7 @@ def run(a, box, slots, init, prior, sigma0, horizon, record):
     $outputs_oldest_first = init
     $prior = prior
     m = len(slots)
+    edges, N, factors, rate_of = slots[0]  # the only slot when m == 1
     up = 1.0 + REL_GUARD
     clamp_below = 0.5 * up
     stabilized_below = CONVERGENCE_RATIO * sigma0
@@ -274,10 +280,11 @@ def run(a, box, slots, init, prior, sigma0, horizon, record):
     k = 0
     while True:
         # transmit y_k: the symbol and its decoded cell (e_lo, e_hi)
-        edges, N, factors, rate_of = slots[k % m]
+        if m > 1:
+            edges, N, factors, rate_of = slots[k % m]
         x = y0 / sigma
-        if abs(x) > 0.5:
-            if abs(x) <= clamp_below:
+        if x > 0.5 or x < -0.5:  # abs(x) > 0.5, and false for a nan
+            if -clamp_below <= x <= clamp_below:
                 x = copysign(0.5, x)
             elif isinf(y0):
                 raise ValueError(f"step {k}: the output overflowed to {y0}")
@@ -299,11 +306,12 @@ def run(a, box, slots, init, prior, sigma0, horizon, record):
             if not e_lo - slack <= y0 <= e_hi + slack:
                 raise InvariantViolation("initial output escaped its decoded cell")
         else:
-            guard = REL_GUARD * (sigma + abs(u))
+            guard = REL_GUARD * (sigma + u if u >= 0.0 else sigma - u)
             if not lo + u - guard <= y0 <= hi + u + guard:
                 check_hull(lo + u, hi + u)  # a nan bound is a malformed set
                 raise InvariantViolation(f"step {k}: output escaped the predicted set")
-            if abs(y0) > 0.5 * sigma * up:
+            bound = 0.5 * sigma * up
+            if y0 > bound or y0 < -bound:
                 raise InvariantViolation(f"step {k}: output exceeds half the scaling")
             if not e_lo - slack <= y0 <= e_hi + slack:
                 raise InvariantViolation(f"step {k}: output escaped its decoded cell")
@@ -311,20 +319,20 @@ def run(a, box, slots, init, prior, sigma0, horizon, record):
                 raise InvariantViolation(
                     f"step {k}: scaling under its lower-bound recursion"
                 )
-            if abs(lower - $low_oldest) > REL_GUARD * (lower + sigma):
+            gap = lower - $low_oldest
+            tol = REL_GUARD * (lower + sigma)
+            if gap > tol or gap < -tol:
                 raise InvariantViolation(
                     f"step {k}: scaling lower bound mismatches its rate form"
                 )
-            env = 0.0
 $env_terms
             if sigma > env * up:
                 raise InvariantViolation(
                     f"step {k}: scaling escaped the worst-case envelope"
                 )
-        $ring = $pushed
+$push
 
         # predict: the Minkowski sum from 0.0 of box_i * estimate, newest first
-        lo = hi = 0.0
 $predict_terms
         if not lo <= hi:
             check_hull(lo, hi)
@@ -350,9 +358,8 @@ $predict_terms
             break
 
         # plant.step: y_{k+1} = u + sum_i a_i y_{k-i}
-        y = u
 $plant_terms
-        $outputs = $stepped
+$step
         sigma = sigma_next
         k += 1
 
@@ -380,8 +387,8 @@ _PREDICT_TERM = """\
             t_hi = v
         if not t_lo <= t_hi:
             check_hull(t_lo, t_hi)
-        lo += t_lo
-        hi += t_hi
+        lo $add t_lo
+        hi $add t_hi
 """
 
 
@@ -398,26 +405,32 @@ def _kernel_source(n: int) -> str:
         """'(stem<i>, ...)' of each stem in turn over the indices at."""
         return _tuple(f"{stem}{i}" for stem in stems for i in at)
 
-    # the fields of y_k's ring entry, each pushed in front of entries 0..n-2
-    new_entry = ("e_lo", "e_hi", "env", "factors", "rate_of[s - 1] * sigma")
-    pushed = [
-        v
-        for new, stem in zip(new_entry, _RING_FIELDS)
-        for v in (new, *(f"{stem}{i}" for i in older))
-    ]
+    def shift(stems, new) -> str:
+        """Lines moving each stem<i> to stem<i+1>, oldest first, then new into stem0."""
+        moves = [f"{stem}{i + 1} = {stem}{i}" for i in reversed(older) for stem in stems]
+        moves += [f"{stem}0 = {v}" for stem, v in zip(stems, new)]
+        return "\n".join(" " * 8 + line for line in moves)
+
+    def first(i: int) -> str:
+        """The operator adding term i to a sum from 0.0."""
+        return "+=" if i else "= 0.0 +"
+
     return Template(_KERNEL).substitute(
         instance=names("a"),
         boxes=_tuple(f"(a_lo{i}, a_hi{i})" for i in range(n)),
         outputs_oldest_first=names("y", at=range(n - 1, -1, -1)),
         prior=_tuple(names(*_RING_FIELDS, at=(i,)) for i in older),
         low_oldest=f"low{n - 1}",
-        env_terms="\n".join(f"            env += fac{i}[{i}] * env{i}" for i in range(n)),
-        ring=names(*_RING_FIELDS),
-        pushed=_tuple(pushed),
-        predict_terms="".join(Template(_PREDICT_TERM).substitute(i=i) for i in range(n)),
-        outputs=names("y"),
-        plant_terms="\n".join(f"        y += a{i} * y{i}" for i in range(n)),
-        stepped=_tuple(["y", *(f"y{i}" for i in older)]),
+        env_terms="\n".join(
+            f"            env {first(i)} fac{i}[{i}] * env{i}" for i in range(n)
+        ),
+        # y_k's ring entry pushed in front of entries 0..n-2
+        push=shift(_RING_FIELDS, ("e_lo", "e_hi", "env", "factors", "rate_of[s - 1] * sigma")),
+        predict_terms="".join(
+            Template(_PREDICT_TERM).substitute(i=i, add=first(i)) for i in range(n)
+        ),
+        plant_terms="\n".join(f"        y {'+=' if i else '= u +'} a{i} * y{i}" for i in range(n)),
+        step=shift(("y",), ("y",)),
     )
 
 

@@ -1113,6 +1113,13 @@ PAST_LIMIT_CASES = {
         f"'horizon x instances' must be at most {cli.MAX_STEPS}, "
         f"got {1000 * (cli.MAX_STEPS // 1000 + 1)}",
     ),
+    # each instance pays its draws whatever the horizon, so the count has its own cap
+    "instances": (
+        "simulate",
+        ZERO_PLANT + f"[simulate]\nN = 4\nhorizon = 1\ninstances = {cli.MAX_INSTANCES + 1}\n",
+        9,
+        f"'instances' must be at most {cli.MAX_INSTANCES}, got {cli.MAX_INSTANCES + 1}",
+    ),
     "resolution": (
         "verify",
         "[verify]\nseed = 1\nresolution = 0.000199\n",
@@ -1177,6 +1184,11 @@ AT_LIMIT_CASES = {
         "simulate",
         ZERO_PLANT + f"[simulate]\nN = 4\nfamily = uniform\nhorizon = {cli.MAX_STEPS}\n",
         "verdict: stabilized\n",
+    ),
+    "instances": (
+        "simulate",
+        ZERO_PLANT + f"[simulate]\nN = 4\nfamily = uniform\nhorizon = 1\ninstances = {cli.MAX_INSTANCES}\n",
+        f"instances={cli.MAX_INSTANCES} stabilized={cli.MAX_INSTANCES}\n",
     ),
     "init_bounds": (
         "simulate",

@@ -1,5 +1,6 @@
 """Closed-loop simulator: prediction, control, invariants, envelopes, verdicts."""
 
+import ast
 import functools
 import math
 import random
@@ -17,6 +18,7 @@ from quantstab.loop import (
     InvariantViolation,
     Trajectory,
     _Setup,
+    _kernel_source,
     control_input,
     predict,
     run_closed_loop,
@@ -564,6 +566,23 @@ def test_replay_orders_past_the_random_draw_bit_for_bit(n):
     }, seen
 
 
+# Instances just outside the box [-1, 1] on each sign, from the endpoint
+# y_0 = b: the scaling stays flat and |y|/sigma grows as (1 + delta)^k / 2,
+# so every step from 1 on lands past 1/2. At delta = 1e-11 it stays within
+# 1/2 (1 + REL_GUARD) for all 80 steps, is clamped and the run goes on; at
+# 2e-11 it leaves that band at step 51, a SaturationError. A negative
+# instance flips the output's sign each step, so both signs are clamped.
+OUTSIDE_THE_BOX = [
+    ((0.0,), (1.0,), (1.0,), (a,), (sizes,), "uniform", "endpoints", expected)
+    for a, sizes, expected in (
+        (1.0 + 1e-11, 4, "horizon_exhausted"),
+        (-1.0 - 1e-11, 3, "horizon_exhausted"),
+        (1.0 + 2e-11, 4, SaturationError),
+        (-1.0 - 2e-11, 3, SaturationError),
+    )
+]
+
+
 @pytest.mark.parametrize(
     "a_star, eps, bounds, a, sizes, family, init_mode, expected",
     [
@@ -597,6 +616,7 @@ def test_replay_orders_past_the_random_draw_bit_for_bit(n):
         ),
         # a bound of half the largest float: the output itself overflows
         ((3.0,), (0.5,), (8.988465674311579e307,), (3.0,), (8,), "uniform", "zero", ValueError),
+        *OUTSIDE_THE_BOX,
     ],
 )
 def test_replay_edge_cases_bit_for_bit(a_star, eps, bounds, a, sizes, family, init_mode, expected):
@@ -609,6 +629,52 @@ def test_replay_edge_cases_bit_for_bit(a_star, eps, bounds, a, sizes, family, in
         assert got[0][0][-1] == (-0.0).hex()
     if not isinstance(got[0], list):
         assert failing_horizon(run_closed_loop, args, 80) == failing_horizon(reference_run, args, 80)
+
+
+@pytest.mark.parametrize("a_star, eps, bounds, a, sizes, family, init_mode, expected", OUTSIDE_THE_BOX)
+def test_outside_instances_land_where_their_rows_say(a_star, eps, bounds, a, sizes, family, init_mode, expected):
+    # each of steps 1..80 is clamped, or the run saturates at step 51 just
+    # past the clamping band, in both routes alike (the replay above)
+    p = UncertainPlant(1, a_star, eps, bounds)
+    args = (p, a, Schedule(sizes), family, 80, init_mode, 0)
+    band = 0.5 * (1.0 + REL_GUARD)
+    if expected is SaturationError:
+        with pytest.raises(SaturationError, match="^step 51: ") as err:
+            run_closed_loop(*args)
+        assert band < float(str(err.value).split()[4]) < 0.5 * (1.0 + 1.1 * REL_GUARD)
+        return
+    ratios = [abs(y / sigma) for y, _, sigma, *_ in run_closed_loop(*args).samples]
+    assert ratios[0] == 0.5 and all(0.5 < r <= band for r in ratios[1:])
+    signs = {math.copysign(1.0, y) for y, *_ in reference_run(*args).samples}
+    assert signs == ({1.0} if a[0] > 0 else {1.0, -1.0})
+
+
+def kernel_step_nodes(n):
+    """The AST nodes of the kernel's while body of order n, outside raise statements."""
+    (loop,) = [node for node in ast.walk(ast.parse(_kernel_source(n))) if isinstance(node, ast.While)]
+
+    def below(node):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, ast.Raise):
+                yield child
+                yield from below(child)
+
+    return list(below(loop))
+
+
+def test_kernel_step_calls_no_abs_and_pushes_no_tuple():
+    # the step's shape, which CI cannot time: two compares stand for abs, and
+    # the ring and the outputs move by plain assignments; the one abs left is
+    # in the SaturationError message
+    for n in range(1, MAX_ORDER + 1):
+        nodes = kernel_step_nodes(n)
+        calls = [node.func.id for node in nodes if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+        assert "abs" not in calls and "bisect_right" in calls, n
+        tuples = [node for node in nodes if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple)]
+        assert tuples == [], (n, [ast.unparse(node) for node in tuples])
+        assert sum(isinstance(node, ast.Assign) for node in nodes) > 5 * n, n
+        everywhere = ast.walk(ast.parse(_kernel_source(n)))
+        assert sum(isinstance(node, ast.Name) and node.id == "abs" for node in everywhere) == 1, n
 
 
 # ---------------------------------------------------------------------------
