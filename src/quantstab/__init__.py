@@ -6,11 +6,9 @@ bounds, periodic alphabet-size schedules, a verified closed-loop simulator,
 and brute-force oracles that cross-check every closed form.
 """
 
-from .intervals import interval_product, minkowski_sum
 from .loop import (
     InvariantViolation,
     Trajectory,
-    predict,
     run_closed_loop,
 )
 from .oracle import (
@@ -24,7 +22,6 @@ from .oracle import (
 from .plant import (
     UncertainPlant,
     sample_instance,
-    step,
 )
 from .quantizer import (
     QuantizerSpec,
@@ -80,13 +77,10 @@ __all__ = [
     "exhaustive_encode_decode",
     "expansion_profile",
     "grid_optimal_boundaries",
-    "interval_product",
     "min_sufficient_N",
-    "minkowski_sum",
     "necessary_rate",
     "optimal_boundaries",
     "periodic_sufficient_test",
-    "predict",
     "quantizer_for",
     "relaxed_min_rate",
     "run_closed_loop",
@@ -95,7 +89,6 @@ __all__ = [
     "search_periodic_schedule",
     "sigma_envelope",
     "spectral_radius",
-    "step",
     "sufficient_test",
     "uniform_boundaries",
     "v_rate",

@@ -284,7 +284,8 @@ def sweep_from_config(cfg: Config) -> list[float]:
         raise ConfigError(f"'lambda_step' = {step!r} gives more than {MAX_SWEEP_ROWS} sweep points")
     count = int(round(span)) + 1
     vals = [lo + j * step for j in range(count)]
-    return [v for v in vals if v <= hi + 1e-12]
+    # the float lo + j * step of the grid point hi may land a few ulp past it
+    return [v for v in vals if v <= hi + max(1e-12, 4 * math.ulp(hi))]
 
 
 def _with_pole_product(p: UncertainPlant, lam: float) -> UncertainPlant:

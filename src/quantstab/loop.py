@@ -6,11 +6,12 @@ cancels that set's midpoint, the true plant instance steps, and the encoder
 sends the cell index of the new output against the new scaling. The decoded
 cell becomes the newest estimate.
 
-Every step asserts the analytical invariants with small relative guards for
-floating-point roundoff: the true output stays inside its estimate, the
-quantizer never saturates, the scaling obeys its exact lower-bound
-recursion, and a worst-case envelope dominates the scaling sequence. The
-envelope uses the per-coefficient worst rates of whichever quantizer
+Every step from 1 on checks the analytical invariants with a relative
+guard, REL_GUARD, for float roundoff: the output stays inside the predicted
+set and its decoded cell, the scaling obeys its exact lower-bound recursion
+and that bound's rate form, and a worst-case envelope dominates it. The
+saturation test alone holds |y| <= sigma/2, and step 0's output always lies
+in its decoded cell, so neither has a check of its own. The envelope uses the per-coefficient worst rates of whichever quantizer
 produced each contributing estimate; estimates from the pre-transmission
 prior boxes contribute their exact box expansion factor instead, since a
 symmetric box stretches more than any cell of a valid quantizer.
@@ -215,10 +216,16 @@ def run_closed_loop(
     control_input and plant.step, evaluated in the same order, sums from
     0.0 over i = 0..n-1, so the samples are bit for bit those of a step
     that calls them; the interval product's min and max are the same
-    comparisons, written out. A malformed set raises through check_hull,
-    as in those functions. An output that overflowed to an infinity raises
-    ValueError; a finite one past the quantizer's range raises
-    SaturationError.
+    comparisons, written out.
+
+    The errors a step raises, the same as those functions would:
+    - SaturationError: a finite output past 1/2 (1 + REL_GUARD) of its
+      scaling; one within it is clamped onto the quantizer's range;
+    - ValueError: an output that overflowed to an infinity there, or a set
+      that a nan makes malformed (check_hull);
+    - InvariantViolation, from step 1 on: an output outside the predicted
+      set or its decoded cell, a scaling under its lower-bound recursion, a
+      lower bound unequal to its rate form, or a scaling past the envelope.
     """
     horizon = operator.index(horizon)
     if horizon < 1:
@@ -300,19 +307,14 @@ def run(a, box, slots, init, prior, sigma0, horizon, record):
         if not e_lo <= e_hi:
             check_hull(e_lo, e_hi)
 
-        slack = REL_GUARD * sigma
         if k == 0:
             env = sigma
-            if not e_lo - slack <= y0 <= e_hi + slack:
-                raise InvariantViolation("initial output escaped its decoded cell")
         else:
             guard = REL_GUARD * (sigma + u if u >= 0.0 else sigma - u)
             if not lo + u - guard <= y0 <= hi + u + guard:
                 check_hull(lo + u, hi + u)  # a nan bound is a malformed set
                 raise InvariantViolation(f"step {k}: output escaped the predicted set")
-            bound = 0.5 * sigma * up
-            if y0 > bound or y0 < -bound:
-                raise InvariantViolation(f"step {k}: output exceeds half the scaling")
+            slack = REL_GUARD * sigma
             if not e_lo - slack <= y0 <= e_hi + slack:
                 raise InvariantViolation(f"step {k}: output escaped its decoded cell")
             if sigma < lower - slack:
@@ -367,7 +369,9 @@ $step
 """
 
 # term i of the prediction: interval_product's min and max, the same
-# comparisons in order, then its check and its share of the sum
+# comparisons in order, then its share of the sum. The term has no check of
+# its own: it is malformed only when its first product is nan, which leaves
+# t_lo and t_hi nan, so the sum's check raises interval_product's error.
 _PREDICT_TERM = """\
         t_lo = t_hi = a_lo$i * est_lo$i
         v = a_lo$i * est_hi$i
@@ -385,8 +389,6 @@ _PREDICT_TERM = """\
             t_lo = v
         if v > t_hi:
             t_hi = v
-        if not t_lo <= t_hi:
-            check_hull(t_lo, t_hi)
         lo $add t_lo
         hi $add t_hi
 """

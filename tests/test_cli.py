@@ -2,9 +2,11 @@
 
 import math
 import os
+import random
 import re
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
@@ -150,6 +152,37 @@ def test_sweep_length_is_capped():
     assert len(sweep_from_config(Config(parse_config_text(text.format(top))))) == cli.MAX_SWEEP_ROWS
     with pytest.raises(ConfigError, match="'lambda_step'"):
         sweep_from_config(Config(parse_config_text(text.format(top + 0.25))))
+
+
+def bounds_lambdas(tmp_path, capsys, lo, hi, step):
+    """The lambda column of `bounds` on BOUNDS_CFG's plant swept lo..hi by step."""
+    text = re.sub(r"\[sweep\].*", f"[sweep]\nlambda_min = {lo}\nlambda_max = {hi}\nlambda_step = {step}\n", BOUNDS_CFG, flags=re.S)
+    assert main(["bounds", "--config", write(tmp_path, "b.cfg", text), "--n-max", "2"]) == 0
+    return [line.split(",")[0] for line in capsys.readouterr().out.splitlines()[1:]]
+
+
+@pytest.mark.parametrize(
+    "lo, hi, step, rows",
+    [("644102.4", "644102.57", "0.01", 18), ("16384.238", "16385.688", "0.05", 30)],
+)
+def test_sweep_keeps_lambda_max_past_2_to_the_14(tmp_path, capsys, lo, hi, step, rows):
+    # from lambda ~ 2^14 on, lo + j * step rounds more than 1e-12 past lambda_max
+    got = bounds_lambdas(tmp_path, capsys, lo, hi, step)
+    assert len(got) == rows and got[-1] == fmt(float(hi))
+
+
+def test_sweep_holds_every_grid_point_up_to_lambda_max(tmp_path, capsys):
+    # lo + j * step for each j with lo + j * step <= hi in exact decimals, for
+    # lambda up to 1e7, with hi on the grid or off it by 1 % to 99 % of a step
+    rng = random.Random(39)
+    for _ in range(40):
+        step = Decimal(rng.randint(1, 999)) / 10 ** rng.randint(1, 4)
+        lo = Decimal(rng.randint(2000, 10**10)) / 1000
+        k = rng.randint(0, 12)
+        off = rng.choice((0, Decimal(rng.randint(1, 99)) / 100))
+        hi = lo + (k + off) * step
+        got = bounds_lambdas(tmp_path, capsys, lo, hi, step)
+        assert got == [fmt(float(lo + j * step)) for j in range(k + 1)], (lo, hi, step)
 
 
 @pytest.mark.parametrize("command", ["bounds", "schedule"])

@@ -18,6 +18,7 @@ from quantstab.loop import (
     InvariantViolation,
     Trajectory,
     _Setup,
+    _kernel,
     _kernel_source,
     control_input,
     predict,
@@ -381,8 +382,6 @@ def reference_run(p, inst, sched, family="optimal", horizon=500, init_mode="unif
     y_k = y_hist[-1]
     s_k, e_lo, e_hi, factors, rate_n = transmit(0, y_k, sigma0)
     ring.append((e_lo, e_hi, sigma0, sigma0, factors, rate_n))
-    if not hull_contains(e_lo, e_hi, y_k, REL_GUARD * sigma0):
-        raise InvariantViolation("initial output escaped its decoded cell")
 
     samples = []
     verdict = "horizon_exhausted"
@@ -416,8 +415,6 @@ def reference_run(p, inst, sched, family="optimal", horizon=500, init_mode="unif
         if not hull_contains(lo + u, hi + u, y_next, guard):
             check_hull(lo + u, hi + u)
             raise InvariantViolation(f"step {k + 1}: output escaped the predicted set")
-        if abs(y_next) > 0.5 * sigma_next * (1.0 + REL_GUARD):
-            raise InvariantViolation(f"step {k + 1}: output exceeds half the scaling")
         if not hull_contains(e_lo, e_hi, y_next, REL_GUARD * sigma_next):
             raise InvariantViolation(f"step {k + 1}: output escaped its decoded cell")
         if sigma_next < lower - REL_GUARD * sigma_next:
@@ -583,52 +580,161 @@ OUTSIDE_THE_BOX = [
 ]
 
 
-@pytest.mark.parametrize(
-    "a_star, eps, bounds, a, sizes, family, init_mode, expected",
-    [
-        # a zero prediction: the input is -0.0, which == would not tell from 0.0
-        ((0.0,), (0.0,), (1.0,), (0.0,), (4,), "uniform", "uniform", "stabilized"),
-        # far outside the box
-        ((3.0,), (0.5,), (1.0,), (5.0,), (8,), "optimal", "endpoints", SaturationError),
-        # nan from overflowed products: a malformed set
-        ((1e300,), (0.0,), (1e10,), (1e300,), (3,), "uniform", "endpoints", ValueError),
-        (
-            (-4.0101475628117486e195, 1.6837717645009267e282),
-            (1.2030442688435245e195, 5.05131529350278e281),
-            (33184678.935814675, 9.50428202460076e51),
-            (-4.0101475628117486e195, 1.6837717645009267e282),
-            (3,),
-            "uniform",
-            "endpoints",
-            ValueError,
-        ),
-        # subnormal scalings: the lower bound loses its relative precision
-        ((3.0,), (0.5,), (1e-307,), (3.0,), (8,), "optimal", "uniform", InvariantViolation),
-        (
-            (1.0, 3.0),
-            (0.1, 0.35),
-            (1e-307, 1e-307),
-            (1.0, 3.0),
-            (6,),
-            "optimal",
-            "uniform",
-            "horizon_exhausted",
-        ),
-        # a bound of half the largest float: the output itself overflows
-        ((3.0,), (0.5,), (8.988465674311579e307,), (3.0,), (8,), "uniform", "zero", ValueError),
-        *OUTSIDE_THE_BOX,
-    ],
-)
+# (a_star, eps, init_bounds, instance, sizes, family, init_mode, expected),
+# run for 80 steps from init seed 0; expected is the verdict, the type of the
+# error raised, or the error's type and message
+EDGE_CASES = [
+    # a zero prediction: the input is -0.0, which == would not tell from 0.0
+    ((0.0,), (0.0,), (1.0,), (0.0,), (4,), "uniform", "uniform", "stabilized"),
+    # far outside the box
+    ((3.0,), (0.5,), (1.0,), (5.0,), (8,), "optimal", "endpoints", SaturationError),
+    # nan from overflowed products: a malformed set
+    ((1e300,), (0.0,), (1e10,), (1e300,), (3,), "uniform", "endpoints", ValueError),
+    (
+        (-4.0101475628117486e195, 1.6837717645009267e282),
+        (1.2030442688435245e195, 5.05131529350278e281),
+        (33184678.935814675, 9.50428202460076e51),
+        (-4.0101475628117486e195, 1.6837717645009267e282),
+        (3,),
+        "uniform",
+        "endpoints",
+        ValueError,
+    ),
+    # subnormal scalings: the lower bound loses its relative precision
+    ((3.0,), (0.5,), (1e-307,), (3.0,), (8,), "optimal", "uniform", InvariantViolation),
+    (
+        (1.0, 3.0),
+        (0.1, 0.35),
+        (1e-307, 1e-307),
+        (1.0, 3.0),
+        (6,),
+        "optimal",
+        "uniform",
+        "horizon_exhausted",
+    ),
+    # a bound of half the largest float: the output itself overflows
+    ((3.0,), (0.5,), (8.988465674311579e307,), (3.0,), (8,), "uniform", "zero", ValueError),
+    *OUTSIDE_THE_BOX,
+    # an infinite output at an infinite scaling: y/sigma is nan, which the
+    # saturation test lets through, and its top cell is (inf, inf)
+    (
+        (0.0,),
+        (1e300,),
+        (1e8,),
+        (1e301,),
+        (3,),
+        "uniform",
+        "endpoints",
+        (InvariantViolation, "step 1: output escaped its decoded cell"),
+    ),
+    # opposite overflows make the output nan inside a finite predicted set
+    (
+        (0.0, 0.0),
+        (1.0, 1.0),
+        (2.0, 2.0),
+        (1e308, -1e308),
+        (4,),
+        "uniform",
+        "endpoints",
+        (InvariantViolation, "step 1: output escaped the predicted set"),
+    ),
+    # a zero box endpoint times an infinite estimate: a nan product term
+    (
+        (1e300,),
+        (1e300,),
+        (1.5e8,),
+        (1e300,),
+        (3,),
+        "uniform",
+        "zero",
+        (ValueError, "malformed interval: lo=nan > hi=nan"),
+    ),
+    # a zero-width first term at 2^-73: the prediction's two sums round
+    # off more than the last term's width of 0.8 ulp
+    (
+        (2.0**1000, 0.0),
+        (0.0, 0.4 * 2.0**-125),
+        (1.0, 2.0**-1073),
+        (2.0**1000, 0.0),
+        (16,),
+        "uniform",
+        "endpoints",
+        (InvariantViolation, "step 1: scaling under its lower-bound recursion"),
+    ),
+    # subnormal scalings: a cell rounded outward widens the next scaling
+    # past the envelope, while the last term still matches its rate form
+    (
+        (0.0, 3.0),
+        (0.1, 0.1),
+        (5e-323, 7.4e-323),
+        (0.0, 3.0),
+        (2,),
+        "uniform",
+        "zero",
+        (InvariantViolation, "step 1: scaling escaped the worst-case envelope"),
+    ),
+]
+
+
+@pytest.mark.parametrize("a_star, eps, bounds, a, sizes, family, init_mode, expected", EDGE_CASES)
 def test_replay_edge_cases_bit_for_bit(a_star, eps, bounds, a, sizes, family, init_mode, expected):
     p = UncertainPlant(len(a_star), a_star, eps, bounds)
     args = (p, a, Schedule(sizes), family, 80, init_mode, 0)
     got = outcome(run_closed_loop, *args)
     assert got == outcome(reference_run, *args)
-    assert got[-1] == expected if isinstance(got[0], list) else got[0] is expected
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert got[-1] == expected if isinstance(got[0], list) else got[0] is expected
     if expected == "stabilized":
         assert got[0][0][-1] == (-0.0).hex()
     if not isinstance(got[0], list):
         assert failing_horizon(run_closed_loop, args, 80) == failing_horizon(reference_run, args, 80)
+
+
+def instrumented_kernel(n, hit):
+    """The kernel of order n, calling hit(site) before each raise and
+    check_hull statement, site being that statement's source, and the set
+    of its sites."""
+    tree = ast.parse(_kernel_source(n))
+    sites = set()
+    for node in ast.walk(tree):
+        for field in ("body", "orelse"):
+            body = getattr(node, field, None)
+            if not isinstance(body, list):
+                continue
+            counted = []
+            for stmt in body:
+                if isinstance(stmt, ast.Raise) or ast.unparse(stmt).startswith("check_hull("):
+                    site = ast.unparse(stmt)
+                    sites.add(site)
+                    counted.append(ast.Expr(ast.Call(ast.Name("hit", ast.Load()), [ast.Constant(site)], [])))
+                counted.append(stmt)
+            setattr(node, field, counted)
+    namespace = dict(_kernel(n).__globals__, hit=hit)
+    exec(compile(ast.fix_missing_locations(tree), f"<instrumented kernel n={n}>", "exec"), namespace)
+    return namespace["run"], sites
+
+
+def test_every_kernel_check_fires_on_an_edge_case():
+    # a check that no input reaches costs every step and shows nothing: each
+    # raise and check_hull of the kernels of orders 1 and 2 must run on some
+    # edge case above, but for the sites named here with the reason they stay
+    unreached = ()
+    fired = set()
+    kernels, sites = {}, set()
+    for n in (1, 2):
+        kernels[n], of_n = instrumented_kernel(n, fired.add)
+        sites |= of_n
+    for a_star, eps, bounds, a, sizes, family, init_mode, _ in EDGE_CASES:
+        p = UncertainPlant(len(a_star), a_star, eps, bounds)
+        args = (p, a, Schedule(sizes), family, 80, init_mode, 0)
+        setup = _Setup(p, Schedule(sizes), family)
+        setup.kernel = kernels[p.n]
+        got = outcome(functools.partial(run_closed_loop, setup=setup), *args)
+        assert got == outcome(run_closed_loop, *args), args
+    assert sites - fired == {site for site, _reason in unreached}, sorted(sites - fired)
+    assert len(sites) == 10
 
 
 @pytest.mark.parametrize("a_star, eps, bounds, a, sizes, family, init_mode, expected", OUTSIDE_THE_BOX)
