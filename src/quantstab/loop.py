@@ -8,11 +8,15 @@ cell becomes the newest estimate.
 
 Every step from 1 on checks the analytical invariants with a relative
 guard, REL_GUARD, for float roundoff: the output stays inside the predicted
-set and its decoded cell, the scaling obeys its exact lower-bound recursion
-and that bound's rate form, and a worst-case envelope dominates it. The
-saturation test alone holds |y| <= sigma/2, and step 0's output always lies
-in its decoded cell, so neither has a check of its own. The envelope uses the per-coefficient worst rates of whichever quantizer
-produced each contributing estimate; estimates from the pre-transmission
+set, the scaling obeys its exact lower-bound recursion and that bound's rate
+form, and a worst-case envelope dominates it. The saturation test alone
+holds |y| <= sigma/2, so it has no check of its own. A finite output at a
+finite scaling always lies in its decoded cell, and so does step 0's: the
+decoded-cell test catches only an output that overflowed to an infinity at
+an infinite scaling, where y/sigma is nan and passes the saturation test,
+and raises the saturation test's ValueError for it. The envelope uses the
+per-coefficient worst rates of whichever quantizer produced each
+contributing estimate; estimates from the pre-transmission
 prior boxes contribute their exact box expansion factor instead, since a
 symmetric box stretches more than any cell of a valid quantizer.
 
@@ -221,11 +225,12 @@ def run_closed_loop(
     The errors a step raises, the same as those functions would:
     - SaturationError: a finite output past 1/2 (1 + REL_GUARD) of its
       scaling; one within it is clamped onto the quantizer's range;
-    - ValueError: an output that overflowed to an infinity there, or a set
-      that a nan makes malformed (check_hull);
+    - ValueError: an output that overflowed to an infinity, at a finite
+      scaling or, from step 1 on, an infinite one, or a set that a nan makes
+      malformed (check_hull);
     - InvariantViolation, from step 1 on: an output outside the predicted
-      set or its decoded cell, a scaling under its lower-bound recursion, a
-      lower bound unequal to its rate form, or a scaling past the envelope.
+      set, a scaling under its lower-bound recursion, a lower bound unequal
+      to its rate form, or a scaling past the envelope.
     """
     horizon = operator.index(horizon)
     if horizon < 1:
@@ -315,8 +320,8 @@ def run(a, box, slots, init, prior, sigma0, horizon, record):
                 check_hull(lo + u, hi + u)  # a nan bound is a malformed set
                 raise InvariantViolation(f"step {k}: output escaped the predicted set")
             slack = REL_GUARD * sigma
-            if not e_lo - slack <= y0 <= e_hi + slack:
-                raise InvariantViolation(f"step {k}: output escaped its decoded cell")
+            if not e_lo - slack <= y0 <= e_hi + slack:  # only y = +-inf at sigma = inf
+                raise ValueError(f"step {k}: the output overflowed to {y0}")
             if sigma < lower - slack:
                 raise InvariantViolation(
                     f"step {k}: scaling under its lower-bound recursion"

@@ -26,6 +26,7 @@ from .quantizer import (
     coefficient_expansion_rates,
     decode,
     encode,
+    r_ratio,
 )
 from .rates import relaxed_min_rate
 
@@ -113,8 +114,7 @@ def grid_optimal_boundaries(
         raise ValueError("resolution must be in (0, 1e-2]")
     if not (2 <= N <= 6):
         raise ValueError("grid search supports N in 2..6")
-    if eps_n < 0 or lambda_abs - eps_n <= 1.0:
-        raise ValueError("need eps_n >= 0 and lambda_abs - eps_n > 1")
+    r_ratio(lambda_abs, eps_n)  # rejects a box that is not expanding, nan and inf alike
     k = (N + 1) // 2
     odd = N % 2 == 1
     free = k - 1
@@ -235,7 +235,9 @@ def exhaustive_encode_decode(q: QuantizerSpec, samples: int) -> bool:
     Scans a uniform grid plus every boundary and a point nudged to each of
     its sides: the symbol must be in range, the point must lie in the
     half-open cell it encodes to, and the decoded closed cell must contain
-    it.
+    it. This checks quantizer.encode and quantizer.decode, which the closed
+    loop does not call: its kernel looks cells up inline, and the replay in
+    tests/test_loop.py ties its cells to those two functions bit for bit.
     """
     import numpy as np
 

@@ -35,7 +35,8 @@ Three layers:
   is exact: a knapsack with exactly m items, solved by depth-first branch
   and bound with the Lagrangian bound of the lower convex hull of the (log
   rate, log2 size) points, one node per multiset of the sizes above the
-  smallest, whose count is carried as a range. It reads the table only as
+  smallest, whose count is carried as a range, over the sizes up to the
+  last one that contracts alone. It reads the table only as
   far as a size can still be in a schedule that ties an incumbent: no
   layout's worst rate is below the floor of its last cell
   (quantizer.rate_floor), so the hull's LP value and that floor bound the
@@ -564,11 +565,10 @@ def _seeds(gvec: list[float], cvec: list[float], m_max: int, band: float) -> tup
         betas.append((cb - ca) / (gb - ga))
         if not ga < 0.0 <= gb - seed_target:  # no mix of the pair beats the seeds
             continue
-        # k slots of a and m - k of b: the cheapest feasible k in closed form
+        # k slots of a and m - k of b: the cheapest feasible k in closed form,
+        # a seed only where its float log sum is certified
         for m in range(2, m_max + 1):
             k = max(1, math.floor((m * gb - seed_target) / (gb - ga)) + 1)
-            if k * ga + (m - k) * gb >= seed_target:
-                k += 1
             if k < m and k * ga + (m - k) * gb < seed_target:
                 ub = min(ub, (k * ca + (m - k) * cb) / m)
     betas.sort()
@@ -662,12 +662,11 @@ def _prices(beta: float, cvec: list[float], gvec: list[float]) -> tuple[list, li
 
 def _most_copies(lo: int, hi: int, g: float, num: int, shift: int,
                  g0: float, n0: int, s0: int, band: float) -> int:
-    """The largest x in lo..hi with num n0^x < 2^(shift + s0 x), of log g + x g0 and
-    g0 >= 0, by the float log sum outside the rounding band; below lo when none."""
+    """The largest x in lo..hi with num n0^x < 2^(shift + s0 x), of log g + x g0, by the
+    float log sum outside the rounding band; below lo when none. The caller has g0 >= 0
+    and g + lo g0 <= band, so g0 > 0 wherever g + hi g0 is above it."""
     x = hi
     if g + hi * g0 > band:  # infeasible at hi: start at the top of the band
-        if g0 == 0.0:
-            return lo - 1
         x = min(hi, math.floor((band - g) / g0) + 1)
     while x >= lo:
         d = -(g + x * g0)
@@ -687,18 +686,22 @@ def _search_scalar_exact(table: _Table, m_max: int) -> ScheduleSearchResult | No
     rates minimizing sum(c)/m subject to sum(g) < 0, a knapsack with exactly
     m items. Slots of the first size that contracts alone beat every schedule
     of larger sizes; their best count is found in closed form, as their float
-    averages differ in the last bits. The rest is a depth-first branch and
-    bound over the schedules whose smallest size N0 does not contract. A
-    node is one N0 slot and S, a multiset of larger sizes, and carries x, the
-    count of further N0 slots, as a range. Each N0 slot lowers the average
-    and raises the log sum, so the node's best schedule is at the largest x
-    in range whose exact product is below 1 (_most_copies): each rate is an
-    integer over a power of two, so a node carries its exact product as num /
-    2^shift. The incumbent average ub starts from uniform schedules and from
-    the cheapest feasible mixes of the adjacent lower-hull points (a, b) in
-    (g, c) that straddle the seed target, g_a < 0 <= g_b - target: a pair
-    with g_a >= 0 never mixes below 0, and a pair of two feasible sizes mixes
-    dearer than its cheaper size, which the uniform seed already holds.
+    averages differ in the last bits. The items end at the last size L that
+    contracts alone: L in place of a later size keeps a schedule feasible and
+    lowers its float average (each rounding is monotone) or ties it with
+    smaller sizes, so every item has one at or past it that contracts. The
+    rest is a depth-first branch and bound over the schedules whose smallest
+    size N0 does not contract. A node is one N0 slot and S, a multiset of
+    larger sizes, and carries x, the count of further N0 slots, as a range.
+    Each N0 slot lowers the average and raises the log sum, so the node's
+    best schedule is at the largest x in range whose exact product is below
+    1 (_most_copies): each rate is an integer over a power of two, so a node
+    carries its exact product as num / 2^shift. The incumbent average ub
+    starts from uniform schedules and from the cheapest feasible mixes of the
+    adjacent lower-hull points (a, b) in (g, c) that straddle the seed
+    target, g_a < 0 <= g_b - target: a pair with g_a >= 0 never mixes below
+    0, and a pair of two feasible sizes mixes dearer than its cheaper size,
+    which the uniform seed already holds.
 
     A child adding item i at count x, with e_min to e_max more items to
     come, is pruned when a Lagrangian bound shows that no completion reaches
@@ -736,7 +739,8 @@ def _search_scalar_exact(table: _Table, m_max: int) -> ScheduleSearchResult | No
     # A zero rate (the uniform family at a* = eps = 0) has no log, but every
     # schedule that holds it contracts. The cheapest of those is the first
     # zero-rate size with m - 1 slots of the cheapest size: alone when it is
-    # the cheapest size, which nothing beats, else at m_max, as the seed.
+    # the cheapest size, which nothing beats, else at m_max, as the seed. A plant
+    # has zero rates only with one at size 2, its first row: the mix serves other tables.
     zero = next((v for v in rated if v[2] == 0.0), None)
     if zero is rated[0]:
         return ScheduleSearchResult(schedule=Schedule((zero[0],)), avg_rate=zero[1], exact=True)
@@ -748,12 +752,6 @@ def _search_scalar_exact(table: _Table, m_max: int) -> ScheduleSearchResult | No
     vals = [v for v in rated if v[2] > 0.0]
     cvec = [c for _, c, _ in vals]
     gvec = [math.log(w) for _, _, w in vals]
-    # w = nums[i] / 2^shifts[i] exactly
-    nums, dens = zip(*(w.as_integer_ratio() for _, _, w in vals))
-    shifts = [den.bit_length() - 1 for den in dens]
-    nvals = len(vals)
-    # cheapest future feasibility credit for slots restricted to index >= i
-    gmin = list(itertools.accumulate(reversed(gvec), min))[::-1]
     first = next((i for i, g in enumerate(gvec) if g < 0.0), None)  # contracts alone
     if first is not None:  # x slots of it, each x summed as a path of sizes adds it
         cx = list(itertools.accumulate([cvec[first]] * m_max, initial=0.0))
@@ -761,6 +759,14 @@ def _search_scalar_exact(table: _Table, m_max: int) -> ScheduleSearchResult | No
         best = min(best or (math.inf,), (avg, x, (vals[first][0],) * x))
     if not first:  # nothing contracts, or the cheapest size does: nothing is left to search
         return None if best is None else ScheduleSearchResult(Schedule(best[2]), best[0], True)
+    # the items end at the last size that contracts alone, so every gmin is negative
+    nvals = max(i for i, g in enumerate(gvec) if g < 0.0) + 1
+    del vals[nvals:], cvec[nvals:], gvec[nvals:]
+    # w = nums[i] / 2^shifts[i] exactly
+    nums, dens = zip(*(w.as_integer_ratio() for _, _, w in vals))
+    shifts = [den.bit_length() - 1 for den in dens]
+    # cheapest future feasibility credit for slots restricted to index >= i
+    gmin = list(itertools.accumulate(reversed(gvec), min))[::-1]
     band = _band(m_max, gvec)
     seeded, betas = _seeds(gvec, cvec, m_max, band)
     ub = min(seeded, best[0])  # at or above the optimum
@@ -783,7 +789,7 @@ def _search_scalar_exact(table: _Table, m_max: int) -> ScheduleSearchResult | No
             N0, c0, _ = vals[last]
             g0, n0, s0 = gvec[last], nums[last], shifts[last]
             cx = list(itertools.accumulate([c0] * m_max, initial=0.0))
-            y1s = [s / gm if gm < 0.0 else 0.0 for s in (-g0,) for gm in gmin]  # e_min's step in x
+            y1s = [s / gm for s in (-g0,) for gm in gmin]  # e_min's step in x
         if k and g_sum + alo * g0 <= band:  # not infeasible at every count
             x = _most_copies(alo, ahi, g_sum, num, shift, g0, n0, s0, band)
             if x >= alo and (c_sum + x * c0) / (k + x) <= best[0] + tol:  # may tie: sum exactly
@@ -802,29 +808,23 @@ def _search_scalar_exact(table: _Table, m_max: int) -> ScheduleSearchResult | No
         children = []
         for i in range(last + (k == 1), nvals if k else first):
             if not k:  # a first slot of N_i: the counts are of further N_i slots
-                if alo > 0 or ahi < 0:  # x = 0 failed on a price floor, as every later one does
-                    break
                 c0, g0 = cvec[i], gvec[i]
                 cu, ahi, y1s[i] = c0 - ub, e_top, -g0 / gmin[i]
                 ctop, gtop = base + ahi * cu, g_sum + ahi * g0
             if alo > ahi:
                 break
             gm = gmin[i]
-            if gm < 0.0 and glo + gvec[i] + elo * gm > sheer[i]:  # e_min > e_max from alo on
+            if glo + gvec[i] + elo * gm > sheer[i]:  # e_min > e_max from alo on
                 continue
             g2 = g_sum + gvec[i]
-            if gm >= 0.0:  # no item from i on contracts: only feasible counts stay
-                lo, hi = alo, _most_copies(alo, ahi, g2, num * nums[i], shift + shifts[i],
-                                           g0, n0, s0, band)
-                y0, y1 = -1.0, 0.0
-            else:  # e_min = floor(y0 + y1 x) + 1 from (d + band) / gmin - 1e-9, d = -g2 - x g0:
-                # d + band bounds the budget from above and 1e-9 the quotient's rounding
-                lo, hi = alo, ahi
-                y0, y1 = (band - g2) / gm - 1e-9, y1s[i]
-                if hi > lo and y0 + y1 * hi > e_top - hi:  # cut where e_min passes e_max
-                    q = (e_top - y0) / (y1 + 1.0)
-                    if q < hi:
-                        hi = math.floor(q)
+            # e_min = floor(y0 + y1 x) + 1 from (d + band) / gmin - 1e-9, d = -g2 - x g0:
+            # d + band bounds the budget from above and 1e-9 the quotient's rounding
+            lo, hi = alo, ahi
+            y0, y1 = (band - g2) / gm - 1e-9, y1s[i]
+            if hi > lo and y0 + y1 * hi > e_top - hi:  # cut where e_min passes e_max
+                q = (e_top - y0) / (y1 + 1.0)
+                if q < hi:
+                    hi = math.floor(q)
             x = hi  # the top count
             while lo <= hi:
                 if x == ahi:
@@ -833,10 +833,6 @@ def _search_scalar_exact(table: _Table, m_max: int) -> ScheduleSearchResult | No
                     cc, gg, e_max = base + x * cu, g_sum + x * g0, e_top - x
                 e_min = y0 + y1 * x
                 e_min = e_min // 1.0 + 1.0 if e_min >= 0.0 else 0.0
-                if e_min > e_max:  # too few slots left: cut at y0 + y1 x <= e_top - x
-                    q = (e_top - y0) / (y1 + 1.0)
-                    x = hi = lo - 1 if q < lo else x - 1 if q >= x else math.floor(q)
-                    continue
                 start = j = h  # climb the concave bound at x from the warm start
                 step, lb = 1, -inf
                 fail = brk = None

@@ -416,7 +416,7 @@ def reference_run(p, inst, sched, family="optimal", horizon=500, init_mode="unif
             check_hull(lo + u, hi + u)
             raise InvariantViolation(f"step {k + 1}: output escaped the predicted set")
         if not hull_contains(e_lo, e_hi, y_next, REL_GUARD * sigma_next):
-            raise InvariantViolation(f"step {k + 1}: output escaped its decoded cell")
+            raise ValueError(f"step {k + 1}: the output overflowed to {y_next}")
         if sigma_next < lower - REL_GUARD * sigma_next:
             raise InvariantViolation(f"step {k + 1}: scaling under its lower-bound recursion")
         if abs(lower - o_rate_n * o_sigma) > REL_GUARD * (lower + sigma_next):
@@ -625,7 +625,7 @@ EDGE_CASES = [
         (3,),
         "uniform",
         "endpoints",
-        (InvariantViolation, "step 1: output escaped its decoded cell"),
+        (ValueError, "step 1: the output overflowed to inf"),
     ),
     # opposite overflows make the output nan inside a finite predicted set
     (
@@ -694,8 +694,8 @@ def test_replay_edge_cases_bit_for_bit(a_star, eps, bounds, a, sizes, family, in
 
 def instrumented_kernel(n, hit):
     """The kernel of order n, calling hit(site) before each raise and
-    check_hull statement, site being that statement's source, and the set
-    of its sites."""
+    check_hull statement, site being that statement's source, numbered from
+    its second copy on, and the set of its sites."""
     tree = ast.parse(_kernel_source(n))
     sites = set()
     for node in ast.walk(tree):
@@ -707,6 +707,10 @@ def instrumented_kernel(n, hit):
             for stmt in body:
                 if isinstance(stmt, ast.Raise) or ast.unparse(stmt).startswith("check_hull("):
                     site = ast.unparse(stmt)
+                    copy = 2
+                    while site in sites:
+                        site = f"{ast.unparse(stmt)} (copy {copy})"
+                        copy += 1
                     sites.add(site)
                     counted.append(ast.Expr(ast.Call(ast.Name("hit", ast.Load()), [ast.Constant(site)], [])))
                 counted.append(stmt)

@@ -1,9 +1,12 @@
 """Brute-force oracles against the closed forms they are meant to certify."""
 
+import dataclasses
 import math
+import types
 
 import pytest
 
+from quantstab import oracle
 from quantstab.oracle import (
     exhaustive_encode_decode,
     grid_optimal_boundaries,
@@ -72,6 +75,10 @@ def test_grid_validations():
         grid_optimal_boundaries(3.0, 0.5, 7, 1e-3)
     with pytest.raises(ValueError):
         grid_optimal_boundaries(1.2, 0.3, 4, 1e-3)
+    # the expanding-box check is r_ratio's, which nan and inf fail too
+    for lam, eps in ((math.nan, 0.1), (math.inf, 0.1), (3.0, math.nan), (3.0, math.inf)):
+        with pytest.raises(ValueError):
+            grid_optimal_boundaries(lam, eps, 4, 1e-2)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +137,22 @@ def test_kkt_probe_deterministic_in_seed():
     assert a == b is True
 
 
+def test_kkt_probe_fails_off_the_surface(monkeypatch):
+    # a claimed optimum whose rate product is not one fails before any probe
+    real = oracle.relaxed_min_rate
+    monkeypatch.setattr(oracle, "relaxed_min_rate", lambda *a: dataclasses.replace(real(*a), psi=1e-6))
+    assert not verify_relaxation_kkt(3.0, 0.35, 2, trials=100, seed=0)
+
+
+def test_kkt_probe_fails_when_a_probe_beats_the_optimum(monkeypatch):
+    # a claimed geometric mean 0.1 above the true one: probes near the optimum beat it
+    real = oracle.relaxed_min_rate
+    monkeypatch.setattr(
+        oracle, "relaxed_min_rate", lambda *a: dataclasses.replace(real(*a), phi=real(*a).phi + 0.1)
+    )
+    assert not verify_relaxation_kkt(3.0, 0.35, 2, trials=100, seed=0)
+
+
 def test_wrong_candidate_has_larger_objective():
     # push both head components off the optimum, restore feasibility via the
     # last one, and compare geometric means: convexity says strictly worse
@@ -164,3 +187,37 @@ def test_exhaustive_roundtrip_odd_uniform():
 def test_exhaustive_requires_enough_samples():
     with pytest.raises(ValueError):
         exhaustive_encode_decode(uniform_boundaries(8), 7)
+
+
+def stub_quantizer(edges):
+    """What exhaustive_encode_decode reads of a quantizer, N and edges, with no
+    check of its own: QuantizerSpec would refuse these edges."""
+    return types.SimpleNamespace(N=len(edges) - 1, edges=tuple(edges))
+
+
+def test_exhaustive_rejects_a_gap_in_the_edges():
+    # the cells stop at 0.4: (0.4, 1/2] is in none
+    assert exhaustive_encode_decode(stub_quantizer((-0.5, 0.0, 0.5)), 100)
+    assert not exhaustive_encode_decode(stub_quantizer((-0.5, 0.0, 0.4)), 100)
+
+
+def test_exhaustive_rejects_a_reversed_pair_of_edges():
+    assert not exhaustive_encode_decode(stub_quantizer((-0.5, 0.1, -0.1, 0.5)), 100)
+
+
+def test_exhaustive_rejects_an_out_of_range_symbol(monkeypatch):
+    monkeypatch.setattr(oracle, "encode", lambda q, x: q.N + 1)
+    assert not exhaustive_encode_decode(uniform_boundaries(4), 100)
+
+
+def test_exhaustive_rejects_the_wrong_cell(monkeypatch):
+    # the symbol of the next cell up, the top cell's wrapping to 1
+    real = oracle.encode
+    monkeypatch.setattr(oracle, "encode", lambda q, x: real(q, x) % q.N + 1)
+    assert not exhaustive_encode_decode(uniform_boundaries(4), 100)
+
+
+def test_exhaustive_rejects_a_hull_that_misses_the_point(monkeypatch):
+    real = oracle.decode
+    monkeypatch.setattr(oracle, "decode", lambda q, s, sigma: tuple(v + 1.0 for v in real(q, s, sigma)))
+    assert not exhaustive_encode_decode(uniform_boundaries(4), 100)

@@ -4,6 +4,7 @@ Frozen numeric values were evaluated at 50 decimal digits with mpmath, or by
 hand where the arithmetic is short (quadratics, log ratios of small ints).
 """
 
+import ast
 import itertools
 import math
 import operator
@@ -1372,6 +1373,121 @@ def test_criterion_9_searches_build_few_layouts(monkeypatch):
     built[0] = 0
     assert search_periodic_schedule(scalar_plant(2.75, 0.0), 2, 64) is not None
     assert built[0] == 63
+
+
+SEARCH_FUNCTIONS = ("_seeds", "_scalar_rows", "_within", "_most_copies", "_search_scalar_exact",
+                    "_search_heuristic")
+"""The search layer of rates: each statement of these runs on some row of SEARCH_CASES."""
+
+# (a_star, eps, m_max, N_max, family, margin, the sizes the search returns or
+# None): real plants, families, margins and caps, each kept for a statement of
+# the search layer that no other row runs
+SEARCH_CASES = [
+    # a long exact search: every climb, cut and walk of the branch and bound
+    ((16.06088692943063,), (0.01,), 16, 96, "uniform", 0.0,
+     (14, 15, 15, 16, 16, 16, 16, 16, 16, 16, 16, 17, 17, 18, 18, 18)),
+    # sizes 2 and 3 both have rate 1.0 exactly, 4 has 1 - 2^-53: the items' hull
+    # ends in a vertical segment, and the prefix up to 4 holds no seed to cap with
+    ((1.0 + 2.0**-52,), (1.0 - 2.0**-53,), 4, 8, "uniform", 0.0, (2, 2, 2, 4)),
+    # a failing price floor whose line is flat in the count (_within at b = 0)
+    ((1.000000000000007,), (0.9999999999999972,), 11, 33, "uniform", 0.0, (3, 4, 4, 4)),
+    # a cut line that does not fall with the count: no count below passes
+    ((-1.0000000000000142,), (0.9999999999999991,), 8, 21, "uniform", 0.0,
+     (13, 16, 16, 16, 16, 16, 16, 21)),
+    # every rate 0: the smallest size alone
+    ((0.0,), (0.0,), 4, 8, "uniform", 0.0, (2,)),
+    # a box that is not expanding has no optimal layout: an empty table
+    ((1.2,), (0.3,), 4, 8, "optimal", 0.0, None),
+    # the cheapest size contracts alone, and the table ends inside the cap
+    ((-1.5219248898251512,), (1e-06,), 7, 15, "uniform", 0.0, (2,)),
+    # the heuristic search of order 2
+    ((1.0, 3.0), (0.1, 0.35), 4, 12, "optimal", 0.0, (4, 4, 7, 8)),
+    # static = 94; size 98 = static + 4 has no layout, 99 has: the read stops at 99
+    ((0.0, 1.8063283757672062), (0.27042823728344506, 0.6556422074307737), 2, 128, "optimal",
+     0.0438564901736082, (94,)),
+    # no size certifies within the cap: the heuristic finds nothing
+    ((-0.202, 0.787, 1.206), (0.134, 0.216, 0.069), 6, 2, "optimal", 0.011, None),
+]
+
+
+def search_statements():
+    """(function, line, first source line) of each statement of SEARCH_FUNCTIONS,
+    with the lines that show it ran: a compound statement's header, any line of
+    another. A docstring and a nonlocal run nothing and are left out."""
+    with open(rates.__file__, encoding="utf-8") as f:
+        source = f.read()
+    text = source.splitlines()
+    out = {}
+    for fn in ast.parse(source).body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in SEARCH_FUNCTIONS):
+            continue
+        stack = fn.body[1:] if ast.get_docstring(fn) else list(fn.body)
+        while stack:
+            stmt = stack.pop()
+            if isinstance(stmt, ast.Nonlocal):
+                continue
+            if isinstance(stmt, ast.FunctionDef):
+                end = stmt.lineno
+            else:
+                header = getattr(stmt, "test", None) or getattr(stmt, "iter", None)
+                end = (header or stmt).end_lineno
+            key = (fn.name, stmt.lineno, text[stmt.lineno - 1].strip())
+            out[key] = set(range(stmt.lineno, end + 1))
+            for field in ("body", "orelse"):
+                stack.extend(getattr(stmt, field, []))
+    return out
+
+
+def lines_run(path, calls):
+    """The lines of the file at path that run while calls() runs, by sys.settrace."""
+    ran = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return local
+
+    def on_call(frame, event, arg):
+        return local if frame.f_code.co_filename == path else None
+
+    before = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        calls()
+    finally:
+        sys.settrace(before)
+    return ran
+
+
+def test_search_cases_run_every_search_statement():
+    # a branch that no input reaches costs code and shows nothing: each statement
+    # of the search layer runs on a row of SEARCH_CASES, but for those named here
+    # with the reason they stay
+    unreached = (
+        ("_search_scalar_exact", "N0, c0, _ = rated[0]",
+         "the zero-rate mix: no plant has a zero rate past its first size, but "
+         "test_grouped_search_matches_the_per_path_reference searches such a table"),
+        ("_search_scalar_exact", "best = (sum([c0] * (m_max - 1) + [zero[1]]) / m_max, m_max,",
+         "the zero-rate mix, as above"),
+        ("_search_scalar_exact", "c += 1",
+         "a rounding guard: without it a quotient that rounds down would cut counts that may "
+         "pass; the 1e-9 taken off y0 keeps the quotient off an integer but by coincidence"),
+    )
+    outcomes = []
+
+    def search():
+        for a_star, eps, m_max, n_max, family, margin, _ in SEARCH_CASES:
+            p = UncertainPlant(len(a_star), a_star, eps, (1.0,) * len(a_star))
+            res = search_periodic_schedule(p, m_max, n_max, family, margin)
+            outcomes.append(None if res is None else (res.schedule.sizes, res.exact))
+
+    ran = lines_run(rates.__file__, search)
+    assert outcomes == [None if case[-1] is None else (case[-1], len(case[0]) == 1) for case in SEARCH_CASES]
+    missed = sorted(key for key, lines in search_statements().items() if not lines & ran)
+    named = [(fn, text) for fn, text, _reason in unreached]
+    unnamed = "\n".join(f"{fn}:{line}: {text}" for fn, line, text in missed if (fn, text) not in named)
+    assert not unnamed, f"no row of SEARCH_CASES runs:\n{unnamed}"
+    assert sorted((fn, text) for fn, _, text in missed) == sorted(named)
 
 
 def test_search_heuristic_n2_is_feasible_and_flagged():
