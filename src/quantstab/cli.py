@@ -12,6 +12,10 @@ All inputs come from one key-value config file with [section] headers.
 Output is CSV with 12 significant digits, so reruns are byte identical.
 Exit codes: 0 success, 1 failed verification or failed run, 2 bad config
 or an output that cannot be written.
+
+Importing this module loads plant, quantizer, intervals and rates. loop
+and oracle are lazy modules whose code runs on the first read of one of
+their attributes, which only simulate and verify make.
 """
 
 from __future__ import annotations
@@ -23,17 +27,9 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
-from .loop import CONVERGENCE_RATIO, INIT_MODES, InvariantViolation, _Setup, run_closed_loop
-from .oracle import (
-    exhaustive_encode_decode,
-    grid_optimal_boundaries,
-    verify_equalization,
-    verify_relaxation_kkt,
-)
-from .plant import SAMPLING_MODES, UncertainPlant, sample_instance
+from .plant import CONVERGENCE_RATIO, SAMPLING_MODES, Record, UncertainPlant, sample_instance
 from .quantizer import (
     FAMILIES,
     SaturationError,
@@ -53,6 +49,26 @@ from .rates import (
     search_periodic_schedule,
 )
 
+
+def _deferred(name: str):
+    """Module quantstab.<name>, whose code runs on the first read of one of
+    its attributes (importlib.util.LazyLoader), so a command that reads none
+    neither compiles nor runs it. The module sits in sys.modules from the
+    start, where the traced benchmark run (bench/spans.py) looks it up."""
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+loop = _deferred("loop")  # read by simulate alone
+oracle = _deferred("oracle")  # read by verify alone
+
 RATES_CSV_HEADER = (
     "lambda,eps,R_nec,R_known_max,N_suf_opt,N_suf_uni,"
     "R_suf_phat,R_suf_martins,avg_rate_best,m_best"
@@ -68,6 +84,10 @@ MAX_M_MAX = 256  # schedule period, likewise
 # generated; a schedule row at the caps above took up to 0.6 s on six random
 # n = 24 plants (2 vCPU), its order's build included
 MAX_STEPS = 200_000  # closed-loop steps of one simulate run, horizon x instances
+# a step costs more with the plant order: a batch of MAX_STEPS took 0.17 s at
+# n = 1, 0.42 s at n = 4 and 1.27-1.99 s at n = 24 (2 vCPU), so past n = 4 the
+# steps are weighted by n, and n = 24 runs at most 33 333
+MAX_ORDER_STEPS = 4 * MAX_STEPS  # horizon x instances x max(n, 4)
 # runs of one simulate batch: each pays two seeded draws and a summary row,
 # so a batch at the cap with horizon 1 took 0.24 s at n = 1 and 0.64-0.79 s
 # at n = 24 (2 vCPU); 20 000 took 1.3-1.8 s at n = 24
@@ -105,6 +125,7 @@ LIMITS = {
     "horizon": (_at_least(1),),
     "instances": (_at_least(1), _at_most(MAX_INSTANCES)),
     "horizon x instances": (_at_most(MAX_STEPS),),
+    "horizon x instances x max(n, 4)": (_at_most(MAX_ORDER_STEPS),),
     "resolution": (
         (lambda v: MIN_RESOLUTION <= v <= 0.01, f"in [{MIN_RESOLUTION}, 0.01]"),
     ),
@@ -192,18 +213,27 @@ def _check(name: str, value, line: int | None) -> None:
             raise _config_error(line, f"'{name}' must be {requirement}, got {got}")
 
 
-@dataclass
-class Config:
+class Config(Record):
+    """The parsed config, [section] -> key -> (value text, line); a record
+    whose field may be assigned, unhashable like Trajectory."""
+
+    __slots__ = __match_args__ = ("sections",)
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
     sections: dict[str, dict[str, tuple[str, int]]]
 
-    def _parse(self, section, key, default, convert, expected, flag=None, times=None):
+    def __init__(self, sections: dict[str, dict[str, tuple[str, int]]]) -> None:
+        self.sections = sections
+
+    def _parse(self, section, key, default, convert, expected, flag=None, times=()):
         """The checked value of [section] key: flag when given, else convert(value)
         of the key, else default; None when that default is None.
 
         A missing key with default _REQUIRED, a value that convert rejects with
         ValueError or one that fails a LIMITS rule of key is a ConfigError naming
-        the key and, for a value from the file, its line. times = (other, factor)
-        also checks factor * value against the rules of 'other x key'.
+        the key and, for a value from the file, its line. Each (rule, factor) of
+        times also checks factor * value against the LIMITS rules of rule.
         """
         value, line = flag, None
         if flag is None:
@@ -221,11 +251,11 @@ class Config:
                 except ValueError:
                     raise _config_error(line, f"'{key}' must be {expected}, got {text!r}") from None
         _check(key, value, line)
-        if times is not None:
-            _check(f"{times[0]} x {key}", times[1] * value, line)
+        for rule, factor in times:
+            _check(rule, factor * value, line)
         return value
 
-    def get_int(self, section: str, key: str, default=None, flag=None, times=None):
+    def get_int(self, section: str, key: str, default=None, flag=None, times=()):
         return self._parse(section, key, default, int, "an integer", flag, times)
 
     def get_float(self, section: str, key: str, default=None, flag=None) -> float | None:
@@ -408,13 +438,13 @@ def _sim_one(setup, horizon, mode, seed, i, init_mode, record=True):
         seed=[seed, i, 0] if mode == "uniform" else None,
     )
     try:
-        traj = run_closed_loop(
+        traj = loop.run_closed_loop(
             p, a, setup.sched, setup.family, horizon, init_mode, init_seed=[seed, i, 1],
             record=record, setup=setup,
         )
     except SaturationError as exc:
         return "saturated", str(exc), None
-    except (ValueError, InvariantViolation) as exc:
+    except (ValueError, loop.InvariantViolation) as exc:
         return "failed", str(exc), None
     return traj.verdict, "", traj
 
@@ -448,12 +478,13 @@ def cmd_simulate(cfg: Config, opts) -> int:
         raise ConfigError(f"bad schedule sizes: {exc}") from None
     family = cfg.get_choice("simulate", "family", FAMILIES, "optimal")
     horizon = cfg.get_int("simulate", "horizon", 500)
-    instances = cfg.get_int("simulate", "instances", 1, times=("horizon", horizon))
+    steps = ("horizon x instances", horizon), ("horizon x instances x max(n, 4)", horizon * max(p.n, 4))
+    instances = cfg.get_int("simulate", "instances", 1, times=steps)
     mode = cfg.get_choice("simulate", "instance_mode", SAMPLING_MODES, "uniform")
-    init_mode = cfg.get_choice("simulate", "init_mode", INIT_MODES, "uniform")
+    init_mode = cfg.get_choice("simulate", "init_mode", loop.INIT_MODES, "uniform")
     seed = cfg.get_int("simulate", "seed", 0, opts.seed)
     try:
-        setup = _Setup(p, sched, family)  # one set-up that every instance shares
+        setup = loop._Setup(p, sched, family)  # one set-up that every instance shares
     except ValueError as exc:
         sizes_text = _listed(sched.sizes)
         raise ConfigError(f"no {family} quantizer layout for sizes {sizes_text}: {exc}") from None
@@ -527,23 +558,23 @@ def run_verification(resolution: float = 1e-3, seed: int = 0):
         for eps in (0.2, 0.35, 0.5):
             for n_level in (2, 3, 4, 5):
                 closed = v_rate(lam, eps, n_level)
-                res = grid_optimal_boundaries(lam, eps, n_level, resolution)
+                res = oracle.grid_optimal_boundaries(lam, eps, n_level, resolution)
                 ref = optimal_boundaries(lam, eps, n_level)
                 sup = max(abs(a - b) for a, b in zip(res.h, ref.h))
                 diff = abs(res.value - closed)
                 name = f"boundary_synthesis lam={lam} eps={eps} N={n_level}"
                 rows.append((name, closed, res.value, diff, diff <= 1e-4 and sup <= 2e-3))
             plant = UncertainPlant(1, (lam,), (eps,), (1.0,))
-            got = verify_equalization(optimal_boundaries(lam, eps, 8), plant)
+            got = oracle.verify_equalization(optimal_boundaries(lam, eps, 8), plant)
             rows.append(_yes_no(f"equalization_optimal lam={lam} eps={eps}", True, got))
-            got = verify_equalization(uniform_boundaries(8), plant)
+            got = oracle.verify_equalization(uniform_boundaries(8), plant)
             rows.append(_yes_no(f"equalization_uniform lam={lam} eps={eps}", False, got))
     for m in (2, 3, 5):
-        ok = verify_relaxation_kkt(3.0, 0.35, m, trials=10_000, seed=seed)
+        ok = oracle.verify_relaxation_kkt(3.0, 0.35, m, trials=10_000, seed=seed)
         rows.append(_yes_no(f"relaxation_kkt lam=3.0 eps=0.35 m={m}", True, ok))
     for n_level, eps in ((8, 0.5), (7, 0.0)):
         q = optimal_boundaries(3.0, eps, n_level)  # uniform at eps = 0
-        ok = exhaustive_encode_decode(q, max(1000, 10 * n_level))
+        ok = oracle.exhaustive_encode_decode(q, max(1000, 10 * n_level))
         rows.append(_yes_no(f"encode_decode N={n_level} eps={eps}", True, ok))
     return rows
 

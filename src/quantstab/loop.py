@@ -67,11 +67,10 @@ import functools
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .intervals import check_hull, interval_product, minkowski_sum
-from .plant import UncertainPlant, _uniform_draws
+from .plant import CONVERGENCE_RATIO, DIVERGENCE_RATIO, Record, UncertainPlant, _uniform_draws
 from .quantizer import (
     QuantizerSpec,
     SaturationError,
@@ -83,16 +82,12 @@ from .rates import Schedule, _tuple, schedule_quantizers
 REL_GUARD = 1e-9
 """Relative slack for float roundoff in invariant checks and saturation."""
 
-CONVERGENCE_RATIO = 1e-12
-DIVERGENCE_RATIO = 1e12
-
 
 class InvariantViolation(RuntimeError):
     """An analytical per-step invariant failed beyond the float guard."""
 
 
-@dataclass
-class Trajectory:
+class Trajectory(Record):
     """Verdict, initial scaling, loop steps taken after time 0, the smallest
     scaling, and the state of every simulated time index if recorded.
 
@@ -101,14 +96,28 @@ class Trajectory:
     scaling, the decoded estimate, the predicted set for the next output
     and the input cancelling its midpoint, the last two recorded on the row
     of the time they were computed at. A run with record=False leaves
-    samples empty.
+    samples empty. Unlike the frozen records, its fields may be assigned,
+    and it is unhashable.
     """
 
+    __slots__ = __match_args__ = ("samples", "verdict", "sigma0", "steps", "min_sigma")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
     samples: list[tuple]
     verdict: str
     sigma0: float
     steps: int
     min_sigma: float
+
+    def __init__(
+        self, samples: list[tuple], verdict: str, sigma0: float, steps: int, min_sigma: float
+    ) -> None:
+        self.samples = samples
+        self.verdict = verdict
+        self.sigma0 = sigma0
+        self.steps = steps
+        self.min_sigma = min_sigma
 
     def sigmas(self) -> list[float]:
         return [t[2] for t in self.samples]

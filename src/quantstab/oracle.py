@@ -16,11 +16,10 @@ computed at each.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .intervals import hull_contains
-from .plant import UncertainPlant
+from .plant import Record, UncertainPlant, _set_field
 from .quantizer import (
     QuantizerSpec,
     coefficient_expansion_rates,
@@ -31,10 +30,14 @@ from .quantizer import (
 from .rates import relaxed_min_rate
 
 
-@dataclass(frozen=True)
-class GridSearchResult:
+class GridSearchResult(Record):
+    __slots__ = __match_args__ = ("h", "value")
     h: tuple[float, ...]
     value: float
+
+    def __init__(self, h: tuple[float, ...], value: float) -> None:
+        _set_field(self, "h", h)
+        _set_field(self, "value", value)
 
 
 def _worst_rate(cols, lam: float, eps: float, odd: bool):

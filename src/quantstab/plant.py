@@ -11,35 +11,83 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
+CONVERGENCE_RATIO = 1e-12
+"""A closed-loop run stabilizes once its scaling falls below this times its first."""
+DIVERGENCE_RATIO = 1e12
+"""A closed-loop run diverges once its scaling rises above this times its first."""
 
-@dataclass(frozen=True)
-class UncertainPlant:
+
+_set_field = object.__setattr__
+"""Sets a field of a record in its __init__, past Record.__setattr__."""
+
+
+class Record:
+    """A frozen value record: the base of every record class of the package.
+
+    Its fields are the names in __match_args__, which a subclass also lists
+    in __slots__ and sets in its __init__ through _set_field, after its
+    checks. Records compare equal when their classes are the same and
+    their fields are equal, hash as the tuple of their fields and print as
+    Name(field=value, ...): all as a frozen dataclass does. Assigning or
+    deleting a field raises AttributeError. Pickling and copying call the
+    class on the fields, so every copy passes the checks of __init__.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+class UncertainPlant(Record):
     """Coefficient boxes plus known bounds on the initial outputs.
 
     a_star and eps are ordered a_1..a_n. init_bounds[i] bounds |y_j| at time
     j = -n+1+i, so the last entry bounds y_0.
     """
 
+    __slots__ = __match_args__ = ("n", "a_star", "eps", "init_bounds")
     n: int
     a_star: tuple[float, ...]
     eps: tuple[float, ...]
     init_bounds: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n", operator.index(self.n))
-        if self.n < 1:
+    def __init__(self, n: int, a_star, eps, init_bounds) -> None:
+        n = operator.index(n)
+        if n < 1:
             raise ValueError("plant order must be at least 1")
-        for name in ("a_star", "eps", "init_bounds"):
-            vec = getattr(self, name)
-            if len(vec) != self.n:
-                raise ValueError(f"{name} must have length n={self.n}, got {len(vec)}")
-            vec = tuple(float(v) for v in vec)
+        _set_field(self, "n", n)
+        for name, vec in (("a_star", a_star), ("eps", eps), ("init_bounds", init_bounds)):
+            if len(vec) != n:
+                raise ValueError(f"{name} must have length n={n}, got {len(vec)}")
+            vec = tuple(map(float, vec))
             if not all(map(math.isfinite, vec)):
                 raise ValueError(f"{name} entries must be finite, got {vec}")
-            object.__setattr__(self, name, vec)
+            _set_field(self, name, vec)
         if any(e < 0 for e in self.eps):
             raise ValueError("uncertainty radii must be nonnegative")
         if not all(math.isfinite(abs(a) + e) for a, e in zip(self.a_star, self.eps)):

@@ -26,12 +26,11 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 from .intervals import check_hull
-from .plant import UncertainPlant
+from .plant import Record, UncertainPlant, _set_field
 
 
 class SaturationError(Exception):
@@ -60,22 +59,25 @@ def check_half(N: int, h: Sequence[float]) -> None:
         raise ValueError("boundaries must be strictly increasing")
 
 
-@dataclass(frozen=True)
-class QuantizerSpec:
+class QuantizerSpec(Record):
     """N levels plus the nonnegative boundary half h_0..h_K, K = ceil(N/2).
 
     For odd N the origin is interior to the center cell [-h_1, h_1); h_0 is
     kept as 0 by convention and is not a cell boundary.
     """
 
+    __match_args__ = ("N", "h")
+    __slots__ = (*__match_args__, "__dict__")  # __dict__ holds the cached edges
     N: int
     h: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "N", operator.index(self.N))  # an int, or TypeError
-        _check_levels(self.N)
-        object.__setattr__(self, "h", tuple(float(v) for v in self.h))
-        check_half(self.N, self.h)
+    def __init__(self, N: int, h: Sequence[float]) -> None:
+        N = operator.index(N)  # an int, or TypeError
+        _check_levels(N)
+        h = tuple(map(float, h))
+        check_half(N, h)
+        _set_field(self, "N", N)
+        _set_field(self, "h", h)
 
     @cached_property
     def edges(self) -> tuple[float, ...]:

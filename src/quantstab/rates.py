@@ -57,10 +57,9 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .plant import UncertainPlant
+from .plant import Record, UncertainPlant, _set_field
 from .quantizer import (
     FAMILIES,
     QuantizerSpec,
@@ -368,9 +367,12 @@ def _verdict_code(n: int) -> tuple[Callable, Callable]:
     return namespace["extend"], namespace["radius_below"]
 
 
-@dataclass(frozen=True)
-class StabilityTest:
+class StabilityTest(Record):
+    __slots__ = __match_args__ = ("stable",)
     stable: bool
+
+    def __init__(self, stable: bool) -> None:
+        _set_field(self, "stable", stable)
 
 
 def _check_margin(margin: float) -> None:
@@ -463,18 +465,19 @@ def min_sufficient_N(
 # periodic schedules
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(Record):
     """Periodic alphabet sizes (N_0, ..., N_{m-1}) applied as k mod m."""
 
+    __slots__ = __match_args__ = ("sizes",)
     sizes: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sizes", tuple(map(operator.index, self.sizes)))
-        if not self.sizes:
+    def __init__(self, sizes: Sequence[int]) -> None:
+        sizes = tuple(map(operator.index, sizes))
+        if not sizes:
             raise ValueError("schedule must have at least one slot")
-        if any(v < 2 for v in self.sizes):
+        if any(v < 2 for v in sizes):
             raise ValueError("every slot needs at least 2 levels")
+        _set_field(self, "sizes", sizes)
 
     @property
     def m(self) -> int:
@@ -518,11 +521,16 @@ def periodic_sufficient_test(
     return StabilityTest(stable=_radius_below(_exact_product(p.n, rs)))
 
 
-@dataclass(frozen=True)
-class ScheduleSearchResult:
+class ScheduleSearchResult(Record):
+    __slots__ = __match_args__ = ("schedule", "avg_rate", "exact")
     schedule: Schedule
     avg_rate: float
     exact: bool
+
+    def __init__(self, schedule: Schedule, avg_rate: float, exact: bool) -> None:
+        _set_field(self, "schedule", schedule)
+        _set_field(self, "avg_rate", avg_rate)
+        _set_field(self, "exact", exact)
 
 
 def _lower_hull(points: list[tuple[float, float]]) -> list[int]:
@@ -1021,8 +1029,7 @@ def search_periodic_schedule(
 # convex relaxation of the minimum average rate
 
 
-@dataclass(frozen=True)
-class RelaxedRateSolution:
+class RelaxedRateSolution(Record):
     """Optimum of the continuous-size relaxation.
 
     components: the m relaxed sizes (all equal to 2^necessary_rate);
@@ -1031,10 +1038,19 @@ class RelaxedRateSolution:
     zero at the optimum where the constraint is active.
     """
 
+    __slots__ = __match_args__ = ("components", "phi", "psi", "multiplier")
     components: tuple[float, ...]
     phi: float
     psi: float
     multiplier: float
+
+    def __init__(
+        self, components: tuple[float, ...], phi: float, psi: float, multiplier: float
+    ) -> None:
+        _set_field(self, "components", components)
+        _set_field(self, "phi", phi)
+        _set_field(self, "psi", psi)
+        _set_field(self, "multiplier", multiplier)
 
 
 def relaxed_min_rate(lambda_abs: float, eps_n: float, m: int) -> RelaxedRateSolution:
@@ -1067,12 +1083,16 @@ def relaxed_min_rate(lambda_abs: float, eps_n: float, m: int) -> RelaxedRateSolu
 # earlier sufficient bounds for comparison
 
 
-@dataclass(frozen=True)
-class ComparisonBounds:
+class ComparisonBounds(Record):
     """Two earlier scalar sufficient rates; r_suf is None where undefined."""
 
+    __slots__ = __match_args__ = ("r_suf", "r_suf_prime")
     r_suf: float | None
     r_suf_prime: float
+
+    def __init__(self, r_suf: float | None, r_suf_prime: float) -> None:
+        _set_field(self, "r_suf", r_suf)
+        _set_field(self, "r_suf_prime", r_suf_prime)
 
 
 def comparison_bounds(lambda_abs: float, eps_1: float) -> ComparisonBounds:

@@ -512,7 +512,7 @@ def test_chunked_trajectory_csv_equals_one_join(tmp_path, capsys, extra, writes)
     rows = 2 * CHUNK + extra
     cfg = write(tmp_path, "t.cfg", LEVEL_RUN.format(horizon=rows - 1))
     p = plant_from_config(cli.load_config(cfg))
-    setup = cli._Setup(p, cli.Schedule((3,)), "optimal")
+    setup = loop._Setup(p, cli.Schedule((3,)), "optimal")
     verdict, _, traj = cli._sim_one(setup, rows - 1, "uniform", 0, 0, "uniform")
     assert len(traj.samples) == rows
     want = "\n".join(
@@ -1094,6 +1094,16 @@ def test_non_finite_plant_number_exits_2(tmp_path, capsys, key, value):
 ZERO_PLANT = "[plant]\nn = 1\na_star = 0.0\neps = 0.0\n\n"  # every run stops at step 0
 
 
+def _zero_plant(n):
+    """A zero plant of order n: every run stops at step 0, as with ZERO_PLANT."""
+    zeros = ", ".join(["0.0"] * n)
+    return f"[plant]\nn = {n}\na_star = {zeros}\neps = {zeros}\n\n"
+
+
+# steps weighted by max(n, 4): n = 24 runs at most 33 333 = 3 x 11 111 steps
+ORDER_24_STEPS = "[simulate]\nN = 4\nfamily = uniform\nhorizon = {}\ninstances = 3\n"
+
+
 def _order_plant(n):
     zeros = ", ".join(["0.0"] * (n - 1))
     return f"[plant]\nn = {n}\na_star = {zeros}, 2.0\neps = {zeros}, 0.1\n\n"
@@ -1145,6 +1155,12 @@ PAST_LIMIT_CASES = {
         9,
         f"'horizon x instances' must be at most {cli.MAX_STEPS}, "
         f"got {1000 * (cli.MAX_STEPS // 1000 + 1)}",
+    ),
+    "steps_by_order": (
+        "simulate",
+        _zero_plant(24) + ORDER_24_STEPS.format(11112),
+        10,
+        f"'horizon x instances x max(n, 4)' must be at most {cli.MAX_ORDER_STEPS}, got {24 * 3 * 11112}",
     ),
     # each instance pays its draws whatever the horizon, so the count has its own cap
     "instances": (
@@ -1217,6 +1233,18 @@ AT_LIMIT_CASES = {
         "simulate",
         ZERO_PLANT + f"[simulate]\nN = 4\nfamily = uniform\nhorizon = {cli.MAX_STEPS}\n",
         "verdict: stabilized\n",
+    ),
+    # an order-4 batch keeps the whole step budget
+    "steps_order_4": (
+        "simulate",
+        _zero_plant(4) + "[simulate]\nN = 4\nfamily = uniform\nhorizon = 1000\n"
+        f"instances = {cli.MAX_STEPS // 1000}\n",
+        f"instances={cli.MAX_STEPS // 1000} stabilized={cli.MAX_STEPS // 1000}\n",
+    ),
+    "steps_by_order": (
+        "simulate",
+        _zero_plant(24) + ORDER_24_STEPS.format(11111),
+        "instances=3 stabilized=3\n",
     ),
     "instances": (
         "simulate",

@@ -15,6 +15,10 @@ seed hashing of the uniform draws on the first draw, and the exact verdict
 code of an order on its first product.
 fractions is blocked the same way where a test says so: only the rescale's
 exact-rational branch imports it.
+dataclasses and inspect are blocked in every run too: the records are
+__slots__ classes, so no command needs them. `import quantstab` loads none
+of its modules; `import quantstab.cli` leaves the code of `loop` and
+`oracle` unrun until `simulate` or `verify` reads them.
 """
 
 import os
@@ -32,7 +36,14 @@ from test_schedule_frozen import CONFIG, FROZEN_CSV, FROZEN_NOTES
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
-BLOCK = 'import sys\nsys.modules["numpy"] = None\n'
+BLOCK = 'import sys\nfor _name in ("numpy", "dataclasses", "inspect"):\n    sys.modules[_name] = None\n'
+
+# whether the code of loop and oracle has run: cli puts each in sys.modules
+# as a lazy module, which turns into a plain module on its first read
+RAN = """
+import types
+print(*(type(sys.modules.get(f"quantstab.{m}")) is types.ModuleType for m in ("loop", "oracle")))
+"""
 
 
 def run_blocked(code: str, cwd: Path) -> subprocess.CompletedProcess:
@@ -291,3 +302,61 @@ print("built", info.currsize, built().misses - info.misses)
     assert [line for line in lines if line.startswith("built")] == ["built 0", "built 0", "built 1 0"]
     assert "lambda=1.95 schedule=[2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3, 4, 4, 4, 4, 4] (exact)" in lines
     assert any(line.startswith("lambda=2.3 ") and line.endswith("(heuristic)") for line in lines)
+
+
+def test_import_loads_no_module_and_every_name_resolves_on_first_read(tmp_path):
+    # dir lists every __all__ name before any is read; a read imports the
+    # name's module and binds the name in the package
+    code = """\
+import quantstab
+print(sorted(m for m in sys.modules if m.startswith("quantstab.")))
+print(set(quantstab.__all__) <= set(dir(quantstab)))
+for name in quantstab.__all__:
+    value = getattr(quantstab, name)
+    home = sys.modules["quantstab." + quantstab._HOME[name]]
+    assert vars(quantstab)[name] is value is getattr(home, name), name
+print(len(quantstab.__all__), quantstab.rates.__name__)
+"""
+    res = run_blocked(code, tmp_path)
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout.splitlines() == ["[]", "True", "37 quantstab.rates"]
+
+
+def test_unknown_package_name_is_an_attribute_error():
+    import quantstab
+
+    with pytest.raises(AttributeError, match="has no attribute 'nonexistent'"):
+        quantstab.nonexistent
+    assert set(quantstab.__all__) <= set(dir(quantstab))
+
+
+@pytest.mark.parametrize(
+    "command, text, args",
+    [
+        ("bounds", N2_BOUNDS_CFG, []),
+        ("schedule", N2_BOUNDS_CFG, ["--m-max", "6"]),
+        ("quantizer", QUANTIZER_CFG, []),
+        ("simulate", SIMULATE_CFG.format(instances=3), []),
+    ],
+    ids=["bounds", "schedule", "quantizer", "simulate"],
+)
+def test_only_simulate_runs_the_loop_and_none_runs_the_oracles(command, text, args, tmp_path):
+    cfg = tmp_path / "in.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out.csv"), *args]
+    res = run_blocked(f"from quantstab.cli import main\nassert main({argv!r}) == 0\n{RAN}", tmp_path)
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout.splitlines()[-1] == ("True False" if command == "simulate" else "False False")
+
+
+def test_verify_runs_the_oracles(tmp_path):
+    # numpy loads here: the oracles' array programs need it
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("[verify]\nresolution = 0.01\n", encoding="utf-8")
+    argv = ["verify", "--config", str(cfg), "--out", str(tmp_path / "v.csv")]
+    code = f"import sys\nfrom quantstab.cli import main\nassert main({argv!r}) == 0\n{RAN}"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout.splitlines()[-1] == "False True"

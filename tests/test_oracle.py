@@ -1,6 +1,5 @@
 """Brute-force oracles against the closed forms they are meant to certify."""
 
-import dataclasses
 import math
 import types
 
@@ -137,10 +136,15 @@ def test_kkt_probe_deterministic_in_seed():
     assert a == b is True
 
 
+def replaced(record, **changes):
+    """record with the fields named in changes replaced, as dataclasses.replace gave it."""
+    return type(record)(**{**{f: getattr(record, f) for f in record.__match_args__}, **changes})
+
+
 def test_kkt_probe_fails_off_the_surface(monkeypatch):
     # a claimed optimum whose rate product is not one fails before any probe
     real = oracle.relaxed_min_rate
-    monkeypatch.setattr(oracle, "relaxed_min_rate", lambda *a: dataclasses.replace(real(*a), psi=1e-6))
+    monkeypatch.setattr(oracle, "relaxed_min_rate", lambda *a: replaced(real(*a), psi=1e-6))
     assert not verify_relaxation_kkt(3.0, 0.35, 2, trials=100, seed=0)
 
 
@@ -148,7 +152,7 @@ def test_kkt_probe_fails_when_a_probe_beats_the_optimum(monkeypatch):
     # a claimed geometric mean 0.1 above the true one: probes near the optimum beat it
     real = oracle.relaxed_min_rate
     monkeypatch.setattr(
-        oracle, "relaxed_min_rate", lambda *a: dataclasses.replace(real(*a), phi=real(*a).phi + 0.1)
+        oracle, "relaxed_min_rate", lambda *a: replaced(real(*a), phi=real(*a).phi + 0.1)
     )
     assert not verify_relaxation_kkt(3.0, 0.35, 2, trials=100, seed=0)
 
