@@ -74,7 +74,8 @@ RATES_CSV_HEADER = (
     "R_suf_phat,R_suf_martins,avg_rate_best,m_best"
 )
 TRAJECTORY_CSV_HEADER = "k,y,s,sigma,Y_lo,Y_hi,u"
-# a trajectory row in one format call; "%.12g" is fmt's float format
+# a trajectory row in one format call, which the loop's row kernel makes in
+# each step from (k, y, s, sigma, Y_lo, Y_hi, u); "%.12g" is fmt's float format
 _TRAJECTORY_ROW = "%d,%.12g,%d,%.12g,%.12g,%.12g,%.12g"
 MAX_SWEEP_ROWS = 100_000  # most lambda values one [sweep] may hold
 # Caps on the work one request may ask for; the library takes any value.
@@ -93,7 +94,9 @@ MAX_ORDER_STEPS = 4 * MAX_STEPS  # horizon x instances x max(n, 4)
 # at n = 24 (2 vCPU); 20 000 took 1.3-1.8 s at n = 24
 MAX_INSTANCES = 10_000
 MIN_RESOLUTION = 2e-4  # verify grid step: time grows as its inverse square, memory stays one tile
-CSV_CHUNK_ROWS = 1024  # trajectory rows formatted and written at a time
+# trajectory rows joined and written at a time; the run formats them all
+# before the first write, 200 000 rows of about 10 MB of text at MAX_STEPS
+CSV_CHUNK_ROWS = 1024
 # initial output bound b: the first scaling 2 b must be finite, and a run that
 # stabilizes stops under CONVERGENCE_RATIO * 2 b, which must be a normal float
 MAX_INIT_BOUND = sys.float_info.max / 2
@@ -281,13 +284,38 @@ def _comma_list(convert):
     return lambda val: tuple(convert(v.strip()) for v in val.split(",") if v.strip())
 
 
+KNOWN_KEYS = {
+    "plant": {"n", "a_star", "eps", "init_bounds"},
+    "sweep": {"lambda_min", "lambda_max", "lambda_step"},
+    "rates": {"n_max", "margin"},
+    "schedule": {"n_max", "m_max"},
+    "simulate": {"sizes", "N", "family", "horizon", "instances", "instance_mode", "init_mode", "seed"},
+    "quantizer": {"N", "family"},
+    "verify": {"resolution", "seed"},
+}
+"""[section] -> the keys some command reads in it: a key or section outside
+it would be ignored, so load_config refuses it."""
+
+
 def load_config(path: str) -> Config:
+    """The config at path; a section or key that no command reads is a
+    ConfigError naming its line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    return Config(parse_config_text(text))
+    sections = parse_config_text(text)
+    if not sections.keys() <= KNOWN_KEYS.keys():
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            line = raw.strip()  # a header as parse_config_text reads it
+            if line.startswith("[") and line.endswith("]") and line[1:-1].strip() not in KNOWN_KEYS:
+                raise _config_error(lineno, f"unknown section [{line[1:-1].strip()}]")
+    for name, entries in sections.items():
+        for key, (_, line) in entries.items():
+            if key not in KNOWN_KEYS[name]:
+                raise _config_error(line, f"unknown key '{key}' in [{name}]")
+    return Config(sections)
 
 
 def plant_from_config(cfg: Config) -> UncertainPlant:
@@ -403,8 +431,7 @@ def cmd_sweep(cfg: Config, opts) -> int:
     with_schedule = opts.command == "schedule"
     p = plant_from_config(cfg)
     lams = sweep_from_config(cfg)
-    section = "schedule" if with_schedule else "rates"
-    n_max = cfg.get_int(section, "n_max", 64, opts.n_max)
+    n_max = cfg.get_int("schedule" if with_schedule else "rates", "n_max", 64, opts.n_max)
     margin = cfg.get_float("rates", "margin", 0.0, opts.margin)
     m_max = cfg.get_int("schedule", "m_max", 32, opts.m_max) if with_schedule else None
     args = [(p, lam, n_max, margin, m_max) for lam in lams]
@@ -423,9 +450,10 @@ def cmd_sweep(cfg: Config, opts) -> int:
 # simulate
 
 
-def _sim_one(setup, horizon, mode, seed, i, init_mode, record=True):
+def _sim_one(setup, horizon, mode, seed, i, init_mode, record):
     """(verdict, diagnostic, trajectory) of instance i of the setup's plant,
-    schedule and family; record=False keeps no samples in the trajectory.
+    schedule and family, recorded as run_closed_loop's record says: False
+    keeps no samples, _TRAJECTORY_ROW keeps the CSV row of each time index.
 
     A run that raises has no trajectory: its verdict is "saturated" for a
     SaturationError and "failed" for a malformed set or a broken invariant.
@@ -449,19 +477,15 @@ def _sim_one(setup, horizon, mode, seed, i, init_mode, record=True):
     return traj.verdict, "", traj
 
 
-def _trajectory_chunks(samples, verdict: str):
-    """The single-run CSV as line lists of at most CSV_CHUNK_ROWS sample rows,
-    the header on the first list and the verdict on the last."""
+def _trajectory_chunks(rows, verdict: str):
+    """The single-run CSV as line lists of at most CSV_CHUNK_ROWS of the run's
+    formatted rows, the header on the first list and the verdict on the last."""
     lines = [TRAJECTORY_CSV_HEADER]
-    for i in range(0, len(samples), CSV_CHUNK_ROWS):
+    for i in range(0, len(rows), CSV_CHUNK_ROWS):
         if i:
             yield lines
             lines = []
-        chunk = samples[i : i + CSV_CHUNK_ROWS]
-        lines += [
-            _TRAJECTORY_ROW % (k, y, s, sigma, e_lo, e_hi, u)
-            for k, (y, s, sigma, e_lo, e_hi, _, _, u) in enumerate(chunk, i)
-        ]
+        lines += rows[i : i + CSV_CHUNK_ROWS]
     lines.append(f"# verdict={verdict}")
     yield lines
 
@@ -498,7 +522,7 @@ def cmd_simulate(cfg: Config, opts) -> int:
                 )
 
     if instances == 1:
-        verdict, diag, traj = _sim_one(setup, horizon, mode, seed, 0, init_mode)
+        verdict, diag, traj = _sim_one(setup, horizon, mode, seed, 0, init_mode, _TRAJECTORY_ROW)
         if traj is None:
             print(f"run failed: {diag}", file=sys.stderr)
             return 1

@@ -25,7 +25,8 @@ the plant, the schedule and the family is a `_Setup`, built before the
 first step: the resolved quantizers, the coefficient-box endpoints, per
 schedule slot the cell edges, the quantizer's envelope factors and the
 coefficient-n expansion of each symbol's cell, the prior ring entries,
-the initial scaling and the kernel of the plant order. A run builds its
+the initial scaling and, from the first run on, the kernel of the plant
+order that run needs. A run builds its
 own unless one is passed in; a Monte-Carlo batch builds one per request
 and passes it to every instance, so an instance pays for its draws and
 its steps, not for work that grows with the schedule's slots and sizes.
@@ -34,6 +35,10 @@ a history of the last n outputs. A recorded run leaves one tuple per
 time index in `Trajectory.samples`; a run with record=False, as each
 instance of a Monte-Carlo batch is, keeps no sample and tracks only the
 step count and the smallest scaling, which are all a summary row reads.
+A run whose record is a %-format string, as a one-instance `simulate` is,
+keeps that string's row of each time index instead, formatted in the step
+from (k, y, s, sigma, est_lo, est_hi, u): its CSV text is written as it
+stands, and no tuple is built to be formatted later.
 
 The uniform initial outputs are the draws of
 `np.random.default_rng(init_seed).uniform(-b, b)`, oldest output first,
@@ -46,11 +51,13 @@ and history, the envelope sum, the n terms of the prediction and the plant
 step) are written out for i = 0..n-1. The ring entries and the outputs are
 its local variables, moved back one place per step by plain assignments,
 oldest first, so a step builds no ring entry, tuple, deque or iterator,
-and keeps no object but its sample tuple. A one-slot schedule's slot is
-read once per run, and a step tests |x| > c as x > c or x < -c, calling
-no abs. The kernel of an order is compiled on the first run of that
-order, under a filename that names n, and cached by `_kernel`; importing
-the module builds none. The kernel computes each quantity once:
+and keeps no object but its sample: a tuple, or in the row variant of the
+kernel a formatted row, the one statement in which the two variants
+differ. A one-slot schedule's slot is read once per run, and a step tests
+|x| > c as x > c or x < -c, calling no abs. Each variant of an order is
+compiled on the first run that needs it, under a filename that names n
+and the variant, and cached by `_kernel`; importing the module builds
+none. The kernel computes each quantity once:
 the lower bound on the next scaling is the last term of the prediction.
 `predict`, `control_input`, `intervals.interval_product`,
 `intervals.minkowski_sum`, `quantizer.encode`, `quantizer.decode` and
@@ -96,8 +103,10 @@ class Trajectory(Record):
     scaling, the decoded estimate, the predicted set for the next output
     and the input cancelling its midpoint, the last two recorded on the row
     of the time they were computed at. A run with record=False leaves
-    samples empty. Unlike the frozen records, its fields may be assigned,
-    and it is unhashable.
+    samples empty, and one with a row format record holds the row strings
+    record % (k, y, s, sigma, est_lo, est_hi, u) instead, of which sigmas()
+    refuses to read a scaling. Unlike the frozen records, its fields may be
+    assigned, and it is unhashable.
     """
 
     __slots__ = __match_args__ = ("samples", "verdict", "sigma0", "steps", "min_sigma")
@@ -120,6 +129,8 @@ class Trajectory(Record):
         self.min_sigma = min_sigma
 
     def sigmas(self) -> list[float]:
+        if self.samples and isinstance(self.samples[0], str):
+            raise TypeError("the samples are formatted rows; a record=True run keeps the scalings")
         return [t[2] for t in self.samples]
 
     def min_sigma_ratio(self) -> float:
@@ -158,8 +169,9 @@ class _Setup:
     It resolves the family (schedule_quantizers) and holds the coefficient
     boxes, per schedule slot the cell edges, the size, the quantizer's
     envelope factors and the coefficient-n expansion of each symbol's cell,
-    the prior ring entries, sigma0 and the kernel of the plant order. A
-    Monte-Carlo batch builds one per request and passes it to every run.
+    the prior ring entries and sigma0, and looks up the kernel of the plant
+    order, or its row variant, on the first run that needs it. A Monte-Carlo
+    batch builds one per request and passes it to every run.
     """
 
     def __init__(
@@ -184,7 +196,14 @@ class _Setup:
             for b in reversed(p.init_bounds[:-1])
         ]
         self.sigma0 = 2.0 * p.init_bounds[-1]
-        self.kernel = _kernel(p.n)
+
+    @functools.cached_property
+    def kernel(self) -> Callable:
+        return _kernel(self.p.n)
+
+    @functools.cached_property
+    def row_kernel(self) -> Callable:
+        return _kernel(self.p.n, True)
 
 
 def run_closed_loop(
@@ -195,7 +214,7 @@ def run_closed_loop(
     horizon: int = 500,
     init_mode: str = "uniform",
     init_seed: int | None = None,
-    record: bool = True,
+    record: bool | str = True,
     *,
     setup: _Setup | None = None,
 ) -> Trajectory:
@@ -212,6 +231,9 @@ def run_closed_loop(
     np.random.default_rng(init_seed).uniform(-b, b), oldest first, bit for
     bit, made without numpy. With record=False the run keeps no samples;
     its verdict, steps and min_sigma_ratio() are those of the recorded run.
+    A nonempty %-format string record makes sample k the string
+    record % (k, y, s, sigma, est_lo, est_hi, u) of the recorded run's
+    fields, formatted in the step by the row variant of the kernel.
 
     setup is the _Setup of (p, sched, family), which many runs may share;
     without it the run builds its own, and one built for another plant,
@@ -221,7 +243,7 @@ def run_closed_loop(
     Step k, in the kernel of order n that the first run of that order
     builds: it encodes y_k against the scaling sigma_k and decodes its
     cell, checks the invariants, predicts the next output set, keeps the
-    smallest scaling so far and records sample k (unless record=False),
+    smallest scaling so far, records sample k (unless record=False),
     and steps the plant with the input that cancels the predicted midpoint.
     The ring of estimates and the history of outputs are the kernel's
     local variables; a call writes to no argument. Each expression is the
@@ -261,14 +283,16 @@ def run_closed_loop(
         raise ValueError(f"unknown init mode {init_mode!r}")
 
     sigma0 = setup.sigma0
-    samples, verdict, steps, min_sigma = setup.kernel(
+    kernel = setup.row_kernel if isinstance(record, str) else setup.kernel
+    samples, verdict, steps, min_sigma = kernel(
         a, setup.box, setup.slots, init, setup.prior, sigma0, horizon, record
     )
     return Trajectory(samples, verdict, sigma0, steps, min_sigma)
 
 
 # The steps of run_closed_loop for plant order n: this template with each
-# $name replaced by its part written out for i = 0..n-1 (_kernel_source).
+# $name replaced by its part written out for i = 0..n-1 (_kernel_source),
+# and $sample by the record statement of the variant (_SAMPLE).
 # A local name ending in i is the instance coefficient a<i> = a_{i+1}, its
 # box (a_lo<i>, a_hi<i>), the output y<i> = y_{k-i}, or a field of ring
 # entry i, newest first: its estimate (est_lo<i>, est_hi<i>), its envelope
@@ -358,7 +382,7 @@ $predict_terms
         if sigma < min_sigma:
             min_sigma = sigma
         if record:
-            samples.append((y0, s, sigma, e_lo, e_hi, lo, hi, u))
+$sample
         if sigma < stabilized_below:
             verdict = "stabilized"
             break
@@ -410,9 +434,17 @@ _PREDICT_TERM = """\
 
 _RING_FIELDS = ("est_lo", "est_hi", "env", "fac", "low")
 
+# the record statement of each kernel variant: the default keeps the sample
+# tuple, the row variant formats a CSV row with record, its %-format string
+_SAMPLE = {
+    False: "samples.append((y0, s, sigma, e_lo, e_hi, lo, hi, u))",
+    True: "samples.append(record % (k, y0, s, sigma, e_lo, e_hi, u))",
+}
 
-def _kernel_source(n: int) -> str:
-    """The source of the closed-loop kernel of plant order n."""
+
+def _kernel_source(n: int, rows: bool = False) -> str:
+    """The source of the closed-loop kernel of plant order n, the row
+    variant if rows."""
     from string import Template  # imported here: importing builds no kernel
 
     older = range(n - 1)  # the entries and outputs that move back one place
@@ -447,13 +479,14 @@ def _kernel_source(n: int) -> str:
         ),
         plant_terms="\n".join(f"        y {'+=' if i else '= u +'} a{i} * y{i}" for i in range(n)),
         step=shift(("y",), ("y",)),
+        sample=" " * 12 + _SAMPLE[rows],
     )
 
 
 @functools.cache
-def _kernel(n: int) -> Callable:
-    """The closed-loop kernel of plant order n, compiled on its first use
-    under a filename that names n."""
+def _kernel(n: int, rows: bool = False) -> Callable:
+    """The closed-loop kernel of plant order n, the row variant if rows,
+    compiled on its first use under a filename that names n and the variant."""
     namespace = {
         "REL_GUARD": REL_GUARD,
         "CONVERGENCE_RATIO": CONVERGENCE_RATIO,
@@ -465,5 +498,6 @@ def _kernel(n: int) -> Callable:
         "copysign": math.copysign,
         "isinf": math.isinf,
     }
-    exec(compile(_kernel_source(n), f"<quantstab.loop kernel n={n}>", "exec"), namespace)
+    name = f"<quantstab.loop {'row ' if rows else ''}kernel n={n}>"
+    exec(compile(_kernel_source(n, rows), name, "exec"), namespace)
     return namespace["run"]

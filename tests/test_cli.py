@@ -1,5 +1,6 @@
 """Config parsing, CSV emission, determinism, and exit codes."""
 
+import ast
 import math
 import os
 import random
@@ -126,6 +127,71 @@ def test_required_key_missing():
     cfg = Config(parse_config_text("[plant]\nn = 1\n"))
     with pytest.raises(ConfigError, match="missing required key 'a_star'"):
         plant_from_config(cfg)
+
+
+PLANT_N1 = "[plant]\nn = 1\na_star = 3.0\neps = 0.5\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        # a misspelt key would run at the default horizon 500
+        (
+            "simulate",
+            PLANT_N1 + "\n[simulate]\nhorizn = 5000\nN = 8\n",
+            "config line 7: unknown key 'horizn' in [simulate]",
+        ),
+        # margin is read from [rates] alone: here it would run at margin 0
+        (
+            "schedule",
+            BOUNDS_CFG + "\n[schedule]\nm_max = 4\nmargin = 0.1\n",
+            "config line 14: unknown key 'margin' in [schedule]",
+        ),
+        # a section is named at its header, with or without keys
+        ("bounds", BOUNDS_CFG + "\n[ratez]\nmargin = 0.1\n", "config line 12: unknown section [ratez]"),
+        ("quantizer", PLANT_N1 + "[ extra ]\n\n[quantizer]\nN = 8\n", "config line 5: unknown section [extra]"),
+    ],
+    ids=["key", "key_of_another_section", "section", "empty_section"],
+)
+def test_unknown_key_or_section_exits_2_naming_its_line(command, text, message, tmp_path, capsys):
+    cfg = write(tmp_path, "u.cfg", text)
+    out = tmp_path / "u.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert not out.exists()
+
+
+def test_a_file_with_every_commands_sections_runs_each(tmp_path, capsys):
+    shared = BOUNDS_CFG + "\n[rates]\nn_max = 32\nmargin = 0.0\n\n[schedule]\nm_max = 4\n"
+    shared += "\n[simulate]\nN = 8\nhorizon = 40\n\n[quantizer]\nN = 8\n\n[verify]\nresolution = 0.01\n"
+    alone = {
+        "bounds": BOUNDS_CFG + "\n[rates]\nn_max = 32\n",
+        "simulate": PLANT_N1.replace("3.0", "2.0").replace("0.5", "0.1") + "\n[simulate]\nN = 8\nhorizon = 40\n",
+        "schedule": BOUNDS_CFG + "\n[schedule]\nm_max = 4\n",
+        "quantizer": BOUNDS_CFG + "\n[quantizer]\nN = 8\n",
+    }
+    for command, text in alone.items():
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        assert main([command, "--config", write(tmp_path, "shared.cfg", shared), "--out", str(got)]) == 0
+        assert main([command, "--config", write(tmp_path, "alone.cfg", text), "--out", str(want)]) == 0
+        assert got.read_bytes() == want.read_bytes(), command
+    capsys.readouterr()
+
+
+def test_known_keys_are_the_keys_the_commands_read():
+    # every cfg.get_*(section, key, ...) call in cli, a conditional section
+    # counting as each of its two
+    read = set()
+    with open(cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        func = getattr(node, "func", None)
+        if isinstance(node, ast.Call) and isinstance(func, ast.Attribute) and func.attr.startswith("get_"):
+            if isinstance(func.value, ast.Name) and func.value.id == "cfg":
+                section, key = node.args[:2]
+                names = (section.body, section.orelse) if isinstance(section, ast.IfExp) else (section,)
+                read |= {(name.value, key.value) for name in names}
+    assert read == {(section, key) for section, keys in cli.KNOWN_KEYS.items() for key in keys}
 
 
 def test_plant_defaults_and_rejection():
@@ -513,7 +579,9 @@ def test_chunked_trajectory_csv_equals_one_join(tmp_path, capsys, extra, writes)
     cfg = write(tmp_path, "t.cfg", LEVEL_RUN.format(horizon=rows - 1))
     p = plant_from_config(cli.load_config(cfg))
     setup = loop._Setup(p, cli.Schedule((3,)), "optimal")
-    verdict, _, traj = cli._sim_one(setup, rows - 1, "uniform", 0, 0, "uniform")
+    # want is built from a recorded run's sample tuples, the chunks from the
+    # rows that the command's run formats in its steps
+    verdict, _, traj = cli._sim_one(setup, rows - 1, "uniform", 0, 0, "uniform", True)
     assert len(traj.samples) == rows
     want = "\n".join(
         [TRAJECTORY_CSV_HEADER]
@@ -523,13 +591,32 @@ def test_chunked_trajectory_csv_equals_one_join(tmp_path, capsys, extra, writes)
         ]
         + [f"# verdict={verdict}"]
     ) + "\n"
-    assert [len(c) for c in cli._trajectory_chunks(traj.samples, verdict)] == writes
+    _, _, row_traj = cli._sim_one(setup, rows - 1, "uniform", 0, 0, "uniform", cli._TRAJECTORY_ROW)
+    assert [len(c) for c in cli._trajectory_chunks(row_traj.samples, verdict)] == writes
     out = tmp_path / "t.csv"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     assert out.read_bytes() == want.encode()
     assert capsys.readouterr() == (f"verdict: {verdict}\n", "")
     assert main(["simulate", "--config", cfg]) == 0
     assert capsys.readouterr() == (want + f"verdict: {verdict}\n", "")
+
+
+def test_run_raising_past_a_chunk_exits_1_and_writes_nothing(tmp_path, capsys):
+    # the scaling grows 1.01-fold a step from 2e297 and overflows at step
+    # 2466, past the first CSV_CHUNK_ROWS rows: no row is written before the
+    # run ends, so no --out file is left, and stdout stays empty
+    cfg = write(
+        tmp_path,
+        "o.cfg",
+        "[plant]\nn = 1\na_star = 3.03\neps = 0.0\ninit_bounds = 1e297\n\n"
+        "[simulate]\nN = 3\nfamily = uniform\nhorizon = 5000\n",
+    )
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "run failed: step 2466: the output overflowed to inf\n")
+    assert 2466 > CHUNK and not out.exists()
+    assert main(["simulate", "--config", cfg]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_simulate_monte_carlo_summary(tmp_path, capsys):

@@ -231,13 +231,37 @@ print(loop._kernel.cache_info().currsize)
 status = quantstab.cli.main({argv!r})
 info = loop._kernel.cache_info()
 print(status, info.misses, info.hits, info.currsize)
+print(loop._kernel(2) is loop._kernel(2) and loop._kernel.cache_info().misses == 1)
 """
     res = run_blocked(code, tmp_path)
     assert (res.returncode, res.stderr) == (0, "")
     lines = res.stdout.splitlines()
-    # one build, in the set-up of the batch; its 24 instances look up none
-    assert (lines[0], lines[-1]) == ("0", "0 1 0 1")
-    assert lines[-2].startswith("instances=24 ")
+    # one build, in the first run of the batch; its other 23 instances look
+    # up none, and the build was the default kernel, not its row variant
+    assert (lines[0], lines[-2], lines[-1]) == ("0", "0 1 0 1", "True")
+    assert lines[-3].startswith("instances=24 ")
+
+
+def test_single_trajectory_builds_the_row_kernel_alone(tmp_path):
+    # a one-instance simulate formats its rows in the step: it builds the
+    # row variant of its order and no default kernel, with numpy blocked
+    cfg = tmp_path / "single.cfg"
+    cfg.write_text(SIMULATE_CFG.format(instances=1), encoding="utf-8")
+    argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "single.csv")]
+    code = f"""\
+import quantstab.cli
+from quantstab import loop
+print(loop._kernel.cache_info().currsize)
+status = quantstab.cli.main({argv!r})
+info = loop._kernel.cache_info()
+print(status, info.misses, info.hits, info.currsize)
+print(loop._kernel(2, True) is loop._kernel(2, True), loop._kernel.cache_info().misses)
+"""
+    res = run_blocked(code, tmp_path)
+    assert (res.returncode, res.stderr) == (0, "")
+    lines = res.stdout.splitlines()
+    assert (lines[0], lines[-2], lines[-1]) == ("0", "0 1 0 1", "True 1")
+    assert lines[-3].startswith("verdict: ")
 
 
 def test_import_compiles_no_draw_code_and_the_first_draw_compiles_it(tmp_path):

@@ -1,14 +1,16 @@
 """Closed-loop simulator: prediction, control, invariants, envelopes, verdicts."""
 
 import ast
+import difflib
 import functools
+import hashlib
 import math
 import random
 
 import numpy as np
 import pytest
 
-from quantstab.cli import MAX_ORDER
+from quantstab.cli import _TRAJECTORY_ROW, MAX_ORDER
 from quantstab.intervals import check_hull, hull_contains, interval_product
 from quantstab.loop import (
     CONVERGENCE_RATIO,
@@ -759,9 +761,11 @@ def test_outside_instances_land_where_their_rows_say(a_star, eps, bounds, a, siz
     assert signs == ({1.0} if a[0] > 0 else {1.0, -1.0})
 
 
-def kernel_step_nodes(n):
-    """The AST nodes of the kernel's while body of order n, outside raise statements."""
-    (loop,) = [node for node in ast.walk(ast.parse(_kernel_source(n))) if isinstance(node, ast.While)]
+def kernel_step_nodes(n, rows=False):
+    """The AST nodes of the while body of the kernel of order n, or of its
+    row variant, outside raise statements."""
+    tree = ast.parse(_kernel_source(n, rows))
+    (loop,) = [node for node in ast.walk(tree) if isinstance(node, ast.While)]
 
     def below(node):
         for child in ast.iter_child_nodes(node):
@@ -775,16 +779,38 @@ def kernel_step_nodes(n):
 def test_kernel_step_calls_no_abs_and_pushes_no_tuple():
     # the step's shape, which CI cannot time: two compares stand for abs, and
     # the ring and the outputs move by plain assignments; the one abs left is
-    # in the SaturationError message
+    # in the SaturationError message; alike in the row variant
     for n in range(1, MAX_ORDER + 1):
-        nodes = kernel_step_nodes(n)
-        calls = [node.func.id for node in nodes if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
-        assert "abs" not in calls and "bisect_right" in calls, n
-        tuples = [node for node in nodes if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple)]
-        assert tuples == [], (n, [ast.unparse(node) for node in tuples])
-        assert sum(isinstance(node, ast.Assign) for node in nodes) > 5 * n, n
-        everywhere = ast.walk(ast.parse(_kernel_source(n)))
-        assert sum(isinstance(node, ast.Name) and node.id == "abs" for node in everywhere) == 1, n
+        for rows in (False, True):
+            nodes = kernel_step_nodes(n, rows)
+            calls = [node.func.id for node in nodes if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+            assert "abs" not in calls and "bisect_right" in calls, (n, rows)
+            tuples = [node for node in nodes if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple)]
+            assert tuples == [], (n, rows, [ast.unparse(node) for node in tuples])
+            assert sum(isinstance(node, ast.Assign) for node in nodes) > 5 * n, (n, rows)
+            everywhere = ast.walk(ast.parse(_kernel_source(n, rows)))
+            assert sum(isinstance(node, ast.Name) and node.id == "abs" for node in everywhere) == 1, (n, rows)
+
+
+# sha256 of the default kernel sources of orders 1..MAX_ORDER, joined by
+# newlines: the kernel that batches, the replay and the library run
+DEFAULT_KERNELS_SHA256 = "602c7f7a289a285ee0d86bc464868cb7579277dc550f44deb374adb0ca45e7df"
+
+
+def test_kernel_sources_are_pinned_and_the_row_variant_differs_in_its_record_alone():
+    default = [_kernel_source(n) for n in range(1, MAX_ORDER + 1)]
+    assert hashlib.sha256("\n".join(default).encode()).hexdigest() == DEFAULT_KERNELS_SHA256
+    for n, source in enumerate(default, 1):
+        assert _kernel_source(n, False) == source
+        changed = [
+            line
+            for line in difflib.ndiff(source.splitlines(), _kernel_source(n, True).splitlines())
+            if line[:1] in "+-"
+        ]
+        assert changed == [
+            "-             samples.append((y0, s, sigma, e_lo, e_hi, lo, hi, u))",
+            "+             samples.append(record % (k, y0, s, sigma, e_lo, e_hi, u))",
+        ], n
 
 
 # ---------------------------------------------------------------------------
@@ -828,7 +854,7 @@ def test_shared_setup_runs_as_a_fresh_one():
         shared = functools.partial(run_closed_loop, setup=_Setup(p, sched, family))
         for i, a in enumerate(instances):
             args = (p, a, sched, family, 200, INIT_MODES[i % 3], [5, i, 1])
-            for record in (True, False):
+            for record in (True, False, _TRAJECTORY_ROW):
                 got = every_field(functools.partial(shared, record=record), *args)
                 assert got == every_field(functools.partial(run_closed_loop, record=record), *args), args
             if isinstance(got[0], type):
@@ -905,3 +931,71 @@ def test_unrecorded_run_summarizes_as_the_recorded_one():
         ValueError,
         InvariantViolation,
     }, seen
+
+
+# ---------------------------------------------------------------------------
+# a run that formats its rows, as a one-instance simulate does, against a
+# recorded one
+
+
+def rows_or_error(args, record):
+    """(rows, verdict, steps, min_sigma bits, sigma0 bits) of the run, a
+    recorded run's samples formatted by _TRAJECTORY_ROW here, or the type and
+    message it raised."""
+    try:
+        traj = run_closed_loop(*args, record=record)
+    except (ValueError, InvariantViolation, SaturationError) as exc:
+        return type(exc), str(exc)
+    rows = traj.samples
+    if record is True:
+        rows = [
+            _TRAJECTORY_ROW % (k, y, s, sigma, e_lo, e_hi, u)
+            for k, (y, s, sigma, e_lo, e_hi, _, _, u) in enumerate(rows)
+        ]
+    return rows, traj.verdict, traj.steps, traj.min_sigma.hex(), traj.sigma0.hex()
+
+
+def test_row_route_equals_the_tuple_route():
+    # the replay's random plants of orders 1..4 and those of orders 5, 8 and
+    # MAX_ORDER with their verdict and error cases: the rows of each run are
+    # its recorded samples formatted, and a run that raises raises the same
+    # error at the same step on both routes
+    rng = random.Random(42)
+    cases = [random_case(rng) for _ in range(160)]
+    for n in (5, 8, MAX_ORDER):
+        cases += [random_case(rng, n) for _ in range(20)]
+        for a_star, eps, bounds, a, sizes, family, init_mode in high_order_cases(n):
+            p = UncertainPlant(n, a_star, eps, bounds)
+            cases.append((p, a or a_star, Schedule(sizes), family, 60 * n, init_mode, 0))
+    row_run = functools.partial(run_closed_loop, record=_TRAJECTORY_ROW)
+    seen, drawn = set(), set()
+    for args in cases:
+        p, _, sched, family, horizon, init_mode, _ = args
+        drawn |= {("n", p.n), ("m", sched.m), family, init_mode}
+        got = rows_or_error(args, _TRAJECTORY_ROW)
+        assert got == rows_or_error(args, True), args
+        if isinstance(got[0], list):
+            seen.add(got[1])
+        else:
+            seen.add(got[0])
+            assert failing_horizon(row_run, args, horizon) == failing_horizon(run_closed_loop, args, horizon)
+    assert drawn >= {("n", n) for n in (1, 2, 3, 4, 5, 8, MAX_ORDER)} | {("m", 1), ("m", 2), ("m", 3)}
+    assert drawn >= {"optimal", "uniform", *INIT_MODES}
+    assert seen >= {
+        "stabilized",
+        "diverged",
+        "horizon_exhausted",
+        SaturationError,
+        InvariantViolation,
+        ValueError,
+    }, seen
+
+
+def test_row_mode_trajectory_refuses_sigmas():
+    # a row is a string: t[2] would be its third character, not a scaling
+    args = (scalar_plant(), (3.0,), Schedule((8,)), "optimal", 40, "uniform", 0)
+    traj = run_closed_loop(*args, record=_TRAJECTORY_ROW)
+    assert traj.samples[0].startswith("0,")
+    with pytest.raises(TypeError, match="formatted rows"):
+        traj.sigmas()
+    assert run_closed_loop(*args).sigmas()[0] == traj.sigma0
