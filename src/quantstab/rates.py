@@ -549,41 +549,39 @@ def _lower_hull(points: list[tuple[float, float]]) -> list[int]:
     return hull
 
 
-def _seeds(gvec: list[float], cvec: list[float], m_max: int, band: float) -> tuple[float, list[float]]:
-    """The cheapest seed average (inf without one) and the sorted slopes of the items' hull.
-
-    Seeds are the uniform schedules and the closed-form mixes of adjacent
-    lower-hull points of (g, c) = (ln w, log2 N), as _search_scalar_exact
-    describes. They only bound the search, so each keeps its float log sum at
-    least the rounding band below 0: it is certified. The slopes are the
-    negative ones of the hull's segments, and 0.
-    """
-    seed_target = -max(band, 1e-9)
-    ub = math.inf
-    for g, c in zip(gvec, cvec):
-        if m_max * g < seed_target:  # uniform schedule, any feasible period
-            ub = min(ub, c)
+def _slopes(gvec: list[float], cvec: list[float]) -> list[float]:
+    """0 and the negative slopes of the lower hull of the items' (g, c) = (ln w, log2 N), sorted."""
     order = sorted(range(len(gvec)), key=lambda i: (gvec[i], cvec[i]))
     hull = [order[h] for h in _lower_hull([(gvec[i], cvec[i]) for i in order])]
-    betas = [0.0]
-    for a, b in zip(hull, hull[1:]):
-        ga, gb, ca, cb = gvec[a], gvec[b], cvec[a], cvec[b]
-        if not (ga < gb and ca > cb):
-            continue
-        betas.append((cb - ca) / (gb - ga))
-        if not ga < 0.0 <= gb - seed_target:  # no mix of the pair beats the seeds
-            continue
-        # k slots of a and m - k of b: the cheapest feasible k in closed form,
-        # a seed only where its float log sum is certified
-        for m in range(2, m_max + 1):
-            k = max(1, math.floor((m * gb - seed_target) / (gb - ga)) + 1)
-            if k < m and k * ga + (m - k) * gb < seed_target:
-                ub = min(ub, (k * ca + (m - k) * cb) / m)
-    betas.sort()
-    return ub, betas
+    return sorted([0.0] + [(cvec[b] - cvec[a]) / (gvec[b] - gvec[a]) for a, b in zip(hull, hull[1:])
+                           if gvec[a] < gvec[b] and cvec[a] > cvec[b]])
 
 
-def _band(m_max: int, gvec: list[float]) -> float:
+def _seeds(ga: float, ca: float, gb: float, cb: float, m_max: int, target: float) -> tuple[float, int, int]:
+    """The cheapest mix of k slots of a and m - k of b, 0 < k < m <= m_max, whose float log
+    sum k ga + (m - k) gb is below target, as (average, k, m); (inf, 0, 0) without one.
+
+    a contracts and is the dearer: ga < 0, ca > cb. At one count k the average falls as m
+    grows, so each k takes the longest period that keeps its float sum below target. At
+    gb > 0 that sum rises with m: the walk down starts at the closed form m - k <
+    (target - k ga) / gb, widened by 8u of its terms for the rounding of the sum and of
+    the quotient, so it passes no period that the float test takes, and the counts start
+    where k ga + gb can pass. At gb <= 0 the sum falls with m, and m_max is the one
+    period to try. The counts stop at the first that keeps m_max: later ones cost more.
+    """
+    best, room, a = (math.inf, 0, 0), target + 8 * _U * m_max * gb, ga * (1.0 + 8 * _U)
+    for k in range(1 if gb <= 0.0 else max(1, math.floor(min((gb - target) / -ga, m_max))), m_max):
+        j = m_max - k if gb <= 0.0 else math.ceil(min(max(0.0, (room - k * a) / gb), m_max - k + 1)) - 1
+        while j > 0 and not k * ga + j * gb < target:
+            j = j - 1 if gb > 0.0 else 0
+        if j > 0 and (k * ca + j * cb) / (k + j) < best[0]:
+            best = ((k * ca + j * cb) / (k + j), k, k + j)
+        if k + j == m_max:
+            return best
+    return best
+
+
+def _band(m_max: int, gvec: Sequence[float]) -> float:
     """Rounding band of a float log sum of at most m_max of the items' logs against 0.
 
     Each log errs by less than one ulp (2u |g|), and each of the at most
@@ -594,57 +592,71 @@ def _band(m_max: int, gvec: list[float]) -> float:
     return (m_max + 2) ** 2 * _U * max(map(abs, gvec))
 
 
-def _scalar_rows(table: _Table, m_max: int) -> list[tuple[int, float, float]]:
-    """(N, log2 N, w) for the sizes of the rate table that a schedule within the caps can use.
+def _scalar_rows(table: _Table, m_max: int) -> tuple[list[tuple[int, float, float]], float]:
+    """(N, log2 N, w) for the sizes of the rate table that a schedule within the caps can
+    use, and ub, the average of a certified schedule of them (inf without one).
 
-    Every rescaled rate is at least w_floor = rate_floor(|a*|, eps), as
-    w / z >= w, so an unread size N has g = ln w >= ln w_floor and, for a
-    slope beta <= 0, a price c - beta g of at least log2 N - beta ln w_floor.
-    The rows start as the table up to its first certified size, as
-    min_sufficient_N reads it. From them come a certified incumbent
-    average ub (_seeds) and beta, the most negative hull slope (0 for a
-    single row), that of the segment straddling g = 0. A
-    schedule of m <= m_max items with sum g < 0 costs at least the sum of
-    its prices, so at least price_i + (m - 1) F for each of its items i, F
-    the smallest price, and its average stays above ub once
-    price_i > m_max ub - (m_max - 1) F, which is at least F since ub is the
-    average of such a schedule. So reading stops before the first size whose
-    price bound exceeds that, plus 1e-9 of the magnitudes compared for
-    rounding: no later size's bound is smaller, and F, the smallest price
-    read, is then the smallest of all. At a zero floor (eps = 0, or a zero-rate uniform plant)
-    ln w_floor does not exist and the whole table is read, as it is when
-    nothing contracts or the prefix holds no seed.
+    Each row refreshes ub. A row that contracts, g = ln w < 0, is a uniform seed, and
+    it mixes (_seeds) with each earlier row inside the seed target's band, and with
+    the earlier row of g > 0 whose line with it is lowest at g = 0 where that line is
+    the lowest yet; a row that the target certifies alone is cheaper than its mixes.
+    The target is the band of the rows read so far, so each seed's float log sum
+    certifies it. Every rescaled rate is at least w_floor = rate_floor(|a*|, eps), as
+    w / z >= w, so an unread size N has g >= ln w_floor and, for a slope beta <= 0, a
+    price c - beta g of at least log2 N - beta ln w_floor. A schedule of m <= m_max
+    items with sum g < 0 costs at least the sum of its prices, so at least price_i +
+    (m - 1) F for each of its items i, F the smallest price, and its average stays
+    above ub once price_i > m_max ub - (m_max - 1) F, which is at least F since ub is
+    the average of such a schedule. So reading stops before the first size whose
+    price bound exceeds that, plus 1e-9 of the magnitudes compared for rounding, at
+    beta or at 0: no later size's bound is smaller, and F, the smallest price read,
+    is then the smallest of all. beta is the slope of the lowest line, the hull's
+    segment that straddles 0, where F is largest; at 0, F is the first row's c. A
+    lower line gives every price afresh. At a zero floor (eps = 0) ln w_floor does
+    not exist and the whole table is read, as it is when nothing contracts; a zero
+    rate has no log and ends the seeds.
     """
-    static = table.first_certified()
     floor = rate_floor(abs(table.p.a_star[0]), table.p.eps[0])
-    reader = iter(table)
+    lnf = math.log(floor) if floor > 0.0 else None
+    unit, reader = _band(m_max, (1.0,)), iter(table)  # the band per unit of the largest |g|
     rows: list[tuple[int, float, float]] = []
+    gvec, cvec, pos = [], [], []  # pos: the rows that no seed target certified alone
+    ub = low = F = math.inf  # low: the straddling line's value at g = 0
+    beta = big = mag = 0.0
     for N, c, (w,) in reader:
         rows.append((N, c, w))
-        if N == static:
-            break
-    if static is None or not floor > 0.0:  # nothing contracts, or a zero floor
-        return rows + [(N, c, w) for N, c, (w,) in reader]
-    gvec = [math.log(w) for _, _, w in rows]
-    cvec = [c for _, c, _ in rows]
-    ub, betas = _seeds(gvec, cvec, m_max, _band(m_max, gvec))
-    if ub == math.inf:  # no incumbent to cap with
-        return rows + [(N, c, w) for N, c, (w,) in reader]
-    beta, lnf = betas[0], math.log(floor)
-    F = min(c - beta * g for c, g in zip(cvec, gvec))
-    mag = max(c + abs(beta * g) for c, g in zip(cvec, gvec))  # scale of F's rounding
-    while True:
-        tol = 1e-9 * (m_max * (ub + mag) + abs(beta * lnf))
-        if math.log2(rows[-1][0] + 1) - beta * lnf > m_max * ub - (m_max - 1) * F + tol:
-            return rows  # before building the next size
-        row = next(reader, None)
-        if row is None:
-            return rows
-        N, c, (w,) = row
+        if w == 0.0:
+            return rows + [(N, c, w) for N, c, (w,) in reader], ub
         g = math.log(w)
-        rows.append((N, c, w))
-        F = min(F, c - beta * g)
-        mag = max(mag, c + abs(beta * g))
+        gvec.append(g)
+        cvec.append(c)
+        big = max(big, abs(g))
+        target = -max(unit * big, 1e-9)
+        if g < 0.0:
+            if c < ub and m_max * g < target:  # uniform, at any feasible period
+                ub = c
+            v, mate = math.inf, 0  # the row with g > 0 whose line with this one is lowest at 0
+            for b in pos:
+                gb, cb = gvec[b], cvec[b]
+                if gb <= 0.0:  # inside the band: mixed as it is
+                    ub = min(ub, _seeds(g, c, gb, cb, m_max, target)[0])
+                elif (line := c - (cb - c) / (gb - g) * g) < v:
+                    v, mate = line, b
+            if v < low:  # a lower straddling line: its mix, and every price afresh
+                low, beta = v, (cvec[mate] - c) / (gvec[mate] - g)
+                if v < ub:  # else each mix averages above ub, as above the line at g = 0
+                    ub = min(ub, _seeds(g, c, gvec[mate], cvec[mate], m_max, target)[0])
+                F = min(ci - beta * gi for ci, gi in zip(cvec, gvec))
+                mag = max(ci + abs(beta * gi) for ci, gi in zip(cvec, gvec))  # scale of F's rounding
+        if g >= target:
+            pos.append(len(gvec) - 1)
+        if lnf is not None:  # the next size's price bound, at beta and at slope 0
+            F, mag = min(F, c - beta * g), max(mag, c + abs(beta * g))
+            top, nxt = m_max * ub + 1e-9 * m_max * ub, math.log2(N + 1)
+            if (nxt - beta * lnf > top - (m_max - 1) * F + 1e-9 * (m_max * mag + abs(beta * lnf))
+                    or nxt > top - (m_max - 1) * cvec[0] + 1e-9 * m_max * c):
+                return rows, ub  # before building the next size
+    return rows, ub
 
 
 def _within(lo: int, hi: int, a: float, b: float, t: float) -> tuple[int, int]:
@@ -705,11 +717,10 @@ def _search_scalar_exact(table: _Table, m_max: int) -> ScheduleSearchResult | No
     best schedule is at the largest x in range whose exact product is below
     1 (_most_copies): each rate is an integer over a power of two, so a node
     carries its exact product as num / 2^shift. The incumbent average ub
-    starts from uniform schedules and from the cheapest feasible mixes of the
-    adjacent lower-hull points (a, b) in (g, c) that straddle the seed
-    target, g_a < 0 <= g_b - target: a pair with g_a >= 0 never mixes below
-    0, and a pair of two feasible sizes mixes dearer than its cheaper size,
-    which the uniform seed already holds.
+    starts from the seeds _scalar_rows certifies as it reads: uniform
+    schedules, and the cheapest mixes (_seeds) of a size that contracts with
+    each cheaper size inside the rounding band, and with the cheaper size
+    whose line with it is the lowest yet at g = 0.
 
     A child adding item i at count x, with e_min to e_max more items to
     come, is pruned when a Lagrangian bound shows that no completion reaches
@@ -734,14 +745,14 @@ def _search_scalar_exact(table: _Table, m_max: int) -> ScheduleSearchResult | No
     ub, so ties still prefer fewer slots, then lexicographically smaller
     sizes; a key's average adds log2 N over its sorted sizes.
 
-    The items are the rows _scalar_rows reads: the table up to the first
-    contracting size, then further only while a size's price bound from the
-    rate floor can still tie the seeds of that prefix. A size left out is in no
-    schedule that ties the optimum, so the answer is the one the whole table
-    gives. The floor is 0 at eps = 0 and on a zero-rate uniform plant, where
-    its log does not exist; those rows read the whole table.
+    The items are the rows _scalar_rows reads: the table only as far as a
+    size's price bound from the rate floor can still tie the seeds of the rows
+    before it. A size left out is in no schedule that ties the optimum, so the
+    answer is the one the whole table gives. The floor is 0 at eps = 0 and on
+    a zero-rate uniform plant, where its log does not exist; those rows read
+    the whole table.
     """
-    rated = _scalar_rows(table, m_max)
+    rated, seeded = _scalar_rows(table, m_max)
     if not rated:
         return None
     # A zero rate (the uniform family at a* = eps = 0) has no log, but every
@@ -775,8 +786,7 @@ def _search_scalar_exact(table: _Table, m_max: int) -> ScheduleSearchResult | No
     shifts = [den.bit_length() - 1 for den in dens]
     # cheapest future feasibility credit for slots restricted to index >= i
     gmin = list(itertools.accumulate(reversed(gvec), min))[::-1]
-    band = _band(m_max, gvec)
-    seeded, betas = _seeds(gvec, cvec, m_max, band)
+    band, betas = _band(m_max, gvec), _slopes(gvec, cvec)
     ub = min(seeded, best[0])  # at or above the optimum
     # per slope, built on first use: item prices c_k - beta g_k and their suffix minima
     rows: list = [None] * len(betas)

@@ -1040,9 +1040,9 @@ def test_schedule_known_integer_pole_exits_0(tmp_path, capsys):
     "plant, optimal",
     [
         # N_suf_opt = 3, then the exact search reads the same table on to
-        # 16: at --m-max 4 no size past 16 can be in a schedule that ties
-        # the seed (3,), so size 17 is never built
-        ("n = 1\na_star = 2.0\neps = 0.35", range(2, 17)),
+        # 8: at --m-max 4 no size past 8 can be in a schedule that ties
+        # the seeds of sizes 2..8, so size 9 is never built
+        ("n = 1\na_star = 2.0\neps = 0.35", range(2, 9)),
         # N_suf_opt = 3, then the heuristic reads the same table on to its
         # candidates up to static + 4 = 7
         ("n = 2\na_star = 0.3, 2.2\neps = 0.02, 0.2", range(2, 8)),

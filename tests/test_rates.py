@@ -1172,7 +1172,7 @@ def test_capped_table_search_matches_the_full_table(monkeypatch):
     rng = random.Random(20261019)
     cases = [search_case(rng) for _ in range(600)]
     def scalar_rows(p, m_max, n_max, family, margin):
-        return rates._scalar_rows(rates._Table(p, family, n_max, margin), m_max)
+        return rates._scalar_rows(rates._Table(p, family, n_max, margin), m_max)[0]
 
     capped = [(scalar_rows(*c), search_periodic_schedule(*c)) for c in cases]
     monkeypatch.setattr(rates, "rate_floor", lambda a_abs, eps: 0.0)
@@ -1191,6 +1191,101 @@ def test_capped_table_search_matches_the_full_table(monkeypatch):
     assert shorter >= len(cases) // 3  # the cap reads less on a good share
 
 
+def reference_mix(ga, ca, gb, cb, m_max, target):
+    """The cheapest mix of k slots of a and m - k of b by the per-period loop that seeded
+    the search before: at each period m the least count k of the closed form
+    k ga + (m - k) gb < target, kept only where its float log sum passes. inf without one."""
+    ub = math.inf
+    for m in range(2, m_max + 1):
+        k = max(1, math.floor((m * gb - target) / (gb - ga)) + 1)
+        if k < m and k * ga + (m - k) * gb < target:
+            ub = min(ub, (k * ca + (m - k) * cb) / m)
+    return ub
+
+
+def sum_in_band(ga, gb, m_max, target):
+    """Whether a float log sum k ga + (m - k) gb of 0 < k < m <= m_max lies within its
+    rounding of target; at each m only the counts next to the real crossing can."""
+    for m in range(2, m_max + 1):
+        x = math.floor((m * gb - target) / (gb - ga))
+        for k in range(max(1, x - 1), min(m - 1, x + 2) + 1):
+            err = 16 * rates._U * (k * abs(ga) + (m - k) * abs(gb) + abs(target))
+            if abs(k * ga + (m - k) * gb - target) <= err:
+                return True
+    return False
+
+
+def test_seeds_match_the_per_period_mix_loop():
+    # straddling pairs as the table cap mixes them: a contracts and is the dearer,
+    # and b lies above 0, inside the band [target, 0], or where a count's float log
+    # sum lands next to the target
+    rng = random.Random(20261021)
+    clear = 0
+    for _ in range(2400):
+        m_max = rng.choice([1, 2, 3, 32, 256])
+        target = -max(rates._band(m_max, [rng.choice([3.0, 700.0])]), 1e-9)
+        nb, na = sorted(rng.sample(range(2, 1025), 2))
+        cb, ca = math.log2(nb), math.log2(na)
+        ga = -rng.choice([rng.uniform(1e-3, 3.0), rng.uniform(1e-3, 0.05)])
+        kind = rng.choice(["above", "band", "tie"])
+        if kind == "above":
+            gb = rng.uniform(0.0, 1.5)
+        elif kind == "band":
+            gb = rng.choice([0.0, target, rng.uniform(target, 0.0)])
+        else:  # k slots of a and j of b sum to the target, up to a few ulps of ga
+            gb = rng.uniform(1e-3, 1.5)
+            k = rng.randint(1, max(1, m_max - 1))
+            ga = (target - rng.randint(1, max(1, m_max - k)) * gb) / k
+            for _ in range(rng.randint(0, 3)):
+                ga = math.nextafter(ga, rng.choice([-math.inf, 0.0]))
+        avg, k, m = rates._seeds(ga, ca, gb, cb, m_max, target)
+        want = reference_mix(ga, ca, gb, cb, m_max, target)
+        case = (ga, ca, gb, cb, m_max, target)
+        if avg < math.inf:  # a schedule whose float log sum certifies it
+            assert 0 < k < m <= m_max and k * ga + (m - k) * gb < target, case
+            assert avg == (k * ca + (m - k) * cb) / m, case
+        assert avg <= want, case
+        if not sum_in_band(ga, gb, m_max, target):
+            assert avg == want, case
+            clear += 1
+    assert 1500 <= clear <= 2200  # both kinds are well covered
+
+
+# the n = 1 schedule rows of the scalar_schedule benchmark (bench/workloads.py:
+# the criterion-9 points 1.40 ... 2.15, each moved by -0.006 ... 0.006), then
+# the 53 criterion-9 rows; all at eps 0.35, m_max 32, n_max 64
+CAP_ROWS = [round(round(1.40 + 0.05 * j, 2) + 0.002 * d, 4) for j in range(16) for d in range(-3, 4)]
+CAP_ROWS += [1.40 + 0.05 * j for j in range(53)]
+# sizes each row read when the cap was set once, at the first contracting size
+CAP_READS_BEFORE = [1] * 38 + [
+    31, 30, 28, 27, 20, 20, 21, 20, 20, 20, 21, 20, 21, 20, 21, 20, 20, 21, 20, 22, 21, 20, 22, 21,
+    20, 21, 20, 20, 22, 21, 21, 23, 20, 20, 21, 20, 21, 21, 20, 20, 20, 20, 20, 21, 20, 20, 20, 20,
+    20, 20, 21, 20, 20, 20, 21, 20, 21, 21, 20, 20, 23, 22, 21, 20, 23, 22, 21, 20, 20, 20, 20, 20,
+    20, 20,
+] + [1] * 5 + [
+    31, 20, 21, 20, 22, 20, 20, 20, 21, 20, 20, 20, 20, 20, 20, 11, 11, 10, 12, 11, 11, 11, 11, 11,
+    11, 11, 11, 13, 12, 12, 12, 23, 14, 21, 21, 21, 21, 22, 21, 22, 21, 22, 23, 22, 22, 22, 23, 22,
+]
+
+
+def test_table_cap_on_the_benchmark_and_criterion_9_rows(monkeypatch):
+    # the cap, refreshed as rows arrive, keeps each row's answer, reads no row
+    # further than the cap set once did, and reads well under half as many sizes
+    def run(lam):
+        p = scalar_plant(lam, 0.35)
+        table = rates._Table(p, "optimal", 64, 0.0)
+        rows, _ = rates._scalar_rows(table, 32)
+        return len(rows), scalar_outcome(search_periodic_schedule(p, 32, 64, table=table))
+
+    capped = [run(lam) for lam in CAP_ROWS]
+    monkeypatch.setattr(rates, "rate_floor", lambda a_abs, eps: 0.0)  # the whole table
+    assert [out for _, out in capped] == [run(lam)[1] for lam in CAP_ROWS]
+    reads = [n for n, _ in capped]
+    assert all(n <= before for n, before in zip(reads, CAP_READS_BEFORE, strict=True))
+    assert (sum(reads[:112]), sum(reads[112:])) == (609, 588)  # 1 593 and 864 before
+    assert sum(reads[:112]) <= 800
+
+
 def reference_scalar_search(table, m_max):
     """The n = 1 search with one node per path of sizes, each slot its own node.
 
@@ -1199,7 +1294,7 @@ def reference_scalar_search(table, m_max):
     climbed at every node with e_min's floor as is: rates._search_scalar_exact
     must give its (sizes, repr(avg_rate), exact), and its None.
     """
-    rated = rates._scalar_rows(table, m_max)
+    rated, seeded = rates._scalar_rows(table, m_max)
     if not rated:
         return None
     zero = next((v for v in rated if v[2] == 0.0), None)
@@ -1218,8 +1313,7 @@ def reference_scalar_search(table, m_max):
     gmin = list(itertools.accumulate(reversed(gvec), min))[::-1]
     if gmin[0] >= 0.0 and best is None:
         return None
-    band = rates._band(m_max, gvec)
-    seeded, betas = rates._seeds(gvec, cvec, m_max, band)
+    band, betas = rates._band(m_max, gvec), rates._slopes(gvec, cvec)
     ub = min(seeded, cvec[-1] + 1.0 if best is None else best[0])
     rows = [None] * len(betas)
     tol, h = 1e-9, len(betas) - 1
@@ -1375,8 +1469,8 @@ def test_criterion_9_searches_build_few_layouts(monkeypatch):
     assert built[0] == 63
 
 
-SEARCH_FUNCTIONS = ("_seeds", "_scalar_rows", "_within", "_most_copies", "_search_scalar_exact",
-                    "_search_heuristic")
+SEARCH_FUNCTIONS = ("_slopes", "_seeds", "_scalar_rows", "_within", "_most_copies",
+                    "_search_scalar_exact", "_search_heuristic")
 """The search layer of rates: each statement of these runs on some row of SEARCH_CASES."""
 
 # (a_star, eps, m_max, N_max, family, margin, the sizes the search returns or
