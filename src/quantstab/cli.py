@@ -15,18 +15,19 @@ or an output that cannot be written.
 
 Importing this module loads plant, quantizer, intervals and rates. loop
 and oracle are lazy modules whose code runs on the first read of one of
-their attributes, which only simulate and verify make.
+their attributes, which only simulate and verify make. argparse loads
+only for help and for the command lines that main's reader hands on.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import importlib.util
 import math
 import os
 import sys
+import types
 from typing import Sequence
 
 from .plant import CONVERGENCE_RATIO, SAMPLING_MODES, Record, UncertainPlant, sample_instance
@@ -301,7 +302,7 @@ def load_config(path: str) -> Config:
     """The config at path; a section or key that no command reads is a
     ConfigError naming its line."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
@@ -632,30 +633,61 @@ COMMANDS = {
 """Subcommand name to handler, in the order of the usage text."""
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and shared after it.
+OPTIONS = {
+    "--config": ("config", str, None, "key-value config file"),
+    "--out": ("out", str, None, "output CSV path (default stdout)"),
+    "--seed": ("seed", int, None, "master seed override"),
+    "--jobs": ("jobs", int, 1, "parallel workers for sweeps"),
+    "--m-max": ("m_max", int, None, "max schedule period"),
+    "--n-max": ("n_max", int, None, "max alphabet size"),
+    "--margin": ("margin", float, None, "stability margin"),
+}
+"""Flag -> (dest, type, default, help), read by _read_argv and build_parser."""
 
-    parse_args leaves a parser as it found it, so every request in one process
-    can reuse it; building it costs more than parsing one command line.
+
+@functools.cache
+def build_parser():
+    """The argparse parser of OPTIONS, built on the first call and shared after it.
+
+    main builds it only for a command line that _read_argv does not take,
+    so it is the one source of help, usage and error text. parse_args leaves
+    a parser as it found it, so every such request in one process reuses it.
     """
+    import argparse  # and with it gettext, which a well-formed request never loads
+
     ap = argparse.ArgumentParser(
         prog="quantstab",
         description="Rate-limited stabilization toolkit: bounds, schedules, simulation",
     )
     ap.add_argument("command", choices=list(COMMANDS))
-    ap.add_argument("--config", required=True, help="key-value config file")
-    ap.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    ap.add_argument("--seed", type=int, default=None, help="master seed override")
-    ap.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
-    ap.add_argument("--m-max", type=int, default=None, help="max schedule period")
-    ap.add_argument("--n-max", type=int, default=None, help="max alphabet size")
-    ap.add_argument("--margin", type=float, default=None, help="stability margin")
+    for flag, (dest, convert, default, text) in OPTIONS.items():
+        ap.add_argument(flag, dest=dest, type=convert, default=default, help=text,
+                        required=flag == "--config")
     return ap
 
 
+def _read_argv(argv: Sequence[str]) -> types.SimpleNamespace | None:
+    """The options build_parser().parse_args(argv) gives when argv is a command,
+    then `--flag value` pairs of OPTIONS with --config among them; None for any
+    other form, for a value starting with '-' and for one its type rejects."""
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    opts = {"command": argv[0]}
+    opts.update((dest, default) for dest, _, default, _ in OPTIONS.values())
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        if flag not in OPTIONS or value.startswith("-"):
+            return None
+        dest, convert = OPTIONS[flag][:2]
+        try:
+            opts[dest] = convert(value)  # a repeated flag keeps its last value
+        except ValueError:
+            return None
+    return types.SimpleNamespace(**opts) if opts["config"] is not None else None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    opts = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    opts = _read_argv(argv) or build_parser().parse_args(argv)
     try:
         return COMMANDS[opts.command](load_config(opts.config), opts)
     except ConfigError as exc:

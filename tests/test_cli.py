@@ -360,6 +360,58 @@ def test_main_reuses_one_parser_across_requests(tmp_path, capsys):
     assert cli.build_parser() is parser
 
 
+def test_command_lines_the_reader_hands_on_parse_as_before(tmp_path, capsys):
+    # an abbreviated flag, --flag=value and options before the command are
+    # argparse's to read: each still runs, to the same bytes
+    cfg = write(tmp_path, "b.cfg", BOUNDS_CFG)
+    want = tmp_path / "want.csv"
+    assert main(["bounds", "--config", cfg, "--out", str(want)]) == 0
+    outs = [tmp_path / f"{i}.csv" for i in range(3)]
+    for argv in (
+        ["bounds", "--conf", cfg, "--out", str(outs[0])],
+        ["bounds", "--config", cfg, f"--out={outs[1]}"],
+        ["--config", cfg, "--out", str(outs[2]), "bounds"],
+    ):
+        assert cli._read_argv(argv) is None
+        assert main(argv) == 0, argv
+    assert {out.read_bytes() for out in outs} == {want.read_bytes()}
+
+
+def test_negative_flag_values_reach_the_config_limits(tmp_path, capsys):
+    # a value starting with '-' is handed on; argparse reads it as a number,
+    # which the LIMITS rule of its key refuses
+    bounds_cfg = write(tmp_path, "b.cfg", BOUNDS_CFG)
+    sim_cfg = write(tmp_path, "s.cfg", SIM_CFG.format(instances=1))
+    assert main(["bounds", "--config", bounds_cfg, "--margin", "-0.5"]) == 2
+    assert capsys.readouterr().err == "config error: 'margin' must be in [0, 1), got -0.5\n"
+    assert main(["simulate", "--config", sim_cfg, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "config error: 'seed' must be at least 0, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["-h"], 0), (["bounds", "--config", "b.cfg", "--seed", "x"], 2), (["bounds", "--out", "o.csv"], 2)],
+    ids=["help", "seed_not_an_integer", "missing_config"],
+)
+def test_help_and_usage_errors_print_argparse_usage(argv, code, capsys):
+    assert cli._read_argv(argv) is None
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    captured = capsys.readouterr()
+    assert (captured.out if code == 0 else captured.err).startswith("usage: quantstab ")
+
+
+def test_main_without_argv_reads_sys_argv_through_the_reader(tmp_path, capsys, monkeypatch):
+    cfg = write(tmp_path, "b.cfg", BOUNDS_CFG)
+    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+    assert main(["bounds", "--config", cfg, "--out", str(want)]) == 0
+    monkeypatch.setattr(sys, "argv", ["quantstab", "bounds", "--config", cfg, "--out", str(got)])
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("the reader handed on"))
+    assert main() == 0
+    assert got.read_bytes() == want.read_bytes()
+
+
 def test_schedule_adds_rate_and_notes(tmp_path, capsys):
     cfg = write(tmp_path, "b.cfg", BOUNDS_CFG)
     out = tmp_path / "sched.csv"
@@ -714,6 +766,19 @@ def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
     assert main(["bounds", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot read config {cfg}: ") and err.count("\n") == 1
+
+
+def test_config_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
+    # as Windows Notepad saves UTF-8
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_bytes(BOUNDS_CFG.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + BOUNDS_CFG.encode("utf-8"))
+    outs = []
+    for cfg in (plain, marked):
+        outs.append(tmp_path / f"{cfg.stem}.csv")
+        assert main(["bounds", "--config", str(cfg), "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert capsys.readouterr().err == ""
 
 
 UNWRITABLE_OUT_RUNS = {

@@ -12,6 +12,10 @@ second test draws those plants together with what reaches their failure:
 a simulate request with a stabilizing size, a long horizon and every
 family and init mode.
 
+A third test draws command lines from the option table's grammar and
+checks that main's one-pass reader, wherever it takes one, gives the
+options argparse gives.
+
 Accepted runs are kept short: horizon x instances stays small, and a
 schedule request always sets m_max <= 4 and n_max <= 32, by flag or by key.
 The runtime ceiling of a schedule row at larger caps is ROADMAP item 5's
@@ -25,6 +29,8 @@ import contextlib
 import io
 import os
 import tempfile
+
+import pytest
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -199,3 +205,38 @@ def test_every_generated_config_exits_0_1_or_2(request):
 def test_every_run_at_the_float_range_edge_exits_0_1_or_2(request):
     argv, text = request
     assert exit_code(argv, text) in (0, 1, 2), (argv, text)
+
+
+# option values: valid, at an edge of what int and float read, or refused
+# by them; the reader hands on a value starting with "-", such as "-1e5",
+# which argparse takes for a flag
+OPTION_VALUES = (
+    "0", "5", "0.25", "run.cfg",
+    "1_0", " 7", "", "nan", "inf", "+4", "\u0663",
+    "x", "0x10", "-3", "-1e5",
+)
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    """A command, then --config and any of the other flags in any order,
+    some repeated, each followed by a value."""
+    flags = draw(st.lists(st.sampled_from([f for f in cli.OPTIONS if f != "--config"]), max_size=8))
+    flags.insert(draw(st.integers(0, len(flags))), "--config")
+    argv = [draw(st.sampled_from(list(cli.COMMANDS)))]
+    for flag in flags:
+        argv += [flag, draw(st.sampled_from(OPTION_VALUES))]
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+def test_the_option_reader_agrees_with_argparse(argv):
+    opts = cli._read_argv(argv)
+    if opts is not None:  # repr, since nan != nan
+        assert repr(vars(opts)) == repr(vars(cli.build_parser().parse_args(argv))), argv
+    elif not any(value.startswith("-") for value in argv[2::2]):
+        # handed on for a value its type refuses, which argparse refuses too
+        with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        assert exc.value.code == 2, argv

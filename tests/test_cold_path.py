@@ -16,7 +16,9 @@ code of an order on its first product.
 fractions is blocked the same way where a test says so: only the rescale's
 exact-rational branch imports it.
 dataclasses and inspect are blocked in every run too: the records are
-__slots__ classes, so no command needs them. `import quantstab` loads none
+__slots__ classes, so no command needs them. So are argparse and gettext:
+main reads a well-formed command line itself, and imports argparse only
+for help and usage errors. `import quantstab` loads none
 of its modules; `import quantstab.cli` leaves the code of `loop` and
 `oracle` unrun until `simulate` or `verify` reads them.
 """
@@ -36,7 +38,13 @@ from test_schedule_frozen import CONFIG, FROZEN_CSV, FROZEN_NOTES
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
-BLOCK = 'import sys\nfor _name in ("numpy", "dataclasses", "inspect"):\n    sys.modules[_name] = None\n'
+
+def blocking(names: tuple[str, ...]) -> str:
+    """Lines after which any import of one of names raises."""
+    return f"import sys\nfor _name in {names!r}:\n    sys.modules[_name] = None\n"
+
+
+BLOCK = blocking(("numpy", "dataclasses", "inspect", "argparse", "gettext"))
 
 # whether the code of loop and oracle has run: cli puts each in sys.modules
 # as a lazy module, which turns into a plain module on its first read
@@ -62,6 +70,22 @@ def run_cli_blocked(argv: list[str], cwd: Path, block: str = "") -> subprocess.C
 def test_import_loads_no_numpy(tmp_path):
     res = run_blocked("import quantstab\nimport quantstab.cli\n", tmp_path)
     assert (res.returncode, res.stderr) == (0, "")
+
+
+def test_usage_error_imports_argparse_on_demand(tmp_path):
+    # the one module-blocking run that lets argparse load: an unknown flag
+    # is argparse's to report
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text(BOUNDS_CFG, encoding="utf-8")
+    argv = ["bounds", "--config", str(cfg), "--m-maxx", "3"]
+    block = blocking(("numpy", "dataclasses", "inspect"))
+    code = f"{block}from quantstab.cli import main\nprint('argparse' in sys.modules)\nsys.exit(main({argv!r}))\n"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    res = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert (res.returncode, res.stdout) == (2, "False\n")
+    assert res.stderr.startswith("usage: quantstab ")
+    assert res.stderr.endswith("quantstab: error: unrecognized arguments: --m-maxx 3\n")
 
 
 def test_scalar_schedule_sweep_without_numpy(tmp_path):
