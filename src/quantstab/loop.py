@@ -25,11 +25,11 @@ the plant, the schedule and the family is a `_Setup`, built before the
 first step: the resolved quantizers, the coefficient-box endpoints, per
 schedule slot the cell edges, the quantizer's envelope factors and the
 coefficient-n expansion of each symbol's cell, the prior ring entries,
-the initial scaling and, from the first run on, the kernel of the plant
-order that run needs. A run builds its
-own unless one is passed in; a Monte-Carlo batch builds one per request
-and passes it to every instance, so an instance pays for its draws and
-its steps, not for work that grows with the schedule's slots and sizes.
+the initial scaling, the sign of each coefficient box and, from the first
+run on, the kernel of the plant order and box signs that run needs. A run
+builds its own unless one is passed in; a Monte-Carlo batch builds one per
+request and passes it to every instance, so an instance pays for its draws
+and its steps, not for work that grows with the schedule's slots and sizes.
 The per-step state is a ring of the last n estimates, newest first, and
 a history of the last n outputs. A recorded run leaves one tuple per
 time index in `Trajectory.samples`; a run with record=False, as each
@@ -45,20 +45,26 @@ The uniform initial outputs are the draws of
 which `plant._uniform_draws` reproduces bit for bit without numpy, so a
 run loads no numpy; the `zero` and `endpoints` modes draw nothing.
 
-The steps run in a kernel generated for the plant order n: one template,
-`_KERNEL`, whose per-coefficient parts (the instance, the boxes, the ring
-and history, the envelope sum, the n terms of the prediction and the plant
-step) are written out for i = 0..n-1. The ring entries and the outputs are
-its local variables, moved back one place per step by plain assignments,
-oldest first, so a step builds no ring entry, tuple, deque or iterator,
-and keeps no object but its sample: a tuple, or in the row variant of the
-kernel a formatted row, the one statement in which the two variants
-differ. A one-slot schedule's slot is read once per run, and a step tests
-|x| > c as x > c or x < -c, calling no abs. Each variant of an order is
-compiled on the first run that needs it, under a filename that names n
-and the variant, and cached by `_kernel`; importing the module builds
-none. The kernel computes each quantity once:
-the lower bound on the next scaling is the last term of the prediction.
+The steps run in a kernel generated per plant order n and box-sign
+pattern: one template, `_KERNEL`, whose per-coefficient parts (the
+instance, the boxes, the ring and history, the envelope sum, the n terms
+of the prediction and the plant step) are written out for i = 0..n-1.
+A box's sign is fixed for the whole run, so the term of a coefficient
+whose box is strictly positive or strictly negative tests the estimate's
+sign and forms only the two products that bound it (the sign-case
+interval product); a box that holds 0 keeps the four products and their
+comparisons, since there a product may be 0 times an infinity, a nan.
+The ring entries and the outputs are its local variables, moved back one
+place per step by plain assignments, oldest first, so a step builds no
+ring entry, tuple, deque or iterator, and keeps no object but its sample:
+a tuple, or in the row variant of the kernel a formatted row, the one
+statement in which the two variants differ. A one-slot schedule's slot
+is read once per run, and a step tests |x| > c as x > c or x < -c,
+calling no abs. Each variant of an order and sign pattern is compiled on
+the first run that needs it, under a filename that names n, the variant
+and the pattern, and `_kernel` keeps the last 64 built; importing the
+module builds none. The kernel computes each quantity once: the lower
+bound on the next scaling is the last term of the prediction.
 `predict`, `control_input`, `intervals.interval_product`,
 `intervals.minkowski_sum`, `quantizer.encode`, `quantizer.decode` and
 `plant.step` stay its reference route, which `tests/test_loop.py` replays
@@ -169,9 +175,11 @@ class _Setup:
     It resolves the family (schedule_quantizers) and holds the coefficient
     boxes, per schedule slot the cell edges, the size, the quantizer's
     envelope factors and the coefficient-n expansion of each symbol's cell,
-    the prior ring entries and sigma0, and looks up the kernel of the plant
-    order, or its row variant, on the first run that needs it. A Monte-Carlo
-    batch builds one per request and passes it to every run.
+    the prior ring entries and sigma0, and the sign pattern of the boxes,
+    signs, one character per coefficient: "+" for a box above 0, "-" for
+    one below 0 and "0" for one that holds 0. It looks up the kernel of the
+    plant order and signs, or its row variant, on the first run that needs
+    it. A Monte-Carlo batch builds one per request and passes it to every run.
     """
 
     def __init__(
@@ -180,6 +188,7 @@ class _Setup:
         qs = schedule_quantizers(p, sched, family)
         self.p, self.sched, self.family = p, sched, family
         self.box = p.parameter_intervals()
+        self.signs = "".join("+" if lo > 0.0 else "-" if hi < 0.0 else "0" for lo, hi in self.box)
         box_factors = tuple(abs(ai) + e for ai, e in zip(p.a_star, p.eps))
         # per schedule slot: cell edges, size, envelope factors, and the exact
         # coefficient-n expansion of each symbol's cell (index s - 1); the rates
@@ -199,11 +208,11 @@ class _Setup:
 
     @functools.cached_property
     def kernel(self) -> Callable:
-        return _kernel(self.p.n)
+        return _kernel(self.signs)
 
     @functools.cached_property
     def row_kernel(self) -> Callable:
-        return _kernel(self.p.n, True)
+        return _kernel(self.signs, True)
 
 
 def run_closed_loop(
@@ -240,18 +249,24 @@ def run_closed_loop(
     schedule or family raises ValueError. Either way the run is the same,
     bit for bit.
 
-    Step k, in the kernel of order n that the first run of that order
-    builds: it encodes y_k against the scaling sigma_k and decodes its
-    cell, checks the invariants, predicts the next output set, keeps the
-    smallest scaling so far, records sample k (unless record=False),
-    and steps the plant with the input that cancels the predicted midpoint.
+    Step k, in the kernel of order n and box signs that the first run of
+    that order and signs builds: it encodes y_k against the scaling sigma_k
+    and decodes its cell, checks the invariants, predicts the next output
+    set, keeps the smallest scaling so far, records sample k (unless
+    record=False), and steps the plant with the input that cancels the
+    predicted midpoint.
     The ring of estimates and the history of outputs are the kernel's
     local variables; a call writes to no argument. Each expression is the
     one of encode, decode, interval_product, minkowski_sum, predict,
     control_input and plant.step, evaluated in the same order, sums from
     0.0 over i = 0..n-1, so the samples are bit for bit those of a step
-    that calls them; the interval product's min and max are the same
-    comparisons, written out.
+    that calls them. A box that holds 0 finds the interval product's min
+    and max by the same comparisons, written out; a box above or below 0
+    forms only the two products that the signs of the box and the estimate
+    name as min and max. No product of such a box is nan (the estimate is
+    checked, and no endpoint of the box is 0), so these are the values the
+    comparisons find but for the sign of a zero, which the sums from 0.0
+    drop and the lower bound's comparisons do not see.
 
     The errors a step raises, the same as those functions would:
     - SaturationError: a finite output past 1/2 (1 + REL_GUARD) of its
@@ -292,6 +307,7 @@ def run_closed_loop(
 
 # The steps of run_closed_loop for plant order n: this template with each
 # $name replaced by its part written out for i = 0..n-1 (_kernel_source),
+# $predict_terms by the term of each coefficient's box sign (_PREDICT_TERM),
 # and $sample by the record statement of the variant (_SAMPLE).
 # A local name ending in i is the instance coefficient a<i> = a_{i+1}, its
 # box (a_lo<i>, a_hi<i>), the output y<i> = y_{k-i}, or a field of ring
@@ -406,11 +422,15 @@ $step
     return samples, verdict, k, min_sigma
 """
 
-# term i of the prediction: interval_product's min and max, the same
-# comparisons in order, then its share of the sum. The term has no check of
-# its own: it is malformed only when its first product is nan, which leaves
-# t_lo and t_hi nan, so the sum's check raises interval_product's error.
-_PREDICT_TERM = """\
+# term i of the prediction for each sign of the box of a_{i+1} (_Setup.signs),
+# then its share of the sum. "0", a box that holds 0: interval_product's min
+# and max, the same comparisons in order. "+" and "-": the two products that
+# the estimate's sign (at or above 0, at or below 0, or across it) names as
+# the min and max. The term has no check of its own: it is malformed only
+# when a "0" term's first product is nan, which leaves t_lo and t_hi nan, so
+# the sum's check raises interval_product's error.
+_PREDICT_TERM = {
+    "0": """\
         t_lo = t_hi = a_lo$i * est_lo$i
         v = a_lo$i * est_hi$i
         if v < t_lo:
@@ -429,7 +449,34 @@ _PREDICT_TERM = """\
             t_hi = v
         lo $add t_lo
         hi $add t_hi
-"""
+""",
+    "+": """\
+        if est_lo$i >= 0.0:
+            t_lo = a_lo$i * est_lo$i
+            t_hi = a_hi$i * est_hi$i
+        elif est_hi$i <= 0.0:
+            t_lo = a_hi$i * est_lo$i
+            t_hi = a_lo$i * est_hi$i
+        else:
+            t_lo = a_hi$i * est_lo$i
+            t_hi = a_hi$i * est_hi$i
+        lo $add t_lo
+        hi $add t_hi
+""",
+    "-": """\
+        if est_lo$i >= 0.0:
+            t_lo = a_lo$i * est_hi$i
+            t_hi = a_hi$i * est_lo$i
+        elif est_hi$i <= 0.0:
+            t_lo = a_hi$i * est_hi$i
+            t_hi = a_lo$i * est_lo$i
+        else:
+            t_lo = a_lo$i * est_hi$i
+            t_hi = a_lo$i * est_lo$i
+        lo $add t_lo
+        hi $add t_hi
+""",
+}
 
 
 _RING_FIELDS = ("est_lo", "est_hi", "env", "fac", "low")
@@ -442,11 +489,13 @@ _SAMPLE = {
 }
 
 
-def _kernel_source(n: int, rows: bool = False) -> str:
-    """The source of the closed-loop kernel of plant order n, the row
-    variant if rows."""
+def _kernel_source(signs: str, rows: bool = False) -> str:
+    """The source of the closed-loop kernel of the box signs (_Setup.signs),
+    one per coefficient of a plant of order n = len(signs), the row variant
+    if rows."""
     from string import Template  # imported here: importing builds no kernel
 
+    n = len(signs)
     older = range(n - 1)  # the entries and outputs that move back one place
 
     def names(*stems: str, at=range(n)) -> str:
@@ -475,7 +524,8 @@ def _kernel_source(n: int, rows: bool = False) -> str:
         # y_k's ring entry pushed in front of entries 0..n-2
         push=shift(_RING_FIELDS, ("e_lo", "e_hi", "env", "factors", "rate_of[s - 1] * sigma")),
         predict_terms="".join(
-            Template(_PREDICT_TERM).substitute(i=i, add=first(i)) for i in range(n)
+            Template(_PREDICT_TERM[sign]).substitute(i=i, add=first(i))
+            for i, sign in enumerate(signs)
         ),
         plant_terms="\n".join(f"        y {'+=' if i else '= u +'} a{i} * y{i}" for i in range(n)),
         step=shift(("y",), ("y",)),
@@ -483,10 +533,12 @@ def _kernel_source(n: int, rows: bool = False) -> str:
     )
 
 
-@functools.cache
-def _kernel(n: int, rows: bool = False) -> Callable:
-    """The closed-loop kernel of plant order n, the row variant if rows,
-    compiled on its first use under a filename that names n and the variant."""
+@functools.lru_cache(maxsize=64)
+def _kernel(signs: str, rows: bool = False) -> Callable:
+    """The closed-loop kernel of the box signs, the row variant if rows
+    (_kernel_source), compiled on its first use under a filename that names
+    the order, the variant and the signs. The cache is bounded: a plant of
+    order n has up to 3^n sign patterns."""
     namespace = {
         "REL_GUARD": REL_GUARD,
         "CONVERGENCE_RATIO": CONVERGENCE_RATIO,
@@ -498,6 +550,6 @@ def _kernel(n: int, rows: bool = False) -> Callable:
         "copysign": math.copysign,
         "isinf": math.isinf,
     }
-    name = f"<quantstab.loop {'row ' if rows else ''}kernel n={n}>"
-    exec(compile(_kernel_source(n, rows), name, "exec"), namespace)
+    name = f"<quantstab.loop {'row ' if rows else ''}kernel n={len(signs)} signs={signs}>"
+    exec(compile(_kernel_source(signs, rows), name, "exec"), namespace)
     return namespace["run"]

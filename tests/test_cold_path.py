@@ -10,9 +10,9 @@ stability tests return only their exact verdict, and the n >= 2 schedule
 search screens with a Newton root in plain floats. `simulate` draws its
 seeded uniform instances and initial outputs without numpy, bit for bit as
 numpy's default_rng would.
-The closed-loop kernel of a plant order is generated on its first run, the
-seed hashing of the uniform draws on the first draw, and the exact verdict
-code of an order on its first product.
+The closed-loop kernel of a plant order and box-sign pattern is generated
+on its first run, the seed hashing of the uniform draws on the first draw,
+and the exact verdict code of an order on its first product.
 fractions is blocked the same way where a test says so: only the rescale's
 exact-rational branch imports it.
 dataclasses and inspect are blocked in every run too: the records are
@@ -242,9 +242,10 @@ def test_simulate_without_numpy_writes_the_same_bytes(instances, tmp_path, capsy
 
 
 def test_import_builds_no_kernel_and_a_batch_builds_one(tmp_path):
-    # the kernel of an order is built on its first run, not at import, so
-    # set-up pays for none; a batch looks it up once, in the one loop
-    # set-up that every instance shares
+    # the kernel of an order and box-sign pattern is built on its first run,
+    # not at import, so set-up pays for none; a batch looks it up once, in
+    # the one loop set-up that every instance shares. Both boxes of
+    # SIMULATE_CFG lie above 0, so its pattern is "++"
     cfg = tmp_path / "batch.cfg"
     cfg.write_text(SIMULATE_CFG.format(instances=24), encoding="utf-8")
     argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "batch.csv")]
@@ -255,7 +256,7 @@ print(loop._kernel.cache_info().currsize)
 status = quantstab.cli.main({argv!r})
 info = loop._kernel.cache_info()
 print(status, info.misses, info.hits, info.currsize)
-print(loop._kernel(2) is loop._kernel(2) and loop._kernel.cache_info().misses == 1)
+print(loop._kernel("++") is loop._kernel("++") and loop._kernel.cache_info().misses == 1)
 """
     res = run_blocked(code, tmp_path)
     assert (res.returncode, res.stderr) == (0, "")
@@ -268,7 +269,8 @@ print(loop._kernel(2) is loop._kernel(2) and loop._kernel.cache_info().misses ==
 
 def test_single_trajectory_builds_the_row_kernel_alone(tmp_path):
     # a one-instance simulate formats its rows in the step: it builds the
-    # row variant of its order and no default kernel, with numpy blocked
+    # row variant of its order and sign pattern and no default kernel, with
+    # numpy blocked
     cfg = tmp_path / "single.cfg"
     cfg.write_text(SIMULATE_CFG.format(instances=1), encoding="utf-8")
     argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "single.csv")]
@@ -279,7 +281,7 @@ print(loop._kernel.cache_info().currsize)
 status = quantstab.cli.main({argv!r})
 info = loop._kernel.cache_info()
 print(status, info.misses, info.hits, info.currsize)
-print(loop._kernel(2, True) is loop._kernel(2, True), loop._kernel.cache_info().misses)
+print(loop._kernel("++", True) is loop._kernel("++", True), loop._kernel.cache_info().misses)
 """
     res = run_blocked(code, tmp_path)
     assert (res.returncode, res.stderr) == (0, "")

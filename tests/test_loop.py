@@ -6,6 +6,7 @@ import functools
 import hashlib
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -675,6 +676,18 @@ EDGE_CASES = [
         "zero",
         (InvariantViolation, "step 1: scaling escaped the worst-case envelope"),
     ),
+    # a box above 0 and one below 0 times an estimate whose products
+    # overflow: the term is infinite, never nan, as no box endpoint is 0
+    ((1e300,), (1e299,), (1.5e8,), (1e300,), (3,), "uniform", "zero", "diverged"),
+    ((-1e300,), (1e299,), (1.5e8,), (-1e300,), (3,), "uniform", "zero", "diverged"),
+    # the same signs times an infinite estimate: past a bound of 9e295 the
+    # divergence threshold is inf, the scaling grows to inf and the center
+    # cell decodes to (-inf, inf); so is the term, and the input it gives is
+    # nan, which makes the next predicted set malformed
+    *[
+        ((a,), (0.5,), (1e300,), (a,), (3,), "uniform", "zero", (ValueError, "malformed interval: lo=nan > hi=nan"))
+        for a in (4.0, -4.0)
+    ],
 ]
 
 
@@ -698,7 +711,7 @@ def instrumented_kernel(n, hit):
     """The kernel of order n, calling hit(site) before each raise and
     check_hull statement, site being that statement's source, numbered from
     its second copy on, and the set of its sites."""
-    tree = ast.parse(_kernel_source(n))
+    tree = ast.parse(_kernel_source("0" * n))
     sites = set()
     for node in ast.walk(tree):
         for field in ("body", "orelse"):
@@ -717,7 +730,7 @@ def instrumented_kernel(n, hit):
                     counted.append(ast.Expr(ast.Call(ast.Name("hit", ast.Load()), [ast.Constant(site)], [])))
                 counted.append(stmt)
             setattr(node, field, counted)
-    namespace = dict(_kernel(n).__globals__, hit=hit)
+    namespace = dict(_kernel("0" * n).__globals__, hit=hit)
     exec(compile(ast.fix_missing_locations(tree), f"<instrumented kernel n={n}>", "exec"), namespace)
     return namespace["run"], sites
 
@@ -764,7 +777,7 @@ def test_outside_instances_land_where_their_rows_say(a_star, eps, bounds, a, siz
 def kernel_step_nodes(n, rows=False):
     """The AST nodes of the while body of the kernel of order n, or of its
     row variant, outside raise statements."""
-    tree = ast.parse(_kernel_source(n, rows))
+    tree = ast.parse(_kernel_source("0" * n, rows))
     (loop,) = [node for node in ast.walk(tree) if isinstance(node, ast.While)]
 
     def below(node):
@@ -788,7 +801,7 @@ def test_kernel_step_calls_no_abs_and_pushes_no_tuple():
             tuples = [node for node in nodes if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple)]
             assert tuples == [], (n, rows, [ast.unparse(node) for node in tuples])
             assert sum(isinstance(node, ast.Assign) for node in nodes) > 5 * n, (n, rows)
-            everywhere = ast.walk(ast.parse(_kernel_source(n, rows)))
+            everywhere = ast.walk(ast.parse(_kernel_source("0" * n, rows)))
             assert sum(isinstance(node, ast.Name) and node.id == "abs" for node in everywhere) == 1, (n, rows)
 
 
@@ -798,19 +811,155 @@ DEFAULT_KERNELS_SHA256 = "602c7f7a289a285ee0d86bc464868cb7579277dc550f44deb374ad
 
 
 def test_kernel_sources_are_pinned_and_the_row_variant_differs_in_its_record_alone():
-    default = [_kernel_source(n) for n in range(1, MAX_ORDER + 1)]
+    default = [_kernel_source("0" * n) for n in range(1, MAX_ORDER + 1)]
     assert hashlib.sha256("\n".join(default).encode()).hexdigest() == DEFAULT_KERNELS_SHA256
     for n, source in enumerate(default, 1):
-        assert _kernel_source(n, False) == source
+        assert _kernel_source("0" * n, False) == source
         changed = [
             line
-            for line in difflib.ndiff(source.splitlines(), _kernel_source(n, True).splitlines())
+            for line in difflib.ndiff(source.splitlines(), _kernel_source("0" * n, True).splitlines())
             if line[:1] in "+-"
         ]
         assert changed == [
             "-             samples.append((y0, s, sigma, e_lo, e_hi, lo, hi, u))",
             "+             samples.append(record % (k, y0, s, sigma, e_lo, e_hi, u))",
         ], n
+
+
+SIGN_PATTERNS = ("+", "-", "0", "+-0", "0-+", "-+-+", "+0+0+", "-" * 8, "+-0" * 8)
+
+
+def product_spans(lines, signs):
+    """The (start, stop) line range of the products of each prediction term
+    in a kernel source of the box signs, up to the term's share of the sum:
+    a generic term starts with its first product, a signed one with its
+    first test."""
+    spans = []
+    for i, sign in enumerate(signs):
+        head = f"        if est_lo{i} >= 0.0:" if sign in "+-" else f"        t_lo = t_hi = a_lo{i} * est_lo{i}"
+        start = lines.index(head)
+        spans.append((start, next(j for j in range(start, len(lines)) if lines[j].startswith("        lo "))))
+    return spans
+
+
+def check_signed_products(lines, i):
+    """Assert that each of the three paths through the products of signed
+    term i sets t_lo and then t_hi to one product of an endpoint of box i and
+    one of estimate i, and that the term compares nothing but an endpoint of
+    estimate i with 0.0."""
+    tests = []
+
+    def paths(body):
+        if len(body) == 1 and isinstance(body[0], ast.If):
+            tests.append(ast.unparse(body[0].test))
+            return paths(body[0].body) + paths(body[0].orelse)
+        return [body]
+
+    found = paths(ast.parse("\n".join(line[8:] for line in lines)).body)
+    assert tests == [f"est_lo{i} >= 0.0", f"est_hi{i} <= 0.0"]
+    assert len(found) == 3
+    for body in found:
+        statements = [ast.unparse(stmt) for stmt in body]
+        assert [text[:4] for text in statements] == ["t_lo", "t_hi"], statements
+        for text in statements:
+            assert re.fullmatch(rf"t_(lo|hi) = a_(lo|hi){i} \* est_(lo|hi){i}", text), text
+
+
+def test_signed_kernel_differs_in_its_signed_products_alone():
+    # a sign pattern changes nothing but the products of each signed
+    # coefficient's prediction term, in the default and the row variant
+    # alike; on each path through them, two multiplications and no
+    # comparison but the estimate's with 0.0
+    for signs in SIGN_PATTERNS:
+        n = len(signs)
+        for rows in (False, True):
+            plain = _kernel_source("0" * n, rows).splitlines()
+            signed = _kernel_source(signs, rows).splitlines()
+            rebuilt = list(signed)
+            spans = zip(signs, product_spans(signed, signs), product_spans(plain, "0" * n))
+            for i, (sign, (start, stop), (p_start, p_stop)) in reversed(list(enumerate(spans))):
+                if sign != "0":
+                    check_signed_products(signed[start:stop], i)
+                    rebuilt[start:stop] = plain[p_start:p_stop]
+            assert rebuilt == plain, (signs, rows)
+            assert (signed == plain) == (signs == "0" * n)
+
+
+def signed_box_case(rng, n):
+    """(plant, instance, schedule, family, horizon, init_mode, init_seed) of
+    order n whose coefficient boxes each lie above 0, below 0, straddle 0,
+    touch 0 (a* = +-eps) or are the zero box, with initial bounds from 1e-307
+    to 1e250, and the classes drawn. One plant in five scales one box by
+    1e300 or 1e-300, so that products overflow or underflow."""
+    classes = [rng.choice(("above", "below", "straddling", "touching", "zero")) for _ in range(n)]
+    scaled = rng.randrange(n) if rng.random() < 0.2 else None
+    a_star, eps = [], []
+    for i, cls in enumerate(classes):
+        size = rng.uniform(1.3, 4.0) if i == n - 1 else rng.uniform(0.0, 1.2 / n)
+        if i == scaled:
+            size *= rng.choice((1e300 / 4.0, 1e-300))
+        sign = rng.choice((-1.0, 1.0))
+        if cls in ("above", "below"):
+            a_star.append(size if cls == "above" else -size)
+            eps.append(size * rng.choice((0.0, rng.uniform(0.0, 0.2 if i == n - 1 else 0.9))))
+        elif cls == "straddling":
+            a_star.append(sign * size * rng.uniform(0.0, 0.9))
+            eps.append(size)
+        elif cls == "touching":
+            a_star.append(sign * size)
+            eps.append(size)
+        else:
+            a_star.append(0.0)
+            eps.append(0.0)
+    bounds = tuple(10.0 ** rng.uniform(-307.0, 250.0) for _ in range(n))
+    p = UncertainPlant(n, tuple(a_star), tuple(eps), bounds)
+    mode = rng.choice(SAMPLING_MODES)
+    inst = sample_instance(
+        p,
+        mode,
+        index=rng.randrange(2**n) if mode == "vertex" else None,
+        seed=rng.randrange(1000) if mode == "uniform" else None,
+    )
+    if rng.random() < 0.1:  # past the box
+        inst = inst[:-1] + (inst[-1] * 1.6,)
+    sched = Schedule(tuple(rng.randint(2, 12) for _ in range(rng.randint(1, 3))))
+    lead_lo, lead_hi = p.parameter_intervals()[-1]
+    family = rng.choice(("optimal", "uniform")) if lead_lo > 1.0 or lead_hi < -1.0 else "uniform"
+    case = (p, inst, sched, family, rng.randint(1, 150), rng.choice(INIT_MODES), rng.randrange(100))
+    return case, classes
+
+
+@pytest.mark.parametrize("orders", [(1, 2, 3, 4), (5, 8, MAX_ORDER)], ids=["n1-4", "n5-8-24"])
+def test_signed_kernel_runs_as_the_generic_one(orders):
+    # each run on the kernel of its box-sign pattern against the same run on
+    # the all-generic kernel of its order: the samples by their bits, the
+    # verdict, the steps and the smallest scaling, or the error's type and
+    # message and the step it is raised at
+    rng = random.Random(45 + orders[0])
+    seen, drawn = set(), set()
+    for n in orders:
+        for _ in range(600 // len(orders)):
+            args, classes = signed_box_case(rng, n)
+            p, _, sched, family = args[:4]
+            drawn |= set(classes)
+            setup = _Setup(p, sched, family)
+            drawn |= set(setup.signs)
+            generic = _Setup(p, sched, family)
+            generic.kernel = _kernel("0" * n)
+            for record in (True, False):
+                got = every_field(functools.partial(run_closed_loop, record=record, setup=setup), *args)
+                want = every_field(functools.partial(run_closed_loop, record=record, setup=generic), *args)
+                assert got == want, (args, record)
+            if isinstance(got[0], type):
+                seen.add(got[0])
+                signed_run = functools.partial(run_closed_loop, setup=setup)
+                generic_run = functools.partial(run_closed_loop, setup=generic)
+                horizon = args[4]
+                assert failing_horizon(signed_run, args, horizon) == failing_horizon(generic_run, args, horizon)
+            else:
+                seen.add(got[0][-1])
+    assert drawn >= {"above", "below", "straddling", "touching", "zero", "+", "-", "0"}
+    assert seen >= {"stabilized", "diverged", "horizon_exhausted", SaturationError, ValueError}, seen
 
 
 # ---------------------------------------------------------------------------
