@@ -30,7 +30,16 @@ import sys
 import types
 from typing import Sequence
 
-from .plant import CONVERGENCE_RATIO, SAMPLING_MODES, Record, UncertainPlant, sample_instance
+from .plant import (
+    CONVERGENCE_RATIO,
+    DIVERGENCE_RATIO,
+    SAMPLING_MODES,
+    SEED_BLOCK,
+    Record,
+    UncertainPlant,
+    sample_instance,
+    seed_states,
+)
 from .quantizer import (
     FAMILIES,
     SaturationError,
@@ -90,17 +99,21 @@ MAX_STEPS = 200_000  # closed-loop steps of one simulate run, horizon x instance
 # n = 1, 0.42 s at n = 4 and 1.27-1.99 s at n = 24 (2 vCPU), so past n = 4 the
 # steps are weighted by n, and n = 24 runs at most 33 333
 MAX_ORDER_STEPS = 4 * MAX_STEPS  # horizon x instances x max(n, 4)
-# runs of one simulate batch: each pays two seeded draws and a summary row,
-# so a batch at the cap with horizon 1 took 0.24 s at n = 1 and 0.64-0.79 s
-# at n = 24 (2 vCPU); 20 000 took 1.3-1.8 s at n = 24
+# runs of one simulate batch: each pays two seeded draws, hashed SEED_BLOCK
+# seeds at a time, and a summary row, so a batch at the cap with horizon 1
+# took 0.14 s at n = 1 and 0.57-0.63 s at n = 24 (2 vCPU; 0.26 and 0.66-0.75 s
+# when each draw hashed its own seed)
 MAX_INSTANCES = 10_000
 MIN_RESOLUTION = 2e-4  # verify grid step: time grows as its inverse square, memory stays one tile
 # trajectory rows joined and written at a time; the run formats them all
 # before the first write, 200 000 rows of about 10 MB of text at MAX_STEPS
 CSV_CHUNK_ROWS = 1024
-# initial output bound b: the first scaling 2 b must be finite, and a run that
-# stabilizes stops under CONVERGENCE_RATIO * 2 b, which must be a normal float
-MAX_INIT_BOUND = sys.float_info.max / 2
+# initial output bound b: a run that diverges stops past DIVERGENCE_RATIO * 2 b,
+# which must be finite, or no finite scaling passes it and a growing run ends
+# in an overflow; the largest such b is one float under max / (2 ratio), whose
+# product rounds up to inf. A run that stabilizes stops under
+# CONVERGENCE_RATIO * 2 b, which must be a normal float
+MAX_INIT_BOUND = math.nextafter(sys.float_info.max / (2 * DIVERGENCE_RATIO), 0.0)
 MIN_INIT_BOUND = sys.float_info.min / CONVERGENCE_RATIO
 
 
@@ -451,24 +464,22 @@ def cmd_sweep(cfg: Config, opts) -> int:
 # simulate
 
 
-def _sim_one(setup, horizon, mode, seed, i, init_mode, record):
+def _sim_one(setup, horizon, mode, i, seed, init_mode, init_seed, record):
     """(verdict, diagnostic, trajectory) of instance i of the setup's plant,
     schedule and family, recorded as run_closed_loop's record says: False
     keeps no samples, _TRAJECTORY_ROW keeps the CSV row of each time index.
+    seed and init_seed seed its uniform instance and initial outputs: the
+    entropies [seed, i, 0] and [seed, i, 1] of the request's seed, or their
+    SeedStates (None for a draw that is not uniform).
 
     A run that raises has no trajectory: its verdict is "saturated" for a
     SaturationError and "failed" for a malformed set or a broken invariant.
     """
     p = setup.p
-    a = sample_instance(
-        p,
-        mode,
-        index=i % (2**p.n) if mode == "vertex" else None,
-        seed=[seed, i, 0] if mode == "uniform" else None,
-    )
+    a = sample_instance(p, mode, index=i % (2**p.n) if mode == "vertex" else None, seed=seed)
     try:
         traj = loop.run_closed_loop(
-            p, a, setup.sched, setup.family, horizon, init_mode, init_seed=[seed, i, 1],
+            p, a, setup.sched, setup.family, horizon, init_mode, init_seed=init_seed,
             record=record, setup=setup,
         )
     except SaturationError as exc:
@@ -476,6 +487,14 @@ def _sim_one(setup, horizon, mode, seed, i, init_mode, record):
     except (ValueError, loop.InvariantViolation) as exc:
         return "failed", str(exc), None
     return traj.verdict, "", traj
+
+
+def _block_seeds(seed: int, block: range, stream: int, uniform: bool) -> list:
+    """The SeedState of the entropy [seed, i, stream] of each instance i of
+    block if its draws are uniform, else None for each."""
+    if not uniform:
+        return [None] * len(block)
+    return seed_states([[seed, i, stream] for i in block])
 
 
 def _trajectory_chunks(rows, verdict: str):
@@ -523,7 +542,9 @@ def cmd_simulate(cfg: Config, opts) -> int:
                 )
 
     if instances == 1:
-        verdict, diag, traj = _sim_one(setup, horizon, mode, seed, 0, init_mode, _TRAJECTORY_ROW)
+        verdict, diag, traj = _sim_one(
+            setup, horizon, mode, 0, [seed, 0, 0], init_mode, [seed, 0, 1], _TRAJECTORY_ROW
+        )
         if traj is None:
             print(f"run failed: {diag}", file=sys.stderr)
             return 1
@@ -535,15 +556,22 @@ def cmd_simulate(cfg: Config, opts) -> int:
     lines = ["instance,verdict,steps,min_sigma_ratio"]
     counts: dict[str, int] = {}
     failed = 0
-    for i in range(instances):
-        verdict, diag, traj = _sim_one(setup, horizon, mode, seed, i, init_mode, False)
-        counts[verdict] = counts.get(verdict, 0) + 1
-        if traj is None:
-            failed += 1
-            lines.append(f"{i},{verdict},,")
-            print(f"instance {i} failed: {diag}", file=sys.stderr)
-        else:
-            lines.append(f"{i},{verdict},{traj.steps},{fmt(traj.min_sigma_ratio())}")
+    # the seeds of a block of instances hash in one pass per stream
+    for start in range(0, instances, SEED_BLOCK):
+        block = range(start, min(start + SEED_BLOCK, instances))
+        seeds = _block_seeds(seed, block, 0, mode == "uniform")
+        init_seeds = _block_seeds(seed, block, 1, init_mode == "uniform")
+        for i, inst_seed, init_seed in zip(block, seeds, init_seeds):
+            verdict, diag, traj = _sim_one(
+                setup, horizon, mode, i, inst_seed, init_mode, init_seed, False
+            )
+            counts[verdict] = counts.get(verdict, 0) + 1
+            if traj is None:
+                failed += 1
+                lines.append(f"{i},{verdict},,")
+                print(f"instance {i} failed: {diag}", file=sys.stderr)
+            else:
+                lines.append(f"{i},{verdict},{traj.steps},{fmt(traj.min_sigma_ratio())}")
     _emit([lines], opts.out)
     summary = " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
     _emit([[f"instances={instances} {summary}"]], None)

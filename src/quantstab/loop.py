@@ -43,7 +43,9 @@ stands, and no tuple is built to be formatted later.
 The uniform initial outputs are the draws of
 `np.random.default_rng(init_seed).uniform(-b, b)`, oldest output first,
 which `plant._uniform_draws` reproduces bit for bit without numpy, so a
-run loads no numpy; the `zero` and `endpoints` modes draw nothing.
+run loads no numpy; init_seed may also be the `plant.SeedState` hashed
+from it, as a Monte-Carlo batch hands each run. The `zero` and
+`endpoints` modes draw nothing.
 
 The steps run in a kernel generated per plant order n and box-sign
 pattern: one template, `_KERNEL`, whose per-coefficient parts (the
@@ -222,7 +224,7 @@ def run_closed_loop(
     family: str | Sequence[QuantizerSpec] = "optimal",
     horizon: int = 500,
     init_mode: str = "uniform",
-    init_seed: int | None = None,
+    init_seed=None,
     record: bool | str = True,
     *,
     setup: _Setup | None = None,
@@ -238,7 +240,8 @@ def run_closed_loop(
     The initial outputs y_{-n+1} .. y_0 are the init_bounds b themselves
     ("endpoints"), zero, or ("uniform") the draws of
     np.random.default_rng(init_seed).uniform(-b, b), oldest first, bit for
-    bit, made without numpy. With record=False the run keeps no samples;
+    bit, made without numpy; init_seed is an entropy or the SeedState that
+    plant.seed_states hashed from one. With record=False the run keeps no samples;
     its verdict, steps and min_sigma_ratio() are those of the recorded run.
     A nonempty %-format string record makes sample k the string
     record % (k, y, s, sigma, est_lo, est_hi, u) of the recorded run's

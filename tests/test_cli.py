@@ -25,6 +25,7 @@ from quantstab.cli import (
     sweep_from_config,
     worker_count,
 )
+from quantstab.plant import DIVERGENCE_RATIO
 from quantstab.quantizer import optimal_boundaries
 from quantstab.rates import necessary_rate
 from test_verify_frozen import FROZEN_CSV
@@ -633,7 +634,9 @@ def test_chunked_trajectory_csv_equals_one_join(tmp_path, capsys, extra, writes)
     setup = loop._Setup(p, cli.Schedule((3,)), "optimal")
     # want is built from a recorded run's sample tuples, the chunks from the
     # rows that the command's run formats in its steps
-    verdict, _, traj = cli._sim_one(setup, rows - 1, "uniform", 0, 0, "uniform", True)
+    verdict, _, traj = cli._sim_one(
+        setup, rows - 1, "uniform", 0, [0, 0, 0], "uniform", [0, 0, 1], True
+    )
     assert len(traj.samples) == rows
     want = "\n".join(
         [TRAJECTORY_CSV_HEADER]
@@ -643,7 +646,9 @@ def test_chunked_trajectory_csv_equals_one_join(tmp_path, capsys, extra, writes)
         ]
         + [f"# verdict={verdict}"]
     ) + "\n"
-    _, _, row_traj = cli._sim_one(setup, rows - 1, "uniform", 0, 0, "uniform", cli._TRAJECTORY_ROW)
+    _, _, row_traj = cli._sim_one(
+        setup, rows - 1, "uniform", 0, [0, 0, 0], "uniform", [0, 0, 1], cli._TRAJECTORY_ROW
+    )
     assert [len(c) for c in cli._trajectory_chunks(row_traj.samples, verdict)] == writes
     out = tmp_path / "t.csv"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
@@ -654,19 +659,21 @@ def test_chunked_trajectory_csv_equals_one_join(tmp_path, capsys, extra, writes)
 
 
 def test_run_raising_past_a_chunk_exits_1_and_writes_nothing(tmp_path, capsys):
-    # the scaling grows 1.01-fold a step from 2e297 and overflows at step
-    # 2466, past the first CSV_CHUNK_ROWS rows: no row is written before the
-    # run ends, so no --out file is left, and stdout stays empty
+    # the scaling grows 1.01-fold a step from twice the largest initial
+    # bound and the output overflows at step 2708, before the scaling passes
+    # DIVERGENCE_RATIO times its first, and past the first CSV_CHUNK_ROWS
+    # rows: no row is written before the run ends, so no --out file is
+    # left, and stdout stays empty
     cfg = write(
         tmp_path,
         "o.cfg",
-        "[plant]\nn = 1\na_star = 3.03\neps = 0.0\ninit_bounds = 1e297\n\n"
+        f"[plant]\nn = 1\na_star = 3.03\neps = 0.0\ninit_bounds = {cli.MAX_INIT_BOUND!r}\n\n"
         "[simulate]\nN = 3\nfamily = uniform\nhorizon = 5000\n",
     )
     out = tmp_path / "o.csv"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
-    assert capsys.readouterr() == ("", "run failed: step 2466: the output overflowed to inf\n")
-    assert 2466 > CHUNK and not out.exists()
+    assert capsys.readouterr() == ("", "run failed: step 2708: the output overflowed to inf\n")
+    assert 2708 > CHUNK and not out.exists()
     assert main(["simulate", "--config", cfg]) == 1
     assert capsys.readouterr().out == ""
 
@@ -1434,7 +1441,7 @@ def test_init_bound_whose_double_overflows_exits_2(tmp_path, capsys, init_mode):
     # 2 b = inf: numpy's uniform draw overflows, and endpoints make a nan set
     text = INIT_BOUND_PLANTS[1].format("1e308") + f"[simulate]\nN = 8\ninit_mode = {init_mode}\n"
     assert main(["simulate", "--config", write(tmp_path, "b.cfg", text)]) == 2
-    message = f"'init_bounds' must be at most {cli.MAX_INIT_BOUND} each, got (1e+308,)"
+    message = "'init_bounds' must be at most 8.988465674311578e+295 each, got (1e+308,)"
     assert capsys.readouterr() == ("", f"config error: config line 5: {message}\n")
 
 
@@ -1460,20 +1467,39 @@ def test_init_bound_at_its_floor_stabilizes(tmp_path, capsys, n):
     assert capsys.readouterr() == ("instances=20 stabilized=20\n", "")
 
 
+def test_divergence_threshold_is_finite_at_the_init_bound_ceiling():
+    # a run stops as diverged past DIVERGENCE_RATIO * 2 b: finite at the
+    # ceiling, and inf one float above it, where no finite scaling passes it
+    b = cli.MAX_INIT_BOUND
+    assert b == 8.988465674311578e295
+    assert math.isfinite(DIVERGENCE_RATIO * (2 * b))
+    assert math.isinf(DIVERGENCE_RATIO * (2 * math.nextafter(b, math.inf)))
+
+
+def test_init_bound_past_the_divergence_ceiling_exits_2(tmp_path, capsys):
+    # 2 b is finite, but DIVERGENCE_RATIO * 2 b is not
+    text = INIT_BOUND_PLANTS[1].format("1e297") + "[simulate]\nN = 3\n"
+    assert main(["simulate", "--config", write(tmp_path, "b.cfg", text)]) == 2
+    message = "'init_bounds' must be at most 8.988465674311578e+295 each, got (1e+297,)"
+    assert capsys.readouterr() == ("", f"config error: config line 5: {message}\n")
+
+
 def test_init_bound_at_its_ceiling_fails_runs_without_a_traceback(tmp_path, capsys):
-    # the first scaling is finite; later ones overflow, and each such run is
-    # a failed row with one stderr line: an infinite output is an overflow,
-    # not a saturation
-    text = INIT_BOUND_PLANTS[1].format(repr(cli.MAX_INIT_BOUND)) + "[simulate]\nN = 8\ninstances = 20\n"
+    # the scaling grows at N = 3: a run whose scaling passes DIVERGENCE_RATIO
+    # times its first is judged diverged; one whose output overflows first
+    # is a failed row with one stderr line: an infinite output is an
+    # overflow, not a saturation
+    text = INIT_BOUND_PLANTS[1].format(repr(cli.MAX_INIT_BOUND)) + "[simulate]\nN = 3\ninstances = 20\n"
     out = tmp_path / "o.csv"
     assert main(["simulate", "--config", write(tmp_path, "b.cfg", text), "--out", str(out)]) == 1
     rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
     bad = [i for i, verdict, *_ in rows if verdict == "failed"]
     got = capsys.readouterr()
-    assert got.out == "instances=20 failed=13 stabilized=7\n"
+    assert got.out == "instances=20 diverged=2 failed=18\n"
+    assert rows[0] == ["0", "diverged", "109", "1"]
     err = got.err.splitlines()
     assert [line.split(" ")[1] for line in err] == bad
-    assert "instance 0 failed: step 2: the output overflowed to -inf" in err
+    assert "instance 1 failed: step 107: the output overflowed to -inf" in err
 
 
 def test_resolution_at_its_floor_accepted():

@@ -11,8 +11,9 @@ search screens with a Newton root in plain floats. `simulate` draws its
 seeded uniform instances and initial outputs without numpy, bit for bit as
 numpy's default_rng would.
 The closed-loop kernel of a plant order and box-sign pattern is generated
-on its first run, the seed hashing of the uniform draws on the first draw,
-and the exact verdict code of an order on its first product.
+on its first run, the seed hashing of the uniform draws on the first draw
+(a lone seed or a batch's block of them alike), and the exact verdict code
+of an order on its first product.
 fractions is blocked the same way where a test says so: only the rescale's
 exact-rational branch imports it.
 dataclasses and inspect are blocked in every run too: the records are
@@ -307,6 +308,33 @@ print(info().misses, info().hits, info().currsize)
     res = run_blocked(code, tmp_path)
     assert (res.returncode, res.stderr) == (0, "")
     assert res.stdout.splitlines() == ["0", "1 0", "1 2 1"]
+
+
+def test_a_batch_compiles_the_draw_code_once_as_a_single_run_does(tmp_path):
+    # a batch hashes the seeds of a block of instances in one pass per
+    # stream; the passes of every block, and a lone draw, reuse the one
+    # compiled hashing code, with numpy blocked
+    cfg = tmp_path / "batch.cfg"
+    cfg.write_text(
+        SIMULATE_CFG.format(instances=1030).replace("horizon = 60", "horizon = 1"), encoding="utf-8"
+    )
+    argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "batch.csv")]
+    code = f"""\
+import quantstab.cli
+from quantstab import plant
+info = plant._seeding.cache_info
+print(info().currsize)
+status = quantstab.cli.main({argv!r})
+print(status, info().misses, info().hits)
+plant._uniform_draws([11, 0, 0], [(0.0, 1.0)])
+print(info().misses, info().hits, info().currsize)
+"""
+    res = run_blocked(code, tmp_path)
+    assert (res.returncode, res.stderr) == (0, "")
+    lines = res.stdout.splitlines()
+    # two blocks (1024 and 6 instances) of two streams: four passes
+    assert (lines[0], lines[-2], lines[-1]) == ("0", "0 1 3", "1 4 1")
+    assert lines[-3].startswith("instances=1030 ")
 
 
 N1_ROW_CFG = CONFIG.replace("lambda_min = 1.40", "lambda_min = 1.95").replace(

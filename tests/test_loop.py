@@ -28,7 +28,7 @@ from quantstab.loop import (
     run_closed_loop,
 )
 from quantstab.oracle import sigma_envelope
-from quantstab.plant import SAMPLING_MODES, UncertainPlant, sample_instance, step
+from quantstab.plant import SAMPLING_MODES, UncertainPlant, sample_instance, seed_states, step
 from quantstab.quantizer import (
     SaturationError,
     coefficient_expansion_rates,
@@ -187,6 +187,17 @@ def test_containment_and_half_sigma_bound():
         assert hull_contains(e_lo, e_hi, y, GUARD * sigma)
         assert abs(y) <= 0.5 * sigma * (1.0 + GUARD)
         assert e_hi - e_lo <= sigma * (1.0 + GUARD)
+
+
+def test_run_takes_a_seed_state_as_its_init_seed():
+    # a batch hands each run the SeedState of [seed, i, 1]: the same draws
+    p = UncertainPlant(2, (1.0, 3.0), (0.10, 0.35), (0.7, 1.3))
+    inst = sample_instance(p, "uniform", seed=4)
+    entropies = [[4, i, 1] for i in range(3)]
+    for entropy, state in zip(entropies, seed_states(entropies)):
+        want = run_closed_loop(p, inst, Schedule((6,)), "optimal", 50, "uniform", entropy)
+        got = run_closed_loop(p, inst, Schedule((6,)), "optimal", 50, "uniform", state)
+        assert got == want
 
 
 def test_second_order_invariants_over_seeds():

@@ -10,9 +10,12 @@ from hypothesis import given, strategies as st
 
 from quantstab.intervals import hull_contains
 from quantstab.plant import (
+    SEED_BLOCK,
+    SeedState,
     UncertainPlant,
     _uniform_draws,
     sample_instance,
+    seed_states,
     step,
 )
 
@@ -197,3 +200,60 @@ def test_uniform_draws_without_entropy_take_128_random_bits(monkeypatch):
     monkeypatch.setattr(secrets, "randbits", lambda k: fixed if k == 128 else None)
     boxes = [(-1.0, 1.0), (2.0, 5.0)]
     assert _uniform_draws(None, boxes) == numpy_draws(fixed, boxes)
+
+
+# ---------------------------------------------------------------------------
+# a block of seeds hashed in one lane-packed pass, against numpy
+
+# seeds of one, two and three 32-bit words: [seed, i, t] then has three,
+# four and five words, the fifth mixed in past the four-word pool
+BLOCK_SEEDS = {"one_word": 7, "two_words": 2**32 + 11, "three_words": 2**64 + 2**40 + 3}
+
+
+@pytest.mark.parametrize("seed", BLOCK_SEEDS.values(), ids=BLOCK_SEEDS)
+@pytest.mark.parametrize("size", [1, 2, 3, 32, SEED_BLOCK, SEED_BLOCK + 1])
+def test_seed_states_equal_default_rng_bit_for_bit(size, seed):
+    # i = 0 is one word 0, so every entropy of a block has the same word
+    # count; SEED_BLOCK + 1 entropies hash as a full block and a block of one
+    entropies = [[seed, i, i % 2] for i in range(size)]
+    states = seed_states(entropies)
+    assert len(states) == size and all(type(s) is SeedState for s in states)
+    boxes = [(-1.0, 1.0), (0.0, 3.0), (-2.5, -0.5)]
+    for entropy, s in zip(entropies, states):
+        pcg = np.random.PCG64(entropy).state["state"]
+        assert (s.state, s.inc) == (pcg["state"], pcg["inc"]), entropy
+        want = [v.hex() for v in numpy_draws(entropy, boxes)]
+        assert [v.hex() for v in _uniform_draws(s, boxes)] == want, entropy
+
+
+def test_seed_states_of_mixed_word_counts_keep_their_order():
+    # each run of one word count hashes as its own block
+    rng = random.Random(46)
+    entropies = [random_entropy(rng) for _ in range(300)]
+    states = seed_states(entropies)
+    for entropy, s in zip(entropies, states):
+        pcg = np.random.PCG64(entropy).state["state"]
+        assert (s.state, s.inc) == (pcg["state"], pcg["inc"]), entropy
+
+
+@pytest.mark.parametrize("entropies", [[[3, 1, 0], [3, -2, 0]], [[3, 0, 0]] * 40 + [-1]])
+def test_seed_states_reject_a_negative_entry(entropies):
+    with pytest.raises(ValueError):
+        np.random.default_rng(entropies[-1])
+    with pytest.raises(ValueError):
+        seed_states(entropies)
+
+
+def test_sample_instance_takes_a_seed_state_as_its_entropy():
+    p = UncertainPlant(3, (0.2, -0.4, 3.0), (0.05, 0.0, 0.35), (1.0, 1.0, 1.0))
+    entropies = [[9, i, 0] for i in range(5)]
+    for entropy, s in zip(entropies, seed_states(entropies)):
+        assert sample_instance(p, "uniform", seed=s) == sample_instance(p, "uniform", seed=entropy)
+
+
+@pytest.mark.parametrize("state,inc", [(-1, 1), (2**128, 1), (0, 0), (0, 2), (0, 2**128 + 1)])
+def test_seed_state_refuses_what_pcg64_cannot_hold(state, inc):
+    with pytest.raises(ValueError):
+        SeedState(state, inc)
+    with pytest.raises(TypeError):
+        SeedState(1.0, 1)

@@ -1,4 +1,4 @@
-"""The ten record classes as values.
+"""The eleven record classes as values.
 
 Each record is a __slots__ class on plant.Record. A copy made by pickle,
 copy.copy or copy.deepcopy equals its original, a record equals a twin
@@ -15,7 +15,7 @@ import pytest
 from quantstab.cli import Config
 from quantstab.loop import Trajectory
 from quantstab.oracle import GridSearchResult
-from quantstab.plant import UncertainPlant
+from quantstab.plant import SeedState, UncertainPlant
 from quantstab.quantizer import QuantizerSpec
 from quantstab.rates import (
     ComparisonBounds,
@@ -33,6 +33,7 @@ RECORDS = {
         lambda: UncertainPlant(2, [0.3, 2], (0.02, 0.2), (1, 0.5)),
         "UncertainPlant(n=2, a_star=(0.3, 2.0), eps=(0.02, 0.2), init_bounds=(1.0, 0.5))",
     ),
+    "SeedState": (lambda: SeedState(5, 7), "SeedState(state=5, inc=7)"),
     "QuantizerSpec": (
         lambda: QuantizerSpec(3, [0, 0.25, 0.5]),
         "QuantizerSpec(N=3, h=(0.0, 0.25, 0.5))",
